@@ -1,22 +1,12 @@
 """Before/after benchmark for the adaptive optimizer loop.
 
-Two measured phases:
-
-* **replan** — a join whose fact-table statistics lie by orders of
-  magnitude (installed after load, as a stale ANALYZE would). The first
-  execution runs the mis-planned shape and its actuals trip the
-  Q-error threshold; the feedback loop evicts the cached plan and
-  re-optimizes with observed cardinalities. The gates are structural:
-  exactly one re-plan fires, the corrected plan moves fewer bytes over
-  the network, and both plans return identical rows. Wall time is
-  reported, not gated.
-* **bloom** — TPC-H Q3/Q10/Q12 with sideways bloom pushdown on vs off.
-  The build side's join-key bloom reaches the probe-side scan, which
-  tests fragment zone maps and dictionary code spaces against it
-  before decoding. Gates: probe scans skip column sets on Q3/Q10
-  (``sets_skipped_bloom > 0``, ``pages_skipped`` above the no-bloom
-  leg), Q12 skips pages too, and every query stays byte-identical to
-  the non-pushdown path.
+A join whose fact-table statistics lie by orders of magnitude
+(installed after load, as a stale ANALYZE would). The first execution
+runs the mis-planned shape and its actuals trip the Q-error threshold;
+the feedback loop evicts the cached plan and re-optimizes with observed
+cardinalities. The gates are structural: exactly one re-plan fires, the
+corrected plan moves fewer bytes over the network, and both plans
+return identical rows. Wall time is reported, not gated.
 
 Results land in ``BENCH_ADAPTIVE.json`` at the repo root.
 
@@ -36,14 +26,9 @@ from pathlib import Path
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch, Schema
 from repro.optimizer.stats import TableStats
-from repro.workloads import tpch_dbgen, tpch_schema
-from repro.workloads.tpch_queries import query as tpch_query
 
 N_DIM = 50
 N_FACT = 200_000
-TPCH_SF = 0.05
-TPCH_SEED = 19940401
-BLOOM_QUERIES = (3, 10, 12)
 REPLAN_SQL = (
     "SELECT d_tag, SUM(f_v) FROM fact JOIN dim ON f_d = d_id GROUP BY d_tag"
 )
@@ -99,53 +84,9 @@ def replan_phase(n_fact: int) -> dict:
     }
 
 
-def tpch_db(data, **overrides) -> Database:
-    cfg = dict(n_workers=4, n_max=4, page_size=4 * 1024, batch_size=4096)
-    cfg.update(overrides)
-    db = Database(ClusterConfig(**cfg))
-    for name, schema in tpch_schema.SCHEMAS.items():
-        db.create_table(name, schema, tpch_schema.PARTITIONING[name],
-                        clustering=tpch_schema.CLUSTERING.get(name, ()))
-        db.load(name, data[name])
-    return db
-
-
-def bloom_phase(sf: float, repeat: int) -> dict:
-    data = tpch_dbgen.generate(sf=sf, seed=TPCH_SEED)
-    on = tpch_db(data)
-    off = tpch_db(data, bloom_scan_pushdown=False)
-    out: dict = {"sf": sf, "queries": {}}
-    for q in BLOOM_QUERIES:
-        sql = tpch_query(q, sf=sf)
-        r_on, r_off = on.sql(sql), off.sql(sql)
-        identical = r_on.rows() == r_off.rows()
-        best_on = best_off = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            off.sql(sql)
-            best_off = min(best_off, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            on.sql(sql)
-            best_on = min(best_on, time.perf_counter() - t0)
-        out["queries"][f"q{q}"] = {
-            "rows": len(r_on.rows()),
-            "byte_identical": identical,
-            "sets_skipped_bloom": r_on.stats.sets_skipped_bloom,
-            "pages_skipped_bloom_on": r_on.stats.pages_skipped,
-            "pages_skipped_bloom_off": r_off.stats.pages_skipped,
-            "pages_read_bloom_on": r_on.stats.pages_read,
-            "pages_read_bloom_off": r_off.stats.pages_read,
-            "before_s": round(best_off, 5),
-            "after_s": round(best_on, 5),
-        }
-    return out
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=TPCH_SF)
     ap.add_argument("--fact-rows", type=int, default=N_FACT)
-    ap.add_argument("--repeat", type=int, default=3, help="timed runs (best-of)")
     ap.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_ADAPTIVE.json"),
@@ -153,13 +94,11 @@ def main() -> int:
     )
     ap.add_argument(
         "--tiny", action="store_true",
-        help="CI smoke scale: sf 0.002, 20k fact rows, no output file",
+        help="CI smoke scale: 20k fact rows, no output file",
     )
     args = ap.parse_args()
     if args.tiny:
-        args.sf = 0.002
         args.fact_rows = 20_000
-        args.repeat = 1
         args.out = "/dev/null"
 
     rp = replan_phase(args.fact_rows)
@@ -168,37 +107,18 @@ def main() -> int:
         f"misplanned={rp['misplanned_s']}s replanned={rp['replanned_s']}s "
         f"net {rp['network_bytes_before']}B -> {rp['network_bytes_after']}B"
     )
-    bp = bloom_phase(args.sf, args.repeat)
-    for q, st in bp["queries"].items():
-        print(
-            f"bloom {q}: sets={st['sets_skipped_bloom']} "
-            f"pages_skipped {st['pages_skipped_bloom_off']} -> "
-            f"{st['pages_skipped_bloom_on']} "
-            f"pages_read {st['pages_read_bloom_off']} -> {st['pages_read_bloom_on']} "
-            f"identical={st['byte_identical']}"
-        )
-
     failures = []
     if rp["replans"] != 1:
         failures.append(f"expected exactly one re-plan, got {rp['replans']}")
     if rp["network_bytes_after"] >= rp["network_bytes_before"]:
         failures.append("re-planned query did not reduce network bytes")
-    for q in ("q3", "q10"):
-        if bp["queries"][q]["sets_skipped_bloom"] <= 0:
-            failures.append(f"{q}: bloom pushdown skipped no sets")
-    for q, st in bp["queries"].items():
-        if not st["byte_identical"]:
-            failures.append(f"{q}: bloom pushdown changed the result")
-        if st["pages_skipped_bloom_on"] <= st["pages_skipped_bloom_off"]:
-            failures.append(f"{q}: no pages skipped beyond the no-bloom baseline")
     for f in failures:
         print(f"GATE FAILED: {f}")
 
     report = {
-        "before": "static plans (stale stats kept), bloom_scan_pushdown=False",
-        "after": "Q-error feedback re-planning + sideways bloom pushdown (defaults)",
+        "before": "static plans (stale stats kept)",
+        "after": "Q-error feedback re-planning",
         "replan": rp,
-        "bloom": bp,
     }
     if args.out != "/dev/null":
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -113,6 +113,11 @@ class QueryResult:
         return self.batch.schema.names()
 
 
+#: retry budget per fragment move during a rebalance before the stream is
+#: rerouted through the coordinator around the failed endpoint
+REBALANCE_SEND_RETRIES = 64
+
+
 @dataclass
 class RebalanceReport:
     """What one membership/placement change did (scale-out, drain, or
@@ -137,6 +142,10 @@ class RebalanceReport:
     duration_s: float = 0.0
 
 
+#: stripes (one stripe manager each) in a worker's buffer pool
+BUFFER_STRIPES = 8
+
+
 class Worker:
     """A worker node: local storage, buffer pool, memory governor."""
 
@@ -144,7 +153,7 @@ class Worker:
         self.worker_id = worker_id
         self.config = config
         self.fs = fs
-        self.bufmgr = BufferManager(config.buffer_stripes, config.pages_per_pool)
+        self.bufmgr = BufferManager(BUFFER_STRIPES, config.pages_per_pool)
         self.governor = MemoryGovernor(config.memory_per_node)
         self.storage: dict[str, TableStorage] = {}
         self.external: dict[str, object] = {}
@@ -217,12 +226,10 @@ class Session:
 class Database:
     def __init__(self, config: ClusterConfig | None = None):
         self.config = config or ClusterConfig()
-        # storage-layer knobs live in module state (the caches and the
-        # shared-pass retention are process-wide, like the page formats)
-        from ..storage import col_page, shared_scan
+        # the decoded-page caches are process-wide, like the page formats
+        from ..storage import col_page
 
         col_page.set_decoded_cache_limit(self.config.decoded_cache_mb * 1024 * 1024)
-        shared_scan.MAX_PUBLISHED_SETS = self.config.shared_scan_max_sets
         n = self.config.n_workers
         self.worker_ids = list(range(n))
         self.coord_ids = [COORD_BASE + i for i in range(self.config.n_coordinators)]
@@ -245,7 +252,7 @@ class Database:
         )
         # -- concurrent serving layer --------------------------------------
         #: shared morsel pool multiplexed across concurrent queries
-        self.scheduler = MorselScheduler(self.config.morsel_threads)
+        self.scheduler = MorselScheduler()
         self._executor.scheduler = self.scheduler
         #: coordinator admission gate against the aggregate memory budget
         self.admission = AdmissionController(
@@ -297,16 +304,13 @@ class Database:
         #: always-on cluster flight recorder (sys.events, `repro events`)
         self.recorder: FlightRecorder | None = None
         if self.config.flight_recorder:
-            self.recorder = FlightRecorder(
-                self.config.recorder_shards, self.config.recorder_events
-            )
+            self.recorder = FlightRecorder()
         #: metrics time-series sampler (sys.metrics_history)
         self.sampler: MetricsSampler | None = None
         if self.config.metrics_history_window > 0:
             self.sampler = MetricsSampler(
                 self.metrics,
                 window=self.config.metrics_history_window,
-                tick_every=self.config.metrics_sample_ticks,
                 wall_every_s=self.config.metrics_sample_s,
             )
         #: per-query lifecycle summaries (sys.queries/sys.query_operators)
@@ -654,11 +658,6 @@ class Database:
             "repro_optimizer_qerror_worst", "gauge",
             "worst per-operator Q-error across live feedback records",
             lambda: [({}, fb.worst_q())],
-        )
-        m.register_collector(
-            "repro_storage_sets_skipped_bloom_total", "counter",
-            "column sets skipped by sideways-pushed join bloom filters",
-            per_worker(storage_total("sets_skipped_bloom")),
         )
         # network (per-link traffic; links is a plain dict, snapshot under
         # the net lock via list() to stay consistent)
@@ -1079,7 +1078,7 @@ class Database:
         """Deliver one fragment stream ``src -> dst`` as tagged rebalance
         traffic, surviving chaos faults injected mid-rebalance.
 
-        Sends retry up to ``rebalance_send_retries`` times, advancing the
+        Sends retry up to :data:`REBALANCE_SEND_RETRIES` times, advancing the
         fault clock between attempts so crash windows heal; failed
         attempts' partial deliveries are dropped (streams are processed
         one at a time, so only this stream's messages are in flight).
@@ -1088,7 +1087,7 @@ class Database:
         avoids the failed hub."""
         tag = f"rebalance|{table}"
         inj = self.net.injector
-        budget = self.config.rebalance_send_retries
+        budget = REBALANCE_SEND_RETRIES
         coord = self.coord_ids[0]
 
         def direct() -> bool:
@@ -1392,14 +1391,15 @@ class Database:
                                 ),
                             )
                         )
+                        # abandon only THIS query's in-flight exchanges —
+                        # also when giving up, or they sit in the inboxes
+                        self.net.clear_inboxes(ex.qtag)
                         if attempts > self.config.max_query_restarts:
                             raise WorkerFailureError(
                                 e.worker_id,
                                 f"query restart budget exhausted after {attempts} attempts "
                                 f"(max_query_restarts={self.config.max_query_restarts}): {e}",
                             ) from e
-                        # abandon only THIS query's in-flight exchanges
-                        self.net.clear_inboxes(ex.qtag)
                         if self.net.injector is not None:
                             # restarting is not free: failure detection and
                             # requeueing consume fault-clock time, during

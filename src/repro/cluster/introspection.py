@@ -302,7 +302,6 @@ def build_providers(db) -> dict:
                         skipped = (
                             st.sets_skipped_cache + st.sets_skipped_minmax
                             + st.sets_skipped_index + st.sets_skipped_encoded
-                            + st.sets_skipped_bloom
                         )
                         rows.append(
                             (

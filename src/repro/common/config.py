@@ -33,17 +33,16 @@ class ClusterConfig:
     page_size: int = 128 * KB
     #: buffer pool bytes per node
     buffer_pool_size: int = 64 * MB
-    #: number of buffer-pool stripes (one stripe manager each)
-    buffer_stripes: int = 8
     #: per-node memory budget for query execution (drives spilling / OOM)
     memory_per_node: int = 256 * MB
     #: rows per execution batch
     batch_size: int = 8192
     #: enable predicate-based data skipping
     data_skipping: bool = True
-    #: scan each table fragment in its own thread (paper §IV: "one scan
-    #: thread for each fragment"); DOP per worker = number of disks,
-    #: throttled by the worker's resource monitor
+    #: run each table fragment's morsel (scan plus the chain's steps) in
+    #: its own thread (paper §IV: "one scan thread for each fragment");
+    #: DOP per worker = number of disks, throttled by the worker's
+    #: resource monitor
     parallel_scans: bool = False
     #: enable Bloom filters on hash joins
     bloom_filters: bool = True
@@ -72,27 +71,6 @@ class ClusterConfig:
     #: avoided replicated reads between half-open probes of a
     #: blacklisted worker
     probe_interval: int = 8
-    #: retry budget per fragment move during a rebalance before the
-    #: coordinator reroutes the stream around the failed endpoint
-    rebalance_send_retries: int = 64
-    #: execute fused scan→filter→project→partial-agg chains as
-    #: morsel-driven streaming pipelines (paper §III-B: the engine never
-    #: materializes full intermediates); False falls back to
-    #: operator-at-a-time evaluation for A/B comparison
-    pipelined_execution: bool = True
-    #: worker threads per morsel-driven pipeline; 0 = auto (number of
-    #: disks, throttled by the worker's resource monitor like scan DOP)
-    morsel_dop: int = 0
-    #: sites whose table fragment holds fewer rows than this run their
-    #: fused chain inline as a single morsel (no per-fragment split, no
-    #: pool dispatch) — tiny selective scans stop paying scheduling
-    #: overhead; 0 disables the fast path
-    morsel_min_rows: int = 32768
-    #: fold final aggregate/top-k/merge gathers hierarchically across
-    #: the workers' binomial graph before one pre-merged stream reaches
-    #: the coordinator (paper §IV generalized to reduction); False
-    #: falls back to the coordinator-rooted gather tree
-    reduce_tree: bool = True
     #: queries allowed to execute simultaneously; extras queue FIFO in
     #: the coordinator's admission controller (resource-mgmt level 1)
     max_concurrent_queries: int = 4
@@ -103,9 +81,6 @@ class ClusterConfig:
     admission_timeout: float = 60.0
     #: optimized plans cached per coordinator (0 disables the cache)
     plan_cache_size: int = 64
-    #: threads in the shared morsel scheduler multiplexed across
-    #: concurrent queries; 0 = auto (cpu count, capped at 32)
-    morsel_threads: int = 0
     #: record query-lifecycle traces (spans exportable as Chrome
     #: trace_event JSON); off by default — disabled telemetry costs one
     #: attribute test per operator
@@ -116,21 +91,8 @@ class ClusterConfig:
     slow_query_threshold_s: float = 0.0
     #: completed query traces retained for export (oldest evicted first)
     trace_retention: int = 16
-    #: evaluate pushed-down predicate atoms directly over encoded column
-    #: pages (raw fixed-width views, dictionary code space) and gather
-    #: only qualifying rows — scans materialize RowBatches only for data
-    #: that survives; False decodes every surviving page set (A/B)
-    neardata_scan: bool = True
-    #: concurrent scans of the same table fragment attach to one shared
-    #: page pass (leader publishes decoded sets, followers apply their
-    #: own filter bitmaps) instead of K redundant decode passes; epoch
-    #: pinning is preserved because passes coordinate per fragment object
-    shared_scans: bool = True
     #: byte cap (MB) for the content-keyed decoded-page LRU caches
     decoded_cache_mb: int = 64
-    #: decoded page sets a shared-scan leader retains for late
-    #: followers; oldest evicted first
-    shared_scan_max_sets: int = 64
     #: fold per-operator actuals from every cached SELECT back into a
     #: per-plan feedback record (Q-error bookkeeping, repro_optimizer_*
     #: metrics); required for automatic re-planning
@@ -140,24 +102,14 @@ class ClusterConfig:
     #: cardinalities as estimate overrides; 0 disables re-planning
     #: (observation stays on via adaptive_feedback)
     replan_qerror_threshold: float = 0.0
-    #: pass hash-join build-side Bloom filters sideways into probe-side
-    #: scans so zone maps and dictionary code space skip on join keys,
-    #: not just base predicates (requires bloom_filters)
-    bloom_scan_pushdown: bool = True
     #: always-on cluster flight recorder: bounded ring of structured
     #: operational events (admission, faults, breaker transitions, epoch
     #: publishes, re-plans, slow queries, spills), queryable as
     #: ``sys.events`` and dumpable via ``python -m repro events``
     flight_recorder: bool = True
-    #: lock shards in the flight recorder (threads hash onto shards)
-    recorder_shards: int = 4
-    #: events retained per recorder shard (oldest dropped first)
-    recorder_events: int = 4096
     #: samples retained per metric series in ``sys.metrics_history``;
     #: 0 disables the sampler entirely
     metrics_history_window: int = 240
-    #: simulated-network ticks between metric samples (chaos attached)
-    metrics_sample_ticks: int = 256
     #: wall-clock seconds between metric samples (no chaos clock)
     metrics_sample_s: float = 0.25
     #: completed-query summary rows retained in ``sys.queries``
@@ -172,8 +124,6 @@ class ClusterConfig:
             raise ConfigError("N_max must be >= 2")
         if self.page_size < 4 * KB or self.page_size > 64 * MB:
             raise ConfigError("page size must be in [4KB, 64MB]")
-        if self.buffer_stripes < 1:
-            raise ConfigError("need at least one buffer stripe")
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
         if self.max_query_restarts < 0:
@@ -188,12 +138,6 @@ class ClusterConfig:
             raise ConfigError("probe_after must be >= 1")
         if self.probe_interval < 1:
             raise ConfigError("probe_interval must be >= 1")
-        if self.rebalance_send_retries < 1:
-            raise ConfigError("rebalance_send_retries must be >= 1")
-        if self.morsel_dop < 0:
-            raise ConfigError("morsel_dop must be >= 0 (0 = auto)")
-        if self.morsel_min_rows < 0:
-            raise ConfigError("morsel_min_rows must be >= 0 (0 disables)")
         if self.max_concurrent_queries < 1:
             raise ConfigError("max_concurrent_queries must be >= 1")
         if self.query_memory_grant < 0:
@@ -202,26 +146,16 @@ class ClusterConfig:
             raise ConfigError("admission_timeout must be positive")
         if self.plan_cache_size < 0:
             raise ConfigError("plan_cache_size must be >= 0 (0 disables)")
-        if self.morsel_threads < 0:
-            raise ConfigError("morsel_threads must be >= 0 (0 = auto)")
         if self.slow_query_threshold_s < 0:
             raise ConfigError("slow_query_threshold_s must be >= 0 (0 disables)")
         if self.trace_retention < 1:
             raise ConfigError("trace_retention must be >= 1")
         if self.decoded_cache_mb < 1:
             raise ConfigError("decoded_cache_mb must be >= 1")
-        if self.shared_scan_max_sets < 0:
-            raise ConfigError("shared_scan_max_sets must be >= 0 (0 disables publishing)")
         if self.replan_qerror_threshold < 0:
             raise ConfigError("replan_qerror_threshold must be >= 0 (0 disables)")
-        if self.recorder_shards < 1:
-            raise ConfigError("recorder_shards must be >= 1")
-        if self.recorder_events < 1:
-            raise ConfigError("recorder_events must be >= 1")
         if self.metrics_history_window < 0:
             raise ConfigError("metrics_history_window must be >= 0 (0 disables)")
-        if self.metrics_sample_ticks < 1:
-            raise ConfigError("metrics_sample_ticks must be >= 1")
         if self.metrics_sample_s <= 0:
             raise ConfigError("metrics_sample_s must be positive")
         if self.query_history < 1:

@@ -14,6 +14,12 @@ through the simulated network along the paper's topologies —
   serving-tree generalization the paper describes);
 * **broadcast** replicates a relation to all workers.
 
+There is one execution shape: every subtree runs as a *chain*
+(:mod:`repro.core.pipeline`) — a source (table-scan morsels, or the
+evaluated batches of a blocking operator) followed by filter / project
+/ probe steps — and each consumer here is written once, against the
+chain's per-site batch stream.
+
 Hash joins take Bloom filters built from the build side and apply them
 on the probe side *before* its shuffle routes data, reproducing the
 paper's communication-reduction technique. Operator inputs are buffered
@@ -25,8 +31,10 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from ..optimizer.logical import AggSpec
 from ..optimizer.physical import COORD, WORKERS, PhysOp
 from ..sql.ast import ColumnRef, Expr
 from ..sql.compiler import compile_expr, compile_predicate, to_scan_predicate
-from ..storage.table import ScanBloom, ScanStats, TableStorage
+from ..storage.table import ScanStats, TableStorage
 from .kernels import (
     JoinHashTable,
     bloom_filter_codes,
@@ -56,17 +64,13 @@ from .pipeline import (
     MorselScheduler,
     PipelineMetrics,
     apply_steps,
+    chain_step,
     coalesce_batches,
     fuse_chain,
+    morsel_disks,
     run_tasks_ordered,
 )
-from .reference import (
-    _combine,
-    aggregate_batch,
-    distinct_batch,
-    hash_join,
-    project_batch,
-)
+from .reference import _combine, aggregate_batch, distinct_batch, hash_join
 from .spill import MemoryGovernor, SpillableList
 from ..telemetry.profile import OpProfile
 from ..telemetry.trace import Tracer
@@ -106,7 +110,8 @@ class ExecStats:
     pages_shared: int = 0
     #: scans that attached to another query's in-flight page pass
     shared_attaches: int = 0
-    #: column sets skipped by sideways-passed join-key Bloom filters
+    #: always 0 since sideways bloom pushdown was removed; benchmarks/e2e
+    #: (frozen) still reads the field
     sets_skipped_bloom: int = 0
     shuffle_bytes: int = 0
     network_bytes: int = 0
@@ -160,7 +165,6 @@ class ExecStats:
         self.pages_pushed_down += other.pages_pushed_down
         self.pages_shared += other.pages_shared
         self.shared_attaches += other.shared_attaches
-        self.sets_skipped_bloom += other.sets_skipped_bloom
         self.shuffle_bytes += other.shuffle_bytes
         self.network_bytes += other.network_bytes
         self.network_messages += other.network_messages
@@ -194,16 +198,21 @@ SiteData = dict[int, list[RowBatch]]
 
 @dataclass
 class _ChainRun:
-    """Per-execution state of one fused chain: the per-op row accumulator
-    and, for chains with fused hash joins, each site's probe closures
-    (op id → batch transformer over that site's build-once hash table)."""
+    """Per-execution state of one chain."""
 
+    chain: FusedChain
+    #: node ids the chain runs on (every worker, or the coordinator)
+    sites: list[int]
+    #: per-op output rows of the folded operators
     counts: dict[int, int]
+    #: site → probe op id → batch transformer over that site's
+    #: build-once hash table
     probes: dict[int, dict[int, Callable[[RowBatch], RowBatch]]]
-    #: (site, scan op id) → join-key ScanBlooms passed sideways into
-    #: that site's storage scan (built from the site-local build
-    #: partitions, plus any global bloom a shuffle prefilter shipped)
-    blooms: dict[tuple[int, int], list] = field(default_factory=dict)
+    #: a blocking source's evaluated batches per site (None: table scan)
+    source_data: SiteData | None
+    #: the site stream being consumed; closed when the chain closes so an
+    #: abandoned stream stops its morsels and its pipeline span
+    live: Iterator[RowBatch] | None = None
 
 
 class DistributedExecutor:
@@ -228,10 +237,6 @@ class DistributedExecutor:
         self.fault_injector = None
         #: actual output rows per physical-op id, from the last execute()
         self.op_rows: dict[int, int] = {}
-        #: scan op id → ScanBlooms a shuffle-level prefilter wants pushed
-        #: into that scan (consumed by _open_chain when the probe side's
-        #: chain opens; per-query state, cleared by the prefilter builder)
-        self._pending_scan_blooms: dict[int, list] = {}
         #: per-worker health (blacklist-and-failover for replicated reads);
         #: persists across queries so repeated failures accumulate, and
         #: across membership epochs (the Database re-installs it when it
@@ -303,7 +308,6 @@ class DistributedExecutor:
             )
         clone._scan_stats = ScanStats()
         clone.op_rows = {}
-        clone._pending_scan_blooms = {}
         clone.retries = 0
         clone.backoff_time = 0.0
         clone.failed_workers = set()
@@ -318,8 +322,8 @@ class DistributedExecutor:
     def _note_busy(self, site: int, seconds: float) -> None:
         """Attribute wall time to the node that did the work: worker ids
         accrue to ``site_busy_s``, anything else (the coordinator) to
-        ``coord_busy_s`` (morsel threads may race under ``morsel_dop >
-        1``, hence the lock)."""
+        ``coord_busy_s`` (morsel threads race under ``parallel_scans``,
+        hence the lock)."""
         with self._busy_mu:
             if site in self.workers:
                 self.site_busy_s[site] = self.site_busy_s.get(site, 0.0) + seconds
@@ -331,7 +335,6 @@ class DistributedExecutor:
         base = self.net.traffic_of(self.qtag)
         self._scan_stats = ScanStats()
         self.op_rows = {}
-        self._pending_scan_blooms = {}
         if self.op_prof is not None:
             self.op_prof = {}  # a restarted attempt profiles afresh
         self.retries = 0
@@ -362,14 +365,12 @@ class DistributedExecutor:
                 + self._scan_stats.sets_skipped_minmax
                 + self._scan_stats.sets_skipped_index
                 + self._scan_stats.sets_skipped_encoded
-                + self._scan_stats.sets_skipped_bloom
             ),
             sets_total=self._scan_stats.sets_total,
             pages_skipped=self._scan_stats.pages_skipped,
             pages_pushed_down=self._scan_stats.pages_pushed_down,
             pages_shared=self._scan_stats.pages_shared,
             shared_attaches=self._scan_stats.shared_attaches,
-            sets_skipped_bloom=self._scan_stats.sets_skipped_bloom,
             network_bytes=end.bytes - base.bytes,
             network_messages=end.messages - base.messages,
             forwarded_bytes=end.forwarded_bytes - base.forwarded_bytes,
@@ -395,10 +396,8 @@ class DistributedExecutor:
         return self._traced(op, lambda: self._eval_impl(op))
 
     def _eval_impl(self, op: PhysOp) -> SiteData:
-        if op.op in ("filter", "project", "hashjoin"):
-            chain = self._chain_for(op, allow_bare_scan=False)
-            if chain is not None:
-                return self._run_chain_collect(chain)
+        if op.op == "scan" or chain_step(op):
+            return self._collect(op)
         fn = getattr(self, f"_eval_{op.op}", None)
         if fn is None:
             raise ExecutionError(f"no evaluator for physical op {op.op!r}")
@@ -439,11 +438,14 @@ class DistributedExecutor:
         rows = sum(b.length for bs in out.values() for b in bs)
         self.op_rows[op.id] = rows
         if prof is not None:
+            folded = prof.get(op.id)
             p = OpProfile(
                 op_id=op.id,
                 rows=rows,
                 batches=sum(len(bs) for bs in out.values()),
                 time_s=time.perf_counter() - t0,
+                # the root of a collected chain was folded like its steps
+                fused=folded is not None and folded.fused,
             )
             self._prof_fill(p, base)
             prof[op.id] = p
@@ -461,7 +463,6 @@ class DistributedExecutor:
             + st.sets_skipped_minmax
             + st.sets_skipped_index
             + st.sets_skipped_encoded
-            + st.sets_skipped_bloom
         )
         return (
             st.rows_out,
@@ -487,150 +488,74 @@ class DistributedExecutor:
         p.pages_pushed = after[7] - base[7]
         p.pages_shared = after[8] - base[8]
 
-    # -- fused pipelines ------------------------------------------------------------
-    def _chain_for(self, op: PhysOp, allow_bare_scan: bool) -> FusedChain | None:
-        """A fused chain for ``op``'s subtree, or None to fall back to
-        operator-at-a-time evaluation (``pipelined_execution=False``,
-        non-linear shapes, or external tables the chain scanner cannot
-        serve)."""
-        if not self.config.pipelined_execution:
-            return None
+    # -- chains ---------------------------------------------------------------------
+    def _open_chain(self, op: PhysOp) -> _ChainRun:
+        """Fuse ``op``'s subtree into its chain and prepare one run of it.
+
+        For every hash join folded into the chain, the *build* subtree is
+        evaluated here (once per chain run, before any probe-side morsel
+        or prefiltered shuffle starts), materialized per site, and turned
+        into a per-site probe closure over a build-once
+        :class:`JoinHashTable` — probe batches then stream through those
+        closures with no per-batch build or key-compile cost. A blocking
+        source is evaluated last; when it is the shuffle right under a
+        bloom-planned inner/semi join, the build side's Bloom filter
+        prefilters its rows before they are routed (paper §V).
+        """
         chain = fuse_chain(op)
-        if chain is None:
-            return None
-        if not allow_bare_scan and not chain.transforms:
-            return None
-        table = chain.scan.attrs["table"]
-        if any(table in rt.external for rt in self.workers.values()):
-            return None
-        return chain
-
-    def _scan_bloom_targets(self, chain: FusedChain, jop: PhysOp, pairs) -> dict[int, str]:
-        """Map probe-key pair index → base column of the chain's scan.
-
-        Walks each left (probe-side) key expression down through the
-        chain's transforms *below* ``jop``: filters pass names through,
-        projects must map the name to a plain column reference, and
-        lower fused joins must source the name from their probe (left)
-        side — any widening join preserves the value on every output
-        copy, so scan-level dropping stays exact. Keys that survive to
-        the scan resolve to the storage column the bloom can test.
-        Returns {} when no key maps (pushdown silently off for this
-        probe).
-        """
-        try:
-            upto = chain.transforms.index(jop)
-        except ValueError:
-            upto = len(chain.transforms)
-        out: dict[int, str] = {}
-        scan_names = {c.name: c.unqualified for c in chain.scan.schema}
-        for i, (le, _re) in enumerate(pairs):
-            if not isinstance(le, ColumnRef):
-                continue
-            name = le.name
-            ok = True
-            for t in reversed(chain.transforms[:upto]):
-                if t.op == "filter":
-                    continue
-                if t.op == "project":
-                    expr = next(
-                        (e for n, e in t.attrs["exprs"] if n == name), None
-                    )
-                    if not isinstance(expr, ColumnRef):
-                        ok = False
-                        break
-                    name = expr.name
-                elif t.op == "hashjoin":
-                    if not any(c.name == name for c in t.children[0].schema):
-                        ok = False  # key comes from the build side
-                        break
-                else:
-                    ok = False
-                    break
-            if ok and name in scan_names:
-                out[i] = scan_names[name]
-        return out
-
-    def _open_chain(self, chain: FusedChain) -> "_ChainRun":
-        """Account a chain execution and prepare its per-run state.
-
-        For every hash join fused into the chain, the *build* subtree is
-        evaluated here (once per chain run, before any morsel starts),
-        materialized per site, and turned into a per-site probe closure
-        over a build-once :class:`JoinHashTable` — the morsel tasks then
-        stream probe batches through those closures with no per-batch
-        build or key-compile cost.
-        """
         self.pipe.pipelines += 1
         self.pipe.fused_ops += chain.n_ops
-        counts = {chain.scan.id: 0}
-        for t in chain.transforms:
-            counts[t.id] = 0
+        source = chain.source
+        sites = self._instances(source)
+        counts = {t.id: 0 for t in chain.transforms}
+        if chain.scans:
+            counts[source.id] = 0
         probes: dict[int, dict[int, Callable[[RowBatch], RowBatch]]] = {
-            w: {} for w in self.worker_ids
+            w: {} for w in sites
         }
-        blooms: dict[tuple[int, int], list] = {}
+        prefilter = None
         for jop in chain.probe_ops:
-            right_op = jop.children[1]
+            left_op, right_op = jop.children
             right = self._eval(right_op)
-            kind = jop.attrs["kind"]
             pairs = jop.attrs["pairs"]
-            residual = jop.attrs["residual"]
-            lschema = jop.children[0].schema
-            rschema = right_op.schema
-            lkey_fns = [compile_expr(le, lschema).fn for le, _ in pairs]
-            # sideways bloom pushdown: fused probes are co-partitioned or
-            # broadcast, so site w's probe rows can only match site w's
-            # build partition — a per-site bloom over that partition's
-            # keys is exact per site and tighter than a global one. Only
-            # inner/semi probes eliminate non-matching rows.
-            push_targets: dict[int, str] = {}
             if (
-                self.config.bloom_filters
-                and self.config.bloom_scan_pushdown
+                left_op is source
+                and source.op == "shuffle"
                 and jop.attrs.get("bloom")
-                and pairs
-                and kind in ("inner", "semi")
+                and jop.attrs["kind"] in ("inner", "semi")
             ):
-                push_targets = self._scan_bloom_targets(chain, jop, pairs)
-            for w in self.worker_ids:
+                prefilter = self._build_bloom_prefilter(jop, right, right_op, pairs)
+            lkey_fns = [compile_expr(le, left_op.schema).fn for le, _ in pairs]
+            for w in sites:
                 t0 = time.perf_counter()
-                rb = self._materialize(w, rschema, right.get(w, []))
-                rkeys = [np.asarray(compile_expr(re, rschema).fn(rb)) for _, re in pairs]
-                jht = JoinHashTable(rkeys)
-                if push_targets:
-                    site_bl = blooms.setdefault((w, chain.scan.id), [])
-                    if rb.length == 0:
-                        site_bl.append(ScanBloom(column="", drop_all=True))
-                    else:
-                        for i, col in push_targets.items():
-                            site_bl.append(
-                                ScanBloom(
-                                    column=col,
-                                    bits=bloom_filter_codes(
-                                        hash_value_arrays([rkeys[i]])
-                                    ),
-                                )
-                            )
-                self._note_busy(w, time.perf_counter() - t0)
-                probes[w][jop.id] = (
-                    lambda lb, jop=jop, jht=jht, rb=rb, kind=kind, pairs=pairs,
-                    residual=residual, lschema=lschema, rschema=rschema,
-                    lkey_fns=lkey_fns: self._probe_batch(
-                        jop, jht, lb, rb, kind, pairs, residual,
-                        lschema, rschema, lkey_fns=lkey_fns,
-                    )
+                rb = self._materialize(w, right_op.schema, right.get(w, []))
+                jht = JoinHashTable(
+                    [np.asarray(compile_expr(re, right_op.schema).fn(rb)) for _, re in pairs]
                 )
-        pending = self._pending_scan_blooms.get(chain.scan.id)
-        if pending:
-            # a shuffle-level prefilter shipped a (global) build bloom —
-            # every site's scan of this chain can test it too
-            for w in self.worker_ids:
-                blooms.setdefault((w, chain.scan.id), []).extend(pending)
-        return _ChainRun(counts=counts, probes=probes, blooms=blooms)
+                self._note_busy(w, time.perf_counter() - t0)
+                probes[w][jop.id] = partial(self._probe_batch, jop, jht, rb, lkey_fns)
+        source_data = None
+        if prefilter is not None:
+            source_data = self._traced(
+                source, lambda: self._eval_shuffle(source, prefilter=prefilter)
+            )
+        elif not chain.scans:
+            source_data = self._eval(source)
+        return _ChainRun(chain, sites, counts, probes, source_data)
 
-    def _close_chain(self, run: "_ChainRun") -> None:
-        """Publish fused per-op actuals for EXPLAIN ANALYZE."""
+    @contextmanager
+    def _chain(self, op: PhysOp) -> Iterator[_ChainRun]:
+        """Run ``op``'s subtree as a chain: the body pulls each site's
+        batches from :meth:`_site_batches`. However the body exits, the
+        stream it was consuming is closed — morsels stopped, the site's
+        ``pipeline`` span ended. On success the folded operators' actual
+        rows are published for EXPLAIN ANALYZE."""
+        run = self._open_chain(op)
+        try:
+            yield run
+        finally:
+            if run.live is not None:
+                run.live.close()
         for op_id, n in run.counts.items():
             self.op_rows[op_id] = n
             if self.op_prof is not None and op_id not in self.op_prof:
@@ -638,25 +563,21 @@ class DistributedExecutor:
                 # timing; their rows still show, flagged as fused
                 self.op_prof[op_id] = OpProfile(op_id=op_id, rows=n, fused=True)
 
+    def _collect(self, op: PhysOp) -> SiteData:
+        """Evaluate ``op``'s chain to materialized per-site batches (for
+        parents that need their whole input: sorts, join build sides)."""
+        with self._chain(op) as run:
+            return {site: list(self._site_batches(run, site)) for site in run.sites}
+
     def _coalesce(self, batches, schema: Schema):
         """Regroup streamed batches to full width (4x batch_size rows) so
         per-batch exchange and fold costs stay amortized; memory stays
         bounded by the coalesce window."""
         return coalesce_batches(batches, schema, 4 * self.config.batch_size)
 
-    def _run_chain_collect(self, chain: FusedChain) -> SiteData:
-        """Evaluate a fused chain to materialized SiteData (used when the
-        parent operator has no streaming path)."""
-        run = self._open_chain(chain)
-        out: SiteData = {}
-        for w in self.worker_ids:
-            out[w] = list(self._chain_site_batches(chain, w, run))
-        self._close_chain(run)
-        return out
-
-    def _chain_site_batches(self, chain: FusedChain, w: int, run: _ChainRun, fold=None):
-        """Stream one site's batches through the fused chain, wrapped in a
-        per-site ``pipeline`` span when tracing.
+    def _site_batches(self, run: _ChainRun, site: int, fold=None) -> Iterator[RowBatch]:
+        """One site's batches out of the chain, wrapped in the site's
+        ``pipeline`` span when tracing.
 
         The span opens when the first batch is pulled and closes when the
         site's stream is exhausted; because sites are consumed one after
@@ -665,61 +586,92 @@ class DistributedExecutor:
         network send issued while a batch is being consumed (streaming
         shuffle/broadcast/gather) nests inside the producing site's span.
         """
-        tr = self.tracer
-        if tr is None:
-            yield from self._chain_site_batches_impl(chain, w, run, fold)
-            return
-        sp = tr.begin(
-            "pipeline", cat="pipeline", node=w, table=chain.scan.attrs["table"]
+        inner = (
+            self._scan_site_batches(run, site, fold)
+            if run.chain.scans
+            else self._list_site_batches(run, site)
         )
+        run.live = self._in_pipeline_span(inner, site, run.chain.source)
+        return run.live
+
+    def _in_pipeline_span(self, inner: Iterator[RowBatch], site: int, source: PhysOp):
+        tr = self.tracer
+        sp = None
+        if tr is not None:
+            sp = tr.begin(
+                "pipeline", cat="pipeline", node=site,
+                source=source.attrs.get("table", source.op),
+            )
         rows = 0
         try:
-            for b in self._chain_site_batches_impl(chain, w, run, fold):
+            for b in inner:
                 rows += b.length
                 yield b
         finally:
-            tr.end(sp, rows=rows)
+            inner.close()
+            if sp is not None:
+                tr.end(sp, rows=rows)
 
-    def _chain_site_batches_impl(self, chain: FusedChain, w: int, run: _ChainRun, fold=None):
-        """Stream one site's batches through the fused chain.
+    def _list_site_batches(self, run: _ChainRun, site: int):
+        """Stream a blocking source's batches through the chain's steps on
+        the driver thread. Inputs are coalesced first so filters and
+        probes run at full batch width (grouping depends only on
+        deterministic sizes)."""
+        steps = run.chain.steps()
+        probes = run.probes.get(site)
+        batches = run.source_data.get(site, [])
+        for b in self._coalesce(batches, run.chain.source.schema):
+            t0 = time.perf_counter()
+            b = apply_steps(b, steps, run.counts, probes)
+            self._note_busy(site, time.perf_counter() - t0)
+            if b is not None and b.length:
+                yield b
+
+    def _scan_site_batches(self, run: _ChainRun, w: int, fold=None):
+        """Stream one site's table through the chain.
 
         Each table fragment becomes one morsel task that scans and runs
         the full transform chain in its worker thread; the driver thread
         consumes task results in submission order, so every downstream
         send sequence (and the fault injector's clock) stays
-        deterministic no matter how threads interleave. Fragments of a
-        table smaller than ``morsel_min_rows`` run as one inline morsel
-        instead — tiny selective scans don't pay per-fragment scheduling
-        overhead.
+        deterministic no matter how threads interleave. Tables below
+        :data:`~repro.core.pipeline.MORSEL_MIN_ROWS`, and external
+        tables, run as one inline morsel instead.
         """
-        op = chain.scan
+        op = run.chain.source
         table = op.attrs["table"]
         replicated = op.partitioning.kind == "replicated"
         serving = self._serving_for(op, w, table, replicated)
         rt = self.workers[serving]
-        storage = rt.storage.get(table)
-        if storage is None:
-            raise ExecutionError(f"worker {serving} has no table {table!r}")
-        needed, pred_fn, scan_pred, finish = self._scan_plan(storage, op)
-        steps = chain.steps()
+        if table in rt.external:
+            def scan(ds, st):
+                return self._external_batches(rt, op, st)
+
+            def finish(b):
+                return b
+
+            parts = [None]
+        else:
+            storage = rt.storage.get(table)
+            if storage is None:
+                raise ExecutionError(f"worker {serving} has no table {table!r}")
+            needed, pred_fn, scan_pred, finish = self._scan_plan(storage, op)
+
+            def scan(ds, st):
+                return storage.scan(
+                    needed, pred_fn, scan_pred,
+                    skipping=self.config.data_skipping, stats=st, disks=ds,
+                    neardata=True, shared=True,
+                )
+
+            parts = morsel_disks(len(storage.fragments), storage.row_count)
+        steps = run.chain.steps()
         probes = run.probes.get(w)
         counts = run.counts
         scan_id = op.id
-        # join-key blooms for this site's scan (fused-probe build sides
-        # and/or a shuffle prefilter's shipped filter); None when the
-        # pushdown is off or no probe key maps to a scan column
-        scan_blooms = run.blooms.get((w, scan_id))
-        n_disks = len(storage.fragments)
-        min_rows = self.config.morsel_min_rows
-        inline = min_rows > 0 and storage.row_count < min_rows
-        dop = self.config.morsel_dop or rt.current_dop()
-        dop = max(1, min(dop, n_disks))
-        threaded = (
-            not inline
-            and (self.config.parallel_scans or self.config.morsel_dop > 1)
-            and dop > 1
-            and n_disks > 1
-        )
+        # one scan thread per fragment, throttled by the worker's
+        # resource monitor (paper §IV)
+        dop = min(rt.current_dop(), len(parts))
 
         # a probe has fixed NumPy setup cost per call, so probing each
         # page-set-sized scan batch wastes most of the kernel's width.
@@ -752,20 +704,11 @@ class DistributedExecutor:
             st = ScanStats()
             local: dict[int, int] = {}
             acc: RowBatch | None = None
-            for raw in storage.scan(
-                needed, pred_fn, scan_pred,
-                skipping=self.config.data_skipping, stats=st, disks=ds,
-                neardata=self.config.neardata_scan, shared=self.config.shared_scans,
-                blooms=scan_blooms,
-            ):
+            for raw in scan(ds, st):
                 b = finish(raw)
                 local[scan_id] = local.get(scan_id, 0) + b.length
                 part = _partial_aggregate(b, f_keys, f_specs, f_schema)
-                if acc is None:
-                    acc = part
-                else:
-                    both = RowBatch.concat(f_schema, [acc, part])
-                    acc = _combine_partials(both, f_keys, f_specs, f_schema)
+                acc = _fold_partial(acc, part, f_keys, f_specs, f_schema)
             outs = [acc] if acc is not None else []
             self.inflight.produced(len(outs))
             self._note_busy(serving, time.perf_counter() - t0)
@@ -788,12 +731,7 @@ class DistributedExecutor:
                 if b is not None and b.length:
                     (outs if post is None else staged).append(b)
 
-            for raw in storage.scan(
-                needed, pred_fn, scan_pred,
-                skipping=self.config.data_skipping, stats=st, disks=ds,
-                neardata=self.config.neardata_scan, shared=self.config.shared_scans,
-                blooms=scan_blooms,
-            ):
+            for raw in scan(ds, st):
                 buf.append(raw)
                 held += raw.length
                 if held >= target:
@@ -814,18 +752,23 @@ class DistributedExecutor:
             return outs, local, st
 
         body = morsel if fold is None else fold_morsel
-        if inline:
-            tasks = [lambda: body(None)]
-        else:
-            tasks = [lambda d=d: body([d]) for d in range(n_disks)]
+        tasks = [partial(body, ds) for ds in parts]
         self.pipe.morsels += len(tasks)
-        for outs, local, st in run_tasks_ordered(tasks, dop, threaded, self.scheduler):
-            self._scan_stats.merge(st)
-            for op_id, n in local.items():
-                counts[op_id] = counts.get(op_id, 0) + n
-            for b in outs:
-                self.inflight.consumed(1)
-                yield b
+        results = run_tasks_ordered(tasks, dop, self.config.parallel_scans, self.scheduler)
+        try:
+            for outs, local, st in results:
+                self._scan_stats.merge(st)
+                for op_id, n in local.items():
+                    counts[op_id] = counts.get(op_id, 0) + n
+                for b in outs:
+                    self.inflight.consumed(1)
+                    yield b
+        finally:
+            # an abandoned stream (failed send, restart) leaves produced
+            # batches nobody will consume; closing the task stream first
+            # waits its running morsels out, so the count is final
+            results.close()
+            self.inflight.drain()
 
     def _instances(self, op: PhysOp) -> list[int]:
         return self.worker_ids if op.site == WORKERS else [self.coord_id]
@@ -970,34 +913,6 @@ class DistributedExecutor:
                 )
         return serving
 
-    def _eval_scan(self, op: PhysOp) -> SiteData:
-        table = op.attrs["table"]
-        replicated = op.partitioning.kind == "replicated"
-        tr = self.tracer
-        out: SiteData = {}
-        for w in self.worker_ids:
-            if tr is None:
-                out[w] = self._scan_site(op, w, table, replicated)
-                continue
-            # operator-at-a-time scans still get a per-site span so
-            # traces look the same whichever engine shape runs
-            sp = tr.begin("pipeline", cat="pipeline", node=w, table=table)
-            try:
-                out[w] = self._scan_site(op, w, table, replicated)
-            finally:
-                tr.end(sp, rows=sum(b.length for b in out.get(w, ())))
-        return out
-
-    def _scan_site(self, op: PhysOp, w: int, table: str, replicated: bool) -> list[RowBatch]:
-        serving = self._serving_for(op, w, table, replicated)
-        rt = self.workers[serving]
-        if table in rt.external:
-            return self._scan_external(rt, table, op)
-        storage = rt.storage.get(table)
-        if storage is None:
-            raise ExecutionError(f"worker {serving} has no table {table!r}")
-        return self._scan_storage(storage, op, op.attrs.get("predicate"), serving)
-
     def _scan_plan(self, storage: TableStorage, op: PhysOp):
         """Compile a scan op against a table: (needed columns, batch
         predicate, storage-level scan predicate, schema-align closure)."""
@@ -1031,95 +946,27 @@ class DistributedExecutor:
 
         return needed, pred_fn, scan_pred, finish
 
-    def _scan_storage(
-        self, storage: TableStorage, op: PhysOp, pred_expr: Expr | None, site: int
-    ) -> list[RowBatch]:
-        needed, pred_fn, scan_pred, finish = self._scan_plan(storage, op)
-        n_disks = len(storage.fragments)
-        dop = min(n_disks, max(1, self._dop_for(storage)))
-        if self.config.parallel_scans and dop > 1 and n_disks > 1:
-            # one scan thread per fragment (paper §IV); per-thread stats
-            # are merged afterwards to keep counters race-free
-            def scan_disk(d: int) -> tuple[list[RowBatch], ScanStats]:
-                t0 = time.perf_counter()
-                st = ScanStats()
-                out = [
-                    finish(b)
-                    for b in storage.scan(
-                        needed, pred_fn, scan_pred,
-                        skipping=self.config.data_skipping, stats=st, disks=[d],
-                        neardata=self.config.neardata_scan,
-                        shared=self.config.shared_scans,
-                    )
-                ]
-                self._note_busy(site, time.perf_counter() - t0)
-                return out, st
-
-            batches: list[RowBatch] = []
-            tasks = [lambda d=d: scan_disk(d) for d in range(n_disks)]
-            for out, st in run_tasks_ordered(tasks, dop, True, self.scheduler):
-                batches.extend(out)
-                self._scan_stats.merge(st)
-            return batches
-
-        t0 = time.perf_counter()
-        out = [
-            finish(b)
-            for b in storage.scan(
-                needed, pred_fn, scan_pred,
-                skipping=self.config.data_skipping, stats=self._scan_stats,
-                neardata=self.config.neardata_scan,
-                shared=self.config.shared_scans,
-            )
-        ]
-        self._note_busy(site, time.perf_counter() - t0)
-        return out
-
-    def _dop_for(self, storage: TableStorage) -> int:
-        """Worker-level DOP (resource-management level 2)."""
-        for rt in self.workers.values():
-            if any(ts is storage for ts in rt.storage.values()):
-                return rt.current_dop()
-        return 1
-
-    def _scan_external(self, rt: WorkerRuntime, table: str, op: PhysOp) -> list[RowBatch]:
-        uet, frags = rt.external[table]
+    def _external_batches(self, rt: WorkerRuntime, op: PhysOp, st: ScanStats):
+        """Stream this worker's fragments of an external table, aligned
+        to the scan's schema and filtered by its pushed-down predicate."""
+        uet, frags = rt.external[op.attrs["table"]]
         pred_expr = op.attrs.get("predicate")
-        batches: list[RowBatch] = []
+        pred = None
+        if pred_expr is not None:
+            pred = compile_predicate(_strip_qualifiers(pred_expr), op.schema)
         for frag in frags:
             for batch in uet.scan_fragment(frag, self.config.batch_size):
-                cols = {}
-                for c in op.schema:
-                    cols[c.name] = batch.col(batch.schema.resolve(c.unqualified))
-                b = RowBatch(op.schema, cols)
-                if pred_expr is not None:
-                    mask = compile_predicate(_strip_qualifiers(pred_expr), b.schema)(b)
-                    b = b.filter(mask)
+                b = RowBatch(
+                    op.schema,
+                    {c.name: batch.col(batch.schema.resolve(c.unqualified)) for c in op.schema},
+                )
+                if pred is not None:
+                    b = b.filter(pred(b))
                 if b.length:
-                    batches.append(b)
-                    self._scan_stats.rows_out += b.length
-        return batches
+                    st.rows_out += b.length
+                    yield b
 
     # -- row-wise operators -----------------------------------------------------------
-    def _eval_filter(self, op: PhysOp) -> SiteData:
-        child = self._eval(op.children[0])
-        pred = compile_predicate(op.attrs["predicate"], op.children[0].schema)
-        out: SiteData = {}
-        for site, batches in child.items():
-            t0 = time.perf_counter()
-            out[site] = [b.filter(pred(b)) for b in batches if b.length]
-            self._note_busy(site, time.perf_counter() - t0)
-        return out
-
-    def _eval_project(self, op: PhysOp) -> SiteData:
-        child = self._eval(op.children[0])
-        out: SiteData = {}
-        for site, batches in child.items():
-            t0 = time.perf_counter()
-            out[site] = [project_batch(b, op.attrs["exprs"], op.schema) for b in batches]
-            self._note_busy(site, time.perf_counter() - t0)
-        return out
-
     def _eval_limit(self, op: PhysOp) -> SiteData:
         child = self._eval(op.children[0])
         n = op.attrs["n"]
@@ -1148,36 +995,20 @@ class DistributedExecutor:
         return out
 
     def _eval_topk(self, op: PhysOp) -> SiteData:
+        """Fold a bounded heap over the child's stream."""
         keys, k = op.attrs["keys"], op.attrs["k"]
-        chain = self._chain_for(op.children[0], allow_bare_scan=True)
-        if chain is not None:
-            # fused: fold the bounded heap directly over chain output
-            run = self._open_chain(chain)
-            out: SiteData = {}
-            for site in self.worker_ids:
+        out: SiteData = {}
+        with self._chain(op.children[0]) as run:
+            for site in run.sites:
                 acc = RowBatch.empty(op.schema)
                 fold_s = 0.0
-                for b in self._coalesce(
-                    self._chain_site_batches(chain, site, run), op.schema
-                ):
+                for b in self._coalesce(self._site_batches(run, site), op.schema):
                     t0 = time.perf_counter()
                     acc = top_k(RowBatch.concat(op.schema, [acc, b]), keys, k)
                     fold_s += time.perf_counter() - t0
                 out[site] = [acc]
                 if fold_s:
                     self._note_busy(site, fold_s)
-            self._close_chain(run)
-            return out
-        child = self._eval(op.children[0])
-        out: SiteData = {}
-        for site, batches in child.items():
-            # streaming bounded heap: fold batches through top_k
-            t0 = time.perf_counter()
-            acc = RowBatch.empty(op.schema)
-            for b in batches:
-                acc = top_k(RowBatch.concat(op.schema, [acc, b]), keys, k)
-            out[site] = [acc]
-            self._note_busy(site, time.perf_counter() - t0)
         return out
 
     def _eval_distinct(self, op: PhysOp) -> SiteData:
@@ -1210,243 +1041,122 @@ class DistributedExecutor:
 
     # -- aggregation ---------------------------------------------------------------
     def _eval_agg(self, op: PhysOp) -> SiteData:
-        mode = op.attrs.get("mode", "complete")
-        keys = tuple(op.attrs.get("group_keys", ()))
-        if mode in ("partial", "complete"):
-            distinct = mode == "complete" and any(s.distinct for s in op.attrs["aggs"])
-            chain = None if distinct else self._chain_for(op.children[0], allow_bare_scan=True)
-            if chain is not None:
-                return self._eval_agg_fused(op, chain, keys, mode)
-        child = self._eval(op.children[0])
-        out: SiteData = {}
-        for site, batches in child.items():
-            t0 = time.perf_counter()
-            if mode == "complete":
-                res = self._complete_aggregate(site, op, keys, batches)
-            else:
-                merged = self._materialize(site, op.children[0].schema, batches)
-                if mode == "partial":
-                    res = _partial_aggregate(merged, keys, op.attrs["partial_specs"], op.schema)
-                elif mode == "final":
-                    res = _final_aggregate(merged, keys, op.attrs["final_specs"], op.schema)
-                else:
-                    raise ExecutionError(f"unknown agg mode {mode}")
-            out[site] = [res]
-            self._note_busy(site, time.perf_counter() - t0)
-        return out
+        """Aggregate the child's stream, one pass.
 
-    def _eval_agg_fused(self, op: PhysOp, chain: FusedChain, keys, mode: str) -> SiteData:
-        """Fold partial aggregates over fused-chain output, one pass.
-
-        Each non-empty batch is pre-aggregated to partial form and
-        folded into a per-site accumulator as it leaves the chain, so
-        the operator never materializes its input. Complete mode (no
-        distinct aggs) goes through the partial/final split — exactly
-        the operator-level resource-management shape
-        :meth:`_complete_aggregate` uses under memory pressure.
+        Partial and complete aggregates pre-aggregate each non-empty
+        batch to partial form and fold it into a per-site accumulator as
+        it leaves the chain, so the operator never materializes its
+        input (complete mode finishes the partial/final split locally).
+        Final mode and DISTINCT aggregates need their whole input at
+        once: they drain the stream and aggregate once.
         """
-        child_schema = op.children[0].schema
+        mode = op.attrs.get("mode", "complete")
+        if mode not in ("partial", "complete", "final"):
+            raise ExecutionError(f"unknown agg mode {mode}")
+        keys = tuple(op.attrs.get("group_keys", ()))
+        specs = op.attrs["aggs"]
+        child_op = op.children[0]
+        child_schema = child_op.schema
+        blocking = mode == "final" or (
+            mode == "complete" and any(s.distinct for s in specs)
+        )
+        final_specs = None
         if mode == "partial":
             partial_schema, partial_specs = op.schema, op.attrs["partial_specs"]
-            final_specs = None
-        else:
+        elif not blocking:
             from types import SimpleNamespace
 
             from ..optimizer.dataflow import _split_aggs
 
-            node = SimpleNamespace(group_keys=keys, aggs=op.attrs["aggs"])
+            node = SimpleNamespace(group_keys=keys, aggs=specs)
             partial_schema, partial_specs, final_specs = _split_aggs(node, child_schema)
-        # near-data aggregation: a bare-scan chain whose aggregates are
-        # all fold-order-insensitive (COUNT, exact int/bool SUM, MIN/MAX
-        # — float SUM folds pairwise and would shift last-ulp results)
-        # folds partials per page set inside the scan morsels, so rows
-        # never accumulate beyond one set per morsel
-        fold = None
-        if (
-            self.config.neardata_scan
-            and not chain.transforms
-            and _fold_exact(partial_specs, child_schema)
-        ):
-            fold = (keys, partial_specs, partial_schema)
-        run = self._open_chain(chain)
         out: SiteData = {}
-        for site in self.worker_ids:
-            acc: RowBatch | None = None
-            fold_s = 0.0
-            source = (
-                self._chain_site_batches(chain, site, run, fold)
-                if fold is not None
-                else self._coalesce(
-                    self._chain_site_batches(chain, site, run), child_schema
-                )
-            )
-            for b in source:
+        with self._chain(child_op) as run:
+            # near-data aggregation: a bare-scan chain whose aggregates are
+            # all fold-order-insensitive (COUNT, exact int/bool SUM, MIN/MAX
+            # — float SUM folds pairwise and would shift last-ulp results)
+            # folds partials per page set inside the scan morsels, so rows
+            # never accumulate beyond one set per morsel
+            fold = None
+            if (
+                not blocking
+                and run.chain.scans
+                and not run.chain.transforms
+                and _fold_exact(partial_specs, child_schema)
+            ):
+                fold = (keys, partial_specs, partial_schema)
+            for site in run.sites:
+                if blocking:
+                    batches = list(self._site_batches(run, site))
+                    t0 = time.perf_counter()
+                    merged = self._materialize(site, child_schema, batches)
+                    if mode == "final":
+                        res = _final_aggregate(merged, keys, op.attrs["final_specs"], op.schema)
+                    else:
+                        res = aggregate_batch(merged, keys, specs, op.schema)
+                    out[site] = [res]
+                    self._note_busy(site, time.perf_counter() - t0)
+                    continue
+                acc: RowBatch | None = None
+                fold_s = 0.0
+                stream = self._site_batches(run, site, fold)
+                if fold is None:
+                    stream = self._coalesce(stream, child_schema)
+                for b in stream:
+                    t0 = time.perf_counter()
+                    part = (
+                        b  # already a morsel-level partial in partial_schema
+                        if fold is not None
+                        else _partial_aggregate(b, keys, partial_specs, partial_schema)
+                    )
+                    acc = _fold_partial(acc, part, keys, partial_specs, partial_schema)
+                    fold_s += time.perf_counter() - t0
                 t0 = time.perf_counter()
-                part = (
-                    b  # already a morsel-level partial in partial_schema
-                    if fold is not None
-                    else _partial_aggregate(b, keys, partial_specs, partial_schema)
-                )
                 if acc is None:
-                    acc = part
-                else:
-                    both = RowBatch.concat(partial_schema, [acc, part])
-                    acc = _combine_partials(both, keys, partial_specs, partial_schema)
-                fold_s += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if acc is None:
-                # empty site: aggregate the empty input once (keeps the
-                # engine's empty-input semantics — COUNT/SUM partials of
-                # 0 and NULL MIN/MAX partials, which the NaN-skipping
-                # combine then ignores)
-                acc = _partial_aggregate(
-                    RowBatch.empty(child_schema), keys, partial_specs, partial_schema
-                )
-            if mode == "complete":
-                acc = _final_aggregate(acc, keys, final_specs, op.schema)
-            out[site] = [acc]
-            self._note_busy(site, fold_s + (time.perf_counter() - t0))
-        self._close_chain(run)
+                    # empty site: aggregate the empty input once (keeps the
+                    # engine's empty-input semantics — COUNT/SUM partials of
+                    # 0 and NULL MIN/MAX partials, which the NaN-skipping
+                    # combine then ignores)
+                    acc = _partial_aggregate(
+                        RowBatch.empty(child_schema), keys, partial_specs, partial_schema
+                    )
+                if mode == "complete":
+                    acc = _final_aggregate(acc, keys, final_specs, op.schema)
+                out[site] = [acc]
+                self._note_busy(site, fold_s + (time.perf_counter() - t0))
         return out
-
-    def _complete_aggregate(self, site, op: PhysOp, keys, batches) -> RowBatch:
-        """Complete aggregation, chunked when the input exceeds the memory
-        grant: each batch is pre-aggregated to partial form and folded into
-        a running accumulator (operator-level resource management), instead
-        of materializing the whole input first."""
-        specs = op.attrs["aggs"]
-        child_schema = op.children[0].schema
-        governor = self.workers[site].governor if site in self.workers else None
-        total_bytes = sum(b.nbytes for b in batches)
-        chunkable = (
-            governor is not None
-            and len(batches) > 1
-            and total_bytes > governor.budget // 4
-            and not any(s.distinct for s in specs)
-        )
-        if not chunkable:
-            merged = self._materialize(site, child_schema, batches)
-            return aggregate_batch(merged, keys, specs, op.schema)
-
-        from types import SimpleNamespace
-
-        from ..optimizer.dataflow import _split_aggs
-
-        node = SimpleNamespace(group_keys=keys, aggs=specs)
-        partial_schema, partial_specs, final_specs = _split_aggs(node, child_schema)
-        acc: RowBatch | None = None
-        for b in batches:
-            if b.length == 0:
-                continue  # an empty chunk must not inject MIN/MAX defaults
-            part = _partial_aggregate(b, keys, partial_specs, partial_schema)
-            if acc is None:
-                acc = part
-            else:
-                both = RowBatch.concat(partial_schema, [acc, part])
-                acc = _combine_partials(both, keys, partial_specs, partial_schema)
-        if acc is None:
-            acc = RowBatch.empty(partial_schema)
-        return _final_aggregate(acc, keys, final_specs, op.schema)
 
     # -- joins ------------------------------------------------------------------------
     def _eval_hashjoin(self, op: PhysOp) -> SiteData:
+        """Blocking joins — left/single/cross kinds and joins without
+        equi pairs need the whole probe side (row order of unmatched
+        padding, scalar cardinality checks). The probe-order-preserving
+        kinds never get here: they run as probe steps of a chain."""
         left_op, right_op = op.children
-        kind = op.attrs["kind"]
-        pairs = op.attrs["pairs"]
-        residual = op.attrs["residual"]
-        match_col = op.attrs.get("match_col")
-
         right = self._eval(right_op)
-        prefilter = None
-        pushed_scan_id = None
-        if (
-            op.attrs.get("bloom")
-            and pairs
-            and left_op.op == "shuffle"
-            and kind in ("inner", "semi")
-        ):
-            built = self._build_bloom_prefilter(op, right, right_op, pairs)
-            # baseline engines override the builder to return None
-            # (no bloom shuffle at all) — treat that as "no prefilter"
-            prefilter, bits = built if built is not None else (None, None)
-            if built is not None and self.config.bloom_scan_pushdown:
-                # pass the same build bloom sideways into the probe side's
-                # scan, so zone maps / dictionary pages skip on the join
-                # key before rows are even decoded for the shuffle
-                chain = self._chain_for(left_op.children[0], allow_bare_scan=True)
-                if chain is not None:
-                    targets = self._scan_bloom_targets(chain, op, pairs)
-                    scan_blooms = None
-                    if bits is None:
-                        # empty build side: nothing can match — the scan
-                        # itself is dead for this query
-                        scan_blooms = [ScanBloom(column="", drop_all=True)]
-                    elif len(pairs) == 1 and 0 in targets:
-                        # the shipped bits hash the full key tuple, so a
-                        # per-column scan test is only sound single-key
-                        scan_blooms = [ScanBloom(column=targets[0], bits=bits)]
-                    if scan_blooms:
-                        pushed_scan_id = chain.scan.id
-                        self._pending_scan_blooms[pushed_scan_id] = scan_blooms
-        try:
-            if left_op.op == "shuffle":
-                left = self._traced(
-                    left_op, lambda: self._eval_shuffle(left_op, prefilter=prefilter)
-                )
-            else:
-                left = self._eval(left_op)
-        finally:
-            if pushed_scan_id is not None:
-                self._pending_scan_blooms.pop(pushed_scan_id, None)
-
-        # left/single/cross joins need the whole probe side (row order of
-        # unmatched padding, scalar cardinality checks), so only the
-        # probe-order-preserving kinds stream
-        streaming = (
-            self.config.pipelined_execution and pairs and kind in ("inner", "semi", "anti")
-        )
-        lkey_fns = (
-            [compile_expr(le, left_op.schema).fn for le, _ in pairs] if streaming else None
-        )
+        left = self._eval(left_op)
         out: SiteData = {}
         for site in self._instances(op):
             t0 = time.perf_counter()
             rb = self._materialize(site, right_op.schema, right.get(site, []))
-            if streaming:
-                # build once, probe every left batch as it streams by —
-                # the per-pipeline reusable hash table (paper §III-B)
-                jht = JoinHashTable(
-                    [
-                        np.asarray(compile_expr(re, right_op.schema).fn(rb))
-                        for _, re in pairs
-                    ]
-                )
-                parts = [
-                    self._probe_batch(op, jht, lb, rb, kind, pairs, residual,
-                                      left_op.schema, right_op.schema, lkey_fns=lkey_fns)
-                    for lb in self._coalesce(left.get(site, []), left_op.schema)
-                ]
-                parts = [p for p in parts if p.length]
-                out[site] = parts if parts else [RowBatch.empty(op.schema)]
-            else:
-                lb = self._materialize(site, left_op.schema, left.get(site, []))
-                out[site] = [
-                    hash_join(lb, rb, kind, pairs, residual, op.schema, match_col,
-                              left_op.schema, right_op.schema)
-                ]
+            lb = self._materialize(site, left_op.schema, left.get(site, []))
+            out[site] = [
+                hash_join(lb, rb, op.attrs["kind"], op.attrs["pairs"], op.attrs["residual"],
+                          op.schema, op.attrs.get("match_col"),
+                          left_op.schema, right_op.schema)
+            ]
             self._note_busy(site, time.perf_counter() - t0)
         return out
 
     def _probe_batch(
-        self, op: PhysOp, jht: JoinHashTable, lb: RowBatch, rb: RowBatch,
-        kind: str, pairs, residual, lschema: Schema, rschema: Schema,
-        lkey_fns=None,
+        self, op: PhysOp, jht: JoinHashTable, rb: RowBatch, lkey_fns, lb: RowBatch
     ) -> RowBatch:
-        """Probe one left batch against a prebuilt join hash table."""
-        if lkey_fns is None:
-            lkey_fns = [compile_expr(le, lschema).fn for le, _ in pairs]
+        """Probe one left batch against a site's prebuilt join hash table
+        (``rb`` is the build side the table indexes)."""
+        kind = op.attrs["kind"]
         lkeys = [np.asarray(fn(lb)) for fn in lkey_fns]
         li, ri = jht.match_indices(lkeys)
+        residual = op.attrs["residual"]
         if residual and len(li):
             combined = _combine(lb.take(li), rb.take(ri))
             mask = np.ones(len(li), dtype=bool)
@@ -1455,8 +1165,8 @@ class DistributedExecutor:
             li, ri = li[mask], ri[mask]
         if kind == "inner":
             lt, rt = lb.take(li), rb.take(ri)
-            cols = {c.name: lt.col(c.name) for c in lschema}
-            for c in rschema:
+            cols = {c.name: lt.col(c.name) for c in op.children[0].schema}
+            for c in op.children[1].schema:
                 cols[c.name] = rt.col(c.name)
             return RowBatch(op.schema, cols)
         if kind == "semi":
@@ -1470,15 +1180,15 @@ class DistributedExecutor:
 
     def _build_bloom_prefilter(
         self, op: PhysOp, right: SiteData, right_op: PhysOp, pairs
-    ) -> tuple[Callable[[RowBatch], RowBatch], np.ndarray | None]:
+    ) -> Callable[[RowBatch], RowBatch] | None:
         """Build a Bloom filter over the build side's join keys and ship it
         (accounted through the tree topology) so probe batches are filtered
         before they hit the shuffle.
 
-        Returns ``(prefilter, bits)``; ``bits`` is None for an empty
-        build side — the prefilter then drops everything outright
-        (an inner/semi probe against nothing matches nothing) instead
-        of shipping and probing an all-zero filter.
+        For an empty build side the prefilter drops everything outright
+        (an inner/semi probe against nothing matches nothing) instead of
+        shipping and probing an all-zero filter. Baseline engines
+        override this to return None: no Bloom-filtered shuffle at all.
         """
         key_exprs = [re for _, re in pairs]
         bits = None
@@ -1496,7 +1206,7 @@ class DistributedExecutor:
             def drop_all(batch: RowBatch) -> RowBatch:
                 return batch.filter(np.zeros(batch.length, dtype=bool))
 
-            return drop_all, None
+            return drop_all
         # account the filter exchange: every worker receives the merged bits
         payload = bits.tobytes()
         tag = f"{self.qtag}bloom{op.id}"
@@ -1519,7 +1229,7 @@ class DistributedExecutor:
             codes = _value_hash(arrays)
             return batch.filter(bloom_filter_test(bits, codes))
 
-        return prefilter, bits
+        return prefilter
 
     # -- exchanges ----------------------------------------------------------------------
     def _shuffle_batch(self, src: int, batch: RowBatch, compiled, buffers, tag: str, prefilter) -> None:
@@ -1554,30 +1264,19 @@ class DistributedExecutor:
         self._note_busy(src, time.perf_counter() - t0)
 
     def _eval_shuffle(self, op: PhysOp, prefilter=None) -> SiteData:
+        """Streaming exchange: each batch is partitioned and routed the
+        moment it leaves the child's chain — the producer side never
+        materializes its output."""
         child_op = op.children[0]
-        key_exprs = op.attrs["key_exprs"]
         tag = f"{self.qtag}shuf{op.id}"
-        compiled = [compile_expr(e, child_op.schema) for e in key_exprs]
+        compiled = [compile_expr(e, child_op.schema) for e in op.attrs["key_exprs"]]
         buffers: dict[int, SpillableList] = {
             w: SpillableList(self.workers[w].fs, self.workers[w].governor, op.schema, tag)
             for w in self.worker_ids
         }
-        chain = self._chain_for(child_op, allow_bare_scan=True)
-        if chain is not None:
-            # streaming exchange: each batch is partitioned and routed the
-            # moment its morsel completes — the producer side never
-            # materializes its output
-            run = self._open_chain(chain)
-            for src in self.worker_ids:
-                for batch in self._coalesce(
-                    self._chain_site_batches(chain, src, run), child_op.schema
-                ):
-                    self._shuffle_batch(src, batch, compiled, buffers, tag, prefilter)
-            self._close_chain(run)
-        else:
-            child = self._eval(child_op)
-            for src, batches in child.items():
-                for batch in batches:
+        with self._chain(child_op) as run:
+            for src in run.sites:
+                for batch in self._coalesce(self._site_batches(run, src), child_op.schema):
                     self._shuffle_batch(src, batch, compiled, buffers, tag, prefilter)
         out: SiteData = {}
         for w in self.worker_ids:
@@ -1590,55 +1289,21 @@ class DistributedExecutor:
         return out
 
     def _eval_broadcast(self, op: PhysOp) -> SiteData:
+        """Streaming broadcast: replicate each batch as it is produced —
+        from the coordinator down the tree, or worker to worker over the
+        binomial graph."""
         child_op = op.children[0]
+        from_coord = child_op.site == COORD
+        if not from_coord and child_op.partitioning.kind == "replicated":
+            return self._eval(child_op)  # already everywhere
         tag = f"{self.qtag}bcast{op.id}"
-        if child_op.site != COORD and child_op.partitioning.kind != "replicated":
-            chain = self._chain_for(child_op, allow_bare_scan=True)
-            if chain is not None:
-                # streaming broadcast: replicate each batch as it is produced
-                run = self._open_chain(chain)
-                local: SiteData = {w: [] for w in self.worker_ids}
-                for src in self.worker_ids:
-                    for b in self._coalesce(
-                        self._chain_site_batches(chain, src, run), child_op.schema
-                    ):
+        topology = self.tree if from_coord else self.ntm
+        local: SiteData = {w: [] for w in self.worker_ids}
+        with self._chain(child_op) as run:
+            for src in run.sites:
+                for b in self._coalesce(self._site_batches(run, src), child_op.schema):
+                    if not from_coord:
                         local[src].append(b)
-                        t0 = time.perf_counter()
-                        payload = b.to_bytes()
-                        self._note_busy(src, time.perf_counter() - t0)
-                        for dest in self.worker_ids:
-                            if dest != src:
-                                self._retrying(
-                                    lambda dest=dest: self.net.route_send(
-                                        self.ntm, src, dest, payload, tag
-                                    ),
-                                    dest,
-                                )
-                self._close_chain(run)
-                out: SiteData = {}
-                for w in self.worker_ids:
-                    t0 = time.perf_counter()
-                    received = [
-                        RowBatch.from_bytes(p) for _, _, p in self.net.recv_all(w, tag)
-                    ]
-                    out[w] = local[w] + received
-                    self._note_busy(w, time.perf_counter() - t0)
-                return out
-        child = self._eval(child_op)
-        if child_op.site == COORD:
-            for b in child.get(self.coord_id, []):
-                payload = b.to_bytes()
-                for w in self.worker_ids:
-                    self._retrying(
-                        lambda w=w: self.net.route_send(self.tree, self.coord_id, w, payload, tag),
-                        w,
-                    )
-        else:
-            sources = child.items()
-            if child_op.partitioning.kind == "replicated":
-                return child  # already everywhere
-            for src, batches in sources:
-                for b in batches:
                     t0 = time.perf_counter()
                     payload = b.to_bytes()
                     self._note_busy(src, time.perf_counter() - t0)
@@ -1646,7 +1311,7 @@ class DistributedExecutor:
                         if dest != src:
                             self._retrying(
                                 lambda dest=dest: self.net.route_send(
-                                    self.ntm, src, dest, payload, tag
+                                    topology, src, dest, payload, tag
                                 ),
                                 dest,
                             )
@@ -1654,83 +1319,49 @@ class DistributedExecutor:
         for w in self.worker_ids:
             t0 = time.perf_counter()
             received = [RowBatch.from_bytes(p) for _, _, p in self.net.recv_all(w, tag)]
-            local = child.get(w, []) if child_op.site == WORKERS else []
-            out[w] = local + received
+            out[w] = local[w] + received
             self._note_busy(w, time.perf_counter() - t0)
         return out
 
     def _eval_gather(self, op: PhysOp) -> SiteData:
         child_op = op.children[0]
+        if child_op.site == COORD:
+            return self._eval(child_op)
         mode = op.attrs.get("mode", "concat")
         tag = f"{self.qtag}gather{op.id}"
-        if mode == "concat" and child_op.site != COORD and child_op.op != "shuffle":
-            chain = self._chain_for(child_op, allow_bare_scan=True)
-            if chain is not None:
-                # streaming gather: batches climb the tree as morsels finish.
-                # The chain still runs on every site (a replicated child is
-                # scanned everywhere, like the operator-at-a-time engine, so
-                # probe/failover bookkeeping is identical) but only the
-                # designated sources forward their output.
-                sources = self.worker_ids
-                if op.attrs.get("replicated_child"):
-                    sources = self.worker_ids[:1]
-                run = self._open_chain(chain)
-                for w in self.worker_ids:
-                    forward = w in sources
-                    for b in self._coalesce(
-                        self._chain_site_batches(chain, w, run), child_op.schema
-                    ):
-                        if forward:
-                            t0 = time.perf_counter()
-                            payload = b.to_bytes()
-                            self._note_busy(w, time.perf_counter() - t0)
-                            self._retrying(
-                                lambda w=w: self.net.route_send(
-                                    self.tree, w, self.coord_id, payload, tag
-                                ),
-                                self.coord_id,
-                            )
-                self._close_chain(run)
-                t0 = time.perf_counter()
-                received = [
-                    RowBatch.from_bytes(p)
-                    for _, _, p in self.net.recv_all(self.coord_id, tag)
-                ]
-                self._note_busy(self.coord_id, time.perf_counter() - t0)
-                return {self.coord_id: received}
-        if child_op.op == "shuffle":
-            child = self._traced(child_op, lambda: self._eval_shuffle(child_op))
-        else:
-            child = self._eval(child_op)
-        if child_op.site == COORD:
-            return child
         sources = self.worker_ids
         if op.attrs.get("replicated_child"):
             sources = self.worker_ids[:1]
 
         if mode in ("combine", "topk", "merge"):
+            child = self._eval(child_op)
             # baseline engines swap in degenerate topologies without a
             # reduce schedule — they keep their flat coordinator merge
-            if (
-                self.config.reduce_tree
-                and len(self.worker_ids) > 1
-                and hasattr(self.ntm, "reduce_schedule")
-            ):
-                return {
-                    self.coord_id: self._reduce_tree_gather(op, child, sources, tag, mode)
-                }
-            return {self.coord_id: self._tree_gather(op, child, sources, tag, mode)}
+            gather = (
+                self._reduce_tree_gather
+                if len(self.worker_ids) > 1 and hasattr(self.ntm, "reduce_schedule")
+                else self._tree_gather
+            )
+            return {self.coord_id: gather(op, child, sources, tag, mode)}
 
-        # concat: route worker batches up the tree to the coordinator
-        for w in sources:
-            for b in child.get(w, []):
-                t0 = time.perf_counter()
-                payload = b.to_bytes()
-                self._note_busy(w, time.perf_counter() - t0)
-                self._retrying(
-                    lambda w=w: self.net.route_send(self.tree, w, self.coord_id, payload, tag),
-                    self.coord_id,
-                )
+        # concat: batches climb the tree as they are produced. The chain
+        # still runs on every site (a replicated child is scanned
+        # everywhere, so probe/failover bookkeeping does not depend on
+        # who forwards) but only the designated sources send.
+        with self._chain(child_op) as run:
+            for w in run.sites:
+                forward = w in sources
+                for b in self._coalesce(self._site_batches(run, w), child_op.schema):
+                    if forward:
+                        t0 = time.perf_counter()
+                        payload = b.to_bytes()
+                        self._note_busy(w, time.perf_counter() - t0)
+                        self._retrying(
+                            lambda w=w: self.net.route_send(
+                                self.tree, w, self.coord_id, payload, tag
+                            ),
+                            self.coord_id,
+                        )
         t0 = time.perf_counter()
         received = [
             RowBatch.from_bytes(p) for _, _, p in self.net.recv_all(self.coord_id, tag)
@@ -1920,6 +1551,16 @@ def _combine_partials(batch: RowBatch, keys, partial_specs, out_schema: Schema) 
     return aggregate_batch(batch, keys, tuple(specs), out_schema)
 
 
+def _fold_partial(
+    acc: RowBatch | None, part: RowBatch, keys, partial_specs, schema: Schema
+) -> RowBatch:
+    """Fold one more partial batch into a running partial accumulator."""
+    if acc is None:
+        return part
+    both = RowBatch.concat(schema, [acc, part])
+    return _combine_partials(both, keys, partial_specs, schema)
+
+
 def _final_aggregate(batch: RowBatch, keys, final_specs, out_schema: Schema) -> RowBatch:
     specs = []
     post_avg: list[tuple[str, str, str]] = []
@@ -1963,8 +1604,8 @@ def _value_hash(arrays: list[np.ndarray]) -> np.ndarray:
     """Stable engine-wide hash of key value tuples.
 
     Delegates to :func:`hash_value_arrays` — the single mix shared with
-    ``RowBatch.hash_codes`` and the storage layer's bloom scan
-    pushdown, so build-side and scan-side key hashes always agree.
+    ``RowBatch.hash_codes``, so build-side and probe-side key hashes
+    always agree.
     """
     return hash_value_arrays(arrays)
 

@@ -4,18 +4,20 @@ HRDBMS's per-node performance claim rests on *pipelining*: the engine
 never materializes a full intermediate between operators. This module
 supplies the pieces the distributed executor composes into that shape:
 
-* :func:`fuse_chain` detects a linear ``scan -> filter -> project``
-  chain of WORKERS-site operators and packages it as a
-  :class:`FusedChain` — a single-pass batch transformer with per-op
-  row accounting (EXPLAIN ANALYZE still sees every fused operator).
+* :func:`fuse_chain` packages *every* subtree as a :class:`FusedChain`:
+  a source (a table scan, or a blocking operator whose output is
+  evaluated first) followed by zero or more filter / project / hash-join
+  probe steps — a single-pass batch transformer with per-op row
+  accounting (EXPLAIN ANALYZE still sees every fused operator). It is
+  the engine's only execution shape.
 * :func:`run_tasks_ordered` is the morsel driver: per-fragment scan
   tasks run on a bounded thread pool (generalizing the seed's
   scan-only DOP to the whole fused chain), and results are consumed in
   deterministic submission order so downstream network sends — and
   therefore the fault injector's event clock — are reproducible.
 * :class:`InflightTracker` measures the peak number of produced-but-
-  unconsumed batches, the observable that distinguishes streaming from
-  operator-at-a-time execution.
+  unconsumed batches, the observable of how far producers run ahead of
+  the consumer.
 
 Exchange streaming (shuffle/broadcast/gather sends issued per morsel
 batch) and aggregate folding live in :mod:`repro.core.executor`, which
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from ..common.batch import RowBatch
-from ..optimizer.physical import WORKERS, PhysOp
+from ..optimizer.physical import PhysOp
 from ..sql.compiler import compile_predicate
 from ..telemetry.metrics import Counter as TelemetryCounter
 from .reference import project_batch
@@ -66,32 +68,54 @@ class InflightTracker:
         with self._lock:
             self._cur -= n
 
+    @property
+    def current(self) -> int:
+        """Batches produced and not yet consumed; 0 once a query is done."""
+        return self._cur
+
+    def drain(self) -> None:
+        """Forget batches of an abandoned stream. Call only once its
+        morsel tasks have stopped: what is still counted can no longer
+        be consumed."""
+        with self._lock:
+            self._cur = 0
+
 
 @dataclass
 class FusedChain:
-    """A fusable linear operator chain rooted at a worker-site scan.
+    """One subtree as a source followed by single-pass steps.
 
-    ``transforms`` holds the filter/project/hash-join ops bottom-up
-    (nearest the scan first). A ``hashjoin`` transform is a *probe* step:
-    the chain runs down the join's probe side, while the build side is a
-    separate subtree the executor evaluates once per chain run (a
-    build-once :class:`~repro.core.kernels.JoinHashTable` per site) and
-    binds as a per-site probe closure. :meth:`steps` compiles the
-    site-independent pieces once; :func:`apply_steps` then runs a batch
-    through the whole chain in one pass.
+    ``source`` is either a table ``scan`` (storage or external-table
+    fragments, read by morsel tasks) or a blocking operator — an
+    aggregate, exchange, sort, non-streamable join — whose already
+    evaluated per-site batches feed the steps. ``transforms`` holds the
+    filter/project/hash-join ops bottom-up (nearest the source first). A
+    ``hashjoin`` transform is a *probe* step: the chain runs down the
+    join's probe side, while the build side is a separate subtree the
+    executor evaluates once per chain run (a build-once
+    :class:`~repro.core.kernels.JoinHashTable` per site) and binds as a
+    per-site probe closure. :meth:`steps` compiles the site-independent
+    pieces once; :func:`apply_steps` then runs a batch through the whole
+    chain in one pass.
     """
 
-    scan: PhysOp
+    source: PhysOp
     transforms: list[PhysOp]
     _steps: Optional[list] = field(default=None, repr=False)
 
     @property
     def root(self) -> PhysOp:
-        return self.transforms[-1] if self.transforms else self.scan
+        return self.transforms[-1] if self.transforms else self.source
+
+    @property
+    def scans(self) -> bool:
+        """True when morsel tasks read the source from a table."""
+        return self.source.op == "scan"
 
     @property
     def n_ops(self) -> int:
-        return 1 + len(self.transforms)
+        """Operators folded into the chain (a blocking source is not)."""
+        return len(self.transforms) + int(self.scans)
 
     @property
     def probe_ops(self) -> list[PhysOp]:
@@ -121,49 +145,32 @@ class FusedChain:
         return self._steps
 
 
-def streamable_join(op: PhysOp) -> bool:
-    """Probe-order-preserving joins stream: inner/semi/anti with equi
-    pairs. Left/single/cross joins need the whole probe side (unmatched
-    padding order, scalar cardinality checks) and never fuse."""
-    return bool(op.attrs.get("pairs")) and op.attrs.get("kind") in (
-        "inner",
-        "semi",
-        "anti",
-    )
+def chain_step(op: PhysOp) -> bool:
+    """Operators that run as a step inside a chain: filters, projects,
+    and probe-order-preserving joins (inner/semi/anti with equi pairs).
+    Left/single/cross joins need the whole probe side (unmatched
+    padding order, scalar cardinality checks) and are blocking."""
+    if op.op == "hashjoin":
+        return bool(op.attrs.get("pairs")) and op.attrs.get("kind") in (
+            "inner",
+            "semi",
+            "anti",
+        )
+    return op.op in ("filter", "project")
 
 
-def fuse_chain(op: PhysOp) -> FusedChain | None:
-    """Detect a linear chain of filter/project/hash-join-probe operators
-    over a WORKERS-site scan.
-
-    A hash join continues the chain down its *probe* (left) side when the
-    join kind preserves probe order; the build side is recorded on the
-    transform for the executor to evaluate separately — so join-on-join
-    plans (e.g. TPC-H Q10's two joins) fold into one single-pass task.
-    Returns None when ``op`` is not fusable (wrong site, a non-linear
-    shape, or a leaf other than a table scan); callers then fall back to
-    operator-at-a-time evaluation.
-    """
-    if op.site != WORKERS:
-        return None
+def fuse_chain(op: PhysOp) -> FusedChain:
+    """The chain for ``op``'s subtree: descend through filter / project
+    / streamable-join steps (a join continues down its *probe* side, so
+    join-on-join plans such as TPC-H Q10 fold into one single-pass task)
+    until the first operator that is not a step — that operator is the
+    source. A blocking ``op`` is a chain of its own with no steps."""
     transforms: list[PhysOp] = []
     cur = op
-    while True:
-        if cur.op in ("filter", "project"):
-            if len(cur.children) != 1:
-                return None
-        elif cur.op == "hashjoin" and streamable_join(cur):
-            if len(cur.children) != 2:
-                return None
-        else:
-            break
+    while chain_step(cur):
         transforms.append(cur)
         cur = cur.children[0]
-        if cur.site != WORKERS:
-            return None
-    if cur.op != "scan":
-        return None
-    return FusedChain(scan=cur, transforms=list(reversed(transforms)))
+    return FusedChain(source=cur, transforms=transforms[::-1])
 
 
 def apply_steps(
@@ -179,7 +186,7 @@ def apply_steps(
     Accumulates each fused operator's output row count into ``counts``
     (EXPLAIN ANALYZE accounting). Returns None as soon as a filter or
     probe leaves zero rows — the rest of the chain is skipped, matching
-    the operator-at-a-time engine's empty-batch dropping.
+    the engine's empty-batch dropping.
     """
     for op_id, kind, payload in steps:
         if kind == "filter":
@@ -227,6 +234,21 @@ def coalesce_batches(
         yield pending[0] if len(pending) == 1 else RowBatch.concat(schema, pending)
 
 
+#: a site whose table holds fewer rows than this runs its chain inline as
+#: a single morsel (no per-fragment split, no pool dispatch) — tiny
+#: selective scans stop paying scheduling overhead
+MORSEL_MIN_ROWS = 32768
+
+
+def morsel_disks(n_disks: int, row_count: int) -> list[list[int] | None]:
+    """The fragment list of each morsel task of one site's table scan:
+    one morsel per fragment, or one inline morsel over all of them
+    (``None``) below :data:`MORSEL_MIN_ROWS`."""
+    if row_count < MORSEL_MIN_ROWS:
+        return [None]
+    return [[d] for d in range(n_disks)]
+
+
 class MorselScheduler:
     """A shared morsel worker pool multiplexed across concurrent queries.
 
@@ -235,7 +257,7 @@ class MorselScheduler:
     threads by the number of in-flight queries and defeats the morsel
     model's core idea — a fixed worker set pulling tasks from whoever
     has work. This scheduler owns one lazily-started pool sized to the
-    machine (or ``morsel_threads``); queries submit task lists through
+    machine (cpu count, capped at 32); queries submit task lists through
     :meth:`run_ordered`, which keeps at most ``dop`` of *that query's*
     tasks in flight (preserving each query's intra-query DOP grant)
     while the pool interleaves tasks from all queries.
@@ -271,6 +293,7 @@ class MorselScheduler:
         """Run ``tasks`` on the shared pool, at most ``dop`` in flight,
         yielding results in submission order."""
         from collections import deque as _deque
+        from concurrent.futures import wait
 
         pool = self._ensure_pool()
         window = max(1, dop)
@@ -285,9 +308,12 @@ class MorselScheduler:
             while inflight:
                 yield inflight.popleft().result()
         finally:
-            # a consumer bailing early must not leak queued futures
+            # a consumer bailing early must leave nothing behind: queued
+            # futures are cancelled and running ones waited out, so no
+            # task of the query still runs once the query has returned
             for f in inflight:
                 f.cancel()
+            wait(inflight)
 
     def _timed(self, task: Callable[[], object]) -> object:
         t0 = time.perf_counter()

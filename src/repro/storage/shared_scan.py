@@ -40,7 +40,6 @@ import time
 from collections import OrderedDict
 
 #: decoded sets a pass retains for late followers; oldest evicted first
-#: (Database applies ClusterConfig.shared_scan_max_sets here)
 MAX_PUBLISHED_SETS = 64
 
 #: total wall-clock seconds a follower may spend waiting on its leader

@@ -23,8 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..common.batch import RowBatch, hash_value_arrays
-from ..common.bloom import bloom_filter_test
+from ..common.batch import RowBatch
 from ..common.dtypes import DataType
 from ..common.errors import StorageError
 from ..common.schema import Schema
@@ -75,11 +74,6 @@ class ScanStats:
     pages_shared: int = 0
     shared_attaches: int = 0
     rows_out: int = 0
-    #: column sets eliminated by a sideways-passed join-key Bloom filter
-    #: (zone-map range probe or encoded-page membership test); new fields
-    #: append at the end — ``_Fragment.scan`` reconstructs deltas
-    #: positionally via ``astuple``
-    sets_skipped_bloom: int = 0
 
     def merge(self, other: "ScanStats") -> None:
         self.sets_total += other.sets_total
@@ -95,7 +89,6 @@ class ScanStats:
         self.pages_shared += other.pages_shared
         self.shared_attaches += other.shared_attaches
         self.rows_out += other.rows_out
-        self.sets_skipped_bloom += other.sets_skipped_bloom
 
 
 #: atom comparison semantics must match the compiled predicate exactly:
@@ -153,53 +146,6 @@ def _atom_mask(
         m = _apply_atom(values, a)
         mask = m if mask is None else mask & m
     return mask, True
-
-
-@dataclass
-class ScanBloom:
-    """A join-key Bloom filter passed sideways into a scan.
-
-    Built by the executor from a hash join's build side and tested here
-    against fragment zone-maps and encoded column pages, so join-key
-    skipping fires before decode — not just base-predicate skipping.
-    ``drop_all`` marks an empty build side (inner/semi join: nothing
-    can match, skip every set outright). Bloom results are
-    query-specific, so unlike predicate atoms they are **never**
-    recorded into the predicate cache.
-    """
-
-    column: str
-    bits: np.ndarray | None = None
-    drop_all: bool = False
-
-
-#: max integer zone-map span enumerated for a set-level bloom probe
-BLOOM_RANGE_PROBE_MAX = 1024
-
-
-def _bloom_mask(
-    payload: bytes, dtype: DataType, n_rows: int, bits: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Row mask for bloom membership of one encoded column page.
-
-    Returns ``(mask, encoded)`` like :func:`_atom_mask`: dictionary
-    pages test only the (tiny) dictionary and map through codes;
-    fixed-width pages hash the zero-copy value view. Hashing goes
-    through :func:`hash_value_arrays` — the same mix the build side
-    used — so misses are exact and hits are bloom-approximate (false
-    positives only, removed later by the join probe itself).
-    """
-    if dtype == DataType.STRING:
-        if is_dict_page(payload):
-            uniq, codes = dict_page_parts(payload, n_rows)
-            uniq_arr = np.empty(len(uniq), dtype=object)
-            uniq_arr[:] = uniq
-            dmask = bloom_filter_test(bits, hash_value_arrays([uniq_arr]))
-            return dmask[codes], True
-        values = decode_column(payload, dtype, n_rows)
-        return bloom_filter_test(bits, hash_value_arrays([values])), False
-    values = column_values_view(payload, dtype, n_rows)
-    return bloom_filter_test(bits, hash_value_arrays([values])), True
 
 
 def _gather_column(payload: bytes, dtype: DataType, n_rows: int, sel: np.ndarray) -> np.ndarray:
@@ -469,13 +415,12 @@ class _Fragment:
         stats: ScanStats | None = None,
         neardata: bool = False,
         shared: bool = False,
-        blooms: Sequence[ScanBloom] | None = None,
     ) -> Iterator[RowBatch]:
         stats = stats if stats is not None else ScanStats()
         before = astuple(stats)
         try:
             yield from self._scan_impl(
-                columns, predicate, scan_pred, skipping, stats, neardata, shared, blooms
+                columns, predicate, scan_pred, skipping, stats, neardata, shared
             )
         finally:
             delta = ScanStats(*(b - a for a, b in zip(before, astuple(stats))))
@@ -491,28 +436,12 @@ class _Fragment:
         stats: ScanStats,
         neardata: bool,
         shared: bool,
-        blooms: Sequence[ScanBloom] | None = None,
     ) -> Iterator[RowBatch]:
         out_schema = self.schema.project([self.schema.resolve(c) for c in columns])
         names = out_schema.names()
         col_idx = {c.name: i for i, c in enumerate(self.schema.columns)}
         pages_per_set = len(names) if self.format == COLUMN else 1
 
-        # sideways-passed join-key filters (see ScanBloom). An empty
-        # build side proves the whole scan dead for inner/semi probes.
-        blooms = [
-            b
-            for b in (blooms or ())
-            if b.drop_all or (b.bits is not None and len(b.bits) and b.column in col_idx)
-        ]
-        if any(b.drop_all for b in blooms):
-            for _ in self.sets:
-                stats.sets_total += 1
-                stats.sets_skipped_bloom += 1
-                stats.pages_skipped += pages_per_set
-            return
-        #: bloom columns testable on the encoded near-data path
-        bloom_near = bool(blooms) and neardata and self.format == COLUMN
         # pre-declare the pages this scan will touch (paper's clock
         # hint); the buffer manager only honours the first 256, so stop
         # building the list there instead of enumerating every set
@@ -591,62 +520,28 @@ class _Fragment:
                 batch = batch.filter(~s.deleted[: batch.length])
             return batch
 
-        def bloom_zone_skip(s: _SetMeta) -> bool:
-            """Can a set's zone map alone prove every join key misses?
-
-            Exact only for single-value sets or small integer spans —
-            every value the set *could* hold is hashed and tested, so a
-            miss means no row can survive the probe."""
-            for bl in blooms:
-                mm = s.minmax.get(bl.column)
-                if mm is None:
-                    continue
-                lo, hi = mm
-                dtype = self.schema.dtype_of(bl.column)
-                cand: np.ndarray | None = None
-                if lo == hi:
-                    if dtype == DataType.STRING:
-                        cand = np.empty(1, dtype=object)
-                        cand[0] = lo
-                    else:
-                        cand = np.asarray([lo])
-                elif (
-                    dtype != DataType.STRING
-                    and isinstance(lo, (int, np.integer))
-                    and isinstance(hi, (int, np.integer))
-                    and int(hi) - int(lo) < BLOOM_RANGE_PROBE_MAX
-                ):
-                    cand = np.arange(int(lo), int(hi) + 1, dtype=np.int64)
-                if cand is not None and not bloom_filter_test(
-                    bl.bits, hash_value_arrays([cand])
-                ).any():
-                    return True
-            return False
-
         def near_data_set(set_id: int, s: _SetMeta) -> RowBatch | None:
-            """Evaluate atoms and join-key blooms over encoded pages;
-            materialize only qualifying rows. Returns None when the set
-            is eliminated."""
+            """Evaluate atoms over encoded pages; materialize only
+            qualifying rows. Returns None when the set is eliminated."""
             n = s.n_rows
             fetched: dict[str, bytes] = {}
             mask: np.ndarray | None = None
             pushed = 0
-            if atoms_by_col is not None:
-                for colname, alist in atoms_by_col.items():
-                    payload = self.bufmgr.get(
-                        self.path, s.first_page + col_idx[colname], pin=False
-                    )
-                    fetched[colname] = payload
-                    stats.pages_read += 1
-                    cmask, encoded = _atom_mask(
-                        payload, self.schema.dtype_of(colname), n, alist
-                    )
-                    pushed += int(encoded)
-                    mask = cmask if mask is None else mask & cmask
-                    if not mask.any():
-                        break
+            for colname, alist in atoms_by_col.items():
+                payload = self.bufmgr.get(
+                    self.path, s.first_page + col_idx[colname], pin=False
+                )
+                fetched[colname] = payload
+                stats.pages_read += 1
+                cmask, encoded = _atom_mask(
+                    payload, self.schema.dtype_of(colname), n, alist
+                )
+                pushed += int(encoded)
+                mask = cmask if mask is None else mask & cmask
+                if not mask.any():
+                    break
             stats.pages_pushed_down += pushed
-            if mask is not None and not mask.any():
+            if not mask.any():
                 # the full predicate implies its atoms, so an empty atom
                 # mask over the whole set proves the set empty for the
                 # predicate too — same cache fact the decode path records
@@ -655,27 +550,6 @@ class _Fragment:
                 stats.sets_skipped_encoded += 1
                 stats.pages_skipped += len(names) - len(fetched.keys() & set(names))
                 return None
-            bloom_thinned = False
-            for bl in blooms:
-                payload = fetched.get(bl.column)
-                if payload is None:
-                    payload = self.bufmgr.get(
-                        self.path, s.first_page + col_idx[bl.column], pin=False
-                    )
-                    fetched[bl.column] = payload
-                    stats.pages_read += 1
-                bmask, encoded = _bloom_mask(
-                    payload, self.schema.dtype_of(bl.column), n, bl.bits
-                )
-                stats.pages_pushed_down += int(encoded)
-                bloom_thinned = True
-                mask = bmask if mask is None else mask & bmask
-                if not mask.any():
-                    # join-key elimination is query-local: NOT a cacheable
-                    # predicate fact (another query's build side differs)
-                    stats.sets_skipped_bloom += 1
-                    stats.pages_skipped += len(names) - len(fetched.keys() & set(names))
-                    return None
             stats.sets_pushed += 1
             stats.sets_read += 1
             if s.deleted is not None and s.deleted.any():
@@ -700,16 +574,7 @@ class _Fragment:
                 # candidates with the compiled predicate — bit-identical
                 # to decode-then-filter because expr ⇒ atoms
                 m2 = predicate(batch)
-                if (
-                    not m2.any()
-                    and s.full
-                    and s.deleted is None
-                    and atoms_by_col is not None
-                    and not bloom_thinned
-                ):
-                    # bloom-thinned candidates could hide rows that match
-                    # the predicate — only atom-thinned emptiness is a
-                    # predicate fact
+                if not m2.any() and s.full and s.deleted is None:
                     self.pred_cache.record_empty(set_id, scan_pred)
                 batch = batch.filter(m2)
             return batch
@@ -730,17 +595,11 @@ class _Fragment:
                     stats.sets_skipped_minmax += 1
                     stats.pages_skipped += pages_per_set
                     return None
-            if blooms and skipping and bloom_zone_skip(s):
-                # the zone map proves every possible join key misses the
-                # build side — no page of this set is touched at all
-                stats.sets_skipped_bloom += 1
-                stats.pages_skipped += pages_per_set
-                return None
             shared_cols = None
             if spass is not None and not is_leader:
                 shared_cols, waited = spass.fetch(set_id, wait_budget)
                 wait_budget = max(0.0, wait_budget - waited)
-            if (atoms_by_col is not None or bloom_near) and shared_cols is None:
+            if atoms_by_col is not None and shared_cols is None:
                 # leaders with followers attached stay on the decode path
                 # so the pass publishes full columns for everyone
                 if spass is None or not is_leader or spass.followers <= 0:
@@ -753,14 +612,6 @@ class _Fragment:
                     if s.deleted is None:  # deletes could hide future matches
                         self.pred_cache.record_empty(set_id, scan_pred)
                 batch = batch.filter(mask)
-            for bl in blooms:
-                # decoded path (ROW format, shared-scan participants):
-                # thin by join-key membership after the base predicate
-                if bl.column in names and batch.length:
-                    keep = bloom_filter_test(
-                        bl.bits, hash_value_arrays([batch.col(bl.column)])
-                    )
-                    batch = batch.filter(keep)
             return batch
 
         try:
@@ -976,13 +827,12 @@ class TableStorage:
         disks: Sequence[int] | None = None,
         neardata: bool = False,
         shared: bool = False,
-        blooms: Sequence[ScanBloom] | None = None,
     ) -> Iterator[RowBatch]:
         cols = list(columns) if columns is not None else self.schema.names()
         frag_ids = disks if disks is not None else range(len(self.fragments))
         for d in frag_ids:
             yield from self.fragments[d].scan(
-                cols, predicate, scan_pred, skipping, stats, neardata, shared, blooms
+                cols, predicate, scan_pred, skipping, stats, neardata, shared
             )
 
     def reorganize(self) -> None:

@@ -165,8 +165,6 @@ def render_analyze(
             f" pages_pushed={stats.pages_pushed_down}"
             f" pages_shared={stats.pages_shared}"
         )
-        if getattr(stats, "sets_skipped_bloom", 0):
-            near += f" bloom_sets={stats.sets_skipped_bloom}"
     lines.append(
         f"-- scanned={stats.rows_scanned} pages={stats.pages_read} "
         f"skipped={stats.sets_skipped}/{stats.sets_total} "

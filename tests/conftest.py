@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch
+from repro.core.executor import DistributedExecutor
 from repro.storage.buffer import BufferManager
 from repro.util.fs import MemFS
 from repro.workloads import tpch_dbgen, tpch_schema
@@ -20,15 +24,21 @@ def tpch_data():
     return tpch_dbgen.generate(sf=TPCH_SF, seed=TPCH_SEED)
 
 
+def load_tpch(data, **cfg_overrides) -> Database:
+    """A 4-worker cluster loaded with a TPC-H instance."""
+    cfg = dict(n_workers=4, n_max=4, page_size=32 * 1024, batch_size=4096)
+    cfg.update(cfg_overrides)
+    db = Database(ClusterConfig(**cfg))
+    for name, schema in tpch_schema.SCHEMAS.items():
+        db.create_table(name, schema, tpch_schema.PARTITIONING[name])
+        db.load(name, data[name])
+    return db
+
+
 @pytest.fixture(scope="session")
 def tpch_db(tpch_data):
     """A 4-worker cluster loaded with the tiny TPC-H instance."""
-    cfg = ClusterConfig(n_workers=4, n_max=4, page_size=32 * 1024, batch_size=4096)
-    db = Database(cfg)
-    for name, schema in tpch_schema.SCHEMAS.items():
-        db.create_table(name, schema, tpch_schema.PARTITIONING[name])
-        db.load(name, tpch_data[name])
-    return db
+    return load_tpch(tpch_data)
 
 
 @pytest.fixture()
@@ -73,3 +83,31 @@ def rows_match_unordered(a, b, tol=1e-6) -> bool:
     return rows_approx_equal(sorted(map(str, a)), sorted(map(str, b)), tol) or (
         rows_approx_equal(a, b, tol)
     )
+
+
+@contextmanager
+def quiescent(db: Database):
+    """Every query run inside the block — succeeded, restarted or failed
+    for good — must leave nothing behind: its in-flight batch count
+    reads 0 and no node's inbox holds a message under its ``q<id>|``
+    exchange-tag prefix."""
+    executors: list[DistributedExecutor] = []
+    for_query = DistributedExecutor.for_query
+
+    def spy(self, *args, **kwargs):
+        ex = for_query(self, *args, **kwargs)
+        executors.append(ex)
+        return ex
+
+    with mock.patch.object(DistributedExecutor, "for_query", spy):
+        yield
+    assert executors, "no query ran inside the quiescence check"
+    for ex in executors:
+        assert ex.inflight.current == 0, f"{ex.qtag} left batches in flight"
+        stale = [
+            tag
+            for box in db.net._inbox.values()
+            for _src, tag, *_ in box
+            if tag.startswith(ex.qtag)
+        ]
+        assert not stale, f"{ex.qtag} left messages in inboxes: {stale[:3]}"

@@ -1,15 +1,11 @@
-"""Adaptive optimization: Q-error feedback re-planning and sideways
-bloom pushdown into scans.
+"""Adaptive optimization: Q-error feedback re-planning.
 
 The feedback loop (optimizer.feedback + Database._observe_feedback)
 must re-plan a mis-estimated statement exactly once — eagerly, behind
 an atomic claim, bounded by the per-statement budget — and the
-corrected plan must return identical rows. Bloom pushdown
-(executor._scan_bloom_targets → storage ScanBloom) must only ever
-*skip work*: every query reads byte-identical to the non-pushdown
-path, under chaos seeds included. Plus regression tests for the two
-satellite bugs: quote-aware SQL normalization and int ``est_rows``
-rendering in EXPLAIN ANALYZE.
+corrected plan must return identical rows. Plus regression tests for
+the bloom kernel guards and the two satellite bugs: quote-aware SQL
+normalization and int ``est_rows`` rendering in EXPLAIN ANALYZE.
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ from repro.fault import FaultSchedule
 from repro.optimizer.feedback import REPLAN_BUDGET, qerror
 from repro.optimizer.stats import TableStats
 from repro.telemetry import render_analyze
-from repro.workloads import tpch_schema
-from repro.workloads.tpch_queries import query as tpch_query
 
 
 # ---------------------------------------------------------------------------
@@ -239,107 +233,3 @@ class TestEstRendering:
                 op.attrs["est_rows"] = int(est)
         out = render_analyze(res.physical, res.profiles or {}, res.stats)
         assert "est=" in out and "q=" in out
-
-
-# ---------------------------------------------------------------------------
-# sideways bloom pushdown
-# ---------------------------------------------------------------------------
-
-BLOOM_QUERIES = [3, 10, 12]
-CHAOS_SEEDS = [11, 23, 37]
-
-
-def tpch_db(data, **overrides) -> Database:
-    cfg = dict(n_workers=4, n_max=4, page_size=8 * 1024, batch_size=4096,
-               send_retries=6, max_query_restarts=16)
-    cfg.update(overrides)
-    db = Database(ClusterConfig(**cfg))
-    for name, schema in tpch_schema.SCHEMAS.items():
-        db.create_table(name, schema, tpch_schema.PARTITIONING[name],
-                        clustering=tpch_schema.CLUSTERING.get(name, ()))
-        db.load(name, data[name])
-    return db
-
-
-class TestBloomPushdown:
-    @pytest.fixture(scope="class")
-    def canonical(self, tpch_data):
-        """Bloom pushdown off, fault-free: the reference bytes."""
-        db = tpch_db(tpch_data, bloom_scan_pushdown=False)
-        db.chaos(FaultSchedule.none())
-        return {q: db.sql(tpch_query(q, sf=0.002)).rows() for q in BLOOM_QUERIES}
-
-    def test_skips_sets_and_stays_byte_identical(self, tpch_data, canonical):
-        db = tpch_db(tpch_data)
-        db.chaos(FaultSchedule.none())
-        skipped = 0
-        for q in BLOOM_QUERIES:
-            r = db.sql(tpch_query(q, sf=0.002))
-            assert r.rows() == canonical[q], f"Q{q} diverged under bloom pushdown"
-            skipped += r.stats.sets_skipped_bloom
-        # the probe-side scans must actually skip work
-        assert skipped > 0
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_byte_identical_under_chaos(self, tpch_data, canonical, seed):
-        db = tpch_db(tpch_data)
-        db.chaos(FaultSchedule.chaos(seed, [0, 1, 2, 3]))
-        for q in BLOOM_QUERIES:
-            got = db.sql(tpch_query(q, sf=0.002)).rows()
-            assert got == canonical[q], f"Q{q} diverged under seed {seed}"
-
-    def test_q3_q10_probe_side_pages_skipped(self, tpch_data):
-        on = tpch_db(tpch_data)
-        off = tpch_db(tpch_data, bloom_scan_pushdown=False)
-        for q in (3, 10):
-            s_on = on.sql(tpch_query(q, sf=0.002)).stats
-            s_off = off.sql(tpch_query(q, sf=0.002)).stats
-            assert s_on.sets_skipped_bloom > 0, f"Q{q}"
-            assert s_on.pages_skipped > s_off.pages_skipped, f"Q{q}"
-            assert s_on.pages_read < s_off.pages_read, f"Q{q}"
-
-
-def string_key_db(**overrides) -> Database:
-    """Probe table with a STRING join key, clustered so the bloom can
-    drop whole column sets through the dictionary code space."""
-    cfg = dict(n_workers=2, n_max=4, page_size=4 * 1024)
-    cfg.update(overrides)
-    db = Database(ClusterConfig(**cfg))
-    db.create_table("skus", Schema.of(("s_key", DataType.STRING), ("s_cat", DataType.STRING)))
-    db.create_table("sales", Schema.of(
-        ("x_key", DataType.STRING), ("x_amt", DataType.FLOAT64)),
-        clustering=("x_key",))
-    n = 4000
-    db.load("sales", RowBatch.from_pairs(
-        ("x_key", DataType.STRING, [f"sku{i % 400:04d}" for i in range(n)]),
-        ("x_amt", DataType.FLOAT64, [float(i % 97) for i in range(n)]),
-    ))
-    # build side touches only a narrow slice of the key space
-    db.load("skus", RowBatch.from_pairs(
-        ("s_key", DataType.STRING, [f"sku{i:04d}" for i in range(8)]),
-        ("s_cat", DataType.STRING, ["hot"] * 8),
-    ))
-    return db
-
-
-STRING_SQL = "SELECT x_key, x_amt FROM sales JOIN skus ON x_key = s_key"
-
-
-class TestBloomStringKeys:
-    def test_dictionary_sets_skipped(self):
-        on = string_key_db()
-        off = string_key_db(bloom_scan_pushdown=False)
-        r_on, r_off = on.sql(STRING_SQL), off.sql(STRING_SQL)
-        assert sorted(r_on.rows()) == sorted(r_off.rows())
-        assert r_on.stats.sets_skipped_bloom > 0
-        assert r_on.stats.pages_read < r_off.stats.pages_read
-
-    def test_empty_build_drops_probe_scan(self):
-        """0 build rows -> explicit drop-all, not a zero-length filter."""
-        sql = STRING_SQL + " WHERE s_cat = 'nothing'"
-        on = string_key_db()
-        off = string_key_db(bloom_scan_pushdown=False)
-        r_on, r_off = on.sql(sql), off.sql(sql)
-        assert r_on.rows() == r_off.rows() == []
-        assert r_on.stats.sets_skipped_bloom > 0
-        assert r_on.stats.pages_read < r_off.stats.pages_read

@@ -1,0 +1,179 @@
+"""One execution path: every subtree runs as a chain.
+
+A chain is a source — table-scan morsels, external-table fragments, or
+the evaluated batches of a blocking operator — followed by filter /
+project / probe steps. These tests pin that shape on all 22 TPC-H plans
+(every scan/filter/project is folded into exactly one chain, and
+``ExecStats.pipelines`` counts the chains opened), its results against
+the reference executor with morsels inline and on pool threads, the
+list-sourced and external-table sources, and quiescence after every
+query — one that exhausts its restart budget mid-chain included.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import ClusterConfig, Database
+from repro.common import DataType, RowBatch
+from repro.common.errors import WorkerFailureError
+from repro.common.schema import Schema
+from repro.core import pipeline
+from repro.core.executor import DistributedExecutor
+from repro.core.pipeline import chain_step
+from repro.fault import FaultSchedule
+from repro.storage.external import InMemoryCsvTable
+from repro.workloads.tpch_queries import ALL_QUERIES, query
+
+from tests.conftest import TPCH_SF, load_tpch, quiescent, rows_match_unordered
+
+CHAOS_SEEDS = [11, 23, 37]
+
+
+@pytest.fixture()
+def split_morsels(monkeypatch):
+    """One morsel per fragment even on the tiny test tables, so
+    ``parallel_scans`` really puts morsels on pool threads."""
+    monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
+
+
+@pytest.mark.slow
+class TestAllQueriesSerialAndThreaded:
+    @pytest.fixture(scope="class")
+    def threaded(self, tpch_data):
+        return load_tpch(tpch_data, parallel_scans=True)
+
+    @pytest.mark.parametrize("qno", ALL_QUERIES)
+    def test_matches_reference_byte_identical(self, tpch_db, threaded, split_morsels, qno):
+        sql = query(qno, TPCH_SF)
+        want = tpch_db.execute_reference(sql).rows()
+        with quiescent(tpch_db):
+            a = tpch_db.sql(sql)
+        with quiescent(threaded):
+            b = threaded.sql(sql)
+        assert rows_match_unordered(a.rows(), want), qno
+        assert a.batch.to_bytes() == b.batch.to_bytes(), qno
+
+
+@pytest.mark.slow
+class TestEveryOperatorInOneChain:
+    @pytest.mark.parametrize("qno", ALL_QUERIES)
+    def test_steps_fused_and_pipelines_counted(self, tpch_db, monkeypatch, qno):
+        opened = []
+        open_chain = DistributedExecutor._open_chain
+
+        def spy(self, op):
+            run = open_chain(self, op)
+            opened.append(run.chain)
+            return run
+
+        monkeypatch.setattr(DistributedExecutor, "_open_chain", spy)
+        sql = query(qno, TPCH_SF)
+        with quiescent(tpch_db):
+            res = tpch_db._explain_analyze_run(sql)
+        assert res.stats.pipelines == len(opened)
+        folded = [
+            op.id for c in opened for op in c.transforms + ([c.source] if c.scans else [])
+        ]
+        steps = [
+            op for op in res.physical.walk() if op.op == "scan" or chain_step(op)
+        ]
+        # every scan / filter / project / streamable join ran inside
+        # exactly one chain, and EXPLAIN ANALYZE says so
+        assert sorted(folded) == sorted(op.id for op in steps)
+        assert res.stats.fused_ops == len(folded)
+        for op in steps:
+            assert res.profiles[op.id].fused, (qno, op.op)
+            assert res.op_rows[op.id] == res.profiles[op.id].rows
+
+
+def list_db(**overrides) -> Database:
+    cfg = dict(n_workers=4, n_max=4, page_size=16 * 1024,
+               send_retries=6, max_query_restarts=16)
+    cfg.update(overrides)
+    db = Database(ClusterConfig(**cfg))
+    db.sql("create table t (k integer, v integer, x double) partition by hash (k)")
+    rng = np.random.default_rng(13)
+    n = 6000
+    db.load(
+        "t",
+        RowBatch.from_pairs(
+            ("k", DataType.INT64, rng.integers(0, 50, n)),
+            ("v", DataType.INT64, rng.integers(0, 9, n)),
+            ("x", DataType.FLOAT64, np.round(rng.random(n), 4)),
+        ),
+    )
+    return db
+
+
+#: HAVING and a projection over an aggregate: the filter/project steps
+#: run over a blocking source's batches, not over scan morsels
+LIST_SOURCED = [
+    "select v, count(*) c from t group by v having count(*) > 600 order by v",
+    "select k, sum(x) * 2 s2, count(*) + 1 c1 from t group by k having sum(x) > 55 order by k",
+]
+
+
+class TestListSourcedChains:
+    @pytest.fixture(scope="class")
+    def canonical(self):
+        db = list_db()
+        db.chaos(FaultSchedule.none())
+        out = []
+        for sql in LIST_SOURCED:
+            with quiescent(db):
+                res = db.sql(sql)
+            assert res.rows(), sql
+            assert rows_match_unordered(res.rows(), db.execute_reference(sql).rows())
+            out.append(res.batch.to_bytes())
+        return out
+
+    def test_having_is_a_list_sourced_chain(self):
+        db = list_db()
+        res = db._explain_analyze_run(LIST_SOURCED[0])
+        having = [op for op in res.physical.walk() if op.op == "filter"]
+        assert having and all(op.children[0].op != "scan" for op in having)
+        assert all(res.profiles[op.id].fused for op in having)
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_byte_identical_under_chaos(self, canonical, seed):
+        db = list_db()
+        db.chaos(FaultSchedule.chaos(seed, db.worker_ids))
+        for want, sql in zip(canonical, LIST_SOURCED):
+            with quiescent(db):
+                assert db.sql(sql).batch.to_bytes() == want, (seed, sql)
+
+
+class TestExternalSourceChain:
+    def test_filter_aggregate_over_external_table(self):
+        db = list_db()
+        schema = Schema.of(("k", DataType.INT64), ("g", DataType.STRING), ("w", DataType.INT64))
+        blocks = [
+            "".join(f"{i}|g{i % 3}|{i * 7 % 11}\n" for i in range(lo, lo + 40))
+            for lo in range(0, 240, 40)
+        ]
+        db.register_external("ext", InMemoryCsvTable(blocks, schema))
+        sql = "select g, count(*), sum(w) from ext where k >= 25 group by g order by g"
+        with quiescent(db):
+            res = db.sql(sql)
+        assert res.rows() == db.execute_reference(sql).rows()
+        assert len(res.rows()) == 3
+        assert res.stats.pipelines >= 1 and res.stats.morsels > 0
+        assert res.stats.rows_scanned == 240 - 25
+
+
+class TestQuiescenceAfterFailure:
+    def test_restart_budget_exhausted_mid_chain(self, split_morsels):
+        """Worker 3 is down for good. Site 0 streams the broadcast side's
+        morsels on pool threads; the first coalesced batch reaches live
+        inboxes, then the send to the dead node fails — with batches
+        produced that nobody will consume and messages nobody will
+        receive — on every attempt until the budget is gone."""
+        db = list_db(
+            parallel_scans=True, disks_per_node=4, batch_size=64, max_query_restarts=2
+        )
+        db.chaos(FaultSchedule.none()).crash_now(3)
+        with quiescent(db):
+            with pytest.raises(WorkerFailureError, match="restart budget exhausted"):
+                db.sql("select a.x ax, b.x bx from t a, t b where a.v = b.k and a.x < 0.5")

@@ -5,9 +5,9 @@ partial-aggregate / top-k fold — must run as one fused morsel pass, and
 final aggregate/top-k/merge gathers must climb the workers' binomial
 reduce tree instead of landing as n raw streams on the coordinator.
 Both are engine-shape changes only: these tests pin result equivalence
-against the operator-at-a-time engine, byte-identity across fault
-seeds, stability under 8-thread concurrent sessions, and invisibility
-across a mid-query scale-out (the test_elastic chaos harness).
+against the reference executor, byte-identity across fault seeds,
+stability under 8-thread concurrent sessions, and invisibility across a
+mid-query scale-out (the test_elastic chaos harness).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import ClusterConfig, Database
+from repro.core import pipeline
 from repro.fault import FaultSchedule
 from repro.workloads import tpch_schema
 from repro.workloads.tpch_queries import query as tpch_query
@@ -48,26 +49,15 @@ def run_all(db: Database) -> dict[int, list]:
 
 
 class TestJoinFusionEquivalence:
-    """pipelined_execution and reduce_tree are pure A/B switches."""
-
-    @pytest.fixture(scope="class")
-    def reference_rows(self, tpch_data):
-        return run_all(build_db(tpch_data, pipelined_execution=False))
-
     @pytest.fixture(scope="class")
     def pipelined(self, tpch_data):
         return build_db(tpch_data)
 
     @pytest.mark.parametrize("qno", QUERIES)
-    def test_pipelined_matches_reference(self, pipelined, reference_rows, qno):
-        got = pipelined.sql(tpch_query(qno, sf=0.002)).rows()
-        assert rows_match_unordered(got, reference_rows[qno]), f"Q{qno}"
-
-    @pytest.mark.parametrize("qno", QUERIES)
-    def test_reduce_tree_off_same_rows(self, tpch_data, pipelined, qno):
-        flat = build_db(tpch_data, reduce_tree=False)
-        got = flat.sql(tpch_query(qno, sf=0.002)).rows()
-        want = pipelined.sql(tpch_query(qno, sf=0.002)).rows()
+    def test_pipelined_matches_reference(self, pipelined, qno):
+        sql = tpch_query(qno, sf=0.002)
+        got = pipelined.sql(sql).rows()
+        want = pipelined.execute_reference(sql).rows()
         assert rows_match_unordered(got, want), f"Q{qno}"
 
     def test_join_queries_report_pipelines(self, pipelined):
@@ -99,16 +89,17 @@ class TestJoinFusionEquivalence:
         st = pipelined.sql(tpch_query(1, sf=0.002)).stats
         assert sum(st.site_busy_s.values()) > st.coord_busy_s
 
-    def test_morsel_min_rows_inlines_tiny_scans(self, tpch_data):
+    def test_morsel_min_rows_inlines_tiny_scans(self, pipelined, monkeypatch):
         """Below the threshold every (site, table) pair is one inline
-        morsel; disabling the knob splits per fragment again."""
-        inline = build_db(tpch_data, morsel_min_rows=1 << 30)
-        split = build_db(tpch_data, morsel_min_rows=0)
+        morsel; above it the scan splits per fragment."""
         sql = tpch_query(6, sf=0.002)
-        si, ss = inline.sql(sql).stats, split.sql(sql).stats
-        assert si.morsels < ss.morsels
-        assert si.rows_returned == ss.rows_returned
-        assert inline.sql(sql).rows() == pytest.approx(split.sql(sql).rows())
+        monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 1 << 30)
+        inline = pipelined.sql(sql)
+        monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
+        split = pipelined.sql(sql)
+        assert inline.stats.morsels < split.stats.morsels
+        assert inline.stats.rows_returned == split.stats.rows_returned
+        assert inline.rows() == pytest.approx(split.rows())
 
 
 class TestFaultSeedByteIdentity:
@@ -127,18 +118,6 @@ class TestFaultSeedByteIdentity:
         got = run_all(db)
         for q in QUERIES:
             assert got[q] == canonical[q], f"Q{q} diverged under seed {seed}"
-
-    @pytest.mark.parametrize("seed", FAULT_SEEDS[:2])
-    def test_byte_identical_without_reduce_tree(self, tpch_data, seed):
-        """The flat-gather fallback holds the same bar."""
-        base = build_db(tpch_data, reduce_tree=False)
-        base.chaos(FaultSchedule.none())
-        want = run_all(base)
-        db = build_db(tpch_data, reduce_tree=False)
-        db.chaos(FaultSchedule.chaos(seed, [0, 1, 2, 3]))
-        got = run_all(db)
-        for q in QUERIES:
-            assert got[q] == want[q], f"Q{q} diverged under seed {seed}"
 
 
 class TestConcurrentSessions:

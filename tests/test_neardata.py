@@ -8,13 +8,14 @@ attached to a shared pass. The tests drive the hard inputs explicitly:
 dictionary-miss strings whose value lies inside the zone-map range (so
 only the encoded path can eliminate the set), int64 sums at the 2^53
 float-precision boundary (an inexact float fold would corrupt them),
-empty/NULL aggregate groups, and TPC-H under injected faults with the
-features toggled both ways.
+empty/NULL aggregate groups, and TPC-H under injected faults against a
+baseline whose scans were forced onto the decode path.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ class TestByteLRU:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def decode_path_scans():
+    """Force every storage scan onto the decode-then-filter path — the
+    storage-level ``neardata=False`` oracle, applied end to end."""
+    orig = TableStorage.scan
+
+    def scan(self, *args, **kw):
+        kw["neardata"] = kw["shared"] = False
+        return orig(self, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TableStorage, "scan", scan)
+        yield
+
+
 class TestFoldExactness:
     SCHEMA = Schema.of(("i", DataType.INT64), ("f", DataType.FLOAT64), ("b", DataType.BOOL))
 
@@ -334,26 +350,29 @@ class TestFoldExactness:
         return db, int(x.sum())
 
     def test_int64_sum_exact_at_2p53(self):
-        db_on, want = self._db()
-        db_off, _ = self._db(neardata_scan=False, shared_scans=False)
+        db, want = self._db()
         q = "select sum(x) from big"
-        assert db_on.sql(q).rows() == db_off.sql(q).rows() == [(want,)]
+        with decode_path_scans():
+            off = db.sql(q).rows()
+        assert db.sql(q).rows() == off == [(want,)]
 
     def test_grouped_aggs_identical(self):
-        db_on, _ = self._db()
-        db_off, _ = self._db(neardata_scan=False, shared_scans=False)
+        db, _ = self._db()
         q = "select g, count(*), sum(x), min(x), max(x) from big group by g order by g"
-        assert db_on.sql(q).rows() == db_off.sql(q).rows()
+        with decode_path_scans():
+            off = db.sql(q).rows()
+        assert db.sql(q).rows() == off == db.execute_reference(q).rows()
 
     def test_empty_and_null_groups_identical(self):
-        db_on, _ = self._db()
-        db_off, _ = self._db(neardata_scan=False, shared_scans=False)
+        db, _ = self._db()
         # empty match: global aggregates over zero rows (NULL min/max)
         for q in (
             "select count(*), sum(x), min(x), max(x) from big where g = 999",
             "select g, min(x) from big where x > 6 group by g order by g",
         ):
-            assert db_on.sql(q).rows() == db_off.sql(q).rows()
+            with decode_path_scans():
+                off = db.sql(q).rows()
+            assert db.sql(q).rows() == off
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +400,10 @@ def build_tpch(data, **kw):
 class TestTPCHToggles:
     @pytest.fixture(scope="class")
     def baseline(self, tpch_data):
-        db = build_tpch(tpch_data, neardata_scan=False, shared_scans=False)
+        db = build_tpch(tpch_data)
         db.chaos(FaultSchedule.none())
-        return [db.sql(tpch_queries.QUERIES[q]).rows() for q in TPCH_QUERIES]
+        with decode_path_scans():
+            return [db.sql(tpch_queries.QUERIES[q]).rows() for q in TPCH_QUERIES]
 
     def test_features_on_byte_identical(self, tpch_data, baseline):
         db = build_tpch(tpch_data)
@@ -393,15 +413,14 @@ class TestTPCHToggles:
             assert res.rows() == want, f"Q{q} diverged with features on"
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_identical_under_chaos_both_toggles(self, tpch_data, baseline, seed):
-        for kw in ({}, {"neardata_scan": False, "shared_scans": False}):
-            db = build_tpch(tpch_data, **kw)
-            schedule = FaultSchedule.chaos(seed, db.worker_ids)
-            db.chaos(schedule)
-            for want, q in zip(baseline, TPCH_QUERIES):
-                assert db.sql(tpch_queries.QUERIES[q]).rows() == want, (
-                    f"Q{q} diverged under {schedule.describe()} with {kw or 'features on'}"
-                )
+    def test_identical_under_chaos(self, tpch_data, baseline, seed):
+        db = build_tpch(tpch_data)
+        schedule = FaultSchedule.chaos(seed, db.worker_ids)
+        db.chaos(schedule)
+        for want, q in zip(baseline, TPCH_QUERIES):
+            assert db.sql(tpch_queries.QUERIES[q]).rows() == want, (
+                f"Q{q} diverged under {schedule.describe()}"
+            )
 
     def test_explain_and_metrics_reconcile(self, tpch_data):
         db = build_tpch(tpch_data)

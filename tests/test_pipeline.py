@@ -1,10 +1,10 @@
 """Morsel-driven pipelined execution: fusion, streaming, codec toggles.
 
-The pipelined engine must be an *invisible* rewrite: identical results
-to operator-at-a-time evaluation (``pipelined_execution=False``), with
-the difference observable only through ExecStats pipeline counters and
-wall clock. These tests pin that contract, plus the vectorized wire
-codec's scalar-equivalence toggles and the batch coalescer.
+Every subtree runs as a chain — a source followed by filter / project /
+probe steps. Results must match the reference executor, with the engine
+shape observable only through ExecStats pipeline counters. These tests
+pin that contract, plus the vectorized wire codec's scalar-equivalence
+toggles and the batch coalescer.
 """
 
 import numpy as np
@@ -13,20 +13,20 @@ import pytest
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch, Schema
 from repro.common import batch as batch_mod
+from repro.core import pipeline
 from repro.core.pipeline import coalesce_batches, fuse_chain
 from repro.storage import col_page
 from repro.storage import compression as comp_mod
 
-from tests.conftest import rows_match_unordered
+from tests.conftest import rows_approx_equal, rows_match_unordered
 
 
-def build_db(pipelined: bool, **cfg_kwargs) -> Database:
+def build_db(**cfg_kwargs) -> Database:
     cfg = ClusterConfig(
         n_workers=3,
         n_max=4,
         page_size=16 * 1024,
         batch_size=256,
-        pipelined_execution=pipelined,
         **cfg_kwargs,
     )
     db = Database(cfg)
@@ -67,16 +67,11 @@ def build_db(pipelined: bool, **cfg_kwargs) -> Database:
 
 
 @pytest.fixture(scope="module")
-def pipelined_db():
-    return build_db(True)
+def db():
+    return build_db()
 
 
-@pytest.fixture(scope="module")
-def fallback_db():
-    return build_db(False)
-
-
-AB_QUERIES = [
+QUERIES = [
     "select count(*), sum(val) from fact",
     "select tag, count(*) c, sum(val) s from fact group by tag order by tag",
     "select tag, sum(val) s from fact where fk < 40 group by tag order by s desc",
@@ -85,27 +80,21 @@ AB_QUERIES = [
 ]
 
 
-class TestPipelinedEquivalence:
-    """pipelined_execution is a pure engine A/B switch: same rows out."""
-
-    @pytest.mark.parametrize("sql", AB_QUERIES)
-    def test_same_rows(self, pipelined_db, fallback_db, sql):
-        a = pipelined_db.sql(sql)
-        b = fallback_db.sql(sql)
+class TestPipelinedExecution:
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_matches_reference(self, db, sql):
+        got, want = db.sql(sql).rows(), db.execute_reference(sql).rows()
         if "order by" in sql:
-            assert a.rows() == pytest.approx(b.rows())
+            assert rows_approx_equal(got, want)
         else:
-            assert rows_match_unordered(a.rows(), b.rows())
+            assert rows_match_unordered(got, want)
 
-    def test_pipeline_counters_only_when_enabled(self, pipelined_db, fallback_db):
-        sql = "select tag, sum(val) from fact where fk < 40 group by tag"
-        sa = pipelined_db.sql(sql).stats
-        sb = fallback_db.sql(sql).stats
-        assert sa.pipelines > 0 and sa.fused_ops >= 2 and sa.morsels > 0
-        assert sb.pipelines == 0 and sb.fused_ops == 0 and sb.morsels == 0
+    def test_pipeline_counters(self, db):
+        st = db.sql("select tag, sum(val) from fact where fk < 40 group by tag").stats
+        assert st.pipelines > 0 and st.fused_ops >= 2 and st.morsels > 0
 
-    def test_explain_analyze_reports_pipeline_metrics(self, pipelined_db):
-        out = pipelined_db.explain_analyze(
+    def test_explain_analyze_reports_pipeline_metrics(self, db):
+        out = db.explain_analyze(
             "select tag, sum(val) from fact where fk < 40 group by tag"
         )
         assert "pipelines=" in out
@@ -113,22 +102,52 @@ class TestPipelinedEquivalence:
         assert "morsels=" in out
         assert "peak_inflight_batches=" in out
 
-    def test_morsel_dop_threads_same_rows(self):
-        db = build_db(True, morsel_dop=4, disks_per_node=4)
-        ref = build_db(False, disks_per_node=4)
+    def test_morsel_dop_threads_same_rows(self, monkeypatch):
+        # per-fragment morsels on pool threads, not the tiny-table inline path
+        monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
+        threaded = build_db(parallel_scans=True, disks_per_node=4)
+        serial = build_db(disks_per_node=4)
         sql = "select tag, count(*) c, sum(val) s from fact group by tag order by tag"
-        assert db.sql(sql).rows() == pytest.approx(ref.sql(sql).rows())
+        a, b = threaded.sql(sql), serial.sql(sql)
+        assert a.stats.morsels == 3 * 4
+        assert a.batch.to_bytes() == b.batch.to_bytes()
 
 
 class TestFuseChain:
-    def test_non_worker_root_not_fused(self):
-        from repro.optimizer.physical import COORD, SINGLETON, PhysOp
+    def _op(self, op, children=(), **attrs):
+        from repro.optimizer.physical import ARBITRARY, WORKERS, PhysOp
 
-        scan = PhysOp(
-            op="scan", children=[], schema=None, site=COORD,
-            partitioning=SINGLETON, attrs={},
+        return PhysOp(
+            op=op, children=list(children), schema=None, site=WORKERS,
+            partitioning=ARBITRARY, attrs=attrs,
         )
-        assert fuse_chain(scan) is None
+
+    def test_scan_source_with_steps(self):
+        scan = self._op("scan", table="t")
+        proj = self._op("project", [self._op("filter", [scan])])
+        chain = fuse_chain(proj)
+        assert chain.source is scan and chain.scans
+        assert [t.op for t in chain.transforms] == ["filter", "project"]
+        assert chain.root is proj and chain.n_ops == 3
+
+    def test_blocking_operator_is_the_source(self):
+        """A HAVING filter over an aggregate is a list-sourced chain; the
+        aggregate alone is a chain with no steps."""
+        agg = self._op("agg", [self._op("scan", table="t")])
+        having = self._op("filter", [agg])
+        chain = fuse_chain(having)
+        assert chain.source is agg and not chain.scans
+        assert chain.transforms == [having] and chain.n_ops == 1
+        bare = fuse_chain(agg)
+        assert bare.source is agg and bare.transforms == [] and bare.root is agg
+
+    def test_probe_descends_left_only_when_streamable(self):
+        left, right = self._op("scan", table="l"), self._op("scan", table="r")
+        inner = self._op("hashjoin", [left, right], kind="inner", pairs=[("a", "b")])
+        assert fuse_chain(inner).source is left
+        assert fuse_chain(inner).probe_ops == [inner]
+        outer = self._op("hashjoin", [left, right], kind="left", pairs=[("a", "b")])
+        assert fuse_chain(outer).source is outer
 
 
 class TestCoalesce:
