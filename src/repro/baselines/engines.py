@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.batch import RowBatch
-from ..core.executor import DistributedExecutor, SiteData, _value_hash
+from ..common.batch import RowBatch, hash_value_arrays
+from ..core.executor import DistributedExecutor, SiteData
 from ..core.kernels import sort_indices
 from ..optimizer.physical import PhysOp
 from ..sql.ast import ColumnRef
@@ -84,7 +84,7 @@ class _DiskShuffleMixin:
         child_op = op.children[0]
         child = self._eval(child_op)
         key_exprs = op.attrs["key_exprs"]
-        n = len(self.worker_ids)
+        tag = f"shuf{op.id}"
         compiled = [compile_expr(e, child_op.schema) for e in key_exprs]
         outgoing: dict[int, dict[int, list[RowBatch]]] = {
             w: {d: [] for d in self.worker_ids} for w in self.worker_ids
@@ -93,13 +93,11 @@ class _DiskShuffleMixin:
             for batch in batches:
                 if batch.length == 0:
                     continue
-                arrays = [np.asarray(c.fn(batch)) for c in compiled]
-                codes = _value_hash(arrays)
-                dest_idx = (codes % np.uint64(n)).astype(np.int64)
-                for d in range(n):
-                    part = batch.filter(dest_idx == d)
+                codes = hash_value_arrays([np.asarray(c.fn(batch)) for c in compiled])
+                parts = batch.partition_codes(codes, len(self.worker_ids))
+                for dest, part in zip(self.worker_ids, parts):
                     if part.length:
-                        outgoing[src][self.worker_ids[d]].append(part)
+                        outgoing[src][dest].append(part)
         out: SiteData = {w: [] for w in self.worker_ids}
         for src in self.worker_ids:
             for dest, parts in outgoing[src].items():
@@ -117,18 +115,13 @@ class _DiskShuffleMixin:
                         self.io_stats.sort_rows += merged.length
                 # blocking, disk-materialized shuffle write on the sender
                 merged = self._spill_roundtrip(src, merged, "shuffle")
-                payload = merged.to_bytes()
                 if dest == src:
                     out[dest].append(merged)
                 else:
-                    self._route(src, dest, payload, f"shuf{op.id}")
+                    self._send(self.ntm, src, (dest,), merged, tag)
         for w in self.worker_ids:
-            for _, _, payload in self.net.recv_all(w, f"shuf{op.id}"):
-                out[w].append(RowBatch.from_bytes(payload))
+            out[w].extend(self._recv(w, tag))
         return out
-
-    def _route(self, src: int, dest: int, payload: bytes, tag: str) -> None:
-        self.net.route_send(self.ntm, src, dest, payload, tag)
 
 
 class MapReduceStyleExecutor(_DiskShuffleMixin, DistributedExecutor):
@@ -161,49 +154,29 @@ class MPPStyleExecutor(DistributedExecutor):
     """Greenplum-style MPP: pipelined in-memory shuffle over a direct
     all-to-all interconnect (each node talks to every other node)."""
 
-    def _route_send_direct(self, src: int, dest: int, payload: bytes, tag: str) -> None:
-        self.net.send(src, dest, payload, tag)
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # replace topology routing with direct sends: O(n) connections/node
-        self.ntm = _DirectTopology(self.worker_ids)
-        self.tree = _DirectTopology([self.coord_id] + self.worker_ids, root=self.coord_id)
+        self.ntm = self.tree = _DirectTopology()
 
     def _build_bloom_prefilter(self, *a, **kw):  # Greenplum 4.3: no bloom shuffle
         return None
+
+    def _reduce_tree_gather(self, op, child, sources, tag, mode) -> list[RowBatch]:
+        """Flat gather motion instead of the reduce tree: every segment
+        combines what it holds and sends it straight to the master, which
+        merges all ``n`` streams itself. Segments holding nothing stay
+        silent."""
+        for w in sources:
+            state = self._combine_level(op, child.get(w, []), mode)
+            if state is not None and state.length:
+                self._send(self.tree, w, (self.coord_id,), state, tag)
+        final = self._combine_level(op, self._recv(self.coord_id, tag), mode)
+        return [final] if final is not None else []
 
 
 class _DirectTopology:
     """Degenerate topology: every pair is adjacent (for MPP baselines)."""
 
-    def __init__(self, nodes, root=None):
-        self.nodes = tuple(nodes)
-        self._root = root if root is not None else self.nodes[0]
-
     def route(self, src: int, dst: int) -> list[int]:
         return [dst]
-
-    def neighbors(self, node: int) -> set[int]:
-        return set(self.nodes) - {node}
-
-    def degree(self, node: int) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.nodes) - 1
-
-    # tree-gather interface used by DistributedExecutor._tree_gather
-    @property
-    def root(self) -> int:
-        return self._root
-
-    def parent(self, node: int):
-        return None if node == self._root else self._root
-
-    def children(self, node: int) -> list[int]:
-        return [n for n in self.nodes if n != self._root] if node == self._root else []
-
-    def levels(self) -> list[list[int]]:
-        return [[self._root], [n for n in self.nodes if n != self._root]]

@@ -195,17 +195,14 @@ class _PlanContext:
         self.binder = Binder(self.catalog)
         self.deriver_factory = lambda: StatsDeriver(self.stats)
         self.optimize = optimize_logical
-        cfg = ClusterConfig(
-            n_workers=n_nodes,
-            n_max=8,
-            bloom_filters=profile.bloom,
-            data_skipping=profile.data_skipping,
-        )
+        cfg = ClusterConfig(n_workers=n_nodes, n_max=8)
         if profile.locality:
             placement = lambda t: self.catalog.entry(t).partitioning()
         else:
             placement = lambda t: ARBITRARY
-        self.planner_factory = lambda: DataflowPlanner(placement, StatsDeriver(self.stats), cfg)
+        self.planner_factory = lambda: DataflowPlanner(
+            placement, StatsDeriver(self.stats), cfg, bloom=profile.bloom
+        )
 
 
 @lru_cache(maxsize=512)

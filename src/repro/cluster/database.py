@@ -1450,10 +1450,12 @@ class Database:
         raise PlanError(f"unsupported statement {type(stmt).__name__}")
 
     def _select(
-        self, text: str, stmt: SelectStmt, naive_dataflow: bool, coordinator: int, txn
+        self, text: str, stmt: SelectStmt, naive_dataflow: bool, coordinator: int, txn,
+        profiled: bool = False,
     ) -> QueryResult:
         """The traced SELECT lifecycle: plan phase, execute phase (with
-        per-attempt spans), query metrics, and slow-query capture."""
+        per-attempt spans), query log, query metrics, and slow-query
+        capture. EXPLAIN ANALYZE is this with ``profiled=True``."""
         qid = next(self._qid)
         tr = self.tracer
         t0 = time.perf_counter()
@@ -1483,7 +1485,8 @@ class Database:
                 }
                 self.txn_system.lock_read(txn, tables)
             result = self._run_select(
-                logical, physical, txn=txn, coordinator=coordinator, qid=qid
+                logical, physical, txn=txn, coordinator=coordinator, qid=qid,
+                profiled=profiled,
             )
         except BaseException as e:
             self.query_log.fail(qid, e, time.perf_counter() - t0)
@@ -1578,35 +1581,16 @@ class Database:
         and self time, data skipping, pages, network bytes, and spill —
         plus footers reconciling pipeline, scan, restart, and per-prefix
         network totals (untagged traffic attributed explicitly)."""
-        result = self._explain_analyze_run(text)
+        stmt = parse(text)
+        if not isinstance(stmt, SelectStmt):
+            raise PlanError("EXPLAIN ANALYZE supports SELECT only")
+        result = self._select(text, stmt, False, 0, None, profiled=True)
         return render_analyze(
             result.physical,
             result.profiles or {},
             result.stats,
             network=self.net.traffic_by_prefix(),
         )
-
-    def _explain_analyze_run(self, text: str) -> QueryResult:
-        stmt = parse(text)
-        if not isinstance(stmt, SelectStmt):
-            raise PlanError("EXPLAIN ANALYZE supports SELECT only")
-        qid = next(self._qid)
-        tr = self.tracer
-        t0 = time.perf_counter()
-        root = tr.start_query(qid, text) if tr is not None else None
-        try:
-            psp = tr.begin("plan", cat="phase") if tr is not None else None
-            try:
-                logical, physical = self.plan_select(stmt)
-            finally:
-                if psp is not None:
-                    tr.end(psp)
-            result = self._run_select(logical, physical, qid=qid, profiled=True)
-        finally:
-            if root is not None:
-                tr.end(root)
-        self._finish_query(qid, text, time.perf_counter() - t0, result.stats)
-        return result
 
     def execute_reference(self, text: str) -> RowBatch:
         """Run via the single-node reference executor (oracle for tests)."""

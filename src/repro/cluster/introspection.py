@@ -299,14 +299,10 @@ def build_providers(db) -> dict:
                 for i, frag in enumerate(ts.fragments):
                     with frag._cum_lock:
                         st = frag.cum_stats
-                        skipped = (
-                            st.sets_skipped_cache + st.sets_skipped_minmax
-                            + st.sets_skipped_index + st.sets_skipped_encoded
-                        )
                         rows.append(
                             (
                                 tname, w, i, frag.row_count, len(frag.sets),
-                                st.pages_read, st.pages_skipped, skipped,
+                                st.pages_read, st.pages_skipped, st.sets_skipped,
                                 st.sets_pushed, st.rows_out, st.shared_attaches,
                             )
                         )

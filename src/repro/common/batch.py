@@ -179,7 +179,14 @@ class RowBatch:
         """Split into ``n_parts`` batches by hash of the key columns."""
         if n_parts == 1:
             return [self]
-        part = (self.hash_codes(key_columns) % np.uint64(n_parts)).astype(np.int64)
+        return self.partition_codes(self.hash_codes(key_columns), n_parts)
+
+    def partition_codes(self, codes: np.ndarray, n_parts: int) -> list["RowBatch"]:
+        """Split into ``n_parts`` batches, row ``i`` going to part
+        ``codes[i] % n_parts``; row order is kept within a part. The one
+        hash partitioner: the shuffle exchange and the baseline engines'
+        disk shuffle hash their key *expressions* and slice through here."""
+        part = (codes % np.uint64(n_parts)).astype(np.int64)
         order = np.argsort(part, kind="stable")
         sorted_part = part[order]
         bounds = np.searchsorted(sorted_part, np.arange(1, n_parts))

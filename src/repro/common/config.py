@@ -37,21 +37,15 @@ class ClusterConfig:
     memory_per_node: int = 256 * MB
     #: rows per execution batch
     batch_size: int = 8192
-    #: enable predicate-based data skipping
-    data_skipping: bool = True
     #: run each table fragment's morsel (scan plus the chain's steps) in
     #: its own thread (paper §IV: "one scan thread for each fragment");
     #: DOP per worker = number of disks, throttled by the worker's
     #: resource monitor
     parallel_scans: bool = False
-    #: enable Bloom filters on hash joins
-    bloom_filters: bool = True
     #: page compression ("lz4sim" = fast byte-oriented codec, "none")
     compression: str = "lz4sim"
     #: lock wait timeout, seconds of simulated time
     lock_timeout: float = 10.0
-    #: deadlock detector period (paper: once a minute)
-    deadlock_interval: float = 60.0
     #: directory for on-disk state; None = in-memory filesystem
     data_dir: str | None = None
     #: mid-query worker failures tolerated before a query fails for good

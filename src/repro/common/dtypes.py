@@ -110,11 +110,6 @@ def width_of(dt: DataType, avg_string_width: float = DEFAULT_STRING_WIDTH) -> fl
     return float(w) if w is not None else float(avg_string_width)
 
 
-def empty_column(dt: DataType, n: int = 0) -> np.ndarray:
-    """Allocate an empty column of the right dtype."""
-    return np.empty(n, dtype=dt.numpy_dtype)
-
-
 def coerce_column(values, dt: DataType) -> np.ndarray:
     """Convert a Python sequence or ndarray to the canonical column dtype."""
     arr = np.asarray(values, dtype=dt.numpy_dtype)

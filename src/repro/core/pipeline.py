@@ -20,8 +20,9 @@ supplies the pieces the distributed executor composes into that shape:
   the consumer.
 
 Exchange streaming (shuffle/broadcast/gather sends issued per morsel
-batch) and aggregate folding live in :mod:`repro.core.executor`, which
-owns the network and failover machinery the sends must thread through.
+batch) lives in :mod:`repro.core.exchange`, the morsel body and scan
+failover in :mod:`repro.core.scan_source`, and the per-site aggregate
+fold in :mod:`repro.core.executor`.
 """
 
 from __future__ import annotations

@@ -414,10 +414,3 @@ def distinct_batch(batch: RowBatch) -> RowBatch:
     codes, _ = factorize([batch.col(c.name) for c in batch.schema])
     _, first = np.unique(codes, return_index=True)
     return batch.take(np.sort(first))
-
-
-# COUNT global with no arg: len of batch — handled via spec.arg None
-
-
-def global_count_rows(batch: RowBatch) -> int:
-    return batch.length

@@ -315,12 +315,5 @@ class NetworkCostModel:
         conn = net.max_connections() * self.connection_setup
         return link + conn
 
-    def per_node_time(self, net: SimNetwork, node: int) -> float:
-        t = 0.0
-        for (src, dst), stats in net.links.items():
-            if src == node or dst == node:
-                t += self.link_time(stats)
-        return t + self.connections_setup_time(net, node)
-
     def connections_setup_time(self, net: SimNetwork, node: int) -> float:
         return net.connections_of(node) * self.connection_setup

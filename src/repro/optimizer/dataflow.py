@@ -172,10 +172,14 @@ class DataflowPlanner:
         placement: PlacementFn,
         deriver: StatsDeriver,
         config: ClusterConfig,
+        bloom: bool = True,
     ):
         self.placement = placement
         self.deriver = deriver
         self.config = config
+        #: plan Bloom-filtered shuffles under equi-joins (paper §V); only
+        #: the performance model's baseline profiles plan without them
+        self.bloom = bloom
 
     # -- entry -------------------------------------------------------------------
     def plan(self, logical: LogicalPlan) -> PhysOp:
@@ -349,7 +353,7 @@ class DataflowPlanner:
             pairs=pairs,
             residual=residual,
             match_col=node.match_column if node.kind == "left" else None,
-            bloom=self.config.bloom_filters and bool(pairs),
+            bloom=self.bloom and bool(pairs),
         )
 
     def _join_is_local(self, node, left: PhysOp, right: PhysOp, pairs) -> bool:
@@ -375,10 +379,6 @@ class DataflowPlanner:
         li = _matching_pair_subset(lp, pairs, "left")
         ri = _matching_pair_subset(rp, pairs, "right")
         return li is not None and ri is not None and li == ri
-
-    def _aligned_for(self, part: Partitioning, key_strs, side: str, pairs) -> bool:
-        """Is ``part`` a hash partitioning on a subset of this side's keys?"""
-        return _matching_pair_subset(part, pairs, side) is not None
 
     def _joined_partitioning(self, node, left: PhysOp, right: PhysOp, pairs) -> Partitioning:
         if left.partitioning.kind == "replicated" and right.partitioning.kind == "replicated":

@@ -156,11 +156,6 @@ class TableStats:
             return self.columns[base]
         return ColumnStats(max(self.row_count / 10.0, 1.0))
 
-    def avg_row_width(self) -> float:
-        if not self.columns:
-            return 64.0
-        return sum(c.avg_width for c in self.columns.values())
-
 
 class StatsProvider:
     """Maps table names to :class:`TableStats`.

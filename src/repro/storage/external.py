@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -212,27 +211,3 @@ def _objects_to_batch(rows: list[list], schema: Schema) -> RowBatch:
             arr[:] = ["" if v is None else str(v) for v in raw]
             cols[col.name] = arr
     return RowBatch(schema, cols)
-
-
-def export_csv(batches: Iterator[RowBatch], path: str, delimiter: str = "|") -> int:
-    """Write batches out as CSV (round-trip support for the UET)."""
-    from ..common.dates import days_to_date
-
-    n = 0
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        for batch in batches:
-            date_cols = {
-                c.name for c in batch.schema if c.dtype == DataType.DATE
-            }
-            names = batch.schema.names()
-            arrays = [batch.col(c) for c in names]
-            for r in range(batch.length):
-                row = [
-                    days_to_date(a[r]) if names[i] in date_cols else a[r]
-                    for i, a in enumerate(arrays)
-                ]
-                writer.writerow(row)
-                n += 1
-    return n

@@ -13,7 +13,6 @@ hash (:meth:`RowBatch.hash_codes`), so "table is partitioned on X" and
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,10 +30,6 @@ class PartitionScheme:
         """Per-row target node ids (replicated tables override placement)."""
         raise NotImplementedError
 
-    @property
-    def is_replicated(self) -> bool:
-        return False
-
     #: columns that determine node placement ((), for replicated/roundrobin)
     @property
     def keys(self) -> tuple[str, ...]:
@@ -49,10 +44,6 @@ class PartitionScheme:
         """
         ks = self.keys
         return bool(ks) and set(ks) <= {c.rsplit(".", 1)[-1] for c in columns}
-
-    def prunable_nodes(self, n_nodes: int, column: str, op: str, value) -> list[int] | None:
-        """Nodes that *may* hold matching rows, or None if no pruning."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -70,15 +61,6 @@ class HashPartition(PartitionScheme):
     def assign_nodes(self, batch: RowBatch, n_nodes: int) -> np.ndarray:
         keys = [batch.schema.resolve(c) for c in self.columns]
         return (batch.hash_codes(keys) % np.uint64(n_nodes)).astype(np.int64)
-
-    def prunable_nodes(self, n_nodes: int, column: str, op: str, value) -> list[int] | None:
-        # Equality on the full single-column hash key pins one node.
-        if op == "=" and len(self.columns) == 1 and column.rsplit(".", 1)[-1] == self.columns[0]:
-            one = RowBatch.from_pairs((self.columns[0], _dtype_of(value), [value]))
-            node = int(one.hash_codes([self.columns[0]])[0] % n_nodes)
-            return [node]
-        return None
-
 
 @dataclass(frozen=True)
 class RangePartition(PartitionScheme):
@@ -104,32 +86,9 @@ class RangePartition(PartitionScheme):
         arr = batch.col(key)
         return np.searchsorted(np.asarray(self.bounds), arr, side="right").astype(np.int64)
 
-    def prunable_nodes(self, n_nodes: int, column: str, op: str, value) -> list[int] | None:
-        """Fragment pruning for (in)equality predicates (paper Phase 2)."""
-        if column.rsplit(".", 1)[-1] != self.column:
-            return None
-        lo, hi = 0, n_nodes - 1
-        try:
-            if op == "=":
-                lo = hi = bisect.bisect_right(self.bounds, value)
-            elif op in ("<", "<="):
-                hi = bisect.bisect_right(self.bounds, value)
-            elif op in (">", ">="):
-                lo = bisect.bisect_left(self.bounds, value)
-            else:
-                return None
-        except TypeError:
-            return None
-        return list(range(max(lo, 0), min(hi, n_nodes - 1) + 1))
-
-
 @dataclass(frozen=True)
 class Replicated(PartitionScheme):
     """Full copy on every node (paper: small tables, e.g. nation)."""
-
-    @property
-    def is_replicated(self) -> bool:
-        return True
 
     def assign_nodes(self, batch: RowBatch, n_nodes: int) -> np.ndarray:
         raise CatalogError("replicated tables are copied, not row-assigned")
@@ -161,15 +120,3 @@ def disk_of_rows(batch: RowBatch, scheme: PartitionScheme, n_disks: int) -> np.n
         h *= np.uint64(0xC2B2AE3D27D4EB4F)
         return (h % np.uint64(n_disks)).astype(np.int64)
     return np.arange(batch.length, dtype=np.int64) % n_disks
-
-
-def _dtype_of(value):
-    from ..common.dtypes import DataType
-
-    if isinstance(value, bool):
-        return DataType.BOOL
-    if isinstance(value, int):
-        return DataType.INT64
-    if isinstance(value, float):
-        return DataType.FLOAT64
-    return DataType.STRING

@@ -75,6 +75,14 @@ class ScanStats:
     shared_attaches: int = 0
     rows_out: int = 0
 
+    @property
+    def sets_skipped(self) -> int:
+        """Page sets never read, whichever mechanism proved them empty."""
+        return (
+            self.sets_skipped_cache + self.sets_skipped_minmax
+            + self.sets_skipped_index + self.sets_skipped_encoded
+        )
+
     def merge(self, other: "ScanStats") -> None:
         self.sets_total += other.sets_total
         self.sets_skipped_cache += other.sets_skipped_cache

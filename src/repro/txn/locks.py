@@ -23,10 +23,6 @@ class LockMode(enum.Enum):
     X = "exclusive"
 
 
-def _compatible(held: LockMode, requested: LockMode) -> bool:
-    return held == LockMode.S and requested == LockMode.S
-
-
 @dataclass
 class _LockState:
     holders: dict[int, LockMode] = field(default_factory=dict)
@@ -219,9 +215,6 @@ class LockManager:
 
     def held_resources(self, txn: int) -> set[object]:
         return set(self._held_by_txn.get(txn, set()))
-
-    def is_waiting(self, txn: int) -> bool:
-        return txn in self._waiting
 
 
 def _strongest(a: LockMode | None, b: LockMode) -> LockMode:

@@ -10,7 +10,9 @@ import pytest
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch
 from repro.core.executor import DistributedExecutor
+from repro.sql import parse
 from repro.storage.buffer import BufferManager
+from repro.storage.table import TableStorage
 from repro.util.fs import MemFS
 from repro.workloads import tpch_dbgen, tpch_schema
 
@@ -83,6 +85,25 @@ def rows_match_unordered(a, b, tol=1e-6) -> bool:
     return rows_approx_equal(sorted(map(str, a)), sorted(map(str, b)), tol) or (
         rows_approx_equal(a, b, tol)
     )
+
+
+@contextmanager
+def forced_scans(**overrides):
+    """Every storage scan inside the block runs with these
+    ``TableStorage.scan`` arguments, whatever the engine passed: the
+    storage-level oracles (``skipping=False``, ``neardata=False``, ...)
+    applied end to end."""
+    scan = TableStorage.scan
+    with mock.patch.object(
+        TableStorage, "scan", lambda self, *a, **kw: scan(self, *a, **{**kw, **overrides})
+    ):
+        yield
+
+
+def profiled(db: Database, sql: str):
+    """Run ``sql`` the way ``explain_analyze`` does — the SELECT lifecycle
+    with per-operator profiles kept — and return the QueryResult."""
+    return db._select(sql, parse(sql), False, 0, None, profiled=True)
 
 
 @contextmanager

@@ -25,6 +25,8 @@ from repro.optimizer.feedback import REPLAN_BUDGET, qerror
 from repro.optimizer.stats import TableStats
 from repro.telemetry import render_analyze
 
+from tests.conftest import profiled
+
 
 # ---------------------------------------------------------------------------
 # satellite: quote-aware SQL normalization
@@ -226,7 +228,7 @@ class TestEstRendering:
         # older plans (and raw Scan row counts) carry int est_rows;
         # the renderer must not silently drop them (the bug)
         db = feedback_db(replan_qerror_threshold=0.0)
-        res = db._explain_analyze_run(JOIN_SQL)
+        res = profiled(db, JOIN_SQL)
         for op in res.physical.walk():
             est = op.attrs.get("est_rows")
             if isinstance(est, float):

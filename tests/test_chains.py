@@ -5,7 +5,9 @@ the evaluated batches of a blocking operator — followed by filter /
 project / probe steps. These tests pin that shape on all 22 TPC-H plans
 (every scan/filter/project is folded into exactly one chain, and
 ``ExecStats.pipelines`` counts the chains opened), its results against
-the reference executor with morsels inline and on pool threads, the
+the reference executor with morsels inline and on pool threads
+(eager aggregation directly over a scan and a one-worker cluster
+included), one retried transient drop per exchange kind, the
 list-sourced and external-table sources, and quiescence after every
 query — one that exhausts its restart budget mid-chain included.
 """
@@ -17,16 +19,16 @@ import pytest
 
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch
-from repro.common.errors import WorkerFailureError
+from repro.common.errors import NetworkError, WorkerFailureError
 from repro.common.schema import Schema
 from repro.core import pipeline
 from repro.core.executor import DistributedExecutor
 from repro.core.pipeline import chain_step
-from repro.fault import FaultSchedule
+from repro.fault import FaultInjector, FaultSchedule
 from repro.storage.external import InMemoryCsvTable
 from repro.workloads.tpch_queries import ALL_QUERIES, query
 
-from tests.conftest import TPCH_SF, load_tpch, quiescent, rows_match_unordered
+from tests.conftest import TPCH_SF, load_tpch, profiled, quiescent, rows_match_unordered
 
 CHAOS_SEEDS = [11, 23, 37]
 
@@ -38,22 +40,87 @@ def split_morsels(monkeypatch):
     monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
 
 
+#: eager aggregation placed directly on a scan: the planner pushes a
+#: partial/complete aggregate under the join, so the aggregate's chain
+#: is a bare scan and every morsel batch goes straight into the fold
+EAGER_AGG_OVER_SCAN = {
+    "lineitem_orders": "select count(*) from lineitem, orders where l_orderkey = o_orderkey",
+    "lineitem_supplier": "select count(*) from lineitem, supplier where l_suppkey = s_suppkey",
+    "customer_nation": "select count(*) from customer, nation where c_nationkey = n_nationkey",
+}
+STATEMENTS = {f"q{q}": query(q, TPCH_SF) for q in ALL_QUERIES} | EAGER_AGG_OVER_SCAN
+
+
 @pytest.mark.slow
 class TestAllQueriesSerialAndThreaded:
     @pytest.fixture(scope="class")
     def threaded(self, tpch_data):
         return load_tpch(tpch_data, parallel_scans=True)
 
-    @pytest.mark.parametrize("qno", ALL_QUERIES)
-    def test_matches_reference_byte_identical(self, tpch_db, threaded, split_morsels, qno):
-        sql = query(qno, TPCH_SF)
+    @pytest.mark.parametrize("name", STATEMENTS)
+    def test_matches_reference_byte_identical(self, tpch_db, threaded, split_morsels, name):
+        sql = STATEMENTS[name]
         want = tpch_db.execute_reference(sql).rows()
         with quiescent(tpch_db):
             a = tpch_db.sql(sql)
         with quiescent(threaded):
             b = threaded.sql(sql)
-        assert rows_match_unordered(a.rows(), want), qno
-        assert a.batch.to_bytes() == b.batch.to_bytes(), qno
+        assert rows_match_unordered(a.rows(), want), name
+        assert a.batch.to_bytes() == b.batch.to_bytes(), name
+        if name in EAGER_AGG_OVER_SCAN:
+            assert any(
+                op.op == "agg" and op.children[0].op == "scan" for op in a.physical.walk()
+            ), a.physical.pretty()
+
+    @pytest.mark.parametrize("qno", [1, 3, 18])
+    def test_single_worker_matches_reference(self, tpch_data, qno):
+        """One worker: the reduce schedule is empty and the worker's own
+        combined state is the single stream the coordinator receives."""
+        db = load_tpch(tpch_data, n_workers=1)
+        sql = query(qno, TPCH_SF)
+        with quiescent(db):
+            res = db.sql(sql)
+        assert rows_match_unordered(res.rows(), db.execute_reference(sql).rows()), qno
+
+
+class DropFirstSend(FaultInjector):
+    """Fault-free except for one transient ``NetworkError`` on the first
+    send of one exchange kind (the tag stem after the ``q<id>|`` prefix)."""
+
+    def __init__(self, stem: str):
+        super().__init__()
+        self.stem = stem
+        self.dropped: list[str] = []
+
+    def on_send(self, src, dst, size, tag):
+        if not self.dropped and tag.split("|")[-1].startswith(self.stem):
+            self.dropped.append(tag)
+            raise NetworkError(f"test: dropped first {self.stem} send {src} -> {dst}")
+        return super().on_send(src, dst, size, tag)
+
+
+class TestEverySendRetries:
+    """Shuffle, broadcast, gather and the Bloom-filter ship all leave
+    through the one send primitive, so each survives a transient drop
+    the same way. TPC-H Q8 uses all four."""
+
+    @pytest.fixture(scope="class")
+    def db(self, tpch_data):
+        return load_tpch(tpch_data)
+
+    @pytest.mark.parametrize("stem", ["shuf", "bcast", "gather", "bloom"])
+    def test_transient_drop_is_retried(self, db, stem):
+        sql = query(8, TPCH_SF)
+        db.chaos(FaultSchedule.none())
+        want = db.sql(sql)
+        assert want.stats.retries == 0
+        injector = DropFirstSend(stem)
+        db.net.attach(injector)
+        with quiescent(db):
+            res = db.sql(sql)
+        assert injector.dropped, f"Q8 sent nothing tagged {stem}"
+        assert res.stats.retries >= 1 and res.stats.restarts == 0
+        assert res.batch.to_bytes() == want.batch.to_bytes()
 
 
 @pytest.mark.slow
@@ -71,7 +138,7 @@ class TestEveryOperatorInOneChain:
         monkeypatch.setattr(DistributedExecutor, "_open_chain", spy)
         sql = query(qno, TPCH_SF)
         with quiescent(tpch_db):
-            res = tpch_db._explain_analyze_run(sql)
+            res = profiled(tpch_db, sql)
         assert res.stats.pipelines == len(opened)
         folded = [
             op.id for c in opened for op in c.transforms + ([c.source] if c.scans else [])
@@ -131,7 +198,7 @@ class TestListSourcedChains:
 
     def test_having_is_a_list_sourced_chain(self):
         db = list_db()
-        res = db._explain_analyze_run(LIST_SOURCED[0])
+        res = profiled(db, LIST_SOURCED[0])
         having = [op for op in res.physical.walk() if op.op == "filter"]
         assert having and all(op.children[0].op != "scan" for op in having)
         assert all(res.profiles[op.id].fused for op in having)

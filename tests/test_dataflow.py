@@ -52,10 +52,12 @@ def stats():
     )
 
 
-def plan(sql, n_workers=8, **cfg):
+def plan(sql, n_workers=8, bloom=True, **cfg):
     config = ClusterConfig(n_workers=n_workers, n_max=8, **cfg)
     logical = optimize_logical(Binder(Cat()).bind(parse(sql)), StatsDeriver(stats()))
-    planner = DataflowPlanner(lambda t: PLACEMENT[t], StatsDeriver(stats()), config)
+    planner = DataflowPlanner(
+        lambda t: PLACEMENT[t], StatsDeriver(stats()), config, bloom=bloom
+    )
     return planner.plan(logical)
 
 
@@ -117,9 +119,10 @@ class TestJoinDistribution:
         p = plan("select i_q from orders, items where o_k = i_ok")
         assert ops(p, "shuffle")[0].attrs["topology"] == "n_to_m"
 
-    def test_bloom_only_with_config(self):
-        p = plan("select i_q from orders, items where o_k = i_ok", bloom_filters=False)
-        assert all(not j.attrs["bloom"] for j in ops(p, "hashjoin"))
+    def test_bloom_only_when_planned(self):
+        sql = "select i_q from orders, items where o_k = i_ok"
+        assert all(j.attrs["bloom"] for j in ops(plan(sql), "hashjoin"))
+        assert all(not j.attrs["bloom"] for j in ops(plan(sql, bloom=False), "hashjoin"))
 
 
 class TestAggregation:

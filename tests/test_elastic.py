@@ -26,11 +26,12 @@ import pytest
 from repro import ClusterConfig, Database
 from repro.cluster import ElasticController, ElasticityThresholds, PlacementMap
 from repro.cluster.catalog import CatalogEntry, ClusterCatalog
+from repro.cluster.database import REBALANCE_SEND_RETRIES, _all_of
 from repro.cluster.resource import AdmissionController, ResourceMonitor
 from repro.common import DataType, RowBatch
 from repro.common.errors import PlanError
 from repro.core.spill import MemoryGovernor
-from repro.fault import FaultSchedule, WorkerHealthTracker
+from repro.fault import FaultSchedule, NetworkPartition, WorkerHealthTracker
 from repro.storage.partition import HashPartition, Replicated
 from repro.workloads import tpch_schema
 from repro.workloads.tpch_queries import query as tpch_query
@@ -594,6 +595,33 @@ class TestScaleEventMidQuery:
         assert inj.events_of("crash") and inj.events_of("recover")
         assert inj.events_of("rebalance_retry")
         assert db.worker_ids == [0, 1, 2, 3, 4]
+        for want, q in zip(baseline, QUERIES):
+            assert db.sql(q).rows() == want
+
+    def test_unreachable_peer_reroutes_via_coordinator(self, baseline):
+        """Worker 0 and the joining worker cannot reach each other for the
+        whole rebalance: every 0 -> 4 stream runs out its direct-route
+        budget and is delivered through the coordinator's tree instead,
+        and the new epoch holds exactly what a fault-free rebalance would."""
+        ref = build_db()
+        ref.chaos(FaultSchedule.none())
+        ref.add_worker()
+
+        db = build_db()
+        cut = NetworkPartition(frozenset({0}), frozenset({4}), at=0, duration=10**6)
+        inj = db.chaos(FaultSchedule(partitions=(cut,)))
+        rep = db.add_worker()
+        assert rep.reroutes >= 1
+        assert rep.retries >= REBALANCE_SEND_RETRIES * rep.reroutes
+        assert rep.streams == ref.rebalances[-1].streams
+        assert len(inj.events_of("partition_drop")) == rep.retries
+        for w in db.worker_ids:
+            for name, ts in db.workers[w].storage.items():
+                want = _all_of(ref.workers[w].storage[name])
+                assert _all_of(ts).to_bytes() == want.to_bytes(), (w, name)
+        left = [tag for box in db.net._inbox.values() for _src, tag, *_ in box]
+        assert not any(tag.startswith("rebalance|") for tag in left)
+        db.chaos(FaultSchedule.none())  # the partition is over
         for want, q in zip(baseline, QUERIES):
             assert db.sql(q).rows() == want
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, Database
+from repro.baselines import MPPStyleExecutor
 from repro.common import DataType, RowBatch, Schema
 from repro.core.spill import MemoryGovernor, SpillableList
+from repro.sql import parse
 from repro.util.fs import MemFS
 
-from tests.conftest import rows_match_unordered
+from tests.conftest import forced_scans, rows_match_unordered
 
 
 def build_db(n_workers=3, **cfg_kwargs) -> Database:
@@ -107,17 +109,22 @@ class TestExchangeMechanics:
         # gather should move data
         assert r.stats.network_bytes > 0
 
-    def test_bloom_equivalence(self):
-        d1 = build_db(bloom_filters=True)
-        d2 = build_db(bloom_filters=False)
+    def test_bloom_equivalence(self, db):
+        """The Bloom-filtered shuffle only drops rows that cannot join:
+        the MPP baseline, which ships no filter, returns the same rows."""
         sql = "select grp, sum(val) from fact, dim where fk = dk and grp = 'g3' group by grp"
-        assert rows_match_unordered(d1.sql(sql).rows(), d2.sql(sql).rows())
+        _, physical = db.plan_select(parse(sql))
+        runtimes = {w: wk.runtime() for w, wk in db.workers.items()}
+        mpp = MPPStyleExecutor(runtimes, db.coord_ids[0], db.net, db.config)
+        assert rows_match_unordered(db.sql(sql).rows(), mpp.execute(physical)[0].rows())
 
-    def test_skipping_equivalence(self):
-        d1 = build_db(data_skipping=True)
-        d2 = build_db(data_skipping=False)
+    def test_skipping_equivalence(self, db):
+        """Data skipping never changes a result: the storage scan with
+        ``skipping=False`` is the oracle."""
         sql = "select count(*) from fact where val < 0.25"
-        assert d1.sql(sql).rows() == d2.sql(sql).rows()
+        with forced_scans(skipping=False):
+            want = db.sql(sql).rows()
+        assert db.sql(sql).rows() == want
 
     def test_exec_stats_populated(self, db):
         r = db.sql("select count(*) from fact where val > 0.5")

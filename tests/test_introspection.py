@@ -136,6 +136,30 @@ class TestSysTables:
         ).rows()[0][0]
         assert workers == 4.0
 
+    def test_sys_queries_reconciles_with_query_total(self):
+        """Every SELECT lifecycle, EXPLAIN ANALYZE included, lands once
+        in ``sys.queries`` and once in ``repro_query_total``."""
+        db = build_db()
+
+        def counts():
+            # the counting query sees itself as a running row and is
+            # counted by the metric once it finishes: both sides +1
+            logged = db.sql("SELECT count(*) FROM sys.queries").rows()[0][0]
+            total = db.sql(
+                "SELECT value FROM sys.metrics WHERE name = 'repro_query_total'"
+            ).rows()[0][0]
+            return logged, total
+
+        logged0, total0 = counts()
+        for q in QUERIES:
+            db.sql(q)
+            db.explain_analyze(q)
+        logged1, total1 = counts()
+        assert logged1 - logged0 == total1 - total0 == 2 * len(QUERIES) + 2
+        # all of them finished: everything logged so far plus the metric read
+        done = db.sql("SELECT count(*) FROM sys.queries WHERE status = 'done'").rows()
+        assert done == [(logged1 + 1,)]
+
     def test_sys_workers_and_fragments(self):
         db = build_db()
         db.sql(QUERIES[0])

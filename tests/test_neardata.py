@@ -15,7 +15,7 @@ baseline whose scans were forced onto the decode path.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ import pytest
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch
 from repro.common.schema import Schema
-from repro.core.executor import _fold_exact
 from repro.fault import FaultSchedule
 from repro.storage import col_page
 from repro.storage.buffer import BufferManager
@@ -32,6 +31,8 @@ from repro.storage.predicate_cache import Atom, Op, ScanPredicate
 from repro.storage.table import ScanStats, TableStorage
 from repro.util.fs import MemFS
 from repro.workloads import tpch_dbgen, tpch_queries, tpch_schema
+
+from tests.conftest import forced_scans
 
 CHAOS_SEEDS = [11, 23, 37]
 TPCH_QUERIES = [1, 3, 6, 12]
@@ -301,37 +302,12 @@ class TestByteLRU:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def decode_path_scans():
-    """Force every storage scan onto the decode-then-filter path — the
-    storage-level ``neardata=False`` oracle, applied end to end."""
-    orig = TableStorage.scan
-
-    def scan(self, *args, **kw):
-        kw["neardata"] = kw["shared"] = False
-        return orig(self, *args, **kw)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TableStorage, "scan", scan)
-        yield
+#: force every storage scan onto the decode-then-filter path — the
+#: storage-level ``neardata=False`` oracle, applied end to end
+decode_path_scans = partial(forced_scans, neardata=False, shared=False)
 
 
 class TestFoldExactness:
-    SCHEMA = Schema.of(("i", DataType.INT64), ("f", DataType.FLOAT64), ("b", DataType.BOOL))
-
-    def test_fold_exact_gate(self):
-        ok = _fold_exact
-        assert ok([("c", "COUNT", None, None)], self.SCHEMA)
-        assert ok([("c", "MIN", "f", None)], self.SCHEMA)
-        assert ok([("c", "MAX", "i", None)], self.SCHEMA)
-        assert ok([("c", "SUM", "i", None)], self.SCHEMA)
-        assert ok([("c", "SUM", "b", None)], self.SCHEMA)
-        # float SUM folds in a different association order → ulp drift
-        assert not ok([("c", "SUM", "f", None)], self.SCHEMA)
-        assert not ok([("c", "SUM", None, None)], self.SCHEMA)
-        assert not ok([("c", "COUNT", None, "f")], self.SCHEMA)  # validity-masked
-        assert not ok([("c", "WEIRD", "i", None)], self.SCHEMA)
-
     def _db(self, **kw):
         db = Database(ClusterConfig(n_workers=2, n_max=4, page_size=16 * 1024, **kw))
         db.sql("create table big (g integer, x integer) partition by hash (g)")
