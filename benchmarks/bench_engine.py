@@ -85,14 +85,8 @@ def test_batch_serialization(benchmark):
     assert out.length == 20_000
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_string_codec(benchmark, vectorized, monkeypatch):
-    """Wire string codec ablation: scalar loops vs bulk NumPy encode/decode
-    (plus dictionary encoding, which only the vectorized path attempts)."""
-    from repro.common import batch as batch_mod
-
-    monkeypatch.setattr(batch_mod, "VECTORIZED_STRINGS", vectorized)
-    monkeypatch.setattr(batch_mod, "DICT_ENCODE_STRINGS", vectorized)
+def test_string_codec(benchmark):
+    """Wire string codec: a low-cardinality column through a dictionary frame."""
     strs = np.empty(50_000, dtype=object)
     strs[:] = [f"order-status-{i % 5}" for i in range(50_000)]
     b = RowBatch.from_pairs(("s", DataType.STRING, strs))

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..common.batch import RowBatch, hash_value_arrays
 from ..core.executor import DistributedExecutor, SiteData
 from ..core.kernels import sort_indices
@@ -93,7 +91,7 @@ class _DiskShuffleMixin:
             for batch in batches:
                 if batch.length == 0:
                     continue
-                codes = hash_value_arrays([np.asarray(c.fn(batch)) for c in compiled])
+                codes = hash_value_arrays([c.fn(batch) for c in compiled])
                 parts = batch.partition_codes(codes, len(self.worker_ids))
                 for dest, part in zip(self.worker_ids, parts):
                     if part.length:

@@ -1630,11 +1630,7 @@ class Database:
             rows.append(vals)
         cols = {}
         for i, c in enumerate(entry.schema.columns):
-            arr = np.asarray([r[i] for r in rows], dtype=c.dtype.numpy_dtype)
-            if c.dtype.numpy_dtype == object:
-                arr = np.empty(len(rows), dtype=object)
-                arr[:] = [r[i] for r in rows]
-            cols[c.name] = arr
+            cols[c.name] = np.asarray([r[i] for r in rows], dtype=c.dtype.numpy_dtype)
         batch = RowBatch(entry.schema, cols)
         return self._dml(stmt.table, "insert", batch=batch, txn=txn)
 

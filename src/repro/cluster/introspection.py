@@ -95,8 +95,7 @@ def _batch(schema: Schema, rows: list[tuple]) -> RowBatch:
     for i, c in enumerate(schema):
         vals = [r[i] for r in rows]
         if c.dtype == STR:
-            arr = np.empty(len(vals), dtype=object)
-            arr[:] = ["" if v is None else str(v) for v in vals]
+            arr = ["" if v is None else str(v) for v in vals]
         else:
             arr = np.asarray(vals, dtype=c.dtype.numpy_dtype)
         cols[c.name] = arr

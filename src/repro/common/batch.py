@@ -1,24 +1,33 @@
 """Columnar row batches.
 
 :class:`RowBatch` is the unit of dataflow in the execution engine: a set
-of equal-length NumPy columns plus a :class:`~repro.common.schema.Schema`.
+of equal-length columns plus a :class:`~repro.common.schema.Schema`.
 All operators consume and produce batches, so per-row Python overhead is
 amortized over ``batch_size`` rows (the guides' "vectorize the hot loop"
 rule).
 
+A STRING column has one in-memory representation, :class:`DictColumn`:
+``uint32`` codes into a shared immutable :class:`StringDictionary`. Scans
+and the wire decoder produce it, ``RowBatch`` wraps any array of Python
+strings it is handed the same way, row-preserving transforms slice the
+codes and share the dictionary, and everything that needs value order,
+equality or a hash works once per dictionary *entry* and gathers. The
+strings themselves are materialized by :meth:`DictColumn.decode`, which
+the executor calls once, on the final result.
+
 Batches also know how to serialize themselves to a compact binary wire
 format used by the shuffle/network layer and the spill files, so that the
-simulated network can account real byte volumes. String columns are
-encoded in bulk (offsets + concatenated UTF-8 body, built with NumPy
-byte-matrix ops rather than per-row loops) and low-cardinality string
-columns are dictionary-encoded on the wire, so shuffles do not pay
-per-row Python overhead for the dominant TPC-H payload type.
+simulated network can account real byte volumes. String columns ship as
+offsets + concatenated UTF-8 body (built with NumPy byte-matrix ops over
+the referenced dictionary entries), low-cardinality ones as a dictionary
+frame: the entries plus the codes, straight from the column.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,19 +37,333 @@ from .schema import Column, Schema
 
 _MAGIC = b"RB02"
 
-#: ablation toggles (benchmarks flip these to measure the scalar paths)
-VECTORIZED_STRINGS = True
-DICT_ENCODE_STRINGS = True
-
 #: wire encodings for the per-column payload
 _ENC_RAW = 0
 _ENC_DICT = 1
 #: raw strings prefixed by a NULL byte-mask (NULL string aggregates)
 _ENC_NULLS = 2
 
-#: dictionary-encode a string column when it has at least this many rows
-#: and at most rows/4 distinct values
+#: ship a string column as a dictionary frame when it has at least this
+#: many rows and references at most rows/4 entries
 _DICT_MIN_ROWS = 64
+
+
+# ---------------------------------------------------------------------------
+# string columns
+# ---------------------------------------------------------------------------
+
+
+def code_space_is_dense(space: int, rows: int) -> bool:
+    """Is a code space small enough, against the rows that fill it, for a
+    ``space``-long scratch array to beat sorting the rows?"""
+    return space <= 4 * rows + 1024
+
+
+def densify_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``codes`` (integers in ``[0, space)``) to ``0..k-1``,
+    keeping their order. Returns the dense int64 codes and the ``k``
+    distinct original codes, ascending.
+
+    A code space within a small multiple of the row count is densified
+    with one scatter and one ``cumsum``; only a sparse one pays the sort
+    inside ``np.unique``."""
+    if code_space_is_dense(space, len(codes)):
+        present = np.zeros(space, dtype=bool)
+        present[codes] = True
+        distinct = np.flatnonzero(present)
+        if len(distinct) == space:
+            return codes.astype(np.int64, copy=False), distinct
+        return (np.cumsum(present) - 1)[codes], distinct
+    distinct, dense = np.unique(codes, return_inverse=True)
+    return dense.astype(np.int64, copy=False), distinct
+
+
+class _Canon(NamedTuple):
+    """A dictionary's entries in value order."""
+
+    #: the distinct non-NULL entries, ascending
+    values: np.ndarray
+    #: per entry, its index into ``values``; -1 for a NULL (None) entry
+    rank: np.ndarray
+    has_null: bool
+
+
+class StringDictionary:
+    """The immutable entry list any number of :class:`DictColumn` share.
+
+    Entries carry no promise: they may repeat, come in any order and
+    include None (the NULL a string MIN/MAX yields over no rows). The
+    first consumer that needs value order or equality canonicalises —
+    sorted + unique over the *entries* — and the result is memoised here,
+    as are the per-entry FNV hashes and the total string length, so a dictionary
+    that lives in the decoded-page cache pays each once for all queries.
+    A racing duplicate computation is harmless: the values are equal.
+    """
+
+    __slots__ = ("values", "_canon", "_fnv", "_body_bytes", "_has_null")
+
+    def __init__(self, values):
+        # a private read-only view: the caller's array keeps its own flags
+        self.values = np.asarray(values, dtype=object).view()
+        self.values.setflags(write=False)
+        self._canon: _Canon | None = None
+        self._fnv: np.ndarray | None = None
+        self._body_bytes: int | None = None
+        self._has_null: bool | None = None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def has_null(self) -> bool:
+        """Is any entry None? Such an entry need not be referenced by a
+        row, so nothing may be evaluated over these entries as strings."""
+        if self._has_null is None:
+            self._has_null = bool(np.equal(self.values, None).any())
+        return self._has_null
+
+    def canon(self) -> _Canon:
+        c = self._canon
+        if c is None:
+            entries = self.values
+            has_null = self.has_null
+            if has_null:
+                null = np.equal(entries, None)
+                entries = entries[~null]
+            # a stable sort of objects is timsort: entries that arrive as a
+            # few ascending runs (sorted page dictionaries, appended) cost
+            # close to one comparison each instead of log n
+            order = np.argsort(entries, kind="stable")
+            ordered = entries[order]
+            first = np.ones(len(ordered), dtype=bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            rank = np.empty(len(ordered), dtype=np.int64)
+            rank[order] = np.cumsum(first) - 1
+            if has_null:
+                full = np.full(len(null), -1, dtype=np.int64)
+                full[~null] = rank
+                rank = full
+            c = self._canon = _Canon(ordered[first], rank, has_null)
+        return c
+
+    def fnv(self) -> np.ndarray:
+        """FNV-1a of every entry's UTF-8 bytes (no entry may be None)."""
+        if self._fnv is None:
+            self._fnv = _fnv1a_bulk(self.values)
+        return self._fnv
+
+    @property
+    def body_bytes(self) -> int:
+        """Total length of the entries' strings."""
+        if self._body_bytes is None:
+            # one C-level join instead of a Python-level len() per entry
+            self._body_bytes = len("".join([s for s in self.values.tolist() if s is not None]))
+        return self._body_bytes
+
+
+class DictColumn:
+    """A STRING column: ``codes[i]`` indexes ``dictionary.values``.
+
+    Quacks like the 1-d array it replaces where result delivery and tests
+    look at values (``len``, iteration, ``tolist``, ``np.asarray``,
+    indexing, comparisons yielding a bool mask); the engine itself works
+    on ``codes`` and per-entry results.
+    """
+
+    __slots__ = ("codes", "dictionary", "_decoded")
+
+    #: what ``np.asarray(column)`` yields
+    dtype = np.dtype(object)
+    #: make ``ndarray <op> column`` defer to the reflected method below
+    __array_ufunc__ = None
+
+    def __init__(self, codes: np.ndarray, dictionary: StringDictionary):
+        self.codes = codes
+        self.dictionary = dictionary
+        self._decoded: np.ndarray | None = None
+
+    @classmethod
+    def wrap(cls, values) -> "DictColumn":
+        """The column for an array of Python strings: the values are the
+        dictionary, the codes count up — no sort, no hashing."""
+        dictionary = StringDictionary(values)
+        if dictionary.values.ndim != 1:
+            raise ExecutionError("a string column must be one-dimensional")
+        col = cls(np.arange(len(dictionary), dtype=np.uint32), dictionary)
+        col._decoded = dictionary.values
+        return col
+
+    # -- the array face ----------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def decode(self) -> np.ndarray:
+        """The strings, as an object array (memoised)."""
+        if self._decoded is None:
+            self._decoded = self.dictionary.values[self.codes]
+        return self._decoded
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self.decode()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __iter__(self):
+        return iter(self.decode())
+
+    def tolist(self) -> list:
+        return self.decode().tolist()
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self.dictionary.values[self.codes[key]]
+        return DictColumn(self.codes[key], self.dictionary)
+
+    @property
+    def nbytes(self) -> int:
+        """Footprint estimate: 8 bytes a row (the code now, a pointer once
+        decoded) plus the dictionary's strings — pro rata when the rows can
+        reference only part of it. For a wrapped array of strings that is
+        exactly pointer + length per string."""
+        rows, d = len(self.codes), self.dictionary
+        body = d.body_bytes if len(d) <= rows else d.body_bytes * rows // len(d)
+        return 8 * rows + body
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"DictColumn({len(self.codes)} rows, {len(self.dictionary)} entries)"
+
+    # -- per-entry evaluation ------------------------------------------------------
+    def _by_row(self) -> bool:
+        """Evaluate over the rows' strings rather than the entries: when
+        the rows are the fewer, and when an entry is None — no row need
+        reference it, and over rows a NULL fails exactly where it would
+        in an array of the strings."""
+        d = self.dictionary
+        return len(self.codes) < len(d) or d.has_null
+
+    def map_entries(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``fn`` of every row's string, computed once per dictionary entry
+        and gathered (or straight over the rows, see :meth:`_by_row`)."""
+        if self._by_row():
+            return fn(self.decode())
+        return fn(self.dictionary.values)[self.codes]
+
+    def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "DictColumn":
+        """The column of ``fn``'s string results, same codes."""
+        if self._by_row():
+            return DictColumn.wrap(fn(self.decode()))
+        return DictColumn(self.codes, StringDictionary(fn(self.dictionary.values)))
+
+    def ranks(self) -> np.ndarray:
+        """Per row, the value's position in the dictionary's value order
+        (-1 for NULL): equal strings get equal ranks, order is str order."""
+        return self.dictionary.canon().rank[self.codes]
+
+    def hashes(self) -> np.ndarray:
+        """Per row, FNV-1a of the string (a fresh array)."""
+        d = self.dictionary
+        if d._fnv is None and self._by_row():
+            return _fnv1a_bulk(self.decode())
+        return d.fnv()[self.codes]
+
+    def _compare(self, other, op) -> np.ndarray:
+        if isinstance(other, np.ndarray):
+            other = DictColumn.wrap(other)
+        if isinstance(other, DictColumn):
+            if len(other.dictionary) == 1:  # a constant column (a literal)
+                other = other.dictionary.values[0]
+            elif len(self.dictionary) == 1:
+                return other._compare(self.dictionary.values[0], _SWAPPED[op])
+            else:
+                a, b = DictColumn.unify([self, other])
+                return op(a.ranks(), b.ranks())
+        return self.map_entries(lambda v: np.asarray(op(v, other), dtype=bool))
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
+
+    def __ne__(self, other):
+        return self._compare(other, operator.ne)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
+
+    __hash__ = None
+
+    # -- several columns, one dictionary --------------------------------------------
+    @staticmethod
+    def unify(cols: Sequence["DictColumn"]) -> list["DictColumn"]:
+        """The same columns re-coded against one shared dictionary.
+
+        Columns that already share theirs come back untouched. Otherwise
+        the distinct dictionaries (by identity) are appended — no sort —
+        and each column's codes offset; a dictionary more than twice as
+        long as the rows that point into it contributes only the entries
+        those rows reference, so gathers of gathers stay proportional to
+        their rows."""
+        first = cols[0].dictionary
+        if all(c.dictionary is first for c in cols):
+            return list(cols)
+        groups: dict[int, list[int]] = {}
+        for i, c in enumerate(cols):
+            groups.setdefault(id(c.dictionary), []).append(i)
+        entries: list[np.ndarray] = []
+        codes: list[np.ndarray | None] = [None] * len(cols)
+        offset = 0
+        for members in groups.values():
+            d = cols[members[0]].dictionary
+            rows = sum(len(cols[i]) for i in members)
+            if len(d) > 2 * rows + 16:
+                inv, used = densify_codes(np.concatenate([cols[i].codes for i in members]), len(d))
+                values = d.values[used]
+                inv = inv.astype(np.uint32)
+                at = 0
+                for i in members:
+                    codes[i] = inv[at : at + len(cols[i])] + np.uint32(offset)
+                    at += len(cols[i])
+            else:
+                values = d.values
+                for i in members:
+                    codes[i] = cols[i].codes + np.uint32(offset)
+            entries.append(values)
+            offset += len(values)
+        merged = StringDictionary(np.concatenate(entries))
+        return [DictColumn(c, merged) for c in codes]
+
+    @staticmethod
+    def concat(cols: Sequence["DictColumn"]) -> "DictColumn":
+        cols = DictColumn.unify(cols)
+        return DictColumn(np.concatenate([c.codes for c in cols]), cols[0].dictionary)
+
+
+#: the comparison with its operands exchanged
+_SWAPPED = {
+    operator.eq: operator.eq, operator.ne: operator.ne,
+    operator.lt: operator.gt, operator.gt: operator.lt,
+    operator.le: operator.ge, operator.ge: operator.le,
+}
+
+
+def as_column(values):
+    """Canonical column for anything an operator may be handed: a
+    :class:`DictColumn` for strings, an ndarray for everything else."""
+    if isinstance(values, DictColumn):
+        return values
+    arr = np.asarray(values)
+    return DictColumn.wrap(arr) if arr.dtype.kind in "OU" else arr
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
 
 
 class RowBatch:
@@ -48,13 +371,15 @@ class RowBatch:
 
     def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]):
         self.schema = schema
-        self.columns: dict[str, np.ndarray] = {}
+        self.columns: dict[str, np.ndarray | DictColumn] = {}
         n = None
         for col in schema:
             try:
                 arr = columns[col.name]
             except KeyError:
                 raise ExecutionError(f"batch missing column {col.name!r}") from None
+            if col.dtype == DataType.STRING and not isinstance(arr, DictColumn):
+                arr = DictColumn.wrap(arr)
             if n is None:
                 n = len(arr)
             elif len(arr) != n:
@@ -93,10 +418,11 @@ class RowBatch:
             return cls.empty(schema)
         if len(batches) == 1:
             return batches[0]
-        cols = {
-            c.name: np.concatenate([b.columns[c.name] for b in batches])
-            for c in schema
-        }
+        cols = {}
+        for c in schema:
+            parts = [b.columns[c.name] for b in batches]
+            join = DictColumn.concat if isinstance(parts[0], DictColumn) else np.concatenate
+            cols[c.name] = join(parts)
         return cls._trusted(
             schema, cols, sum(b.length for b in batches) if cols else 0
         )
@@ -105,7 +431,8 @@ class RowBatch:
     def __len__(self) -> int:
         return self.length
 
-    def col(self, name: str) -> np.ndarray:
+    def col(self, name: str):
+        """The column: an ndarray, or a :class:`DictColumn` for STRING."""
         return self.columns[name]
 
     def filter(self, mask: np.ndarray) -> "RowBatch":
@@ -146,11 +473,20 @@ class RowBatch:
         cols[name] = values
         return RowBatch(schema, cols)
 
+    def decoded(self) -> "RowBatch":
+        """Materialize every string column's values now (they are
+        memoised on the column): the final gather of a query result, so
+        delivery after the clock stops is a plain ``tolist``."""
+        for arr in self.columns.values():
+            if isinstance(arr, DictColumn):
+                arr.decode()
+        return self
+
     def rows(self) -> list[tuple]:
         """Materialize as Python tuples (result delivery / tests only).
 
         NaN encodes SQL NULL (aggregates over no qualifying rows) and is
-        delivered as None, like object-column NULLs.
+        delivered as None, like string-column NULLs.
         """
         if not self.length:
             return []
@@ -167,11 +503,11 @@ class RowBatch:
     def hash_codes(self, key_columns: Sequence[str]) -> np.ndarray:
         """Stable 64-bit hash of the key columns, vectorized.
 
-        Uses a Fibonacci-style multiply-xor mix per column. For strings we
-        fall back to Python ``hash``-free FNV over the object array (still a
-        single pass). The same function is used by table partitioning, the
-        shuffle operator, and hash joins' Bloom filters, so co-location
-        reasoning in the optimizer matches runtime behaviour exactly.
+        Uses a Fibonacci-style multiply-xor mix per column; strings
+        contribute the FNV-1a of their UTF-8 bytes. The same function is
+        used by table partitioning, the shuffle operator, and hash joins'
+        Bloom filters, so co-location reasoning in the optimizer matches
+        runtime behaviour exactly.
         """
         return hash_value_arrays([self.columns[name] for name in key_columns], self.length)
 
@@ -224,7 +560,7 @@ class RowBatch:
         off = 4
         length, ncols = struct.unpack_from("<IH", data, off)
         off += 6
-        cols: dict[str, np.ndarray] = {}
+        cols: dict[str, np.ndarray | DictColumn] = {}
         schema_cols: list[Column] = []
         for _ in range(ncols):
             nlen, tcode, enc = struct.unpack_from("<HBB", data, off)
@@ -248,19 +584,12 @@ class RowBatch:
     def nbytes(self) -> int:
         """In-memory footprint estimate (drives spill decisions).
 
-        Memoized: batches are immutable once built, and the string-column
-        estimate walks every row."""
+        Memoized: batches are immutable once built."""
         try:
             return self._nbytes
         except AttributeError:
             pass
-        total = 0
-        for c in self.schema:
-            arr = self.columns[c.name]
-            if arr.dtype == object:
-                total += sum(len(s) for s in arr if s is not None) + 8 * len(arr)
-            else:
-                total += arr.nbytes
+        total = sum(arr.nbytes for arr in self.columns.values())
         self._nbytes = total
         return total
 
@@ -279,6 +608,11 @@ _TYPE_CODE = {
 _CODE_TYPE = {v: k for k, v in _TYPE_CODE.items()}
 
 
+# ---------------------------------------------------------------------------
+# string wire codec
+# ---------------------------------------------------------------------------
+
+
 def _utf8_matrix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """UTF-8 encode all strings into a null-padded (n, width) byte matrix
     plus per-row byte lengths, entirely with NumPy bulk ops.
@@ -287,15 +621,11 @@ def _utf8_matrix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     (a string ends with NUL, which the fixed-width bytes dtype strips).
     """
     n = len(arr)
-    if arr.dtype.kind == "U":
-        u = arr  # fixed-width unicode cannot carry trailing NULs at all
-    else:
-        u = arr.astype("U")
-        # astype("U") silently strips trailing NULs; compare the stripped
-        # lengths against the true ones to detect (and reject) that case
-        true_lens = np.fromiter((len(s) for s in arr), count=n, dtype=np.int64)
-        if not np.array_equal(np.char.str_len(u), true_lens):
-            return None
+    u = arr.astype("U")
+    # astype("U") silently strips trailing NULs, which only ever shortens:
+    # the total length tells whether any string lost one (reject those)
+    if int(np.char.str_len(u).sum()) != len("".join(arr.tolist())):
+        return None
     width_u = u.dtype.itemsize // 4
     if width_u == 0:
         return np.zeros((n, 0), dtype=np.uint8), np.zeros(n, dtype=np.int64)
@@ -316,19 +646,24 @@ def _utf8_matrix(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return mat, lens
 
 
-def _encode_strings(arr: np.ndarray) -> bytes:
-    """Offsets (uint32, n+1) + concatenated UTF-8 body, built in bulk."""
-    n = len(arr)
-    mats = _utf8_matrix(arr) if VECTORIZED_STRINGS and n else None
+def _encode_strings(entries: np.ndarray, rows: np.ndarray | None = None) -> bytes:
+    """Offsets (uint32, n+1) + concatenated UTF-8 body of ``entries`` —
+    or, with ``rows``, of ``entries[rows]`` — built in bulk: each entry is
+    UTF-8 encoded once however many rows repeat it."""
+    mats = _utf8_matrix(entries) if len(entries) else None
     if mats is not None:
         mat, lens = mats
-        offsets = np.zeros(n + 1, dtype=np.uint32)
+        if rows is not None:
+            mat, lens = mat[rows], lens[rows]
+        offsets = np.zeros(len(lens) + 1, dtype=np.uint32)
         np.cumsum(lens, out=offsets[1:])
         width = mat.shape[1]
         body = mat[np.arange(width) < lens[:, None]].tobytes() if width else b""
         return offsets.tobytes() + body
     # scalar fallback: empty input or strings the bulk path cannot carry
-    blobs = [s.encode() for s in arr]
+    blobs = [s.encode() for s in entries]
+    if rows is not None:
+        blobs = [blobs[i] for i in rows.tolist()]
     offsets = np.zeros(len(blobs) + 1, dtype=np.uint32)
     if blobs:
         np.cumsum([len(b) for b in blobs], out=offsets[1:])
@@ -372,74 +707,86 @@ def decode_utf8_offsets(body: bytes, offsets: np.ndarray) -> np.ndarray | None:
 def _decode_strings(payload: bytes, n: int) -> np.ndarray:
     offsets = np.frombuffer(payload, dtype=np.uint32, count=n + 1)
     body = payload[4 * (n + 1) :]
-    if n and VECTORIZED_STRINGS:
-        out = decode_utf8_offsets(body, offsets)
-        if out is not None:
-            return out
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        out[i] = body[offsets[i] : offsets[i + 1]].decode()
+    out = decode_utf8_offsets(body, offsets)
+    if out is None:  # a NUL byte in the body: slice string by string
+        out = np.empty(n, dtype=object)
+        for i in range(n):
+            out[i] = body[offsets[i] : offsets[i + 1]].decode()
     return out
 
 
-def _encode_string_column(arr: np.ndarray) -> tuple[int, bytes]:
-    """Pick a wire encoding for a string column: raw offsets+body, or
-    dictionary (codes + distinct values) when cardinality is low. NULLs
-    (None, produced only by aggregates over no qualifying rows) get a
-    byte-mask prefix ahead of the raw encoding."""
-    n = len(arr)
-    if any(x is None for x in arr.tolist()):
-        mask = np.fromiter((x is None for x in arr), count=n, dtype=np.uint8)
-        filled = np.empty(n, dtype=object)
-        filled[:] = ["" if x is None else x for x in arr]
-        return _ENC_NULLS, mask.tobytes() + _encode_strings(filled)
-    if DICT_ENCODE_STRINGS and n >= _DICT_MIN_ROWS:
-        # cheap cardinality probe first: a near-distinct sample means the
-        # full O(n log n) unique pass cannot pay off, skip it
-        sample = arr[:256]
-        if len(set(sample.tolist())) * 2 <= len(sample):
-            uniq, inv = np.unique(arr, return_inverse=True)
-            if len(uniq) * 4 <= n:
-                dict_payload = _encode_strings(uniq)
-                codes = inv.astype(np.uint32).tobytes()
-                return _ENC_DICT, struct.pack("<I", len(uniq)) + dict_payload + codes
-    return _ENC_RAW, _encode_strings(arr)
+def _encode_string_column(col: DictColumn) -> tuple[int, bytes]:
+    """Pick a wire encoding for a string column, from its codes and the
+    entries they reference: a dictionary frame (entries + codes) when
+    few entries serve many rows, else raw offsets+body. NULLs (None,
+    produced only by aggregates over no qualifying rows) get a byte-mask
+    prefix ahead of the raw encoding."""
+    n = len(col)
+    codes, used = densify_codes(col.codes, len(col.dictionary))
+    entries = col.dictionary.values
+    if len(used) < len(entries):
+        entries = entries[used]
+    null = np.equal(entries, None)
+    if null.any():
+        entries = np.where(null, "", entries)
+        return _ENC_NULLS, null[codes].astype(np.uint8).tobytes() + _encode_strings(entries, codes)
+    if n >= _DICT_MIN_ROWS and len(entries) * 4 > n:
+        # appended dictionaries repeat each other's entries (a low-
+        # cardinality column read from many plain pages): when a sample
+        # says so, merge equal entries — a sort of the entries, not the rows
+        sample = entries[:256].tolist()
+        if len(set(sample)) * 2 <= len(sample):
+            canon = StringDictionary(entries).canon()
+            codes, entries = canon.rank[codes], canon.values
+    if n >= _DICT_MIN_ROWS and len(entries) * 4 <= n:
+        frame = _encode_strings(entries) + codes.astype(np.uint32).tobytes()
+        return _ENC_DICT, struct.pack("<I", len(entries)) + frame
+    in_order = len(entries) == n and bool((codes == np.arange(n)).all())
+    return _ENC_RAW, _encode_strings(entries, None if in_order else codes)
 
 
-def _decode_string_column(payload: bytes, n: int, enc: int) -> np.ndarray:
+def _decode_string_column(payload: bytes, n: int, enc: int) -> DictColumn:
     if enc == _ENC_RAW:
-        return _decode_strings(payload, n)
+        return DictColumn.wrap(_decode_strings(payload, n))
     if enc == _ENC_NULLS:
         mask = np.frombuffer(payload, dtype=np.uint8, count=n)
         out = _decode_strings(payload[n:], n)
         out[mask.astype(bool)] = None
-        return out
+        return DictColumn.wrap(out)
     if enc != _ENC_DICT:
         raise ExecutionError(f"unknown string encoding {enc}")
     (nuniq,) = struct.unpack_from("<I", payload, 0)
     dict_offsets = np.frombuffer(payload, dtype=np.uint32, count=nuniq + 1, offset=4)
     dict_len = 4 * (nuniq + 1) + int(dict_offsets[-1])
-    uniq = _decode_strings(payload[4 : 4 + dict_len], nuniq)
+    entries = _decode_strings(payload[4 : 4 + dict_len], nuniq)
     codes = np.frombuffer(payload, dtype=np.uint32, offset=4 + dict_len, count=n)
-    return uniq[codes.astype(np.int64)]
+    if n and int(codes.max()) >= nuniq:
+        raise ExecutionError("dictionary frame code out of range")
+    return DictColumn(codes.copy(), StringDictionary(entries))
+
+
+# ---------------------------------------------------------------------------
+# hashing
+# ---------------------------------------------------------------------------
 
 
 def hash_value_arrays(arrays, length: int | None = None) -> np.ndarray:
     """Stable engine-wide 64-bit hash of parallel value arrays.
 
     The column-wise Fibonacci multiply-xor mix of ``RowBatch.hash_codes``
-    without needing a batch. Table partitioning, shuffle routing, join
-    Bloom prefilters, and the storage layer's sideways bloom scan
-    pushdown all hash through here, so a key hashed on the build side
-    matches the same key hashed over raw scan values exactly.
+    without needing a batch. Table partitioning, shuffle routing and join
+    Bloom prefilters all hash through here, so a key hashed on the build
+    side matches the same key hashed over raw scan values exactly. A
+    string hashes to the FNV-1a of its UTF-8 bytes whatever dictionary it
+    sits in, so placement does not depend on the column's encoding.
     """
     if length is None:
         length = len(arrays[0]) if arrays else 0
     h = np.zeros(length, dtype=np.uint64)
     for arr in arrays:
-        arr = np.asarray(arr)
-        if arr.dtype == object:
-            codes = _fnv1a_bulk(arr)
+        arr = as_column(arr)
+        if isinstance(arr, DictColumn):
+            codes = arr.hashes()
         else:
             codes = arr.astype(np.int64, copy=False).view(np.uint64).copy()
         codes *= np.uint64(0x9E3779B97F4A7C15)
@@ -458,7 +805,7 @@ def _fnv1a(s: str) -> int:
 
 
 def _fnv1a_bulk(arr: np.ndarray) -> np.ndarray:
-    """FNV-1a over every string of an object column, vectorized across rows.
+    """FNV-1a over every string of an object array, vectorized across rows.
 
     Walks the padded UTF-8 byte matrix column by column (max-length
     iterations of O(n) NumPy ops instead of a per-character Python loop),
@@ -466,7 +813,7 @@ def _fnv1a_bulk(arr: np.ndarray) -> np.ndarray:
     made before and after vectorization agree exactly.
     """
     n = len(arr)
-    mats = _utf8_matrix(arr) if VECTORIZED_STRINGS and n else None
+    mats = _utf8_matrix(arr) if n else None
     if mats is None:
         return np.fromiter((_fnv1a(s) for s in arr), count=n, dtype=np.uint64)
     mat, lens = mats

@@ -96,7 +96,7 @@ class Exchange:
             batch = prefilter(batch)
         parts: list[RowBatch] = []
         if batch.length:
-            codes = hash_value_arrays([np.asarray(c.fn(batch)) for c in compiled])
+            codes = hash_value_arrays([c.fn(batch) for c in compiled])
             parts = batch.partition_codes(codes, len(self.worker_ids))
         self._note_busy(src, time.perf_counter() - t0)
         for dest, part in zip(self.worker_ids, parts):
@@ -266,9 +266,7 @@ class Exchange:
             merged = self._materialize(w, right_op.schema, batches)
             if merged.length == 0:
                 continue
-            arrays = [
-                np.asarray(compile_expr(e, right_op.schema).fn(merged)) for e in key_exprs
-            ]
+            arrays = [compile_expr(e, right_op.schema).fn(merged) for e in key_exprs]
             local = bloom_filter_codes(hash_value_arrays(arrays))
             bits = local if bits is None else (bits | local)
         if bits is None:
@@ -288,9 +286,7 @@ class Exchange:
         probe_schema = op.children[0].children[0].schema  # shuffle's child
 
         def prefilter(batch: RowBatch) -> RowBatch:
-            arrays = [
-                np.asarray(compile_expr(e, probe_schema).fn(batch)) for e in probe_exprs
-            ]
+            arrays = [compile_expr(e, probe_schema).fn(batch) for e in probe_exprs]
             return batch.filter(bloom_filter_test(bits, hash_value_arrays(arrays)))
 
         return prefilter

@@ -376,7 +376,10 @@ class DistributedExecutor(ScanSource, Exchange):
         data = self._eval(plan)
         if plan.site != COORD:
             raise ExecutionError("plan root must be on the coordinator")
-        result = RowBatch.concat(plan.schema, data.get(self.coord_id, []))
+        # the one string decode of the query: codes -> values, on the clock
+        t0 = time.perf_counter()
+        result = RowBatch.concat(plan.schema, data.get(self.coord_id, [])).decoded()
+        self._note_busy(self.coord_id, time.perf_counter() - t0)
         stats = self._counters().since(base)
         stats.rows_returned = result.length
         return result, stats
@@ -492,7 +495,7 @@ class DistributedExecutor(ScanSource, Exchange):
                 t0 = time.perf_counter()
                 rb = self._materialize(w, right_op.schema, right.get(w, []))
                 jht = JoinHashTable(
-                    [np.asarray(compile_expr(re, right_op.schema).fn(rb)) for _, re in pairs]
+                    [compile_expr(re, right_op.schema).fn(rb) for _, re in pairs]
                 )
                 self._note_busy(w, time.perf_counter() - t0)
                 probes[w][jop.id] = partial(self._probe_batch, jop, jht, rb, lkey_fns)
@@ -796,8 +799,7 @@ class DistributedExecutor(ScanSource, Exchange):
         """Probe one left batch against a site's prebuilt join hash table
         (``rb`` is the build side the table indexes)."""
         kind = op.attrs["kind"]
-        lkeys = [np.asarray(fn(lb)) for fn in lkey_fns]
-        li, ri = jht.match_indices(lkeys)
+        li, ri = jht.match_indices([fn(lb) for fn in lkey_fns])
         residual = op.attrs["residual"]
         if residual and len(li):
             combined = _combine(lb.take(li), rb.take(ri))

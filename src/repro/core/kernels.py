@@ -2,7 +2,9 @@
 
 All heavy row-at-a-time work is replaced by NumPy primitives (the
 hpc-parallel guides' core rule): keys are *factorized* into dense exact
-integer codes with ``np.unique``, joins become sorted-code range lookups
+integer codes — a string column (:class:`~repro.common.batch.DictColumn`)
+already is one, ranked through its dictionary's value order; numeric
+columns go through ``np.unique`` — joins become sorted-code range lookups
 expanded with ``repeat``/``cumsum``, and aggregations become
 ``bincount``/``reduceat`` over code-sorted arrays. The same kernels back
 the single-node reference executor and the distributed operators, so
@@ -16,13 +18,59 @@ from typing import Sequence
 
 import numpy as np
 
-from ..common.batch import RowBatch
+from ..common.batch import (
+    DictColumn,
+    RowBatch,
+    StringDictionary,
+    as_column,
+    code_space_is_dense,
+    densify_codes,
+)
 from ..common.errors import ExecutionError
 
 
 # ---------------------------------------------------------------------------
 # key factorization
 # ---------------------------------------------------------------------------
+
+
+#: re-densify a running composite code before its space leaves int64
+_CODE_SPACE_MAX = 1 << 62
+
+
+def _value_codes(col) -> tuple[np.ndarray, int]:
+    """Order-preserving exact codes for one key column: non-negative
+    int64, below the returned bound; equal values get equal codes. The
+    bound is a dictionary's entry count (``uint32`` codes) or within
+    ``4 * len(col) + 1025``: below 2**33 for any column under 2**30 rows."""
+    if isinstance(col, DictColumn):
+        canon = col.dictionary.canon()
+        return canon.rank[col.codes] + canon.has_null, len(canon.values) + canon.has_null
+    if col.dtype.kind in "ib" and len(col):
+        # integers packed as closely as codes would be (keys, dates) code
+        # themselves: the offset from the minimum, no sort
+        lo, hi = int(col.min()), int(col.max())
+        if code_space_is_dense(hi - lo + 1, len(col)):
+            return col.astype(np.int64) - lo, hi - lo + 1
+    uniq, inv = np.unique(col, return_inverse=True)
+    return inv, max(len(uniq), 1)
+
+
+def _combine_codes(per_column: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """Mixed-radix composite of per-column codes: (codes, code space).
+
+    A running code about to leave int64 is densified to at most ``n``
+    values first; every column's bound is below 2**33 (``_value_codes``),
+    so the next product then fits for any ``n`` under 2**29 rows."""
+    code = np.zeros(n, dtype=np.int64)
+    space = 1
+    for inv, k in per_column:
+        if space * k > _CODE_SPACE_MAX:
+            code, distinct = densify_codes(code, space)
+            space = max(len(distinct), 1)
+        code = code * k + inv
+        space *= k
+    return code, space
 
 
 def factorize_pair(
@@ -36,30 +84,28 @@ def factorize_pair(
         raise ExecutionError("join key arity mismatch")
     nl = len(left_cols[0]) if left_cols else 0
     nr = len(right_cols[0]) if right_cols else 0
-    lcode = np.zeros(nl, dtype=np.int64)
-    rcode = np.zeros(nr, dtype=np.int64)
+    per_column = []
     for lc, rc in zip(left_cols, right_cols):
-        both = np.concatenate([np.asarray(lc), np.asarray(rc)])
-        _, inv = np.unique(both, return_inverse=True)
-        k = int(inv.max()) + 1 if len(inv) else 1
-        lcode = lcode * k + inv[:nl]
-        rcode = rcode * k + inv[nl:]
-    return lcode, rcode
+        lc, rc = as_column(lc), as_column(rc)
+        if isinstance(lc, DictColumn):
+            both = DictColumn.concat([lc, rc])
+        else:
+            both = np.concatenate([lc, rc])
+        per_column.append(_value_codes(both))
+    code, _ = _combine_codes(per_column, nl + nr)
+    return code[:nl], code[nl:]
 
 
 def factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Exact composite codes for one relation; returns (codes, n_groups)."""
+    """Exact composite codes for one relation; returns (codes, n_groups).
+
+    Codes are dense and ordered like the key tuples (column by column,
+    value order), so group output order is the sort order of the keys."""
     if not cols:
         return np.zeros(0, dtype=np.int64), 0
-    n = len(cols[0])
-    code = np.zeros(n, dtype=np.int64)
-    for c in cols:
-        _, inv = np.unique(np.asarray(c), return_inverse=True)
-        k = int(inv.max()) + 1 if len(inv) else 1
-        code = code * k + inv
-    # re-densify the combined code
-    uniq, dense = np.unique(code, return_inverse=True)
-    return dense.astype(np.int64), len(uniq)
+    code, space = _combine_codes([_value_codes(as_column(c)) for c in cols], len(cols[0]))
+    dense, distinct = densify_codes(code, space)
+    return dense, len(distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +133,37 @@ def join_match_indices(
     return left_idx, right_idx
 
 
+def _lookup_sorted(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of each value in ``sorted_vals`` (ascending, distinct), -1
+    where absent."""
+    if not len(sorted_vals):
+        return np.full(len(values), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_vals, values), len(sorted_vals) - 1)
+    return np.where(sorted_vals[pos] == values, pos, -1)
+
+
+def _lookup_strings(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``_lookup_sorted`` over strings; a NULL (None) is absent."""
+    null = np.equal(values, None)
+    if null.any():
+        found = _lookup_sorted(sorted_vals, np.where(null, "", values))
+        found[null] = -1
+        return found
+    return _lookup_sorted(sorted_vals, values)
+
+
 class JoinHashTable:
     """Build-once / probe-many join table for streaming pipelines.
 
     ``factorize_pair`` re-dictionarizes both sides on every call, so a
     pipelined probe (one call per probe batch) would rebuild the build
     side's dictionary per batch. This table factorizes the build side
-    once — per-column sorted dictionaries plus a composite code with one
+    once — per-column sorted distinct values (a string column's come from
+    its dictionary's canonical form) plus a composite code with one
     sentinel slot per column for probe values absent from the build side
-    — and each probe batch only pays ``searchsorted`` lookups.
+    — and each probe batch only pays lookups: ``searchsorted`` per row for
+    numbers, per dictionary *entry* for strings (none at all when the
+    probe column shares the build column's dictionary).
 
     Output ordering is identical to ``factorize_pair`` +
     ``join_match_indices``: probe-major, build rows in original order
@@ -103,40 +171,46 @@ class JoinHashTable:
     probe batches reproduces the materialized join bit-for-bit.
     """
 
-    __slots__ = ("dicts", "order", "sorted_codes", "n_build")
+    __slots__ = ("keys", "order", "sorted_codes", "n_build")
 
     def __init__(self, build_cols: Sequence[np.ndarray]):
-        cols = [np.asarray(c) for c in build_cols]
+        cols = [as_column(c) for c in build_cols]
         self.n_build = len(cols[0]) if cols else 0
-        self.dicts: list[np.ndarray] = []
+        #: per key column: (sorted distinct values, the build column's
+        #: dictionary or None for a numeric column)
+        self.keys: list[tuple[np.ndarray, StringDictionary | None]] = []
         code = np.zeros(self.n_build, dtype=np.int64)
         for c in cols:
-            uniq, inv = np.unique(c, return_inverse=True)
-            self.dicts.append(uniq)
+            if isinstance(c, DictColumn):
+                uniq, inv = c.dictionary.canon().values, c.ranks()
+                # a NULL build key takes the sentinel slot: it never matches
+                inv = np.where(inv < 0, len(uniq), inv)
+                self.keys.append((uniq, c.dictionary))
+            else:
+                uniq, inv = np.unique(c, return_inverse=True)
+                self.keys.append((uniq, None))
             # +1 reserves a sentinel code per column for probe misses
             code = code * (len(uniq) + 1) + inv
         self.order = np.argsort(code, kind="stable")
         self.sorted_codes = code[self.order]
 
     def _probe_codes(self, probe_cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        cols = [np.asarray(c) for c in probe_cols]
-        if len(cols) != len(self.dicts):
+        cols = [as_column(c) for c in probe_cols]
+        if len(cols) != len(self.keys):
             raise ExecutionError("join key arity mismatch")
         n = len(cols[0]) if cols else 0
         code = np.zeros(n, dtype=np.int64)
         miss = np.zeros(n, dtype=bool)
-        for uniq, c in zip(self.dicts, cols):
-            k = len(uniq) + 1
-            if len(uniq) == 0:
-                miss[:] = True
-                inv = np.zeros(n, dtype=np.int64)
+        for (uniq, dictionary), c in zip(self.keys, cols):
+            if not isinstance(c, DictColumn):
+                inv = _lookup_sorted(uniq, c)
+            elif c.dictionary is dictionary:
+                inv = c.ranks()
             else:
-                pos = np.searchsorted(uniq, c)
-                pos_c = np.minimum(pos, len(uniq) - 1)
-                hit = uniq[pos_c] == c
-                miss |= ~hit
-                inv = np.where(hit, pos_c, len(uniq)).astype(np.int64)
-            code = code * k + inv
+                inv = c.map_entries(lambda v, u=uniq: _lookup_strings(u, v))
+            absent = inv < 0
+            miss |= absent
+            code = code * (len(uniq) + 1) + np.where(absent, len(uniq), inv)
         return code, miss
 
     def match_indices(self, probe_cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +253,7 @@ from ..common.bloom import bloom_filter_codes, bloom_filter_test  # noqa: E402,F
 
 def _int_like(dtype: np.dtype) -> bool:
     """int/bool dtypes whose sums must use the exact int64 path."""
-    return dtype != object and (np.issubdtype(dtype, np.integer) or dtype == np.bool_)
+    return np.issubdtype(dtype, np.integer) or dtype == np.bool_
 
 
 def group_aggregate(
@@ -196,7 +270,7 @@ def group_aggregate(
 
     NULL semantics: a group with no qualifying rows yields SQL NULL for
     AVG/MIN/MAX, encoded as NaN (numeric columns are promoted to float64
-    when NULL holes appear; object columns use None). COUNT yields 0 and
+    when NULL holes appear; string columns use None). COUNT yields 0 and
     SUM yields 0 — the distributed COUNT is finalized as a SUM over
     partial counts (see ``dataflow._split_aggs``), which must stay 0
     over empty input, so SUM-of-nothing deliberately stays 0 engine-wide.
@@ -210,6 +284,7 @@ def group_aggregate(
         return np.bincount(codes, minlength=n_groups).astype(np.int64)
     if values is None:
         raise ExecutionError(f"{func} needs values")
+    values = as_column(values)
     if valid is not None:
         keep = valid.astype(bool)
         codes = codes[keep]
@@ -233,22 +308,17 @@ def group_aggregate(
 
 
 def _group_min_max(codes: np.ndarray, n_groups: int, func: str, values: np.ndarray) -> np.ndarray:
-    if values.dtype == object:
-        out = np.full(n_groups, None, dtype=object)
-        if len(codes) == 0:
-            return out
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        sorted_vals = values[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(sorted_vals)]])
-        present = sorted_codes[starts]
-        for g, a, b in zip(present, starts, ends):
-            seg = [x for x in sorted_vals[a:b] if x is not None]
-            if seg:
-                out[g] = min(seg) if func == "MIN" else max(seg)
-        return out
+    if isinstance(values, DictColumn):
+        # extremum of the value ranks per group, over the sorted entries
+        canon = values.dictionary.canon()
+        ranks = values.ranks()
+        keep = ranks >= 0
+        best = _group_min_max(codes[keep], n_groups, func, ranks[keep])
+        if best.dtype.kind != "f":
+            return DictColumn(best.astype(np.uint32), StringDictionary(canon.values))
+        # groups with no (non-NULL) rows are NULL: entry 0 of the output
+        out = np.where(np.isnan(best), 0, best + 1).astype(np.uint32)
+        return DictColumn(out, StringDictionary(np.concatenate([[None], canon.values])))
     if len(codes) == 0:
         return np.full(n_groups, np.nan, dtype=np.float64)
     order = np.argsort(codes, kind="stable")
@@ -319,7 +389,7 @@ def group_sum_distinct(codes: np.ndarray, n_groups: int, values: np.ndarray) -> 
 def sort_indices(batch: RowBatch, keys: Sequence[tuple[str, bool]]) -> np.ndarray:
     """Stable multi-key sort supporting DESC on every type.
 
-    Strings are factorized to codes first so DESC is just negation.
+    Strings sort by their dictionary value ranks, so DESC is just negation.
     Integer keys stay integer end to end: the old float64 cast rounded
     values beyond 2**53 and mis-ordered large int64 keys, so DESC on
     integers uses bitwise inversion (``~x`` is order-reversing over the
@@ -329,14 +399,10 @@ def sort_indices(batch: RowBatch, keys: Sequence[tuple[str, bool]]) -> np.ndarra
     arrays: list[np.ndarray] = []
     for col, asc in reversed(list(keys)):
         arr = batch.col(col)
-        if arr.dtype == object:
-            # dictionary-encode preserving order; NULL aggregates (None)
-            # sort before every string, deterministically in both engines
-            vals = arr.tolist()
-            if any(x is None for x in vals):
-                arr = np.array(["" if x is None else "\x01" + x for x in vals], dtype=object)
-            uniq, inv = np.unique(arr, return_inverse=True)
-            arr = inv.astype(np.int64)
+        if isinstance(arr, DictColumn):
+            # value ranks preserve order; NULL aggregates (None) rank -1
+            # and sort before every string, deterministically in both engines
+            arr = arr.ranks()
             arrays.append(arr if asc else -arr)
         elif np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64, copy=False)

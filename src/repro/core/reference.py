@@ -13,7 +13,8 @@ defaults); empty scalar subqueries yield zero joined rows, which matches
 SQL's NULL-comparison-is-false filtering behaviour. Aggregates over
 empty input follow SQL: COUNT=0, AVG/MIN/MAX=NULL (encoded as NaN for
 numeric columns — which promotes integer/date outputs to float64 NULL
-holes — and None for strings; ``RowBatch.rows`` delivers them as None).
+holes — and a None dictionary entry for strings; ``RowBatch.rows``
+delivers them as None).
 SUM over empty input deliberately stays 0: the distributed COUNT is
 finalized as a SUM over partial counts, which must not turn a true zero
 into NULL.
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..common.batch import RowBatch
+from ..common.batch import DictColumn, RowBatch
 from ..common.dtypes import DataType
 from ..common.errors import ExecutionError
 from ..common.schema import Schema
@@ -125,9 +126,7 @@ class _Exec:
 def project_batch(child: RowBatch, exprs, out_schema: Schema) -> RowBatch:
     cols = {}
     for (name, e), col in zip(exprs, out_schema.columns):
-        compiled = compile_expr(e, child.schema)
-        arr = np.asarray(compiled.fn(child))
-        cols[name] = arr
+        cols[name] = compile_expr(e, child.schema).fn(child)
     return RowBatch(out_schema, cols)
 
 
@@ -222,13 +221,12 @@ def hash_join(
         if right.length == 0:
             return RowBatch.empty(out_schema)
         cols = dict(left.columns)
-        for c in rschema:
-            cols[c.name] = np.repeat(right.col(c.name), left.length)
+        cols.update(right.take(np.zeros(left.length, dtype=np.int64)).columns)
         return RowBatch(out_schema, cols)
 
     if pairs:
-        lkeys = [np.asarray(compile_expr(le, left.schema).fn(left)) for le, _ in pairs]
-        rkeys = [np.asarray(compile_expr(re, right.schema).fn(right)) for _, re in pairs]
+        lkeys = [compile_expr(le, left.schema).fn(left) for le, _ in pairs]
+        rkeys = [compile_expr(re, right.schema).fn(right) for _, re in pairs]
         lcode, rcode = factorize_pair(lkeys, rkeys)
         li, ri = join_match_indices(lcode, rcode)
     else:
@@ -277,14 +275,11 @@ def hash_join(
         cols = {c.name: lt.col(c.name) for c in lschema}
         n_match = len(li)
         n_un = len(unmatched_idx)
-        rt = right.take(ri)
-        for c in rschema:
-            fill = _fill_value(c.dtype)
-            pad = np.full(n_un, fill, dtype=c.dtype.numpy_dtype)
-            if c.dtype == DataType.STRING:
-                pad = np.empty(n_un, dtype=object)
-                pad[:] = ""
-            cols[c.name] = np.concatenate([rt.col(c.name), pad]) if n_match + n_un else np.empty(0, dtype=c.dtype.numpy_dtype)
+        pad = RowBatch(rschema, {
+            c.name: np.full(n_un, _fill_value(c.dtype), dtype=c.dtype.numpy_dtype)
+            for c in rschema
+        })
+        cols.update(RowBatch.concat(rschema, [right.take(ri), pad]).columns)
         mcol = match_col or out_schema.columns[-1].name
         cols[mcol] = np.concatenate(
             [np.ones(n_match, dtype=bool), np.zeros(n_un, dtype=bool)]
@@ -351,6 +346,19 @@ def aggregate_batch(child: RowBatch, group_keys, aggs, out_schema: Schema) -> Ro
 
 
 def _global_agg(spec, values, valid, n_rows: int):
+    if isinstance(values, DictColumn):
+        # equality and order live in the value ranks: aggregate those and
+        # answer MIN/MAX with the string. A NULL entry (e.g. a MIN partial
+        # from an empty site) ranks -1 and never qualifies
+        ranks = values.ranks()
+        if spec.func != "COUNT":
+            if valid is not None:
+                ranks = ranks[valid]
+            best = _global_agg(spec, ranks[ranks >= 0], None, n_rows)
+            if spec.func in ("MIN", "MAX") and best is not None:
+                return values.dictionary.canon().values[best]
+            return best
+        values = ranks
     if spec.func == "COUNT":
         if valid is not None:
             return int(valid.sum())
@@ -359,10 +367,7 @@ def _global_agg(spec, values, valid, n_rows: int):
         return len(values) if values is not None else n_rows
     if valid is not None and values is not None:
         values = values[valid]
-    if values is not None and values.dtype == object:
-        # None marks NULL (e.g. a MIN partial from an empty site)
-        values = values[[x is not None for x in values.tolist()]]
-    elif values is not None and np.issubdtype(values.dtype, np.floating):
+    if values is not None and np.issubdtype(values.dtype, np.floating):
         # NaN marks NULL engine-wide; NULLs never qualify
         values = values[~np.isnan(values)]
     if values is None or len(values) == 0:
@@ -376,21 +381,19 @@ def _global_agg(spec, values, valid, n_rows: int):
     if spec.func == "AVG":
         return float(values.mean())
     if spec.func == "MIN":
-        return values.min() if values.dtype != object else min(values)
+        return values.min()
     if spec.func == "MAX":
-        return values.max() if values.dtype != object else max(values)
+        return values.max()
     raise ExecutionError(f"unknown aggregate {spec.func}")
 
 
 def _cast_agg(arr: np.ndarray, dt: DataType) -> np.ndarray:
     if dt == DataType.STRING:
-        if arr.dtype == object:
+        if isinstance(arr, DictColumn):
             return arr
-        out = np.empty(len(arr), dtype=object)
-        out[:] = [str(x) for x in arr]
-        return out
+        return DictColumn.wrap([x if x is None else str(x) for x in arr.tolist()])
     arr = np.asarray(arr)
-    if arr.dtype == object:
+    if arr.dtype.kind == "O":
         # scalar path: None marks NULL; numeric targets encode it as NaN
         vals = [np.nan if x is None else x for x in arr.tolist()]
         has_null = any(x is None for x in arr.tolist())

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..common.batch import RowBatch
+from ..common.batch import DictColumn, RowBatch
 from ..common.dtypes import width_of
 from ..sql.ast import (
     Between,
@@ -54,8 +54,8 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values: np.ndarray, n_buckets: int = 16) -> "Histogram | None":
-        if len(values) == 0 or values.dtype == object:
-            return None
+        if len(values) == 0 or values.dtype.kind not in "biuf":
+            return None  # only numbers have quantiles
         qs = np.linspace(0.0, 1.0, n_buckets + 1)
         bounds = tuple(float(v) for v in np.quantile(values.astype(np.float64), qs))
         return cls(bounds)
@@ -131,11 +131,14 @@ class TableStats:
             if not len(arr):
                 cols[c.name] = ColumnStats(1.0)
                 continue
-            if arr.dtype == object:
-                uniq = len(set(arr.tolist()))
-                vals = sorted(set(arr.tolist()))
-                width = float(np.mean([len(s) for s in arr])) if len(arr) else 8.0
-                cols[c.name] = ColumnStats(uniq, vals[0], vals[-1], width)
+            if isinstance(arr, DictColumn):
+                # hash the entries the rows reference — no sort of strings
+                entries = arr.dictionary.values[np.unique(arr.codes)]
+                distinct = set(entries.tolist())
+                width = float(
+                    arr.map_entries(lambda v: np.fromiter(map(len, v), np.int64, len(v))).mean()
+                )
+                cols[c.name] = ColumnStats(len(distinct), min(distinct), max(distinct), width)
             else:
                 uniq = len(np.unique(arr))
                 cols[c.name] = ColumnStats(

@@ -1,9 +1,12 @@
 """Expression compiler: AST -> vectorized NumPy evaluators.
 
 ``compile_expr`` lowers a scalar/boolean expression into a closure
-``fn(batch) -> np.ndarray`` evaluated column-at-a-time, so the per-row
+``fn(batch) -> column`` evaluated column-at-a-time, so the per-row
 interpreter overhead of classic Volcano engines is amortized across the
 batch (the reproduction's stand-in for HRDBMS's compiled Java operators).
+A STRING expression yields a :class:`~repro.common.batch.DictColumn`:
+comparisons, ``IN``, ``LIKE`` and ``substring`` run once per dictionary
+entry and gather through the codes.
 
 ``to_scan_predicate`` additionally extracts a sound canonical
 :class:`~repro.storage.predicate_cache.ScanPredicate` from a predicate
@@ -15,13 +18,14 @@ for soundness of the cache).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..common.batch import RowBatch
+from ..common.batch import DictColumn, RowBatch, StringDictionary
 from ..common.dates import add_months, add_years, days_to_month, days_to_year
 from ..common.dtypes import DataType, common_type
 from ..common.errors import BindError, PlanError
@@ -102,13 +106,15 @@ def _broadcast(value, dtype: DataType):
     return fn
 
 
+#: the operators, not the ufuncs: a string operand is a DictColumn, which
+#: answers them per dictionary entry
 _CMP = {
-    "=": np.equal,
-    "<>": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 _ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "%": np.mod}
 
@@ -121,10 +127,10 @@ def _compile(expr: Expr, schema: Schema) -> Compiled:
         val = expr.value
         if dt == DataType.STRING:
 
-            def str_fn(batch: RowBatch, v=val) -> np.ndarray:
-                out = np.empty(batch.length, dtype=object)
-                out[:] = v
-                return out
+            entry = StringDictionary([val])
+
+            def str_fn(batch: RowBatch) -> DictColumn:
+                return DictColumn(np.zeros(batch.length, dtype=np.uint32), entry)
 
             return Compiled(str_fn, dt)
         return Compiled(_broadcast(val, dt), dt)
@@ -188,19 +194,24 @@ def _compile(expr: Expr, schema: Schema) -> Compiled:
             default_fn = default.fn
             dt = common_type(dt, default.dtype) if dt.is_numeric and default.dtype.is_numeric else dt
 
-        def case_fn(batch: RowBatch) -> np.ndarray:
-            out = np.asarray(default_fn(batch))
-            if out.dtype != object:
-                out = out.astype(dt.numpy_dtype, copy=True)
+        def case_fn(batch: RowBatch):
+            strings = dt == DataType.STRING
+            if strings:
+                # choose among the codes of one shared dictionary
+                branches = DictColumn.unify(
+                    [default_fn(batch)] + [res.fn(batch) for res in results]
+                )
+                out = branches[0].codes.copy()
             else:
-                out = out.copy()
+                out = np.asarray(default_fn(batch)).astype(dt.numpy_dtype, copy=True)
             decided = np.zeros(batch.length, dtype=bool)
-            for cond, res in zip(conds, results):
+            for i, cond in enumerate(conds):
                 mask = np.asarray(cond.fn(batch), dtype=bool) & ~decided
                 if mask.any():
-                    out[mask] = np.asarray(res.fn(batch))[mask]
+                    pick = branches[i + 1].codes if strings else np.asarray(results[i].fn(batch))
+                    out[mask] = pick[mask]
                 decided |= mask
-            return out
+            return DictColumn(out, branches[0].dictionary) if strings else out
 
         return Compiled(case_fn, dt)
 
@@ -212,11 +223,13 @@ def _compile(expr: Expr, schema: Schema) -> Compiled:
                 raise PlanError("IN list items must be literals")
             values.append(item.value)
 
+        def in_strings(entries: np.ndarray, vs=frozenset(values)) -> np.ndarray:
+            return np.fromiter((x in vs for x in entries), count=len(entries), dtype=bool)
+
         def in_fn(batch: RowBatch, f=inner.fn, vals=tuple(values), neg=expr.negated):
             arr = f(batch)
-            if arr.dtype == object:
-                vs = set(vals)
-                mask = np.fromiter((x in vs for x in arr), count=len(arr), dtype=bool)
+            if isinstance(arr, DictColumn):
+                mask = arr.map_entries(in_strings)
             else:
                 mask = np.isin(arr, np.asarray(vals))
             return ~mask if neg else mask
@@ -227,11 +240,13 @@ def _compile(expr: Expr, schema: Schema) -> Compiled:
         inner = _compile(expr.expr, schema)
         rx = re.compile(_like_to_regex(expr.pattern))
 
-        def like_fn(batch: RowBatch, f=inner.fn, r=rx, neg=expr.negated):
-            arr = f(batch)
-            mask = np.fromiter(
-                (r.match(s) is not None for s in arr), count=len(arr), dtype=bool
+        def matches(entries: np.ndarray, r=rx) -> np.ndarray:
+            return np.fromiter(
+                (r.match(s) is not None for s in entries), count=len(entries), dtype=bool
             )
+
+        def like_fn(batch: RowBatch, f=inner.fn, neg=expr.negated):
+            mask = f(batch).map_entries(matches)
             return ~mask if neg else mask
 
         return Compiled(like_fn, DataType.BOOL)
@@ -315,20 +330,24 @@ def _compile_func(expr: FuncCall, schema: Schema) -> Compiled:
             arr = f(batch)
             starts = sf(batch)
             lens = lf(batch) if lf else None
-            out = np.empty(len(arr), dtype=object)
+            if len(starts) and (starts == starts[0]).all() and (
+                lens is None or (lens == lens[0]).all()
+            ):
+                # one (start, length) for every row: slice each entry once
+                a = int(starts[0]) - 1
+                b = None if lens is None else a + int(lens[0])
+                return arr.map_values(lambda entries: [s[a:b] for s in entries])
+            out = []
             for i, s in enumerate(arr):
                 a = int(starts[i]) - 1
-                out[i] = s[a : a + int(lens[i])] if lens is not None else s[a:]
-            return out
+                out.append(s[a : a + int(lens[i])] if lens is not None else s[a:])
+            return DictColumn.wrap(out)
 
         return Compiled(substr_fn, DataType.STRING)
     if name == "CONCAT":
         def concat_fn(batch, l=args[0].fn, r=args[1].fn):
             la, ra = l(batch), r(batch)
-            out = np.empty(len(la), dtype=object)
-            for i in range(len(la)):
-                out[i] = str(la[i]) + str(ra[i])
-            return out
+            return DictColumn.wrap([str(la[i]) + str(ra[i]) for i in range(len(la))])
 
         return Compiled(concat_fn, DataType.STRING)
     if name == "ABS":

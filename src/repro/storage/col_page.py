@@ -14,13 +14,19 @@ fixed-width integer codes — so decode is a frombuffer and a gather
 instead of a Huffman stream over every row. Page-slot compression
 happens one layer down in :class:`~repro.storage.page.PagedFile`.
 
+A string page decodes to the engine's one string representation, a
+:class:`~repro.common.batch.DictColumn`: a dictionary page hands over its
+codes and its dictionary as they are, a plain Huffman page its decoded
+values as the dictionary with ascending codes. Nothing here builds an
+array of row strings.
+
 Decoded-page reuse is content-keyed (pages are immutable, so a payload's
 bytes fully determine its decoded form) and bounded by a byte-capped LRU
 — long sessions over many tables stay within ``set_decoded_cache_limit``
-instead of growing without bound. The near-data scan layer additionally
-reads a dictionary page's *parts* (decoded dictionary + raw code vector)
-so predicates can run in code space without ever materializing the
-string column.
+instead of growing without bound. Dictionaries are cached by their blob,
+so pages that repeat one (every ``l_returnflag`` page) share a single
+:class:`~repro.common.batch.StringDictionary` and whatever has been
+memoised on it.
 """
 
 from __future__ import annotations
@@ -31,17 +37,10 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..common.batch import DictColumn, StringDictionary
 from ..common.dtypes import DataType
 from ..common.errors import PageFormatError
 from .compression import huffman_decode_strings, huffman_encode_strings
-
-#: dictionary-encode low-cardinality string pages (module-level so the
-#: benchmark's "before" leg can load data with the pre-PR page format)
-DICT_PAGES = True
-
-#: reuse Huffman-decoded string blobs across scans (module-level so the
-#: benchmark's "before" leg re-pays the pre-PR per-scan decode)
-CACHE_DECODED = True
 
 #: dict pages are self-describing via this prefix; plain Huffman pages
 #: start with a u32 row count whose high byte is always zero for any
@@ -49,10 +48,6 @@ CACHE_DECODED = True
 _DICT_MAGIC = b"DPG1"
 
 _DICT_MIN_ROWS = 64
-
-#: decodes that actually ran (cache misses + uncached paths) — the
-#: near-data benchmark reads this to show redundant-decode reduction
-DECODE_CALLS = 0
 
 
 class _ByteLRU:
@@ -116,9 +111,9 @@ class _ByteLRU:
 #: default byte budgets; Database applies ClusterConfig.decoded_cache_mb
 _DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
-#: decoded full column arrays (numeric copies + string object arrays)
+#: decoded full columns (numeric copies + string DictColumns)
 _COLUMN_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES)
-#: Huffman-decoded string tuples (page dictionaries + plain string pages)
+#: Huffman-decoded dictionaries of dictionary pages, shared across pages
 _STRING_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES // 4)
 
 
@@ -143,11 +138,6 @@ def clear_decoded_caches() -> None:
     _STRING_CACHE.clear()
 
 
-def _strings_nbytes(values: tuple) -> int:
-    # object-array estimate: pointer + header + UTF-8 body per string
-    return sum(len(s) + 56 for s in values)
-
-
 def _dict_encode_strings(arr: np.ndarray) -> bytes | None:
     n = len(arr)
     if n < _DICT_MIN_ROWS:
@@ -165,106 +155,93 @@ def _dict_encode_strings(arr: np.ndarray) -> bytes | None:
     return header + dict_blob + codes.astype(f"<u{width}").tobytes()
 
 
-def _decode_strings_cached(blob: bytes) -> tuple[str, ...]:
-    """Huffman-decode a string blob once per distinct content.
+def _decode_dictionary(blob: bytes) -> StringDictionary:
+    """Huffman-decode a dictionary page's dictionary once per distinct
+    content, so every page that repeats it shares one object.
 
     Storage pages are immutable, and the key here is the blob *content*
     (not a page number), so staleness is impossible: a rewritten page is
-    a different blob. Scans re-pay only the cheap gather/copy, not the
-    Huffman stream — which otherwise dominates repeat scans of wide
-    string tables. The tuple is immutable; callers materialize fresh
-    arrays from it.
+    a different blob.
     """
     hit = _STRING_CACHE.lookup(blob)
     if hit is not None:
         return hit
-    global DECODE_CALLS
-    DECODE_CALLS += 1
-    values = tuple(huffman_decode_strings(blob))
-    _STRING_CACHE.insert(blob, values, _strings_nbytes(values))
-    return values
+    dictionary = StringDictionary(huffman_decode_strings(blob))
+    _STRING_CACHE.insert(blob, dictionary, _dictionary_nbytes(dictionary))
+    return dictionary
+
+
+def _dictionary_nbytes(dictionary: StringDictionary) -> int:
+    # pointer + str header + UTF-8 body per entry
+    return dictionary.body_bytes + 56 * len(dictionary)
 
 
 def is_dict_page(payload: bytes) -> bool:
     return payload[:4] == _DICT_MAGIC
 
 
-def dict_page_parts(payload: bytes, n_rows: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """A dictionary page's decoded dictionary plus its raw code vector.
-
-    This is the near-data entry point: predicates evaluate against the
-    (tiny) dictionary and map through the codes, and output gathers take
-    ``codes[sel]`` — the full string column never materializes.
-    """
-    width, n, dict_len = struct.unpack_from("<BII", payload, 4)
-    if n != n_rows:
-        raise PageFormatError(f"string page holds {n} values, expected {n_rows}")
-    off = 4 + struct.calcsize("<BII")
-    blob = payload[off : off + dict_len]
-    uniq = _decode_strings_cached(blob) if CACHE_DECODED else huffman_decode_strings(blob)
-    codes = np.frombuffer(payload, dtype=f"<u{width}", offset=off + dict_len)
-    if len(codes) != n_rows:
-        raise PageFormatError("dictionary page code vector length mismatch")
-    return tuple(uniq), codes
-
-
-def _dict_decode_strings(payload: bytes, n_rows: int) -> np.ndarray:
-    uniq, codes = dict_page_parts(payload, n_rows)
-    uniq_arr = np.empty(len(uniq), dtype=object)
-    uniq_arr[:] = uniq
-    return uniq_arr[codes]
+def _decode_string_page(payload: bytes, n_rows: int) -> DictColumn:
+    if is_dict_page(payload):
+        width, n, dict_len = struct.unpack_from("<BII", payload, 4)
+        off = 4 + struct.calcsize("<BII")
+        dictionary = _decode_dictionary(payload[off : off + dict_len])
+        codes = np.frombuffer(payload, dtype=f"<u{width}", offset=off + dict_len)
+        if n != n_rows or len(codes) != n_rows:
+            raise PageFormatError(f"string page holds {n} values, expected {n_rows}")
+        if n_rows and int(codes.max()) >= len(dictionary):
+            raise PageFormatError("dictionary page code out of range")
+        return DictColumn(codes.astype(np.uint32), dictionary)
+    # a plain page's values are nobody else's dictionary: the column
+    # cache entry is their only home
+    col = DictColumn.wrap(huffman_decode_strings(payload))
+    if len(col) != n_rows:
+        raise PageFormatError(f"string page holds {len(col)} values, expected {n_rows}")
+    return col
 
 
-def encode_column(arr: np.ndarray, dtype: DataType) -> bytes:
+def encode_column(arr, dtype: DataType) -> bytes:
     if dtype == DataType.STRING:
-        if DICT_PAGES:
-            blob = _dict_encode_strings(arr)
-            if blob is not None:
-                return blob
-        return huffman_encode_strings(list(arr))
+        values = np.asarray(arr, dtype=object)
+        return _dict_encode_strings(values) or huffman_encode_strings(list(values))
     return np.ascontiguousarray(arr, dtype=dtype.numpy_dtype).tobytes()
 
 
-def _decode_column_impl(payload: bytes, dtype: DataType, n_rows: int) -> np.ndarray:
-    global DECODE_CALLS
-    DECODE_CALLS += 1
-    if dtype == DataType.STRING:
-        if payload[:4] == _DICT_MAGIC:
-            return _dict_decode_strings(payload, n_rows)
-        values = (
-            _decode_strings_cached(payload) if CACHE_DECODED
-            else huffman_decode_strings(payload)
-        )
-        if len(values) != n_rows:
-            raise PageFormatError(
-                f"string page holds {len(values)} values, expected {n_rows}"
-            )
-        out = np.empty(n_rows, dtype=object)
-        out[:] = values
-        return out
-    arr = np.frombuffer(payload, dtype=dtype.numpy_dtype)
-    if len(arr) != n_rows:
-        raise PageFormatError(f"column page holds {len(arr)} values, expected {n_rows}")
-    return arr.copy()
-
-
-def decode_column(payload: bytes, dtype: DataType, n_rows: int) -> np.ndarray:
-    """Decode one column page. Pages are immutable and the cache key is
-    the payload *content*, so rewritten pages can never serve stale
-    values — they are a different payload."""
-    if not CACHE_DECODED:
-        return _decode_column_impl(payload, dtype, n_rows)
+def decode_column(payload: bytes, dtype: DataType, n_rows: int):
+    """Decode one column page: an ndarray, or a DictColumn for STRING.
+    Pages are immutable and the cache key is the payload *content*, so
+    rewritten pages can never serve stale values — they are a different
+    payload."""
     key = (payload, dtype, n_rows)
-    hit = _COLUMN_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-    arr = _decode_column_impl(payload, dtype, n_rows)
+    col = _COLUMN_CACHE.lookup(key)
+    if col is not None:
+        return _handout(col)
+    if dtype == DataType.STRING:
+        col = _decode_string_page(payload, n_rows)
+        # the entry keeps its dictionary alive whatever the string cache does
+        writable, nbytes = col.codes, col.codes.nbytes + _dictionary_nbytes(col.dictionary)
+    else:
+        col = np.frombuffer(payload, dtype=dtype.numpy_dtype)
+        if len(col) != n_rows:
+            raise PageFormatError(f"column page holds {len(col)} values, expected {n_rows}")
+        col = writable = col.copy()
+        nbytes = col.nbytes
     # shared across scans and queries: read-only so an accidental
     # in-place mutation fails loudly instead of corrupting the cache
-    arr.setflags(write=False)
-    nbytes = arr.nbytes if arr.dtype != object else _strings_nbytes(tuple(arr.tolist()))
-    _COLUMN_CACHE.insert(key, arr, nbytes)
-    return arr
+    writable.setflags(write=False)
+    _COLUMN_CACHE.insert(key, col, nbytes)
+    return _handout(col)
+
+
+def _handout(col):
+    """What a scan gets of a cached column. A string column is a fresh
+    :class:`DictColumn` over the cached codes and dictionary, so the row
+    strings a consumer memoises on it die with that consumer — the cache
+    holds, and is charged for, codes and dictionary only."""
+    if isinstance(col, DictColumn):
+        fresh = DictColumn(col.codes, col.dictionary)
+        fresh._decoded = col._decoded  # a plain page's values: the dictionary itself
+        return fresh
+    return col
 
 
 def column_values_view(payload: bytes, dtype: DataType, n_rows: int) -> np.ndarray:
@@ -273,7 +250,7 @@ def column_values_view(payload: bytes, dtype: DataType, n_rows: int) -> np.ndarr
     Unlike :func:`decode_column` this neither copies nor caches — the
     view borrows the page payload's buffer, which is exactly what a
     predicate evaluated *at* the page wants. STRING pages have no raw
-    view; callers go through :func:`dict_page_parts` or decode.
+    view; callers go through :func:`decode_column`.
     """
     if dtype == DataType.STRING:
         raise PageFormatError("string pages have no fixed-width view")

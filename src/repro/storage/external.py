@@ -142,9 +142,7 @@ def _rows_to_batch(rows: list[list], schema: Schema) -> RowBatch:
                 [v.strip().lower() in ("1", "true", "t", "y") for v in raw], dtype=bool
             )
         else:
-            arr = np.empty(len(raw), dtype=object)
-            arr[:] = raw
-            cols[col.name] = arr
+            cols[col.name] = raw
     return RowBatch(schema, cols)
 
 
@@ -207,7 +205,5 @@ def _objects_to_batch(rows: list[list], schema: Schema) -> RowBatch:
         elif col.dtype == DataType.BOOL:
             cols[col.name] = np.asarray([bool(v) for v in raw], dtype=bool)
         else:
-            arr = np.empty(len(raw), dtype=object)
-            arr[:] = ["" if v is None else str(v) for v in raw]
-            cols[col.name] = arr
+            cols[col.name] = ["" if v is None else str(v) for v in raw]
     return RowBatch(schema, cols)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..common.batch import RowBatch
+from ..common.batch import DictColumn, RowBatch
 from ..common.errors import CatalogError
 
 
@@ -83,8 +83,13 @@ class RangePartition(PartitionScheme):
                 f"range partition has {len(self.bounds)} bounds for {n_nodes} nodes"
             )
         key = batch.schema.resolve(self.column)
+        bounds = np.asarray(self.bounds)
+
+        def node_of(values: np.ndarray) -> np.ndarray:
+            return np.searchsorted(bounds, values, side="right").astype(np.int64)
+
         arr = batch.col(key)
-        return np.searchsorted(np.asarray(self.bounds), arr, side="right").astype(np.int64)
+        return arr.map_entries(node_of) if isinstance(arr, DictColumn) else node_of(arr)
 
 @dataclass(frozen=True)
 class Replicated(PartitionScheme):

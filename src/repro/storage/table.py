@@ -18,12 +18,12 @@ from __future__ import annotations
 import operator
 import pickle
 import threading
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..common.batch import RowBatch
+from ..common.batch import DictColumn, RowBatch
 from ..common.dtypes import DataType
 from ..common.errors import StorageError
 from ..common.schema import Schema
@@ -32,7 +32,6 @@ from .buffer import BufferManager
 from .col_page import (
     column_values_view,
     decode_column,
-    dict_page_parts,
     encode_column,
     estimate_rows_per_set,
     is_dict_page,
@@ -99,10 +98,15 @@ class ScanStats:
         self.rows_out += other.rows_out
 
 
+#: every ScanStats counter as one flat tuple (a scan's before/after snapshot)
+_scan_counters = operator.attrgetter(*(f.name for f in fields(ScanStats)))
+
+
 #: atom comparison semantics must match the compiled predicate exactly:
-#: both sides reduce to the same NumPy elementwise operator over the same
-#: decoded values (object arrays dispatch to the identical Python
-#: comparisons), so an encoded-page mask equals the decode-path mask
+#: both sides reduce to the same elementwise operator over the same
+#: values (a string column answers it per dictionary entry, through the
+#: identical Python comparisons), so an encoded-page mask equals the
+#: decode-path mask
 _ATOM_OPS = {
     Op.LT: operator.lt,
     Op.LE: operator.le,
@@ -111,10 +115,6 @@ _ATOM_OPS = {
     Op.EQ: operator.eq,
     Op.NE: operator.ne,
 }
-
-
-def _apply_atom(values: np.ndarray, atom: Atom) -> np.ndarray:
-    return _ATOM_OPS[atom.op](values, atom.value)
 
 
 def _atom_mask(
@@ -127,43 +127,26 @@ def _atom_mask(
     rather than via a full decode.
     """
     if dtype == DataType.STRING:
-        if is_dict_page(payload):
-            # evaluate against the (tiny) dictionary, map through codes:
-            # the string column itself never materializes. A value absent
-            # from the dictionary (dictionary miss) simply yields an
-            # all-false dictionary mask for EQ — the whole set drops.
-            uniq, codes = dict_page_parts(payload, n_rows)
-            dmask = np.ones(len(uniq), dtype=bool)
-            for a in atoms:
-                dmask &= np.fromiter(
-                    (bool(_ATOM_OPS[a.op](u, a.value)) for u in uniq),
-                    dtype=bool,
-                    count=len(uniq),
-                )
-            return dmask[codes], True
-        # plain Huffman page: no encoded representation to test — decode
-        # (content-cached) and evaluate; counted as read, not pushed
+        # atoms run against the page's dictionary and map through its
+        # codes. A value absent from a dictionary page's (tiny) dictionary
+        # simply yields an all-false mask for EQ — the whole set drops. A
+        # plain Huffman page has one entry per row, so nothing was saved:
+        # counted as read, not pushed
         values = decode_column(payload, dtype, n_rows)
-        mask = np.ones(n_rows, dtype=bool)
-        for a in atoms:
-            mask &= _apply_atom(values, a)
-        return mask, False
-    values = column_values_view(payload, dtype, n_rows)
+        encoded = is_dict_page(payload)
+    else:
+        values = column_values_view(payload, dtype, n_rows)
+        encoded = True
     mask: np.ndarray | None = None
     for a in atoms:
-        m = _apply_atom(values, a)
+        m = _ATOM_OPS[a.op](values, a.value)
         mask = m if mask is None else mask & m
-    return mask, True
+    return mask, encoded
 
 
-def _gather_column(payload: bytes, dtype: DataType, n_rows: int, sel: np.ndarray) -> np.ndarray:
+def _gather_column(payload: bytes, dtype: DataType, n_rows: int, sel: np.ndarray):
     """Materialize only the selected rows of one encoded column page."""
     if dtype == DataType.STRING:
-        if is_dict_page(payload):
-            uniq, codes = dict_page_parts(payload, n_rows)
-            uniq_arr = np.empty(len(uniq), dtype=object)
-            uniq_arr[:] = uniq
-            return uniq_arr[codes[sel]]
         return decode_column(payload, dtype, n_rows)[sel]
     return column_values_view(payload, dtype, n_rows)[sel]
 
@@ -382,9 +365,8 @@ class _Fragment:
             payload = self.bufmgr.get(self.path, s.first_page, pin=False)
             page = RowPage.from_payload(payload, self.file.max_payload)
             values = page.to_batch(self.schema).col(col)
-        import numpy as np
-
-        for v in (set(values.tolist()) if values.dtype == object else np.unique(values)):
+        distinct = set(values.tolist()) if isinstance(values, DictColumn) else np.unique(values)
+        for v in distinct:
             self.indexes[col].insert(v if isinstance(v, str) else v.item() if hasattr(v, "item") else v, set_id)
 
     def _index_candidates(self, scan_pred: ScanPredicate) -> set[int] | None:
@@ -425,13 +407,13 @@ class _Fragment:
         shared: bool = False,
     ) -> Iterator[RowBatch]:
         stats = stats if stats is not None else ScanStats()
-        before = astuple(stats)
+        before = _scan_counters(stats)
         try:
             yield from self._scan_impl(
                 columns, predicate, scan_pred, skipping, stats, neardata, shared
             )
         finally:
-            delta = ScanStats(*(b - a for a, b in zip(before, astuple(stats))))
+            delta = ScanStats(*(b - a for a, b in zip(before, _scan_counters(stats))))
             with self._cum_lock:
                 self.cum_stats.merge(delta)
 
@@ -720,7 +702,7 @@ class _Fragment:
         """Rewrite the fragment sorted on the clustering key; clears caches."""
         data = self.all_rows()
         if clustering:
-            keys = [data.col(data.schema.resolve(c)) for c in reversed(list(clustering))]
+            keys = [_order_key(data.col(data.schema.resolve(c))) for c in reversed(list(clustering))]
             order = np.lexsort(keys)
             data = data.take(order)
         self.bufmgr.invalidate(self.path)
@@ -781,7 +763,8 @@ class TableStorage:
         """Bulk-load rows, sorting for clustering and spreading over disks."""
         if self.clustering:
             keys = [
-                batch.col(batch.schema.resolve(c)) for c in reversed(self.clustering)
+                _order_key(batch.col(batch.schema.resolve(c)))
+                for c in reversed(self.clustering)
             ]
             batch = batch.take(np.lexsort(keys))
         if disk_assignment is None or len(self.fragments) == 1:
@@ -879,15 +862,20 @@ class TableStorage:
         return out
 
 
+def _order_key(col) -> np.ndarray:
+    """What ``np.lexsort`` orders a column by: a string column's value ranks."""
+    return col.ranks() if isinstance(col, DictColumn) else col
+
+
 def _column_minmax(batch: RowBatch) -> dict[str, tuple]:
     out: dict[str, tuple] = {}
     for col in batch.schema:
         arr = batch.col(col.name)
         if not len(arr):
             continue
-        if arr.dtype == object:
-            vals = sorted(arr.tolist())
-            out[col.name] = (vals[0], vals[-1])
+        if isinstance(arr, DictColumn):
+            vals = arr.tolist()
+            out[col.name] = (min(vals), max(vals))
         else:
             out[col.name] = (arr.min().item(), arr.max().item())
     return out

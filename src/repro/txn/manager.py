@@ -236,7 +236,7 @@ class TransactionSystem:
         def updater(old: RowBatch) -> RowBatch:
             cols = dict(old.columns)
             for col, compiled in assign_fns:
-                cols[entry.schema.resolve(col)] = np.asarray(compiled.fn(old))
+                cols[entry.schema.resolve(col)] = compiled.fn(old)
             return RowBatch(old.schema, cols)
 
         total = 0

@@ -3,10 +3,10 @@
 The storage engine reads and writes through a tiny filesystem interface
 so tests and the simulated cluster can run entirely in memory
 (:class:`MemFS`) while the same code paths work against real disks
-(:class:`LocalFS`). :class:`MemFS` also models *sparse files* — the paper
-stores columnar page sets in Linux sparse files so that unused page tails
-occupy no disk space; we track allocated extents to reproduce the
-space-accounting behaviour.
+(:class:`LocalFS`). :class:`MemFS` files are *sparse* — the paper stores
+columnar page sets in Linux sparse files so that unused page tails occupy
+no disk space; here only the 4 KiB blocks a write touched are held, which
+is both the space accounting and the memory the file costs.
 """
 
 from __future__ import annotations
@@ -61,6 +61,21 @@ class FileSystem:
         raise NotImplementedError
 
 
+class _SparseData:
+    """One in-memory file: the 4 KiB blocks a write has touched, and the
+    logical size. A block that was never written reads as zeros and
+    costs nothing, like a hole in a sparse file."""
+
+    __slots__ = ("blocks", "size")
+
+    def __init__(self):
+        self.blocks: dict[int, bytearray] = {}
+        self.size = 0
+
+
+_ZERO_BLOCK = bytes(_SPARSE_BLOCK)
+
+
 class _MemFile(FileHandle):
     __slots__ = ("_fs", "_path")
 
@@ -69,43 +84,56 @@ class _MemFile(FileHandle):
         self._path = path
 
     def pread(self, offset: int, size: int) -> bytes:
+        if size <= 0:
+            return b""
+        first = offset // _SPARSE_BLOCK
+        last = (offset + size - 1) // _SPARSE_BLOCK
         with self._fs._lock:
-            data, _ = self._fs._files[self._path]
-            chunk = data[offset : offset + size]
-        if len(chunk) < size:
-            chunk = chunk + b"\x00" * (size - len(chunk))
-        return bytes(chunk)
+            blocks = self._fs._files[self._path].blocks
+            data = b"".join([blocks.get(b, _ZERO_BLOCK) for b in range(first, last + 1)])
+        start = offset - first * _SPARSE_BLOCK
+        return data if start == 0 and len(data) == size else data[start : start + size]
 
     def pwrite(self, offset: int, data: bytes) -> None:
+        end = offset + len(data)
+        data = memoryview(data)
         with self._fs._lock:
-            buf, extents = self._fs._files[self._path]
-            end = offset + len(data)
-            if end > len(buf):
-                buf.extend(b"\x00" * (end - len(buf)))
-            buf[offset:end] = data
-            # record touched 4K blocks for sparse accounting
-            for blk in range(offset // _SPARSE_BLOCK, (max(end - 1, offset)) // _SPARSE_BLOCK + 1):
-                extents.add(blk)
+            f = self._fs._files[self._path]
+            f.size = max(f.size, end)
+            # every 4K block the range covers is touched (an empty write
+            # touches the block it points at); a partly covered block is
+            # read-modify-write
+            for blk in range(offset // _SPARSE_BLOCK, max(end - 1, offset) // _SPARSE_BLOCK + 1):
+                base = blk * _SPARSE_BLOCK
+                lo, hi = max(offset, base), min(end, base + _SPARSE_BLOCK)
+                block = f.blocks.get(blk)
+                if block is None:
+                    block = f.blocks[blk] = bytearray(_SPARSE_BLOCK)
+                block[lo - base : hi - base] = data[lo - offset : hi - offset]
 
     def size(self) -> int:
         with self._fs._lock:
-            return len(self._fs._files[self._path][0])
+            return self._fs._files[self._path].size
 
     def truncate(self, size: int) -> None:
         with self._fs._lock:
-            buf, extents = self._fs._files[self._path]
-            if size < len(buf):
-                del buf[size:]
-                extents -= {b for b in extents if b * _SPARSE_BLOCK >= size}
-            else:
-                buf.extend(b"\x00" * (size - len(buf)))
+            f = self._fs._files[self._path]
+            if size < f.size:
+                for blk in [b for b in f.blocks if b * _SPARSE_BLOCK >= size]:
+                    del f.blocks[blk]
+                tail = f.blocks.get(size // _SPARSE_BLOCK)
+                if tail is not None:  # what is cut off must read back as zeros
+                    keep = size % _SPARSE_BLOCK
+                    tail[keep:] = bytes(_SPARSE_BLOCK - keep)
+            f.size = size
 
 
 class MemFS(FileSystem):
-    """In-memory filesystem with sparse-extent accounting."""
+    """In-memory filesystem of sparse files: only touched 4 KiB blocks are
+    stored, and they are what ``allocated_bytes`` counts."""
 
     def __init__(self):
-        self._files: dict[str, tuple[bytearray, set[int]]] = {}
+        self._files: dict[str, _SparseData] = {}
         self._lock = threading.RLock()
 
     def open(self, path: str, create: bool = True) -> FileHandle:
@@ -113,7 +141,7 @@ class MemFS(FileSystem):
             if path not in self._files:
                 if not create:
                     raise StorageError(f"no such file: {path}")
-                self._files[path] = (bytearray(), set())
+                self._files[path] = _SparseData()
         return _MemFile(self, path)
 
     def exists(self, path: str) -> bool:
@@ -130,14 +158,12 @@ class MemFS(FileSystem):
 
     def allocated_bytes(self, path: str) -> int:
         with self._lock:
-            if path not in self._files:
-                return 0
-            _, extents = self._files[path]
-            return len(extents) * _SPARSE_BLOCK
+            f = self._files.get(path)
+            return len(f.blocks) * _SPARSE_BLOCK if f is not None else 0
 
     def total_allocated(self) -> int:
         with self._lock:
-            return sum(len(e) * _SPARSE_BLOCK for _, e in self._files.values())
+            return sum(len(f.blocks) * _SPARSE_BLOCK for f in self._files.values())
 
 
 class _LocalFile(FileHandle):

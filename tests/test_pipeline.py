@@ -3,8 +3,8 @@
 Every subtree runs as a chain — a source followed by filter / project /
 probe steps. Results must match the reference executor, with the engine
 shape observable only through ExecStats pipeline counters. These tests
-pin that contract, plus the vectorized wire codec's scalar-equivalence
-toggles and the batch coalescer.
+pin that contract, plus the bulk string codecs' equivalence with their
+per-string references and the batch coalescer.
 """
 
 import numpy as np
@@ -197,21 +197,16 @@ class TestCodecToggles:
     ]
 
     @pytest.mark.parametrize("values", CASES)
-    def test_wire_roundtrip_both_paths(self, values, monkeypatch):
+    def test_wire_roundtrip_both_paths(self, values):
+        """The bulk UTF-8 encoder and the per-string fallback it takes for
+        strings it cannot carry write the same frame."""
         b = self._string_batch(values)
-        blobs = {}
-        for vec in (False, True):
-            monkeypatch.setattr(batch_mod, "VECTORIZED_STRINGS", vec)
-            monkeypatch.setattr(batch_mod, "DICT_ENCODE_STRINGS", vec)
-            out = RowBatch.from_bytes(b.to_bytes())
-            assert out.col("s").tolist() == values
-            blobs[vec] = out
-        # scalar decoder must also understand vectorized-encoded bytes
-        monkeypatch.setattr(batch_mod, "VECTORIZED_STRINGS", True)
-        monkeypatch.setattr(batch_mod, "DICT_ENCODE_STRINGS", True)
-        wire = b.to_bytes()
-        monkeypatch.setattr(batch_mod, "VECTORIZED_STRINGS", False)
-        assert RowBatch.from_bytes(wire).col("s").tolist() == values
+        assert RowBatch.from_bytes(b.to_bytes()).col("s").tolist() == values
+        blobs = [s.encode() for s in values]
+        offsets = np.zeros(len(blobs) + 1, dtype=np.uint32)
+        np.cumsum([len(x) for x in blobs], out=offsets[1:])
+        entries = b.col("s").dictionary.values
+        assert batch_mod._encode_strings(entries) == offsets.tobytes() + b"".join(blobs)
 
     @pytest.mark.parametrize("values", CASES)
     def test_huffman_streams_bit_identical(self, values, monkeypatch):
@@ -223,12 +218,14 @@ class TestCodecToggles:
         assert vec == scalar
         assert comp_mod.huffman_decode_strings(vec) == values
 
-    def test_hash_codes_scalar_vs_vectorized(self, monkeypatch):
-        b = self._string_batch([f"k-{i % 13}" for i in range(200)])
-        monkeypatch.setattr(batch_mod, "VECTORIZED_STRINGS", False)
-        scalar = b.hash_codes(["s"]).tolist()
-        monkeypatch.setattr(batch_mod, "VECTORIZED_STRINGS", True)
-        assert b.hash_codes(["s"]).tolist() == scalar
+    def test_hash_codes_scalar_vs_vectorized(self):
+        values = [f"k-{i % 13}" for i in range(200)]
+        b = self._string_batch(values)
+        scalar = [batch_mod._fnv1a(s) for s in values]
+        assert b.col("s").hashes().tolist() == scalar
+        assert b.hash_codes(["s"]).tolist() == batch_mod.hash_value_arrays(
+            [np.array(scalar, dtype=np.uint64).view(np.int64)]
+        ).tolist()
 
 
 class TestDictPages:
@@ -251,12 +248,10 @@ class TestDictPages:
         out = col_page.decode_column(blob, DataType.STRING, len(arr))
         assert out.tolist() == arr.tolist()
 
-    def test_toggle_off_reads_old_format(self, monkeypatch):
+    def test_toggle_off_reads_old_format(self):
         arr = self._col(["x", "y"] * 100)
-        monkeypatch.setattr(col_page, "DICT_PAGES", False)
-        legacy = col_page.encode_column(arr, DataType.STRING)
-        monkeypatch.setattr(col_page, "DICT_PAGES", True)
-        # a reader with dict pages enabled still decodes legacy pages
+        # the page format before dictionary pages: one Huffman stream
+        legacy = comp_mod.huffman_encode_strings(list(arr))
         out = col_page.decode_column(legacy, DataType.STRING, len(arr))
         assert out.tolist() == arr.tolist()
 
