@@ -398,10 +398,6 @@ class Database:
                 for ts in wk.storage.values()
             ),
             "sys.plan_cache": lambda: len(self.plan_cache),
-            "sys.shared_scans": lambda: sum(
-                len(ts.fragments) for wk in self.workers.values()
-                for ts in wk.storage.values()
-            ),
             "sys.events": lambda: (
                 self.recorder.stats()["retained"] if self.recorder is not None else 0
             ),
@@ -545,16 +541,6 @@ class Database:
             "repro_storage_pages_pushed_down_total", "counter",
             "pages whose predicate atoms ran over the encoded representation",
             per_worker(storage_total("pages_pushed_down")),
-        )
-        m.register_collector(
-            "repro_storage_pages_shared_total", "counter",
-            "pages served from a shared-scan leader's published arrays",
-            per_worker(storage_total("pages_shared")),
-        )
-        m.register_collector(
-            "repro_storage_shared_attaches_total", "counter",
-            "scans that attached to another query's in-flight page pass",
-            per_worker(storage_total("shared_attaches")),
         )
         # decoded-page caches are content-keyed and process-wide
         from ..storage.col_page import decoded_cache_stats

@@ -2,7 +2,7 @@
 
 The cluster's whole telemetry surface — query lifecycle, per-operator
 actuals, metrics (live and historical), worker health, fragment scan
-counters, the plan cache, shared scans, and the flight recorder — is
+counters, the plan cache, and the flight recorder — is
 exposed as *relations*. Each ``sys.*`` table is a
 :class:`~repro.cluster.catalog.CatalogEntry` marked virtual
 (non-fragmented, SINGLETON placement), whose provider materializes a
@@ -71,16 +71,11 @@ SYS_SCHEMAS: dict[str, Schema] = {
         ("table_name", STR), ("worker", I64), ("fragment", I64),
         ("rows", I64), ("sets", I64), ("pages_read", I64),
         ("pages_skipped", I64), ("sets_skipped", I64), ("sets_pushed", I64),
-        ("rows_out", I64), ("shared_attaches", I64),
+        ("rows_out", I64),
     ),
     "sys.plan_cache": Schema.of(
         ("sql", STR), ("mode", STR), ("coordinator", I64),
         ("catalog_version", I64), ("stats_version", I64),
-    ),
-    "sys.shared_scans": Schema.of(
-        ("table_name", STR), ("worker", I64), ("fragment", I64),
-        ("attaches", I64), ("active", I64), ("followers", I64),
-        ("published_sets", I64), ("progress", I64), ("done", I64),
     ),
     "sys.events": Schema.of(
         ("shard", I64), ("seq", I64), ("tick", I64), ("ts", F64),
@@ -302,7 +297,7 @@ def build_providers(db) -> dict:
                             (
                                 tname, w, i, frag.row_count, len(frag.sets),
                                 st.pages_read, st.pages_skipped, st.sets_skipped,
-                                st.sets_pushed, st.rows_out, st.shared_attaches,
+                                st.sets_pushed, st.rows_out,
                             )
                         )
         return _batch(SYS_SCHEMAS["sys.fragments"], rows)
@@ -310,27 +305,6 @@ def build_providers(db) -> dict:
     def plan_cache() -> RowBatch:
         rows = sorted(db.plan_cache.entries())
         return _batch(SYS_SCHEMAS["sys.plan_cache"], rows)
-
-    def shared_scans() -> RowBatch:
-        rows = []
-        for w, wk in sorted(db.workers.items()):
-            for tname in sorted(wk.storage):
-                ts = wk.storage[tname]
-                for i, frag in enumerate(ts.fragments):
-                    ss = frag.shared
-                    with ss.lock:
-                        p = ss.current
-                        if p is None:
-                            rows.append((tname, w, i, ss.attaches, 0, 0, 0, -1, 0))
-                        else:
-                            with p.cond:
-                                rows.append(
-                                    (
-                                        tname, w, i, ss.attaches, 1, p.followers,
-                                        len(p.published), p.progress, int(p.done),
-                                    )
-                                )
-        return _batch(SYS_SCHEMAS["sys.shared_scans"], rows)
 
     def events() -> RowBatch:
         evs = db.recorder.events() if db.recorder is not None else []
@@ -348,6 +322,5 @@ def build_providers(db) -> dict:
         "sys.workers": workers,
         "sys.fragments": fragments,
         "sys.plan_cache": plan_cache,
-        "sys.shared_scans": shared_scans,
         "sys.events": events,
     }

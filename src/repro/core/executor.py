@@ -105,13 +105,10 @@ class ExecStats:
     pages_skipped: int = 0
     #: pages whose predicate atoms ran over the encoded representation
     pages_pushed_down: int = 0
-    #: column pages served from a shared-scan leader's published arrays
-    pages_shared: int = 0
-    #: scans that attached to another query's in-flight page pass
-    shared_attaches: int = 0
-    #: always 0 since sideways bloom pushdown was removed; benchmarks/e2e
-    #: (frozen) still reads the field
+    #: always 0 since sideways bloom pushdown and shared scans were
+    #: removed; benchmarks/e2e (frozen) still reads both fields
     sets_skipped_bloom: int = 0
+    pages_shared: int = 0
     shuffle_bytes: int = 0
     network_bytes: int = 0
     network_messages: int = 0
@@ -185,7 +182,7 @@ class ExecStats:
 #: ExecStats counters that sum across attempts and subtract across snapshots
 _ADDITIVE = (
     "rows_scanned", "pages_read", "sets_skipped", "sets_total", "pages_skipped",
-    "pages_pushed_down", "pages_shared", "shared_attaches", "shuffle_bytes",
+    "pages_pushed_down", "shuffle_bytes",
     "network_bytes", "network_messages", "forwarded_bytes", "spilled_bytes",
     "restarts", "retries", "backoff_time", "pipelines", "fused_ops", "morsels",
     "coord_busy_s",
@@ -345,8 +342,6 @@ class DistributedExecutor(ScanSource, Exchange):
             sets_total=st.sets_total,
             pages_skipped=st.pages_skipped,
             pages_pushed_down=st.pages_pushed_down,
-            pages_shared=st.pages_shared,
-            shared_attaches=st.shared_attaches,
             network_bytes=traffic.bytes,
             network_messages=traffic.messages,
             forwarded_bytes=traffic.forwarded_bytes,
@@ -447,7 +442,6 @@ class DistributedExecutor(ScanSource, Exchange):
                 spilled_bytes=d.spilled_bytes,
                 pages_skipped=d.pages_skipped,
                 pages_pushed=d.pages_pushed_down,
-                pages_shared=d.pages_shared,
             )
         if sp is not None:
             tr.end(sp, rows=rows)

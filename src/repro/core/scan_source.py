@@ -191,7 +191,7 @@ class ScanSource:
             def scan(ds, st):
                 return storage.scan(
                     needed, pred_fn, scan_pred,
-                    skipping=True, stats=st, disks=ds, neardata=True, shared=True,
+                    skipping=True, stats=st, disks=ds, neardata=True,
                 )
 
             parts = morsel_disks(len(storage.fragments), storage.row_count)

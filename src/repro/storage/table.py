@@ -39,7 +39,6 @@ from .col_page import (
 from .page import PagedFile
 from .predicate_cache import Atom, Op, PageMinMax, PredicateCache, ScanPredicate
 from .row_page import RowPage, encode_row
-from .shared_scan import FOLLOWER_WAIT_BUDGET_S, SharedScanState
 
 PredicateFn = Callable[[RowBatch], np.ndarray]
 
@@ -55,9 +54,7 @@ class ScanStats:
     but this scan avoided (zone maps, predicate cache, indexes, or
     encoded-page elimination); ``pages_pushed_down`` counts pages whose
     predicate atoms were evaluated in encoded form (raw fixed-width view
-    or dictionary code space) without materializing a RowBatch;
-    ``pages_shared`` counts column pages served from a shared-scan
-    leader's published arrays instead of a redundant read+decode.
+    or dictionary code space) without materializing a RowBatch.
     """
 
     sets_total: int = 0
@@ -70,8 +67,6 @@ class ScanStats:
     pages_read: int = 0
     pages_skipped: int = 0
     pages_pushed_down: int = 0
-    pages_shared: int = 0
-    shared_attaches: int = 0
     rows_out: int = 0
 
     @property
@@ -93,8 +88,6 @@ class ScanStats:
         self.pages_read += other.pages_read
         self.pages_skipped += other.pages_skipped
         self.pages_pushed_down += other.pages_pushed_down
-        self.pages_shared += other.pages_shared
-        self.shared_attaches += other.shared_attaches
         self.rows_out += other.rows_out
 
 
@@ -157,7 +150,6 @@ class _SetMeta:
     n_rows: int
     minmax: dict[str, tuple]
     deleted: np.ndarray | None = None  # bool mask or None when no deletes
-    full: bool = False  # only full sets may be predicate-cached
 
     @property
     def n_live(self) -> int:
@@ -190,10 +182,6 @@ class _Fragment:
         self.next_page = 0
         self.pred_cache = PredicateCache()
         self.minmax = PageMinMax()
-        #: shared-pass coordination point (one per fragment per epoch —
-        #: rebalances build new fragment objects, so epoch-pinned scans
-        #: can never share pages across an epoch boundary)
-        self.shared = SharedScanState()
         #: lifetime scan counters for the metrics registry
         self.cum_stats = ScanStats()
         self._cum_lock = threading.Lock()
@@ -213,7 +201,6 @@ class _Fragment:
                         s.n_rows,
                         s.minmax,
                         None if s.deleted is None else np.packbits(s.deleted).tobytes(),
-                        s.full,
                     )
                     for s in self.sets
                 ],
@@ -238,11 +225,11 @@ class _Fragment:
         if meta.get("pred_cache"):
             self.pred_cache = PredicateCache.from_bytes(meta["pred_cache"])
         self.sets = []
-        for first_page, n_rows, minmax, deleted, full in meta["sets"]:
+        for first_page, n_rows, minmax, deleted in meta["sets"]:
             mask = None
             if deleted is not None:
                 mask = np.unpackbits(np.frombuffer(deleted, dtype=np.uint8))[:n_rows].astype(bool)
-            self.sets.append(_SetMeta(first_page, n_rows, minmax, mask, full))
+            self.sets.append(_SetMeta(first_page, n_rows, minmax, mask))
         for i, s in enumerate(self.sets):
             if s.minmax:
                 self.minmax.record(i, s.minmax)
@@ -255,11 +242,9 @@ class _Fragment:
         else:
             self._append_rows(batch)
         self._save_meta()
-        if self.indexes:
-            col_idx = {c.name: i for i, c in enumerate(self.schema.columns)}
-            for set_id in range(first_new, len(self.sets)):
-                for col in list(self.indexes):
-                    self._index_set(col, set_id, self.sets[set_id], col_idx)
+        for set_id in range(first_new, len(self.sets)):
+            for col in list(self.indexes):
+                self._index_set(col, set_id, self.sets[set_id])
 
     def _append_columnar(self, batch: RowBatch) -> None:
         types = [c.dtype for c in self.schema]
@@ -290,12 +275,7 @@ class _Fragment:
             # page sets are immutable once written (appends always open a
             # new set), so every set is safe to predicate-cache — the
             # paper's "full page" validity condition holds by construction
-            meta = _SetMeta(
-                first_page,
-                take,
-                _column_minmax(chunk),
-                full=True,
-            )
+            meta = _SetMeta(first_page, take, _column_minmax(chunk))
             self.sets.append(meta)
             self.minmax.record(len(self.sets) - 1, meta.minmax)
             off += take
@@ -316,14 +296,12 @@ class _Fragment:
                 rows_in_page = 0
             rows_in_page += 1
         if rows_in_page:
-            self._flush_row_page(
-                page, batch.slice(start_row, start_row + rows_in_page), full=False
-            )
+            self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page))
 
-    def _flush_row_page(self, page: RowPage, chunk: RowBatch, full: bool = True) -> None:
+    def _flush_row_page(self, page: RowPage, chunk: RowBatch) -> None:
         self.bufmgr.put(self.path, self.next_page, page.to_payload())
         # row pages are likewise immutable once flushed
-        meta = _SetMeta(self.next_page, page.n_slots, _column_minmax(chunk), full=True)
+        meta = _SetMeta(self.next_page, page.n_slots, _column_minmax(chunk))
         self.next_page += 1
         self.sets.append(meta)
         self.minmax.record(len(self.sets) - 1, meta.minmax)
@@ -353,18 +331,12 @@ class _Fragment:
         self.bufmgr.invalidate(self._index_path(col))
         tree = BPlusTree(self.fs, self.bufmgr, self._index_path(col), page_size=self.page_size)
         self.indexes[col] = tree
-        col_idx = {c.name: i for i, c in enumerate(self.schema.columns)}
         for set_id, s in enumerate(self.sets):
-            self._index_set(col, set_id, s, col_idx)
+            self._index_set(col, set_id, s)
 
-    def _index_set(self, col: str, set_id: int, s: "_SetMeta", col_idx) -> None:
-        if self.format == COLUMN:
-            payload = self.bufmgr.get(self.path, s.first_page + col_idx[col], pin=False)
-            values = decode_column(payload, self.schema.dtype_of(col), s.n_rows)
-        else:
-            payload = self.bufmgr.get(self.path, s.first_page, pin=False)
-            page = RowPage.from_payload(payload, self.file.max_payload)
-            values = page.to_batch(self.schema).col(col)
+    def _index_set(self, col: str, set_id: int, s: "_SetMeta") -> None:
+        # tombstoned values stay indexed: the index is a superset anyway
+        values = self._read_set(s, self.schema.project([col]), live_only=False).col(col)
         distinct = set(values.tolist()) if isinstance(values, DictColumn) else np.unique(values)
         for v in distinct:
             self.indexes[col].insert(v if isinstance(v, str) else v.item() if hasattr(v, "item") else v, set_id)
@@ -404,14 +376,11 @@ class _Fragment:
         skipping: bool = True,
         stats: ScanStats | None = None,
         neardata: bool = False,
-        shared: bool = False,
     ) -> Iterator[RowBatch]:
         stats = stats if stats is not None else ScanStats()
         before = _scan_counters(stats)
         try:
-            yield from self._scan_impl(
-                columns, predicate, scan_pred, skipping, stats, neardata, shared
-            )
+            yield from self._scan_impl(columns, predicate, scan_pred, skipping, stats, neardata)
         finally:
             delta = ScanStats(*(b - a for a, b in zip(before, _scan_counters(stats))))
             with self._cum_lock:
@@ -425,7 +394,6 @@ class _Fragment:
         skipping: bool,
         stats: ScanStats,
         neardata: bool,
-        shared: bool,
     ) -> Iterator[RowBatch]:
         out_schema = self.schema.project([self.schema.resolve(c) for c in columns])
         names = out_schema.names()
@@ -466,50 +434,6 @@ class _Fragment:
                 atoms_by_col.setdefault(a.column, []).append(a)
             atoms_exact = not scan_pred.opaque
 
-        # cooperative shared pass: first concurrent scan of this fragment
-        # leads; later ones attach and ride its published decoded sets
-        spass = None
-        is_leader = False
-        if shared and self.format == COLUMN and self.sets:
-            spass, is_leader = self.shared.join()
-            if not is_leader:
-                stats.shared_attaches += 1
-        wait_budget = FOLLOWER_WAIT_BUDGET_S
-
-        def read_decoded(set_id: int, s: _SetMeta, shared_cols: dict | None) -> RowBatch:
-            """Classic decode path, sourcing columns from the shared pass
-            when available and publishing them when leading with
-            followers attached. Values are identical either way."""
-            if self.format != COLUMN:
-                payload = self.bufmgr.get(self.path, s.first_page, pin=False)
-                stats.pages_read += 1
-                page = RowPage.from_payload(payload, self.file.max_payload)
-                batch = page.to_batch(self.schema).project(names)
-            else:
-                cols: dict[str, np.ndarray] = {}
-                missing = []
-                for name in names:
-                    if shared_cols is not None and name in shared_cols:
-                        cols[name] = shared_cols[name]
-                        stats.pages_shared += 1
-                    else:
-                        missing.append(name)
-                if missing:
-                    payloads = self.bufmgr.get_many(
-                        self.path, [s.first_page + col_idx[n] for n in missing]
-                    )
-                    for name, payload in zip(missing, payloads):
-                        cols[name] = decode_column(
-                            payload, self.schema.dtype_of(name), s.n_rows
-                        )
-                    stats.pages_read += len(missing)
-                if spass is not None and is_leader and spass.followers > 0:
-                    spass.publish(set_id, dict(cols))
-                batch = RowBatch._trusted(out_schema, cols, s.n_rows)
-            if s.deleted is not None and s.deleted.any():
-                batch = batch.filter(~s.deleted[: batch.length])
-            return batch
-
         def near_data_set(set_id: int, s: _SetMeta) -> RowBatch | None:
             """Evaluate atoms over encoded pages; materialize only
             qualifying rows. Returns None when the set is eliminated."""
@@ -535,7 +459,7 @@ class _Fragment:
                 # the full predicate implies its atoms, so an empty atom
                 # mask over the whole set proves the set empty for the
                 # predicate too — same cache fact the decode path records
-                if s.full and s.deleted is None:
+                if s.deleted is None:
                     self.pred_cache.record_empty(set_id, scan_pred)
                 stats.sets_skipped_encoded += 1
                 stats.pages_skipped += len(names) - len(fetched.keys() & set(names))
@@ -564,15 +488,14 @@ class _Fragment:
                 # candidates with the compiled predicate — bit-identical
                 # to decode-then-filter because expr ⇒ atoms
                 m2 = predicate(batch)
-                if not m2.any() and s.full and s.deleted is None:
+                if not m2.any() and s.deleted is None:
                     self.pred_cache.record_empty(set_id, scan_pred)
                 batch = batch.filter(m2)
             return batch
 
         def do_set(set_id: int, s: _SetMeta) -> RowBatch | None:
-            nonlocal wait_budget
             stats.sets_total += 1
-            if skipping and scan_pred is not None and s.full:
+            if skipping and scan_pred is not None:
                 if index_candidates is not None and set_id not in index_candidates:
                     stats.sets_skipped_index += 1
                     stats.pages_skipped += pages_per_set
@@ -585,118 +508,81 @@ class _Fragment:
                     stats.sets_skipped_minmax += 1
                     stats.pages_skipped += pages_per_set
                     return None
-            shared_cols = None
-            if spass is not None and not is_leader:
-                shared_cols, waited = spass.fetch(set_id, wait_budget)
-                wait_budget = max(0.0, wait_budget - waited)
-            if atoms_by_col is not None and shared_cols is None:
-                # leaders with followers attached stay on the decode path
-                # so the pass publishes full columns for everyone
-                if spass is None or not is_leader or spass.followers <= 0:
-                    return near_data_set(set_id, s)
-            batch = read_decoded(set_id, s, shared_cols)
+            if atoms_by_col is not None:
+                return near_data_set(set_id, s)
+            batch = self._read_set(s, out_schema, stats=stats)
             stats.sets_read += 1
             if predicate is not None:
                 mask = predicate(batch)
-                if skipping and scan_pred is not None and s.full and not mask.any():
+                if skipping and scan_pred is not None and not mask.any():
                     if s.deleted is None:  # deletes could hide future matches
                         self.pred_cache.record_empty(set_id, scan_pred)
                 batch = batch.filter(mask)
             return batch
 
-        try:
-            for set_id, s in enumerate(self.sets):
-                try:
-                    batch = do_set(set_id, s)
-                finally:
-                    if spass is not None and is_leader:
-                        spass.advance(set_id)
-                if batch is not None and batch.length:
-                    stats.rows_out += batch.length
-                    yield batch
-        finally:
-            if spass is not None:
-                self.shared.leave(spass, is_leader)
+        for set_id, s in enumerate(self.sets):
+            batch = do_set(set_id, s)
+            if batch is not None and batch.length:
+                stats.rows_out += batch.length
+                yield batch
 
     def _read_set(
         self,
         s: _SetMeta,
-        names: list[str],
-        col_idx: dict[str, int],
-        out_schema: Schema,
-        stats: ScanStats,
+        schema: Schema,
+        *,
+        live_only: bool = True,
+        stats: ScanStats | None = None,
     ) -> RowBatch:
+        """Decode one page set's ``schema`` columns (a projection of the
+        table's schema). ``live_only=False`` keeps tombstoned rows, so row
+        positions line up with ``s.deleted`` (DML); ``stats`` is charged
+        the pages read."""
         if self.format == COLUMN:
-            base = s.first_page
             payloads = self.bufmgr.get_many(
-                self.path, [base + col_idx[n] for n in names]
+                self.path, [s.first_page + self.schema.index_of(c.name) for c in schema]
             )
-            cols: dict[str, np.ndarray] = {
-                name: decode_column(payload, self.schema.dtype_of(name), s.n_rows)
-                for name, payload in zip(names, payloads)
-            }
-            stats.pages_read += len(names)
             # decode_column validates every column against s.n_rows
-            batch = RowBatch._trusted(out_schema, cols, s.n_rows)
+            cols = {
+                c.name: decode_column(payload, c.dtype, s.n_rows)
+                for c, payload in zip(schema, payloads)
+            }
+            batch = RowBatch._trusted(schema, cols, s.n_rows)
+            pages = len(cols)
         else:
             payload = self.bufmgr.get(self.path, s.first_page, pin=False)
-            stats.pages_read += 1
             page = RowPage.from_payload(payload, self.file.max_payload)
-            batch = page.to_batch(self.schema).project(names)
-        if s.deleted is not None and s.deleted.any():
+            batch = page.to_batch(self.schema).project(schema.names())
+            pages = 1
+        if stats is not None:
+            stats.pages_read += pages
+        if live_only and s.deleted is not None and s.deleted.any():
             batch = batch.filter(~s.deleted[: batch.length])
         return batch
 
     # -- DML ---------------------------------------------------------------------
-    def delete_where(self, predicate: PredicateFn) -> int:
-        """Tombstone rows matching the predicate; returns count."""
-        deleted = 0
-        names = self.schema.names()
-        col_idx = {c.name: i for i, c in enumerate(self.schema.columns)}
-        for set_id, s in enumerate(self.sets):
-            mask_prev = s.deleted
-            batch = self._read_set_raw(s, names, col_idx)
+    def delete_where(self, predicate: PredicateFn) -> RowBatch:
+        """Tombstone the live rows matching the predicate; returns them
+        (in set order) so an update can re-insert their new versions."""
+        victims = []
+        for s in self.sets:
+            batch = self._read_set(s, self.schema, live_only=False)
             hit = predicate(batch)
+            if s.deleted is not None:
+                hit = hit & ~s.deleted
             if not hit.any():
                 continue
-            mask = mask_prev.copy() if mask_prev is not None else np.zeros(s.n_rows, dtype=bool)
-            newly = hit & ~mask
-            mask |= hit
-            s.deleted = mask
-            deleted += int(newly.sum())
+            s.deleted = hit.copy() if s.deleted is None else s.deleted | hit
+            victims.append(batch.filter(hit))
             # cached "no rows match" facts may now be stale in the other
             # direction only; deletes can only *remove* rows, so cached
             # empty-page facts stay valid. Min-max stays conservative.
         self._save_meta()
-        return deleted
-
-    def _read_set_raw(self, s: _SetMeta, names, col_idx) -> RowBatch:
-        """Read a set without tombstone filtering (DML needs positions)."""
-        if self.format == COLUMN:
-            cols = {
-                name: decode_column(
-                    self.bufmgr.get(self.path, s.first_page + col_idx[name], pin=False),
-                    self.schema.dtype_of(name),
-                    s.n_rows,
-                )
-                for name in names
-            }
-            return RowBatch(self.schema, cols)
-        payload = self.bufmgr.get(self.path, s.first_page, pin=False)
-        page = RowPage.from_payload(payload, self.file.max_payload)
-        return page.to_batch(self.schema)
+        return RowBatch.concat(self.schema, victims)
 
     # -- maintenance ----------------------------------------------------------------
     def all_rows(self) -> RowBatch:
-        names = self.schema.names()
-        col_idx = {c.name: i for i, c in enumerate(self.schema.columns)}
-        stats = ScanStats()
-        batches = []
-        for s in self.sets:
-            b = self._read_set(s, names, col_idx, self.schema, stats)
-            if b.length:
-                batches.append(b)
-        return RowBatch.concat(self.schema, batches)
+        return RowBatch.concat(self.schema, (self._read_set(s, self.schema) for s in self.sets))
 
     def reorganize(self, clustering: Sequence[str] | None) -> None:
         """Rewrite the fragment sorted on the clustering key; clears caches."""
@@ -782,28 +668,14 @@ class TableStorage:
         frag.append_batch(batch)
 
     def delete_where(self, predicate: PredicateFn) -> int:
-        return sum(f.delete_where(predicate) for f in self.fragments)
+        return sum(f.delete_where(predicate).length for f in self.fragments)
 
     def update_where(self, predicate: PredicateFn, updater) -> int:
         """Update = tombstone old rows + append new versions (paper §III)."""
         n = 0
         for frag in self.fragments:
-            names = frag.schema.names()
-            col_idx = {c.name: i for i, c in enumerate(frag.schema.columns)}
-            victims = []
-            for s in frag.sets:
-                batch = frag._read_set_raw(s, names, col_idx)
-                live = (
-                    ~s.deleted[: batch.length]
-                    if s.deleted is not None
-                    else np.ones(batch.length, dtype=bool)
-                )
-                hit = predicate(batch) & live
-                if hit.any():
-                    victims.append(batch.filter(hit))
-            if victims:
-                old = RowBatch.concat(frag.schema, victims)
-                frag.delete_where(predicate)
+            old = frag.delete_where(predicate)
+            if old.length:
                 frag.append_batch(updater(old))
                 n += old.length
         return n
@@ -817,14 +689,11 @@ class TableStorage:
         stats: ScanStats | None = None,
         disks: Sequence[int] | None = None,
         neardata: bool = False,
-        shared: bool = False,
     ) -> Iterator[RowBatch]:
         cols = list(columns) if columns is not None else self.schema.names()
         frag_ids = disks if disks is not None else range(len(self.fragments))
         for d in frag_ids:
-            yield from self.fragments[d].scan(
-                cols, predicate, scan_pred, skipping, stats, neardata, shared
-            )
+            yield from self.fragments[d].scan(cols, predicate, scan_pred, skipping, stats, neardata)
 
     def reorganize(self) -> None:
         for f in self.fragments:

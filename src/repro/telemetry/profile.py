@@ -48,8 +48,6 @@ class OpProfile:
     pages_skipped: int = 0
     #: pages whose predicate ran near-data over the encoded form
     pages_pushed: int = 0
-    #: pages served from a shared-scan leader's published arrays
-    pages_shared: int = 0
     #: bytes this operator's exchanges put on the wire (per-hop accounted)
     net_bytes: int = 0
     #: bytes spilled to disk while this operator (or its children) ran
@@ -125,8 +123,6 @@ def render_analyze(
                 bits.append(f"pages_skipped={prof.pages_skipped}")
             if prof.pages_pushed:
                 bits.append(f"pushed={prof.pages_pushed}")
-            if prof.pages_shared:
-                bits.append(f"shared={prof.pages_shared}")
             if prof.net_bytes:
                 bits.append(f"net={prof.net_bytes}B")
             if prof.spilled_bytes:
@@ -155,15 +151,10 @@ def render_analyze(
         + (f" [{per_site}]" if per_site else "")
     )
     near = ""
-    if (
-        getattr(stats, "pages_skipped", 0)
-        or getattr(stats, "pages_pushed_down", 0)
-        or getattr(stats, "pages_shared", 0)
-    ):
+    if getattr(stats, "pages_skipped", 0) or getattr(stats, "pages_pushed_down", 0):
         near = (
             f" pages_skipped={stats.pages_skipped}"
             f" pages_pushed={stats.pages_pushed_down}"
-            f" pages_shared={stats.pages_shared}"
         )
     lines.append(
         f"-- scanned={stats.rows_scanned} pages={stats.pages_read} "

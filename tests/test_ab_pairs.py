@@ -1,0 +1,41 @@
+"""The section-8 verdict of ``tools/ab_pairs.py`` on hand-made samples."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab_pairs", Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+#: ten runs with a narrow spread (inter-quartile range 0.045)
+STEADY = [10.0 + 0.01 * i for i in range(10)]
+#: ten runs split between two levels (inter-quartile range 10, 67 % of the median)
+BIMODAL = [10.0] * 5 + [20.0] * 5
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, want",
+    [
+        # every pair won, medians 1.0 apart against a 0.045 spread
+        (STEADY, [x - 1.0 for x in STEADY], "lower", (10, 0, "gain")),
+        (STEADY, [x + 1.0 for x in STEADY], "higher", (10, 0, "gain")),
+        # median 30 % worse against a 20 % bound
+        (STEADY, [x * 1.3 for x in STEADY], "lower", (0, 10, "worse")),
+        (STEADY, [x * 0.7 for x in STEADY], "higher", (0, 10, "worse")),
+        # spread wider than the bound, the sides overlap
+        (BIMODAL, [10.5] * 5 + [19.0] * 5, "lower", (5, 5, "unresolved")),
+        # just as wide, but every change run beats every parent run
+        (BIMODAL, [9.0] * 10, "lower", (10, 0, "same")),
+        # within noise: alternate pairs won
+        (STEADY, [x + (0.001 if i % 2 else -0.001) for i, x in enumerate(STEADY)],
+         "lower", (5, 5, "same")),
+    ],
+)
+def test_verdict(parent, change, better, want):
+    assert ab_pairs.verdict(parent, change, better, 0.2) == want

@@ -187,17 +187,6 @@ class TestSysTables:
         rows = db.sql("SELECT sql, mode FROM sys.plan_cache").rows()
         assert any("group by v" in r[0] for r in rows)
 
-    def test_sys_shared_scans_one_row_per_fragment(self):
-        db = build_db()
-        db.sql(QUERIES[0])
-        rows = db.sql(
-            "SELECT table_name, attaches FROM sys.shared_scans WHERE table_name = 't'"
-        ).rows()
-        nfrags = db.sql(
-            "SELECT count(*) FROM sys.fragments WHERE table_name = 't'"
-        ).rows()[0][0]
-        assert len(rows) == nfrags  # one row per fragment (worker × disk)
-
     def test_admission_wait_recorded(self):
         db = build_db()
         res = db.sql(QUERIES[0])

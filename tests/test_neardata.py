@@ -1,15 +1,15 @@
-"""Near-data execution: encoded-page pushdown, shared scans, decoded LRU.
+"""Near-data execution: encoded-page pushdown, concurrent scans, decoded LRU.
 
 The acceptance bar for the near-data scan layer: results must be
 *bit-identical* to the decode-then-filter oracle — same rows, same
 bytes — whether predicates run over raw fixed-width views, dictionary
 code space, or the classic decode path, and whether a scan runs solo or
-attached to a shared pass. The tests drive the hard inputs explicitly:
-dictionary-miss strings whose value lies inside the zone-map range (so
-only the encoded path can eliminate the set), int64 sums at the 2^53
-float-precision boundary (an inexact float fold would corrupt them),
-empty/NULL aggregate groups, and TPC-H under injected faults against a
-baseline whose scans were forced onto the decode path.
+beside concurrent scans of the same fragment. The tests drive the hard
+inputs explicitly: dictionary-miss strings whose value lies inside the
+zone-map range (so only the encoded path can eliminate the set), int64
+sums at the 2^53 float-precision boundary (an inexact float fold would
+corrupt them), empty/NULL aggregate groups, and TPC-H under injected
+faults against a baseline whose scans were forced onto the decode path.
 """
 
 from __future__ import annotations
@@ -151,65 +151,32 @@ class TestNearDataOracle:
 
 
 # ---------------------------------------------------------------------------
-# cooperative shared scans
+# concurrent scans of one fragment
 # ---------------------------------------------------------------------------
 
 
 class TestSharedScans:
-    def test_protocol_deterministic_interleave(self):
-        # drive leader and follower as same-thread generators so the
-        # interleaving is exact: follower attaches after set 0, leader
-        # publishes from set 1 on, follower rides every published set
-        t = make_table(n=6000)
-        frag = t.fragments[0]
-        names = t.schema.names()
-        ls, fs_ = ScanStats(), ScanStats()
-        leader = frag.scan(names, stats=ls, shared=True)
-        solo = list(frag.scan(names))
-        got_l = [next(leader)]  # leader processes set 0 alone
-        follower = frag.scan(names, stats=fs_, shared=True)
-        got_f = [next(follower)]  # attaches, self-reads set 0 (progress=0)
-        n_sets = len(frag.sets)
-        assert n_sets > 2
-        for _ in range(n_sets - 1):  # strict alternation: publish, consume
-            got_l.append(next(leader))
-            got_f.append(next(follower))
-        for gen in (leader, follower):
-            with pytest.raises(StopIteration):
-                next(gen)
-        assert frag.shared.attaches == 1 and fs_.shared_attaches == 1
-        assert fs_.pages_shared == (n_sets - 1) * len(names)
-        assert fs_.pages_read == len(names)  # only set 0 was self-read
-        for got in (got_l, got_f):
-            assert_batches_identical(
-                RowBatch.concat(t.schema, got), RowBatch.concat(t.schema, solo)
-            )
-
-    def test_leader_abandonment_cannot_strand_followers(self):
-        t = make_table(n=6000)
-        frag = t.fragments[0]
-        names = t.schema.names()
-        leader = frag.scan(names, shared=True)
-        next(leader)
-        fs_ = ScanStats()
-        follower = frag.scan(names, stats=fs_, shared=True)
-        next(follower)
-        leader.close()  # LIMIT/error: generator unwinds, pass marked done
-        rest = list(follower)
-        solo = list(frag.scan(names))
-        got = RowBatch.concat(t.schema, [solo[0]] + rest)  # noqa: F841 — same sets
-        assert sum(b.length for b in rest) + solo[0].length == sum(
-            b.length for b in solo
-        )
+    """Concurrent scans of one fragment share nothing but the
+    process-wide decoded-page cache (and the buffer pool)."""
 
     def test_eight_threads_different_filters_correct(self):
-        t = make_table(n=20000, page_size=8 * 1024)
+        # the solo scans run on an identical copy, so the concurrent ones
+        # start with a cold predicate cache
+        t, solo = (make_table(n=20000, page_size=8 * 1024) for _ in range(2))
+        assert len(t.fragments) == 1
         bounds = [100, 200, 300, 400, 500, 600, 700, 1001]
-        oracle = {}
-        for lo in bounds:
+
+        def engine_scan(table, lo):
             sp = ScanPredicate([Atom("k", Op.LT, lo)])
-            batch, _ = collect(t, predicate=lambda b, lo=lo: b.col("k") < lo, scan_pred=sp)
-            oracle[lo] = batch
+            batch, _ = collect(
+                table, predicate=lambda b: b.col("k") < lo, scan_pred=sp, neardata=True
+            )
+            return batch
+
+        oracle = {lo: engine_scan(solo, lo) for lo in bounds}
+        # cold decoded-page cache: the eight scans race to decode and
+        # insert the same pages
+        clear_decoded_caches()
         results: dict[int, RowBatch] = {}
         errors: list[BaseException] = []
         barrier = threading.Barrier(len(bounds))
@@ -217,15 +184,7 @@ class TestSharedScans:
         def run(lo):
             try:
                 barrier.wait()
-                sp = ScanPredicate([Atom("k", Op.LT, lo)])
-                batch, _ = collect(
-                    t,
-                    predicate=lambda b: b.col("k") < lo,
-                    scan_pred=sp,
-                    neardata=True,
-                    shared=True,
-                )
-                results[lo] = batch
+                results[lo] = engine_scan(t, lo)
             except BaseException as e:  # surface thread failures in the test
                 errors.append(e)
 
@@ -234,6 +193,7 @@ class TestSharedScans:
             th.start()
         for th in threads:
             th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
         assert not errors
         for lo in bounds:
             assert_batches_identical(results[lo], oracle[lo])
@@ -304,7 +264,7 @@ class TestByteLRU:
 
 #: force every storage scan onto the decode-then-filter path — the
 #: storage-level ``neardata=False`` oracle, applied end to end
-decode_path_scans = partial(forced_scans, neardata=False, shared=False)
+decode_path_scans = partial(forced_scans, neardata=False)
 
 
 class TestFoldExactness:
@@ -418,7 +378,6 @@ class TestTPCHToggles:
             ("repro_storage_pages_read_total", "pages_read"),
             ("repro_storage_pages_pushed_down_total", "pages_pushed_down"),
             ("repro_storage_pages_skipped_total", "pages_skipped"),
-            ("repro_storage_shared_attaches_total", "shared_attaches"),
         ]:
             want = sum(
                 getattr(ts.cumulative_stats(), field_name)

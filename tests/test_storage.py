@@ -395,6 +395,26 @@ class TestTableStorage:
         ]
         assert all(v >= 100.0 for v in vals)
 
+    @pytest.mark.parametrize("fmt", [COLUMN, ROW])
+    def test_update_reads_each_page_set_once(self, memfs, bufmgr, fmt):
+        t = _table(memfs, bufmgr, fmt=fmt, n_disks=2)
+        data = _data(2000)
+        t.load(data)
+        t.delete_where(lambda b: b.col("k") % 7 == 0)
+        pages_per_set = len(t.schema) if fmt == COLUMN else 1
+        pages = sum(len(f.sets) * pages_per_set for f in t.fragments)
+
+        def bump(old):
+            return RowBatch(old.schema, {**old.columns, "v": old.col("v") + 100.0})
+
+        before = bufmgr.hits + bufmgr.misses
+        n = t.update_where(lambda b: b.col("k") < 50, bump)
+        assert bufmgr.hits + bufmgr.misses - before == pages
+        # tombstoned rows are not resurrected as new versions
+        k = data.col("k")
+        assert n == int(((k < 50) & (k % 7 != 0)).sum()) > 0
+        assert t.row_count == 2000 - int((k % 7 == 0).sum())
+
     def test_reorganize_restores_clustering(self, memfs, bufmgr):
         t = _table(memfs, bufmgr, clustering=["k"])
         t.load(_data(200, seed=3))

@@ -4,7 +4,9 @@
     python3 tools/ab_pairs.py --parent HEAD --pairs 10 --out /tmp/ab
 
 exports the parent commit into a scratch directory (``git archive``, so
-the checkout's own ``.git`` is never touched), then for every workload of
+the checkout's own ``.git`` is never touched; ``OUT/parent.sha`` records
+the exported commit, and a reused ``--out`` is exported again whenever
+``--parent`` resolves to a different one), then for every workload of
 ``BENCHMARK.json`` runs N pairs of its command — once in the parent
 directory, once in this working tree, same seed, alternating which side
 goes first — and prints, per workload and end-to-end metric, both
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +50,22 @@ def export_commit(rev: str, dest: Path) -> None:
         tar.seek(0)
         with tarfile.open(fileobj=tar) as archive:
             archive.extractall(dest, filter="data")
+
+
+def parent_export(rev: str, out: Path) -> Path:
+    """``out/parent`` holding the committed files of ``rev``; reused only
+    when ``out/parent.sha`` names the commit ``rev`` resolves to now."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    dest, stamp = out / "parent", out / "parent.sha"
+    if dest.exists() and stamp.exists() and stamp.read_text() == sha:
+        return dest
+    stamp.unlink(missing_ok=True)  # an interrupted export must not look current
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    export_commit(sha, dest)
+    stamp.write_text(sha)
+    return dest
 
 
 def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -138,11 +157,7 @@ def main() -> int:
         raise SystemExit(f"unknown workloads: {sorted(unknown)}")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    parent_dir = args.out / "parent"
-    if not parent_dir.exists():
-        parent_dir.mkdir()
-        export_commit(args.parent, parent_dir)
-    sides = {"parent": parent_dir, "change": ROOT}
+    sides = {"parent": parent_export(args.parent, args.out), "change": ROOT}
     log = (args.out / "runs.jsonl").open("a")
 
     def run(side: str, workload: str, seed: int, trace: int) -> dict:
