@@ -9,7 +9,6 @@ from .database import (
     Session,
     Worker,
 )
-from .elastic import ElasticController, ElasticityThresholds
 from .plancache import PlanCache
 from .resource import AdmissionController, AdmissionTimeout, ResourceMonitor
 
@@ -23,8 +22,6 @@ __all__ = [
     "CatalogEntry",
     "PlacementMap",
     "RebalanceReport",
-    "ElasticController",
-    "ElasticityThresholds",
     "PlanCache",
     "AdmissionController",
     "AdmissionTimeout",

@@ -41,7 +41,7 @@ from ..network.topology import BinomialGraphTopology, TreeTopology
 from ..optimizer.binder import Binder
 from ..optimizer.dataflow import DataflowPlanner, convert_naive
 from ..optimizer.derive import StatsDeriver
-from ..optimizer.feedback import FeedbackStore, actual_overrides, score_plan
+from ..optimizer.feedback import FeedbackStore, score_plan
 from ..optimizer.logical import LogicalPlan
 from ..optimizer.physical import PhysOp
 from ..optimizer.rewrite import optimize_logical, push_filters
@@ -102,7 +102,7 @@ class QueryResult:
     #: in-flight queries finish against the epoch they planned under)
     epoch: int = 0
     #: per-operator output rows (physical-op id -> rows), recorded on
-    #: every execution — feeds the Q-error adaptive-replanning loop
+    #: every execution — scored into per-operator Q-error
     op_rows: dict | None = None
 
     def rows(self) -> list[tuple]:
@@ -263,8 +263,8 @@ class Database:
         )
         #: optimized-plan cache (normalized SQL + catalog/stats versions)
         self.plan_cache = PlanCache(self.config.plan_cache_size)
-        #: per-statement Q-error feedback records, keyed like the plan
-        #: cache (optimizer.feedback; drives adaptive re-planning)
+        #: per-statement worst Q-error, keyed like the plan cache
+        #: (optimizer.feedback; observation only)
         self.feedback = FeedbackStore()
         #: planning mutates global fresh-name state; one planner at a time
         self._plan_lock = threading.Lock()
@@ -628,21 +628,16 @@ class Database:
             "repro_plancache_misses_total", "counter", "plan cache misses",
             lambda: [({}, pc.misses)],
         )
-        # adaptive optimizer (Q-error feedback loop)
+        # optimizer estimate quality (Q-error observation)
         fb = self.feedback
         m.register_collector(
             "repro_optimizer_feedback_runs_total", "counter",
-            "executions whose actuals were folded into feedback records",
+            "executions whose Q-error was recorded",
             lambda: [({}, fb.runs_total)],
         )
         m.register_collector(
-            "repro_optimizer_replans_total", "counter",
-            "plans evicted and re-optimized with observed cardinalities",
-            lambda: [({}, fb.replans_total)],
-        )
-        m.register_collector(
             "repro_optimizer_qerror_worst", "gauge",
-            "worst per-operator Q-error across live feedback records",
+            "worst per-operator Q-error across live statement records",
             lambda: [({}, fb.worst_q())],
         )
         # network (per-link traffic; links is a plain dict, snapshot under
@@ -1251,7 +1246,6 @@ class Database:
         stmt: SelectStmt,
         naive_dataflow: bool = False,
         coordinator: int = 0,
-        overrides: dict | None = None,
     ) -> tuple[LogicalPlan, PhysOp]:
         from ..optimizer.logical import reset_fresh_names
 
@@ -1260,16 +1254,13 @@ class Database:
             coord = self.coordinators[coordinator]
             binder = Binder(coord.catalog)
             logical = binder.bind(stmt)
-            # ``overrides`` (locus -> observed rows, from the feedback
-            # loop) reach both derivers, so join enumeration and the
-            # dataflow cost model each see the actuals
-            deriver = StatsDeriver(coord.stats, overrides=overrides)
+            deriver = StatsDeriver(coord.stats)
             logical = optimize_logical(logical, deriver)
             placement = lambda t: coord.catalog.entry(t).partitioning()
             if naive_dataflow:
                 physical = convert_naive(logical, placement)
             else:
-                deriver2 = StatsDeriver(coord.stats, overrides=overrides)
+                deriver2 = StatsDeriver(coord.stats)
                 physical = DataflowPlanner(placement, deriver2, self.config).plan(logical)
             return logical, physical
 
@@ -1282,7 +1273,7 @@ class Database:
         physical) pair is shared by concurrent executions as-is; only
         per-query executor state is cloned. The key carries the catalog
         and statistics versions, so DDL or ANALYZE invalidates. The key
-        is returned too — execution feedback files under it."""
+        is returned too — the statement's Q-error is recorded under it."""
         coord = self.coordinators[coordinator]
         key = PlanCache.key(
             text,
@@ -1293,13 +1284,7 @@ class Database:
         )
         pair = self.plan_cache.get(key)
         if pair is None:
-            fb = self.feedback.get(key)
-            pair = self.plan_select(
-                stmt,
-                naive_dataflow,
-                coordinator,
-                overrides=fb.overrides if fb is not None and fb.overrides else None,
-            )
+            pair = self.plan_select(stmt, naive_dataflow, coordinator)
             self.plan_cache.put(key, pair)
         return pair[0], pair[1], key
 
@@ -1480,51 +1465,14 @@ class Database:
         finally:
             if root is not None:
                 tr.end(root)
-        if self.config.adaptive_feedback and self.config.plan_cache_size > 0:
-            self._observe_feedback(key, text, stmt, naive_dataflow, coordinator, result)
+        scores = score_plan(result.physical, result.op_rows or {})
+        self.feedback.observe(key, max((sc.q for sc in scores), default=1.0))
         self.query_log.finish(qid, result, time.perf_counter() - t0)
         self._finish_query(qid, text, time.perf_counter() - t0, result.stats)
         return result
 
-    def _observe_feedback(
-        self, key, text: str, stmt: SelectStmt, naive_dataflow: bool,
-        coordinator: int, result: QueryResult,
-    ) -> None:
-        """Fold one execution's actuals into the feedback store; re-plan
-        when the worst per-operator Q-error crosses the threshold.
-
-        The re-plan is eager — the corrected plan replaces the cached
-        entry before the next execution — and claimed atomically, so
-        concurrent sessions observing the same mis-estimate re-plan once.
-        ``claim_replan`` also refuses once the per-statement budget is
-        spent or the proposed overrides already shaped the cached plan,
-        which bounds oscillation when actuals drift run to run."""
-        scores = score_plan(result.physical, result.op_rows or {})
-        worst = max(scores, key=lambda s: s.q, default=None)
-        self.feedback.observe(
-            key,
-            text,
-            worst.q if worst is not None else 1.0,
-            worst.locus if worst is not None else None,
-        )
-        thr = self.config.replan_qerror_threshold
-        if thr <= 0 or worst is None or worst.q <= thr:
-            return
-        proposed = actual_overrides(result.physical, result.op_rows or {})
-        if not proposed or not self.feedback.claim_replan(key, proposed):
-            return
-        self.query_log.note_replan(result.qid)
-        if self.recorder is not None:
-            self.recorder.record(
-                "replan", qid=result.qid, worst_q=round(worst.q, 3),
-                locus=str(worst.locus),
-            )
-        pair = self.plan_select(stmt, naive_dataflow, coordinator, overrides=proposed)
-        self.plan_cache.invalidate(key)
-        self.plan_cache.put(key, pair)
-
     def feedback_stats(self) -> dict:
-        """Adaptive-optimizer observability (runs, re-plans, worst Q)."""
+        """Estimate-quality observability (runs, worst Q; re-plans is 0)."""
         return self.feedback.stats()
 
     def _finish_query(self, qid: int, text: str, duration: float, stats) -> None:

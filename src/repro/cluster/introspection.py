@@ -46,7 +46,7 @@ SYS_SCHEMAS: dict[str, Schema] = {
         ("qid", I64), ("sql", STR), ("status", STR), ("coordinator", I64),
         ("epoch", I64), ("duration_s", F64), ("admission_wait_s", F64),
         ("busy_s", F64), ("rows", I64), ("net_bytes", I64),
-        ("restarts", I64), ("replans", I64), ("trace_retained", I64),
+        ("restarts", I64), ("trace_retained", I64),
         ("error", STR),
     ),
     "sys.query_operators": Schema.of(
@@ -117,7 +117,6 @@ class QueryRecord:
     rows: int = 0
     net_bytes: int = 0
     restarts: int = 0
-    replans: int = 0
     error: str = ""
     #: heavy per-operator references; dropped (summary row kept) when
     #: the trace-retention window evicts this query
@@ -152,11 +151,6 @@ class QueryRegistry:
         rec = self.get(qid)
         if rec is not None:
             rec.admission_wait_s = wait_s
-
-    def note_replan(self, qid: int) -> None:
-        rec = self.get(qid)
-        if rec is not None:
-            rec.replans += 1
 
     def finish(self, qid: int, result, duration_s: float) -> None:
         rec = self.get(qid)
@@ -214,7 +208,7 @@ def build_providers(db) -> dict:
             (
                 r.qid, r.sql, r.status, r.coordinator, r.epoch, r.duration_s,
                 r.admission_wait_s, r.busy_s, r.rows, r.net_bytes, r.restarts,
-                r.replans, int(r.trace_retained), r.error,
+                int(r.trace_retained), r.error,
             )
             for r in db.query_log.records()
         ]

@@ -78,11 +78,6 @@ class PlanCache:
                 self._plans.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Evict one entry (adaptive re-planning); True if it was cached."""
-        with self._mu:
-            return self._plans.pop(key, None) is not None
-
     def clear(self) -> None:
         with self._mu:
             self._plans.clear()

@@ -1,11 +1,9 @@
 """Bloom filters over 64-bit key codes.
 
 HRDBMS builds Bloom filters over the join attributes of both inputs to
-cut data movement; this engine uses them in two places that must agree
-bit-for-bit: the executor's shuffle-level probe prefilter and the
-storage layer's sideways scan pushdown (zone-map / dictionary-code
-elimination on join keys). The functions live in ``common`` so the
-storage layer can import them without depending on ``repro.core``.
+cut data movement. This engine has one user: the shuffle prefilter in
+``core/exchange.py``, which drops probe rows whose join key misses the
+build side's filter before they are sent.
 """
 
 from __future__ import annotations

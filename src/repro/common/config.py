@@ -87,18 +87,9 @@ class ClusterConfig:
     trace_retention: int = 16
     #: byte cap (MB) for the content-keyed decoded-page LRU caches
     decoded_cache_mb: int = 64
-    #: fold per-operator actuals from every cached SELECT back into a
-    #: per-plan feedback record (Q-error bookkeeping, repro_optimizer_*
-    #: metrics); required for automatic re-planning
-    adaptive_feedback: bool = True
-    #: re-optimize a cached plan when its worst per-operator Q-error
-    #: max(est/actual, actual/est) exceeds this, injecting the observed
-    #: cardinalities as estimate overrides; 0 disables re-planning
-    #: (observation stays on via adaptive_feedback)
-    replan_qerror_threshold: float = 0.0
     #: always-on cluster flight recorder: bounded ring of structured
     #: operational events (admission, faults, breaker transitions, epoch
-    #: publishes, re-plans, slow queries, spills), queryable as
+    #: publishes, slow queries, spills), queryable as
     #: ``sys.events`` and dumpable via ``python -m repro events``
     flight_recorder: bool = True
     #: samples retained per metric series in ``sys.metrics_history``;
@@ -146,8 +137,6 @@ class ClusterConfig:
             raise ConfigError("trace_retention must be >= 1")
         if self.decoded_cache_mb < 1:
             raise ConfigError("decoded_cache_mb must be >= 1")
-        if self.replan_qerror_threshold < 0:
-            raise ConfigError("replan_qerror_threshold must be >= 0 (0 disables)")
         if self.metrics_history_window < 0:
             raise ConfigError("metrics_history_window must be >= 0 (0 disables)")
         if self.metrics_sample_s <= 0:

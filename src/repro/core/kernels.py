@@ -240,9 +240,8 @@ def match_mask(lcode: np.ndarray, rcode: np.ndarray) -> np.ndarray:
     return uniq_r[pos] == lcode
 
 
-# Bloom filters moved to common.bloom so the storage layer can test
-# fragment zone-maps and dictionary code space against build-side
-# filters without importing repro.core; re-exported here for callers.
+# Bloom filters live in common.bloom; re-exported here for the shuffle
+# prefilter in core/exchange.py, their one user.
 from ..common.bloom import bloom_filter_codes, bloom_filter_test  # noqa: E402,F401
 
 

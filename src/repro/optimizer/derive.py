@@ -54,13 +54,8 @@ class RelProfile:
 
 
 class StatsDeriver:
-    def __init__(self, provider: StatsProvider, overrides: dict | None = None):
+    def __init__(self, provider: StatsProvider):
         self.provider = provider
-        #: operator locus -> observed cardinality (adaptive re-planning;
-        #: see optimizer.feedback) — applied on top of every derived
-        #: profile, so join enumeration *and* dataflow costing both see
-        #: the actuals wherever a locus from the previous run matches
-        self.overrides = overrides or None
         # memo values keep a strong reference to the plan node: id()-keyed
         # caching is only sound while the node cannot be garbage-collected
         # (a freed node's address may be reused by a brand-new node, which
@@ -73,16 +68,6 @@ class StatsDeriver:
         if hit is not None and hit[0] is plan:
             return hit[1]
         prof = self._derive(plan)
-        if self.overrides:
-            from .feedback import logical_locus
-
-            locus = logical_locus(plan)
-            observed = self.overrides.get(locus) if locus is not None else None
-            if observed is not None:
-                rows = max(float(observed), 1.0)
-                prof = RelProfile(
-                    rows, {k: _shrink(cs, rows) for k, cs in prof.columns.items()}
-                )
         self._memo[key] = (plan, prof)
         return prof
 

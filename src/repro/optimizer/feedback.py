@@ -1,35 +1,27 @@
-"""Adaptive optimization: Q-error feedback from actuals to the planner.
+"""Q-error observation: how far the planner's estimates were from actuals.
 
 The executor records per-operator output rows on every execution
-(``Executor.op_rows``). This module closes the loop the way the
-DuckDB/Snowflake playbooks describe: compute per-operator Q-error
-``max(est/actual, actual/est)``, keep a per-plan feedback record next
-to the plan-cache entry, and when the worst Q-error exceeds
-``ClusterConfig.replan_qerror_threshold`` re-optimize the statement
-with the observed cardinalities injected as estimate overrides.
+(``Executor.op_rows``). This module scores them the way the
+DuckDB/Snowflake playbooks describe: per-operator Q-error
+``max(est/actual, actual/est)`` (EXPLAIN ANALYZE ``q=``,
+``sys.query_operators.qerror``), and a per-statement record of the
+worst one (``optimizer.qerror_worst``). Nothing here feeds back into
+planning; the numbers point at the estimator loci to fix.
 
-Estimates and actuals belong to *different* plan trees (the re-plan
-rebuilds the tree from SQL), so they meet on an operator **locus** — a
-structural key ``(category, tables-under-subtree, detail)`` that is
-stable across plan rebuilds: a scan of ``lineitem`` matches the scan
-of ``lineitem`` in the next plan regardless of operator ids. Fused
-physical scans carry their filter's estimate (``fuse_scans`` merges
-the predicate down), so a scan-with-predicate reports the *filter*
-locus and lines up with the logical ``Filter`` node the deriver sees.
+Operators are named by a **locus** — a structural key
+``(category, tables-under-subtree, detail)`` that is stable across plan
+rebuilds: a scan of ``lineitem`` has the same locus in every plan
+regardless of operator ids. Fused physical scans carry their filter's
+estimate (``fuse_scans`` merges the predicate down), so a
+scan-with-predicate reports the *filter* locus.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
-
-from .logical import Aggregate, Filter, Join, LogicalPlan, Scan, walk
-
-#: re-plans allowed per cached statement before the feedback loop holds
-#: (bounds oscillation when actuals themselves shift run to run)
-REPLAN_BUDGET = 4
 
 
 def qerror(est: float, actual: float) -> float:
@@ -48,29 +40,6 @@ def qerror(est: float, actual: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _logical_tables(plan: LogicalPlan) -> frozenset:
-    return frozenset(
-        (n.table, n.alias or "") for n in walk(plan) if isinstance(n, Scan)
-    )
-
-
-def logical_locus(plan: LogicalPlan) -> Optional[tuple]:
-    """Locus of a logical node, or None for nodes feedback skips."""
-    if isinstance(plan, Scan):
-        return ("scan", frozenset({(plan.table, plan.alias or "")}), "")
-    if isinstance(plan, Filter):
-        return ("filter", _logical_tables(plan), repr(plan.predicate))
-    if isinstance(plan, Join):
-        return (
-            "join",
-            _logical_tables(plan),
-            f"{plan.kind}|{sorted(_logical_tables(plan.left))!r}",
-        )
-    if isinstance(plan, Aggregate):
-        return ("agg", _logical_tables(plan), ",".join(plan.group_keys))
-    return None
-
-
 def _physical_tables(op) -> frozenset:
     out = set()
     for o in op.walk():
@@ -82,7 +51,7 @@ def _physical_tables(op) -> frozenset:
 
 
 def physical_locus(op) -> Optional[tuple]:
-    """Locus of a physical operator, mirroring :func:`logical_locus`.
+    """Locus of a physical operator, or None for operators not scored.
 
     A scan with a fused predicate reports the *filter* locus — its
     ``est_rows``/actuals are post-predicate (``fuse_scans`` copies the
@@ -133,105 +102,41 @@ def score_plan(physical, op_rows: dict) -> list[OpScore]:
     return out
 
 
-def actual_overrides(physical, op_rows: dict) -> dict:
-    """Locus -> observed output rows, for re-planning with actuals.
-
-    First (outermost) occurrence wins on duplicate loci — self-joins of
-    the same table set are rare and the walk order is deterministic.
-    """
-    out: dict = {}
-    for op in physical.walk():
-        locus = physical_locus(op)
-        if locus is not None and op.id in op_rows and locus not in out:
-            out[locus] = float(op_rows[op.id])
-    return out
-
-
 # ---------------------------------------------------------------------------
-# per-plan feedback records
+# per-statement worst Q-error
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlanFeedback:
-    """Execution feedback accumulated for one cached statement."""
-
-    sql: str
-    runs: int = 0
-    replans: int = 0
-    #: worst per-operator Q-error of the latest run (of the current plan)
-    worst_q: float = 1.0
-    worst_locus: Optional[tuple] = None
-    #: cardinality overrides the current cached plan was optimized with
-    overrides: dict = field(default_factory=dict)
 
 
 class FeedbackStore:
-    """Bounded LRU of :class:`PlanFeedback`, keyed like the plan cache.
-
-    Keys intentionally match ``PlanCache.key`` (minus nothing) so a
-    feedback record lives and dies with its plan-cache entry's
-    identity: DDL or ANALYZE bumps a version, both start fresh.
-    """
+    """Bounded LRU of each statement's latest worst Q-error, keyed like
+    the plan cache: DDL or ANALYZE bumps a version and starts fresh."""
 
     def __init__(self, capacity: int = 256):
         self.capacity = max(1, capacity)
-        self._entries: OrderedDict[Hashable, PlanFeedback] = OrderedDict()
+        self._worst: OrderedDict[Hashable, float] = OrderedDict()
         self._mu = threading.Lock()
         self.runs_total = 0
-        self.replans_total = 0
 
-    def observe(self, key: Hashable, sql: str, worst_q: float, worst_locus) -> PlanFeedback:
-        """Fold one execution's worst Q-error into the record for ``key``."""
+    def observe(self, key: Hashable, worst_q: float) -> None:
+        """Record one execution's worst Q-error for ``key``."""
         with self._mu:
-            fb = self._entries.get(key)
-            if fb is None:
-                fb = PlanFeedback(sql=sql)
-                self._entries[key] = fb
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-            self._entries.move_to_end(key)
-            fb.runs += 1
-            fb.worst_q = worst_q
-            fb.worst_locus = worst_locus
+            self._worst[key] = worst_q
+            self._worst.move_to_end(key)
+            while len(self._worst) > self.capacity:
+                self._worst.popitem(last=False)
             self.runs_total += 1
-            return fb
-
-    def claim_replan(self, key: Hashable, proposed: dict) -> bool:
-        """Atomically claim the right to re-plan ``key`` with ``proposed``.
-
-        False when another session already installed the same overrides
-        (concurrent observers re-plan once, not once each) or the
-        per-statement re-plan budget is exhausted.
-        """
-        with self._mu:
-            fb = self._entries.get(key)
-            if fb is None or fb.replans >= REPLAN_BUDGET or fb.overrides == proposed:
-                return False
-            fb.overrides = dict(proposed)
-            fb.replans += 1
-            self.replans_total += 1
-            return True
-
-    def get(self, key: Hashable) -> Optional[PlanFeedback]:
-        with self._mu:
-            return self._entries.get(key)
 
     def worst_q(self) -> float:
         with self._mu:
-            return max((fb.worst_q for fb in self._entries.values()), default=1.0)
+            return max(self._worst.values(), default=1.0)
 
     def stats(self) -> dict:
         with self._mu:
             return {
-                "entries": len(self._entries),
+                "entries": len(self._worst),
                 "runs": self.runs_total,
-                "replans": self.replans_total,
-                "worst_q": max(
-                    (fb.worst_q for fb in self._entries.values()), default=1.0
-                ),
+                # always 0: nothing re-plans, but benchmarks/e2e/run.py
+                # reports this key as optimizer.replans
+                "replans": 0,
+                "worst_q": max(self._worst.values(), default=1.0),
             }
-
-    def clear(self) -> None:
-        with self._mu:
-            self._entries.clear()

@@ -4,8 +4,8 @@ operational events for post-incident reconstruction.
 The recorder answers "what happened?" after a chaos run, an elastic
 event, or a slow query — admission grants and timeouts, fault
 injections, health-breaker transitions, placement-epoch publishes,
-adaptive re-plans, slow queries, and spills all land here with
-monotonic per-shard sequence numbers.
+slow queries, and spills all land here with monotonic per-shard
+sequence numbers.
 
 Design constraints (this sits on the query hot path):
 

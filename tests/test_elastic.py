@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, Database
-from repro.cluster import ElasticController, ElasticityThresholds, PlacementMap
+from repro.cluster import PlacementMap
 from repro.cluster.catalog import CatalogEntry, ClusterCatalog
 from repro.cluster.database import REBALANCE_SEND_RETRIES, _all_of
 from repro.cluster.resource import AdmissionController, ResourceMonitor
@@ -450,88 +450,6 @@ class TestElasticMembership:
         assert reb, "rebalance must leave an exportable trace"
         spans = [s.name for s in reb[0].walk()]
         assert "rebalance.table" in spans
-
-
-# ---------------------------------------------------------------------------
-# the autonomic policy loop
-# ---------------------------------------------------------------------------
-
-
-class TestElasticController:
-    def _obs(self, **kw):
-        obs = {
-            "workers": 4,
-            "newest_worker": 3,
-            "queue_depth": 0,
-            "blacklisted": [],
-            "busy_fraction": 0.5,
-            "forward_fraction": 0.0,
-            "small_partitioned_table": None,
-        }
-        obs.update(kw)
-        return obs
-
-    def test_decide_priorities(self):
-        c = ElasticController.__new__(ElasticController)
-        c.thresholds = ElasticityThresholds()
-        # failure routes out first, even under queue pressure
-        assert c.decide(self._obs(blacklisted=[2], queue_depth=5)) == "drain:2"
-        assert c.decide(self._obs(queue_depth=2)) == "grow"
-        assert (
-            c.decide(self._obs(forward_fraction=0.5, small_partitioned_table="dim"))
-            == "replicate:dim"
-        )
-        assert c.decide(self._obs(busy_fraction=0.01)) == "drain:3"
-        assert c.decide(self._obs()) == "hold"
-
-    def test_decide_respects_bounds(self):
-        c = ElasticController.__new__(ElasticController)
-        c.thresholds = ElasticityThresholds(min_workers=2, max_workers=4)
-        # at max: queue pressure cannot grow further
-        assert c.decide(self._obs(queue_depth=9, workers=4)) == "hold"
-        # at min: neither idleness nor blacklisting may shrink
-        assert c.decide(self._obs(busy_fraction=0.0, workers=2, newest_worker=1)) == "hold"
-        assert c.decide(self._obs(blacklisted=[1], workers=2)) == "hold"
-
-    def test_first_observation_cannot_shrink(self):
-        db = build_db()
-        c = ElasticController(db)
-        obs = c.observe()
-        assert obs["busy_fraction"] == 1.0  # no rate window yet
-        assert c.decide(obs) in ("hold", "grow")
-
-    def test_observe_reports_membership(self):
-        db = build_db()
-        c = ElasticController(db)
-        obs = c.observe()
-        assert obs["workers"] == 4 and obs["newest_worker"] == 3
-        assert obs["blacklisted"] == []
-        assert obs["small_partitioned_table"] == "t"
-
-    def test_step_acts_and_cooldown_suppresses(self):
-        db = build_db()
-        c = ElasticController(db, ElasticityThresholds(cooldown=2))
-        forced = [
-            self._obs(queue_depth=5),  # grow
-            self._obs(queue_depth=5, workers=5, newest_worker=4),  # cooldown
-            self._obs(queue_depth=5, workers=5, newest_worker=4),  # cooldown
-            self._obs(queue_depth=5, workers=5, newest_worker=4),  # grow again
-        ]
-        c.observe = lambda: forced.pop(0)
-        assert c.step() == "grow"
-        assert db.worker_ids == [0, 1, 2, 3, 4]
-        assert c.step() == "hold"
-        assert c.step() == "hold"
-        assert c.step() == "grow"
-        assert db.worker_ids == [0, 1, 2, 3, 4, 5]
-        assert c.history == ["grow", "hold", "hold", "grow"]
-
-    def test_step_drains_blacklisted_worker(self):
-        db = build_db()
-        c = ElasticController(db)
-        c.observe = lambda: self._obs(blacklisted=[1])
-        assert c.step() == "drain:1"
-        assert 1 not in db.worker_ids
 
 
 # ---------------------------------------------------------------------------
