@@ -95,13 +95,10 @@ def test_string_codec(benchmark):
     assert out.columns["s"].tolist() == strs.tolist()
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_huffman_string_pages(benchmark, vectorized, monkeypatch):
-    """Storage string codec ablation: scalar per-bit Huffman vs the
-    table-driven NumPy coder (streams are bit-identical either way)."""
+def test_huffman_string_pages(benchmark):
+    """Storage string codec: decode of a plain Huffman string page."""
     from repro.storage import compression as comp_mod
 
-    monkeypatch.setattr(comp_mod, "VECTORIZED_HUFFMAN", vectorized)
     values = [f"comment text fragment {i % 211}" for i in range(5_000)]
     blob = comp_mod.huffman_encode_strings(values)
 

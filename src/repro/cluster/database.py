@@ -1554,12 +1554,18 @@ class Database:
         entry = self.catalog.entry(stmt.table)
         if entry.virtual:
             raise PlanError(f"system table {stmt.table!r} is read-only")
+        width = len(entry.schema.columns)
         rows = []
         for row in stmt.rows:
+            if len(row) != width:
+                raise PlanError(f"INSERT row has {len(row)} values, table {stmt.table!r} has {width} columns")
             vals = []
             for e in row:
                 if not isinstance(e, Literal):
                     raise PlanError("INSERT VALUES requires literals")
+                # tables store no NULLs (UPDATE ... SET c = null is refused too)
+                if e.value is None:
+                    raise PlanError("INSERT VALUES cannot store NULL")
                 vals.append(e.value)
             rows.append(vals)
         cols = {}

@@ -138,21 +138,27 @@ def clear_decoded_caches() -> None:
     _STRING_CACHE.clear()
 
 
-def _dict_encode_strings(arr: np.ndarray) -> bytes | None:
-    n = len(arr)
+def _dict_encode_strings(values: list[str]) -> bytes | None:
+    n = len(values)
     if n < _DICT_MIN_ROWS:
         return None
-    # cheap cardinality probe before the O(n log n) unique
-    sample = arr[:256]
-    if len(set(sample.tolist())) * 2 > len(sample):
+    # cheap cardinality probe before hashing every row
+    sample = values[:256]
+    if len(set(sample)) * 2 > len(sample):
         return None
-    uniq, codes = np.unique(arr, return_inverse=True)
-    if len(uniq) * 4 > n:
+    # hash-factorize: only the distinct values are sorted, and Python's
+    # str order is the order np.unique gives an object array, so the
+    # dictionary (and its codes) are what a sort of every row would give
+    distinct = dict.fromkeys(values)
+    if len(distinct) * 4 > n:
         return None
+    uniq = sorted(distinct)
+    index = {v: i for i, v in enumerate(uniq)}
     width = 1 if len(uniq) <= 0xFF else 2 if len(uniq) <= 0xFFFF else 4
-    dict_blob = huffman_encode_strings(list(uniq))
+    codes = np.fromiter(map(index.__getitem__, values), dtype=f"<u{width}", count=n)
+    dict_blob = huffman_encode_strings(uniq)
     header = _DICT_MAGIC + struct.pack("<BII", width, n, len(dict_blob))
-    return header + dict_blob + codes.astype(f"<u{width}").tobytes()
+    return header + dict_blob + codes.tobytes()
 
 
 def _decode_dictionary(blob: bytes) -> StringDictionary:
@@ -201,8 +207,8 @@ def _decode_string_page(payload: bytes, n_rows: int) -> DictColumn:
 
 def encode_column(arr, dtype: DataType) -> bytes:
     if dtype == DataType.STRING:
-        values = np.asarray(arr, dtype=object)
-        return _dict_encode_strings(values) or huffman_encode_strings(list(values))
+        values = np.asarray(arr, dtype=object).tolist()
+        return _dict_encode_strings(values) or huffman_encode_strings(values)
     return np.ascontiguousarray(arr, dtype=dtype.numpy_dtype).tobytes()
 
 

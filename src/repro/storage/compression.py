@@ -26,11 +26,9 @@ import numpy as np
 from ..common.batch import decode_utf8_offsets
 from ..common.errors import StorageError
 
-#: Use the NumPy table-driven Huffman coder (bit-identical streams to the
-#: scalar coder). Module-level so benchmarks can A/B the scalar path.
-VECTORIZED_HUFFMAN = True
-
-#: memoized coders keyed by their 256-byte length table
+#: memoized coders keyed by their 256-byte length table: pages of one
+#: column almost always share code lengths, so encode and decode build a
+#: coder's tables once per distinct table, not once per page
 _CODER_CACHE: dict[bytes, "HuffmanCoder"] = {}
 
 
@@ -74,128 +72,85 @@ def get_codec(name: str) -> Codec:
 class HuffmanCoder:
     """Canonical Huffman coder over bytes.
 
-    Built once per column page from the byte frequencies of that page's
-    values; the code table (code lengths per symbol) is stored in the page
-    header, so decode needs no frequency information.
+    A page's code table (code lengths per symbol) comes from the byte
+    frequencies of that page's values and is stored in the page header,
+    so decode needs no frequency information. Obtain coders through
+    :meth:`from_data` / :meth:`from_table_bytes`: they share one coder,
+    and one build of its NumPy tables, per distinct length table.
     """
 
-    __slots__ = ("lengths", "_enc", "_dec", "_vec")
+    __slots__ = ("lengths", "_bits", "_pat_off", "_lens", "_max_len", "_first", "_cnt", "_base", "_symtab")
 
     def __init__(self, lengths: Sequence[int]):
         if len(lengths) != 256:
             raise StorageError("Huffman table must cover all 256 byte values")
         self.lengths = tuple(int(x) for x in lengths)
-        self._enc = _build_encode_table(self.lengths)
-        self._dec = _build_decode_table(self.lengths)
-        self._vec = None  # canonical NumPy tables, built on first bulk use
+        lens = np.array(self.lengths, dtype=np.int64)
+        # canonical codes: symbols in (length, symbol) order count up, the
+        # running code shifted left whenever the length grows. The length-L
+        # codes are then the range first[L] .. first[L] + cnt[L] - 1, and
+        # code v of length L decodes to symtab[base[L] + v - first[L]]
+        order = sorted((l, s) for s, l in enumerate(self.lengths) if l)
+        max_len = max(self.lengths)
+        first, cnt, base = (np.zeros(max_len + 1, dtype=np.int64) for _ in range(3))
+        codes = np.zeros(256, dtype=np.int64)
+        code = prev = 0
+        for i, (length, sym) in enumerate(order):
+            code <<= length - prev
+            prev = length
+            if not cnt[length]:
+                first[length], base[length] = code, i
+            cnt[length] += 1
+            codes[sym] = code
+            code += 1
+        # every symbol's code bits, most significant first, laid end to end:
+        # symbol s owns bits[pat_off[s] : pat_off[s] + lens[s]]
+        pat_off = np.cumsum(lens) - lens
+        owner = np.repeat(np.arange(256), lens)
+        shift = pat_off[owner] + lens[owner] - 1 - np.arange(len(owner))
+        self._bits = ((codes[owner] >> shift) & 1).astype(np.uint8)
+        self._pat_off, self._lens = pat_off, lens
+        self._max_len, self._first, self._cnt, self._base = max_len, first, cnt, base
+        self._symtab = np.array([s for _, s in order], dtype=np.uint8)
 
     # -- construction ----------------------------------------------------------
     @classmethod
     def from_data(cls, data: bytes) -> "HuffmanCoder":
-        if VECTORIZED_HUFFMAN:
-            freq = np.bincount(
-                np.frombuffer(data, dtype=np.uint8), minlength=256
-            ).tolist()
-        else:
-            freq = [0] * 256
-            for b in data:
-                freq[b] += 1
-        return cls(_code_lengths(freq))
+        freq = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+        return cls.from_table_bytes(bytes(_code_lengths(freq.tolist())))
 
-    def _vec_tables(self):
-        """Canonical per-length tables for the NumPy coder.
+    @classmethod
+    def from_table_bytes(cls, blob: bytes) -> "HuffmanCoder":
+        coder = _CODER_CACHE.get(blob)
+        if coder is None:
+            if len(_CODER_CACHE) >= 512:
+                _CODER_CACHE.clear()
+            coder = _CODER_CACHE[blob] = cls(blob)
+        return coder
 
-        ``first[L]``/``cnt[L]`` delimit the consecutive code range of each
-        length, ``base[L]`` indexes its first symbol in ``symtab`` (symbols
-        in canonical (length, symbol) order), so a length-L code ``v``
-        decodes to ``symtab[base[L] + v - first[L]]``.
-        """
-        if self._vec is None:
-            max_len = max(self.lengths) if any(self.lengths) else 0
-            first = np.zeros(max_len + 1, dtype=np.int64)
-            cnt = np.zeros(max_len + 1, dtype=np.int64)
-            base = np.zeros(max_len + 1, dtype=np.int64)
-            symtab, codes, lens = [], np.zeros(256, np.int64), np.zeros(256, np.int64)
-            for length, sym in sorted((l, s) for s, l in enumerate(self.lengths) if l):
-                code, _ = self._enc[sym]
-                if cnt[length] == 0:
-                    first[length] = code
-                    base[length] = len(symtab)
-                cnt[length] += 1
-                symtab.append(sym)
-                codes[sym], lens[sym] = code, length
-            self._vec = (max_len, first, cnt, base,
-                         np.array(symtab, dtype=np.uint8), codes, lens)
-        return self._vec
+    def table_bytes(self) -> bytes:
+        return bytes(self.lengths)
 
     # -- coding ----------------------------------------------------------------
     def encode(self, data: bytes) -> bytes:
-        if VECTORIZED_HUFFMAN and len(data) >= 16:
-            return self._encode_bulk(data)
-        out = bytearray()
-        acc = 0
-        nbits = 0
-        enc = self._enc
-        for b in data:
-            code, length = enc[b]
-            if length == 0:
-                raise StorageError(f"symbol {b} not in Huffman table")
-            acc = (acc << length) | code
-            nbits += length
-            while nbits >= 8:
-                nbits -= 8
-                out.append((acc >> nbits) & 0xFF)
-        if nbits:
-            out.append((acc << (8 - nbits)) & 0xFF)
-        return struct.pack("<I", len(data)) + bytes(out)
+        """``u32 len(data)`` + the bit stream, zero-padded to a whole byte.
 
-    def _encode_bulk(self, data: bytes) -> bytes:
-        """NumPy bit-packing encoder; byte-identical to the scalar path."""
-        max_len, _, _, _, _, codes, lens = self._vec_tables()
-        arr = np.frombuffer(data, dtype=np.uint8)
-        clen = lens[arr]
+        One gather: bit ``p`` of the stream, inside the code of a symbol
+        ``s`` that starts at stream bit ``start``, is
+        ``bits[pat_off[s] + p - start]``.
+        """
+        sym = np.frombuffer(data, dtype=np.uint8)
+        clen = self._lens[sym]
         if not clen.all():
-            missing = int(arr[clen == 0][0])
+            missing = int(sym[clen == 0][0])
             raise StorageError(f"symbol {missing} not in Huffman table")
-        code = codes[arr]
         ends = np.cumsum(clen)
-        starts = ends - clen
-        bits = np.zeros(int(ends[-1]), dtype=np.uint8)
-        for j in range(max_len):
-            active = clen > j
-            if not active.any():
-                break
-            bits[starts[active] + j] = (code[active] >> (clen[active] - 1 - j)) & 1
-        # packbits zero-pads the final byte on the right, like the scalar coder
-        return struct.pack("<I", len(data)) + np.packbits(bits).tobytes()
+        total = int(ends[-1]) if len(ends) else 0
+        idx = np.arange(total) + np.repeat(self._pat_off[sym] - (ends - clen), clen)
+        return struct.pack("<I", len(data)) + np.packbits(self._bits[idx]).tobytes()
 
     def decode(self, blob: bytes) -> bytes:
-        (n,) = struct.unpack_from("<I", blob, 0)
-        if VECTORIZED_HUFFMAN and n >= 16:
-            return self._decode_bulk(blob[4:], n)
-        out = bytearray(n)
-        dec = self._dec
-        code = 0
-        length = 0
-        pos = 0
-        for byte in blob[4:]:
-            for shift in range(7, -1, -1):
-                code = (code << 1) | ((byte >> shift) & 1)
-                length += 1
-                hit = dec.get((length, code))
-                if hit is not None:
-                    out[pos] = hit
-                    pos += 1
-                    code = 0
-                    length = 0
-                    if pos == n:
-                        return bytes(out)
-        if pos != n:
-            raise StorageError("truncated Huffman stream")
-        return bytes(out)
-
-    def _decode_bulk(self, stream: bytes, n: int) -> bytes:
-        """NumPy canonical decoder.
+        """Inverse of :meth:`encode`.
 
         Speculatively decodes a (length, symbol) pair at *every* bit
         offset in ``max_len`` vector passes — position p's first matching
@@ -203,8 +158,9 @@ class HuffmanCoder:
         then a single pointer chase over code lengths picks out the ``n``
         true symbol starts.
         """
-        max_len, first, cnt, base, symtab, _, _ = self._vec_tables()
-        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8)).astype(np.int64)
+        (n,) = struct.unpack_from("<I", blob, 0)
+        max_len, first, cnt, base = self._max_len, self._first, self._cnt, self._base
+        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=4)).astype(np.int64)
         nbits = bits.size
         padded = np.concatenate([bits, np.zeros(max_len, dtype=np.int64)])
         val = np.zeros(nbits, dtype=np.int64)
@@ -218,7 +174,7 @@ class HuffmanCoder:
                 val < first[length] + cnt[length]
             )
             if hit.any():
-                sym[hit] = symtab[base[length] + (val[hit] - first[length])]
+                sym[hit] = self._symtab[base[length] + (val[hit] - first[length])]
                 code_len[hit] = length
         steps = code_len.tolist()
         positions = np.empty(n, dtype=np.int64)
@@ -229,23 +185,6 @@ class HuffmanCoder:
             positions[i] = p
             p += steps[p]
         return sym[positions].tobytes()
-
-    def table_bytes(self) -> bytes:
-        return bytes(self.lengths)
-
-    @classmethod
-    def from_table_bytes(cls, blob: bytes) -> "HuffmanCoder":
-        if VECTORIZED_HUFFMAN:
-            # pages of one column almost always share code lengths, so the
-            # (eagerly built) encode/decode tables are worth memoizing
-            coder = _CODER_CACHE.get(blob)
-            if coder is None:
-                if len(_CODER_CACHE) >= 512:
-                    _CODER_CACHE.clear()
-                coder = cls(list(blob))
-                _CODER_CACHE[blob] = coder
-            return coder
-        return cls(list(blob))
 
 
 def _code_lengths(freq: list[int]) -> list[int]:
@@ -282,55 +221,28 @@ def _code_lengths(freq: list[int]) -> list[int]:
     return lengths
 
 
-def _build_encode_table(lengths: Sequence[int]) -> list[tuple[int, int]]:
-    """Canonical codes: symbols sorted by (length, symbol)."""
-    syms = sorted((l, s) for s, l in enumerate(lengths) if l > 0)
-    table: list[tuple[int, int]] = [(0, 0)] * 256
-    code = 0
-    prev_len = 0
-    for length, sym in syms:
-        code <<= length - prev_len
-        table[sym] = (code, length)
-        code += 1
-        prev_len = length
-    return table
-
-
-def _build_decode_table(lengths: Sequence[int]) -> dict[tuple[int, int], int]:
-    enc = _build_encode_table(lengths)
-    return {(length, code): sym for sym, (code, length) in enumerate(enc) if length}
-
-
 def huffman_encode_strings(values: Sequence[str]) -> bytes:
     """Encode a string column: offsets + one Huffman stream.
 
-    Format: u32 count | u32 table_off | offsets[u32 * (n+1)] | table | stream
+    Format: u32 count | offsets[u32 * (n+1)] | table[256] | stream
     """
     blobs = [v.encode() for v in values]
+    offsets = np.zeros(len(blobs) + 1, dtype="<u4")
+    np.cumsum(np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs)), out=offsets[1:])
     raw = b"".join(blobs)
-    coder = HuffmanCoder.from_data(raw) if raw else HuffmanCoder([0] * 256)
-    stream = coder.encode(raw) if raw else b"\x00\x00\x00\x00"
-    offsets = bytearray()
-    total = 0
-    offsets += struct.pack("<I", 0)
-    for b in blobs:
-        total += len(b)
-        offsets += struct.pack("<I", total)
-    header = struct.pack("<I", len(blobs))
-    return header + bytes(offsets) + coder.table_bytes() + stream
+    coder = HuffmanCoder.from_data(raw)
+    return struct.pack("<I", len(blobs)) + offsets.tobytes() + coder.table_bytes() + coder.encode(raw)
 
 
 def huffman_decode_strings(blob: bytes) -> list[str]:
     (n,) = struct.unpack_from("<I", blob, 0)
-    off = 4
-    offsets = struct.unpack_from(f"<{n + 1}I", blob, off)
-    off += 4 * (n + 1)
-    table = blob[off : off + 256]
-    off += 256
-    coder = HuffmanCoder.from_table_bytes(table)
-    raw = coder.decode(blob[off:])
-    if VECTORIZED_HUFFMAN and n:
-        out = decode_utf8_offsets(raw, np.asarray(offsets, dtype=np.int64))
-        if out is not None:
-            return out.tolist()
-    return [raw[offsets[i] : offsets[i + 1]].decode() for i in range(n)]
+    offsets = np.frombuffer(blob, dtype="<u4", count=n + 1, offset=4).astype(np.int64)
+    off = 4 * (n + 2)
+    coder = HuffmanCoder.from_table_bytes(blob[off : off + 256])
+    raw = coder.decode(blob[off + 256 :])
+    out = decode_utf8_offsets(raw, offsets)
+    if out is not None:
+        return out.tolist()
+    # a NUL byte in the body: slice string by string
+    bounds = offsets.tolist()
+    return [raw[bounds[i] : bounds[i + 1]].decode() for i in range(n)]

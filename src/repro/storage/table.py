@@ -249,25 +249,22 @@ class _Fragment:
     def _append_columnar(self, batch: RowBatch) -> None:
         types = [c.dtype for c in self.schema]
         rows_per_set = estimate_rows_per_set(types, self.file.max_payload)
+        # column positions in the order an attempt encodes them: the one
+        # that overflowed last goes first, so a set that cannot fit is
+        # usually abandoned after a single encode
+        order = list(range(len(self.schema)))
         off = 0
         while off < batch.length:
+            # halve until every encoded column fits the page slot
             take = min(rows_per_set, batch.length - off)
-            chunk = batch.slice(off, off + take)
-            # shrink until the widest encoded column fits the page slot
-            while take > 1:
-                payloads = [
-                    encode_column(chunk.col(c.name), c.dtype) for c in self.schema
-                ]
-                if max(len(p) for p in payloads) <= self.file.max_payload:
-                    break
-                take = take // 2
+            while True:
                 chunk = batch.slice(off, off + take)
-            else:
-                payloads = [
-                    encode_column(chunk.col(c.name), c.dtype) for c in self.schema
-                ]
-                if max(len(p) for p in payloads) > self.file.max_payload:
+                payloads = self._encode_set(chunk, order)
+                if payloads is not None:
+                    break
+                if take == 1:
                     raise StorageError("single row exceeds page capacity")
+                take //= 2
             first_page = self.next_page
             for i, payload in enumerate(payloads):
                 self.bufmgr.put(self.path, first_page + i, payload)
@@ -279,6 +276,19 @@ class _Fragment:
             self.sets.append(meta)
             self.minmax.record(len(self.sets) - 1, meta.minmax)
             off += take
+
+    def _encode_set(self, chunk: RowBatch, order: list[int]) -> list[bytes] | None:
+        """Every column page of ``chunk`` in schema order, or None at the
+        first one over the page slot (moved to the front of ``order``)."""
+        payloads: list[bytes] = [b""] * len(order)
+        for pos, i in enumerate(order):
+            c = self.schema.columns[i]
+            payload = encode_column(chunk.col(c.name), c.dtype)
+            if len(payload) > self.file.max_payload:
+                order.insert(0, order.pop(pos))
+                return None
+            payloads[i] = payload
+        return payloads
 
     def _append_rows(self, batch: RowBatch) -> None:
         page = RowPage(self.file.max_payload)

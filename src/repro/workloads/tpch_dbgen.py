@@ -87,7 +87,7 @@ def _strings(values) -> np.ndarray:
 
 def _comments(rng: np.random.Generator, n: int, inject: list[tuple[str, float]] | None = None) -> np.ndarray:
     words = rng.choice(COMMENT_WORDS, size=(n, 4))
-    base = [" ".join(row) for row in words]
+    base = [" ".join(row) for row in words.tolist()]
     if inject:
         for phrase, frac in inject:
             hits = rng.random(n) < frac

@@ -5,6 +5,8 @@ import pytest
 from repro import ClusterConfig, Database, DataType, RowBatch, Schema
 from repro.common.errors import CatalogError, PlanError
 
+from tests.conftest import quiescent
+
 
 def fresh(n_workers=2, **kw):
     return Database(ClusterConfig(n_workers=n_workers, n_max=4, page_size=16 * 1024, **kw))
@@ -87,6 +89,26 @@ class TestLoadAnalyze:
         db.sql("insert into t values (1), (2)")
         for c in range(3):
             assert db.sql("select count(*) from t", coordinator=c).rows() == [(2,)]
+
+
+class TestInsertValuesRefusals:
+    """Tables store no NULLs and rows have the table's width: INSERT
+    VALUES refuses anything else with a PlanError, before storage sees it."""
+
+    @pytest.mark.parametrize(
+        "values",
+        ["(4, null)", "(null, 'y')", "(5)", "(5, 'a', 6)", "(6, 'b'), (7, null)"],
+        ids=["null_string", "null_int", "short_row", "long_row", "null_in_second_row"],
+    )
+    def test_refused_and_table_unchanged(self, values):
+        db = fresh()
+        db.sql("create table t (a integer, s varchar) partition by hash (a)")
+        db.sql("insert into t values (1, 'x')")
+        with quiescent(db):
+            with pytest.raises(PlanError):
+                db.sql(f"insert into t values {values}")
+            assert db.sql("select a, s from t").rows() == [(1, "x")]
+        assert db.table_rows("t") == 1
 
 
 class TestExplain:

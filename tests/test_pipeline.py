@@ -18,6 +18,7 @@ from repro.core.pipeline import coalesce_batches, fuse_chain
 from repro.storage import col_page
 from repro.storage import compression as comp_mod
 
+from tests import huffman_reference
 from tests.conftest import rows_approx_equal, rows_match_unordered
 
 
@@ -209,14 +210,11 @@ class TestCodecToggles:
         assert batch_mod._encode_strings(entries) == offsets.tobytes() + b"".join(blobs)
 
     @pytest.mark.parametrize("values", CASES)
-    def test_huffman_streams_bit_identical(self, values, monkeypatch):
-        monkeypatch.setattr(comp_mod, "VECTORIZED_HUFFMAN", False)
-        scalar = comp_mod.huffman_encode_strings(values)
-        assert comp_mod.huffman_decode_strings(scalar) == values
-        monkeypatch.setattr(comp_mod, "VECTORIZED_HUFFMAN", True)
-        vec = comp_mod.huffman_encode_strings(values)
-        assert vec == scalar
-        assert comp_mod.huffman_decode_strings(vec) == values
+    def test_huffman_streams_bit_identical(self, values):
+        """The gather encoder writes the scalar reference coder's page."""
+        page = comp_mod.huffman_encode_strings(values)
+        assert page == huffman_reference.encode_strings(values)
+        assert comp_mod.huffman_decode_strings(page) == values
 
     def test_hash_codes_scalar_vs_vectorized(self):
         values = [f"k-{i % 13}" for i in range(200)]
