@@ -193,11 +193,11 @@ def plan_cache_timing(db: Database, sqls: dict[int, str]) -> dict:
     stmts = {q: parse(sql) for q, sql in sqls.items()}
     t0 = time.perf_counter()
     for q, sql in sqls.items():
-        db._plan_select_cached(sql, stmts[q], False, 0)
+        db._plan_select_cached(sql, stmts[q], 0)
     cold = time.perf_counter() - t0
     t0 = time.perf_counter()
     for q, sql in sqls.items():
-        db._plan_select_cached(sql, stmts[q], False, 0)
+        db._plan_select_cached(sql, stmts[q], 0)
     warm = time.perf_counter() - t0
     return {
         "cold_plan_s": round(cold, 6),

@@ -8,7 +8,7 @@ This benchmark measures that cost directly:
   ``DistributedExecutor._eval`` evaluates the operator and records its
   row count, exactly the pre-telemetry engine shape.
 * **disabled** — the shipped default: the wrapper runs but the tracer
-  and profiler are absent (``None``), so only the no-op checks execute.
+  is absent (``None``), so only the one no-op check executes.
 * **enabled** — full tracing on (reported for context, not gated).
 
 The flight recorder and metrics sampler get end-to-end legs too:

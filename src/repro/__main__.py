@@ -17,7 +17,7 @@ flight recorder as JSON — the post-incident artifact for
 reconstructing what a chaos run or elastic event actually did.
 
 REPL commands: any SQL statement ending in ``;``, plus
-``\\explain <select>``, ``\\analyze <select>`` (profile-grade actuals),
+``\\explain <select>``, ``\\analyze <select>`` (EXPLAIN ANALYZE: the operator spans),
 ``\\tables``, ``\\quit``.
 """
 

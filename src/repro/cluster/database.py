@@ -39,7 +39,7 @@ from ..core.spill import MemoryGovernor
 from ..network.simnet import SimNetwork
 from ..network.topology import BinomialGraphTopology, TreeTopology
 from ..optimizer.binder import Binder
-from ..optimizer.dataflow import DataflowPlanner, convert_naive
+from ..optimizer.dataflow import DataflowPlanner
 from ..optimizer.derive import StatsDeriver
 from ..optimizer.feedback import FeedbackStore, score_plan
 from ..optimizer.logical import LogicalPlan
@@ -64,7 +64,7 @@ from ..telemetry import (
     FlightRecorder,
     MetricsRegistry,
     MetricsSampler,
-    SlowQuery,
+    Span,
     Tracer,
     render_analyze,
 )
@@ -93,9 +93,10 @@ class QueryResult:
     logical: LogicalPlan | None = None
     physical: PhysOp | None = None
     rowcount: int = 0  # DML-affected rows
-    #: per-operator actuals (physical-op id -> OpProfile) when the query
-    #: ran profiled (EXPLAIN ANALYZE); None otherwise
-    profiles: dict | None = None
+    #: the query's root span when it ran under a tracer (its final
+    #: attempt's operator spans are the per-operator actuals); None
+    #: otherwise
+    trace: Span | None = None
     #: query id (tag namespace ``q<id>|``, trace registry key)
     qid: int = 0
     #: placement epoch the query executed under (elastic membership:
@@ -217,10 +218,8 @@ class Session:
         self.db = db
         self.coordinator = coordinator
 
-    def sql(self, text: str, naive_dataflow: bool = False, txn=None) -> QueryResult:
-        return self.db.sql(
-            text, naive_dataflow=naive_dataflow, coordinator=self.coordinator, txn=txn
-        )
+    def sql(self, text: str, txn=None) -> QueryResult:
+        return self.db.sql(text, coordinator=self.coordinator, txn=txn)
 
 
 class Database:
@@ -275,10 +274,9 @@ class Database:
         self._submit_pool = None
         self._submit_mu = threading.Lock()
         # -- telemetry (DESIGN.md §9) ---------------------------------------
-        #: query-lifecycle tracer; None when tracing is off (a positive
-        #: slow-query threshold implies tracing — the log needs the spans)
+        #: query-lifecycle tracer; None when tracing is off
         self.tracer: Tracer | None = None
-        if self.config.tracing or self.config.slow_query_threshold_s > 0:
+        if self.config.tracing:
             self.tracer = Tracer(retention=self.config.trace_retention)
             self._executor.tracer = self.tracer
             self.net.tracer = self.tracer
@@ -290,16 +288,9 @@ class Database:
         self._m_query_total = self.metrics.counter(
             "repro_query_total", "SELECT queries executed"
         )
-        self._m_query_slow = self.metrics.counter(
-            "repro_query_slow_total", "queries captured by the slow-query log"
-        )
         #: every membership/placement change applied, in order
         self.rebalances: list[RebalanceReport] = []
         self._register_collectors()
-        #: slow-query log: queries over ``slow_query_threshold_s`` (or
-        #: restarted under chaos), traces attached
-        self.slow_queries: list[SlowQuery] = []
-        self._slow_mu = threading.Lock()
         # -- introspection (DESIGN.md §14) ----------------------------------
         #: always-on cluster flight recorder (sys.events, `repro events`)
         self.recorder: FlightRecorder | None = None
@@ -449,7 +440,7 @@ class Database:
         coordinators (the paper's client-distribution scheme)."""
         return Session(self, next(self._session_rr) % self.config.n_coordinators)
 
-    def submit(self, text: str, naive_dataflow: bool = False):
+    def submit(self, text: str):
         """Run ``text`` asynchronously on a fresh session; returns a
         :class:`concurrent.futures.Future` of the :class:`QueryResult`.
         Queries still pass through admission, so at most
@@ -464,7 +455,7 @@ class Database:
                 )
             pool = self._submit_pool
         sess = self.session()
-        return pool.submit(sess.sql, text, naive_dataflow)
+        return pool.submit(sess.sql, text)
 
     def close(self) -> None:
         """Shut down the client pool and the shared morsel scheduler."""
@@ -712,7 +703,7 @@ class Database:
         """The Chrome ``trace_event`` JSON of query ``qid`` (default: the
         most recent traced query); load the written file in
         ``chrome://tracing`` or Perfetto. Requires tracing to be enabled
-        (``ClusterConfig.tracing`` or a slow-query threshold)."""
+        (``ClusterConfig.tracing``)."""
         if self.tracer is None:
             raise PlanError(
                 "tracing is disabled; construct the Database with "
@@ -1225,14 +1216,15 @@ class Database:
             self.analyze(name, batch)
 
     def analyze(self, name: str, sample: RowBatch | None = None) -> None:
-        """Refresh optimizer statistics (replicated to all coordinators)."""
+        """Refresh optimizer statistics (replicated to all coordinators).
+        Without a sample the table is read back whole — one replica of a
+        replicated table, every worker's partition otherwise."""
         if sample is None:
-            parts = []
-            for w in self.workers.values():
-                st = w.storage.get(name)
-                if st is not None:
-                    parts.append(st.fragments[0].schema and _all_of(st))
-            sample = RowBatch.concat(self.catalog.entry(name).schema, [p for p in parts if p])
+            entry = self.catalog.entry(name)
+            stores = [w.storage[name] for w in self.workers.values() if name in w.storage]
+            if isinstance(entry.scheme, Replicated):
+                stores = stores[:1]
+            sample = RowBatch.concat(entry.schema, [_all_of(st) for st in stores])
         stats = TableStats.from_batch(sample)
         self._replicate_metadata(lambda c: c.stats.put(name, stats))
 
@@ -1242,10 +1234,7 @@ class Database:
 
     # -- query pipeline -----------------------------------------------------------------
     def plan_select(
-        self,
-        stmt: SelectStmt,
-        naive_dataflow: bool = False,
-        coordinator: int = 0,
+        self, stmt: SelectStmt, coordinator: int = 0
     ) -> tuple[LogicalPlan, PhysOp]:
         from ..optimizer.logical import reset_fresh_names
 
@@ -1257,15 +1246,12 @@ class Database:
             deriver = StatsDeriver(coord.stats)
             logical = optimize_logical(logical, deriver)
             placement = lambda t: coord.catalog.entry(t).partitioning()
-            if naive_dataflow:
-                physical = convert_naive(logical, placement)
-            else:
-                deriver2 = StatsDeriver(coord.stats)
-                physical = DataflowPlanner(placement, deriver2, self.config).plan(logical)
+            deriver2 = StatsDeriver(coord.stats)
+            physical = DataflowPlanner(placement, deriver2, self.config).plan(logical)
             return logical, physical
 
     def _plan_select_cached(
-        self, text: str, stmt: SelectStmt, naive_dataflow: bool, coordinator: int
+        self, text: str, stmt: SelectStmt, coordinator: int
     ) -> tuple[LogicalPlan, PhysOp, tuple]:
         """Plan through the coordinator's plan cache.
 
@@ -1276,15 +1262,11 @@ class Database:
         is returned too — the statement's Q-error is recorded under it."""
         coord = self.coordinators[coordinator]
         key = PlanCache.key(
-            text,
-            "naive" if naive_dataflow else "opt",
-            coordinator,
-            coord.catalog.version,
-            coord.stats.version,
+            text, coordinator, coord.catalog.version, coord.stats.version
         )
         pair = self.plan_cache.get(key)
         if pair is None:
-            pair = self.plan_select(stmt, naive_dataflow, coordinator)
+            pair = self.plan_select(stmt, coordinator)
             self.plan_cache.put(key, pair)
         return pair[0], pair[1], key
 
@@ -1295,7 +1277,7 @@ class Database:
         txn=None,
         coordinator: int = 0,
         qid: int | None = None,
-        profiled: bool = False,
+        tracer: Tracer | None = None,
     ) -> QueryResult:
         """Admission-gated distributed execution with restart-on-failure.
 
@@ -1306,13 +1288,13 @@ class Database:
         The query executes rooted at the session's coordinator node, so
         round-robined sessions spread gather/merge load across the
         replicated coordinators (paper §II: clients load-balance over
-        coordinators).
+        coordinators). ``tracer`` is the one the query runs under (None:
+        untraced), which :meth:`_select` chose.
         """
         qid = qid if qid is not None else next(self._qid)
-        tr = self.tracer
-        ex = self._executor.for_query(
-            qid, self.coord_ids[coordinator % len(self.coord_ids)], profiled=profiled
-        )
+        tr = tracer
+        ex = self._executor.for_query(qid, self.coord_ids[coordinator % len(self.coord_ids)])
+        ex.tracer = tr
         t_adm = time.perf_counter()
         try:
             if tr is not None:
@@ -1386,20 +1368,12 @@ class Database:
         stats.restarts = attempts - 1
         result = QueryResult(batch, stats, logical, physical, qid=qid, epoch=ex.epoch)
         result.op_rows = dict(ex.op_rows)
-        if profiled:
-            result.profiles = ex.op_prof
         return result
 
-    def sql(
-        self,
-        text: str,
-        naive_dataflow: bool = False,
-        coordinator: int = 0,
-        txn=None,
-    ) -> QueryResult:
+    def sql(self, text: str, coordinator: int = 0, txn=None) -> QueryResult:
         stmt = _parse_cached(text)
         if isinstance(stmt, SelectStmt):
-            return self._select(text, stmt, naive_dataflow, coordinator, txn)
+            return self._select(text, stmt, coordinator, txn)
         if isinstance(stmt, CreateTable):
             schema = Schema.of(*((c.name, c.dtype) for c in stmt.columns))
             self.create_table(stmt.name, schema, stmt.partition, stmt.fmt, stmt.clustering)
@@ -1421,23 +1395,22 @@ class Database:
         raise PlanError(f"unsupported statement {type(stmt).__name__}")
 
     def _select(
-        self, text: str, stmt: SelectStmt, naive_dataflow: bool, coordinator: int, txn,
-        profiled: bool = False,
+        self, text: str, stmt: SelectStmt, coordinator: int, txn,
+        tracer: Tracer | None = None,
     ) -> QueryResult:
         """The traced SELECT lifecycle: plan phase, execute phase (with
-        per-attempt spans), query log, query metrics, and slow-query
-        capture. EXPLAIN ANALYZE is this with ``profiled=True``."""
+        per-attempt spans), query log and query metrics. ``tracer``
+        overrides the cluster's tracer for this one query — EXPLAIN
+        ANALYZE is this lifecycle under a tracer."""
         qid = next(self._qid)
-        tr = self.tracer
+        tr = tracer if tracer is not None else self.tracer
         t0 = time.perf_counter()
         self.query_log.start(qid, text, coordinator)
         root = tr.start_query(qid, text) if tr is not None else None
         try:
             psp = tr.begin("plan", cat="phase") if tr is not None else None
             try:
-                logical, physical, key = self._plan_select_cached(
-                    text, stmt, naive_dataflow, coordinator
-                )
+                logical, physical, key = self._plan_select_cached(text, stmt, coordinator)
             finally:
                 if psp is not None:
                     tr.end(psp)
@@ -1456,8 +1429,7 @@ class Database:
                 }
                 self.txn_system.lock_read(txn, tables)
             result = self._run_select(
-                logical, physical, txn=txn, coordinator=coordinator, qid=qid,
-                profiled=profiled,
+                logical, physical, txn=txn, coordinator=coordinator, qid=qid, tracer=tr
             )
         except BaseException as e:
             self.query_log.fail(qid, e, time.perf_counter() - t0)
@@ -1465,63 +1437,42 @@ class Database:
         finally:
             if root is not None:
                 tr.end(root)
+        result.trace = root
         scores = score_plan(result.physical, result.op_rows or {})
         self.feedback.observe(key, max((sc.q for sc in scores), default=1.0))
-        self.query_log.finish(qid, result, time.perf_counter() - t0)
-        self._finish_query(qid, text, time.perf_counter() - t0, result.stats)
+        duration = time.perf_counter() - t0
+        self.query_log.finish(qid, result, duration)
+        self._m_query_total.inc()
+        self._m_query_hist.observe(duration)
+        self._introspection_tick()
         return result
 
     def feedback_stats(self) -> dict:
         """Estimate-quality observability (runs, worst Q; re-plans is 0)."""
         return self.feedback.stats()
 
-    def _finish_query(self, qid: int, text: str, duration: float, stats) -> None:
-        """Query-level metrics + the slow-query log (queries over the
-        threshold, and any query that restarted under chaos)."""
-        self._m_query_total.inc()
-        self._m_query_hist.observe(duration)
-        self._introspection_tick()
-        thr = self.config.slow_query_threshold_s
-        if thr <= 0 or (duration < thr and stats.restarts == 0):
-            return
-        reason = "slow" if duration >= thr else "restarted"
-        entry = SlowQuery(
-            qid=qid,
-            sql=text,
-            duration_s=duration,
-            restarts=stats.restarts,
-            failed_workers=stats.failed_workers,
-            reason=reason,
-            trace=self.tracer.export(qid) if self.tracer is not None else None,
-        )
-        with self._slow_mu:
-            self.slow_queries.append(entry)
-        self._m_query_slow.inc()
-        if self.recorder is not None:
-            self.recorder.record(
-                "slow_query", qid=qid, duration_s=round(duration, 6), reason=reason
-            )
-
-    def explain(self, text: str, naive_dataflow: bool = False) -> str:
+    def explain(self, text: str) -> str:
         stmt = parse(text)
         if not isinstance(stmt, SelectStmt):
             raise PlanError("EXPLAIN supports SELECT only")
-        logical, physical = self.plan_select(stmt, naive_dataflow)
+        logical, physical = self.plan_select(stmt)
         return f"-- logical --\n{logical.pretty()}\n-- dataflow --\n{physical.pretty()}"
 
     def explain_analyze(self, text: str) -> str:
-        """Execute the query profiled and render the dataflow annotated
-        with per-operator actuals: rows vs estimates, batches, inclusive
+        """Execute the query under a tracer — the cluster's, or a
+        one-query tracer when tracing is off — and render its operator
+        spans over the dataflow: rows vs estimates, batches, inclusive
         and self time, data skipping, pages, network bytes, and spill —
         plus footers reconciling pipeline, scan, restart, and per-prefix
         network totals (untagged traffic attributed explicitly)."""
         stmt = parse(text)
         if not isinstance(stmt, SelectStmt):
             raise PlanError("EXPLAIN ANALYZE supports SELECT only")
-        result = self._select(text, stmt, False, 0, None, profiled=True)
+        result = self._select(text, stmt, 0, None, tracer=self.tracer or Tracer())
         return render_analyze(
             result.physical,
-            result.profiles or {},
+            result.op_rows,
+            result.trace,
             result.stats,
             network=self.net.traffic_by_prefix(),
         )

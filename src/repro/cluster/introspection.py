@@ -34,6 +34,8 @@ from ..common.dtypes import DataType
 from ..common.schema import Schema
 from ..optimizer.feedback import physical_locus, qerror
 from ..telemetry.metrics import _fmt_labels
+from ..telemetry.profile import operator_spans
+from ..telemetry.trace import Span
 
 I64 = DataType.INT64
 F64 = DataType.FLOAT64
@@ -74,7 +76,7 @@ SYS_SCHEMAS: dict[str, Schema] = {
         ("rows_out", I64),
     ),
     "sys.plan_cache": Schema.of(
-        ("sql", STR), ("mode", STR), ("coordinator", I64),
+        ("sql", STR), ("coordinator", I64),
         ("catalog_version", I64), ("stats_version", I64),
     ),
     "sys.events": Schema.of(
@@ -123,7 +125,8 @@ class QueryRecord:
     trace_retained: bool = True
     physical: object = None
     op_rows: dict = field(default_factory=dict)
-    profiles: dict | None = None
+    #: the query's root span when it ran under a tracer
+    trace: Span | None = None
 
 
 class QueryRegistry:
@@ -166,7 +169,7 @@ class QueryRegistry:
         rec.restarts = stats.restarts
         rec.physical = result.physical
         rec.op_rows = dict(result.op_rows or {})
-        rec.profiles = result.profiles
+        rec.trace = result.trace
 
     def fail(self, qid: int, error: BaseException, duration_s: float) -> None:
         rec = self.get(qid)
@@ -185,7 +188,7 @@ class QueryRegistry:
         rec.trace_retained = False
         rec.physical = None
         rec.op_rows = {}
-        rec.profiles = None
+        rec.trace = None
 
     def records(self) -> list[QueryRecord]:
         with self._mu:
@@ -220,20 +223,20 @@ def build_providers(db) -> dict:
         for rec in db.query_log.records():
             if rec.physical is None:
                 continue
-            profiles = rec.profiles or {}
+            spans = operator_spans(rec.trace)
             for op in rec.physical.walk():
                 actual = rec.op_rows.get(op.id)
                 if actual is None:
                     continue
                 est = float(op.attrs.get("est_rows", 0.0))
                 locus = physical_locus(op)
-                prof = profiles.get(op.id)
+                sp = spans.get(op.id)
                 rows.append(
                     (
                         rec.qid, op.id, op.op,
                         "" if locus is None else f"{locus[0]}:{sorted(locus[1])}",
                         op.site, est, int(actual), qerror(est, actual),
-                        prof.time_s if prof is not None else 0.0,
+                        sp.dur if sp is not None else 0.0,
                     )
                 )
         rows.sort(key=lambda r: (r[0], r[1]))

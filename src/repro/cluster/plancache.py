@@ -3,8 +3,8 @@
 OLAP dashboards replay the same parameterized statements continuously;
 parse/bind/optimize is pure overhead on every repeat. The cache maps
 *normalized SQL text* plus everything that could change the plan — the
-planning mode, the coordinating node, the catalog version (DDL), and
-the statistics version (ANALYZE) — to the already-optimized physical
+coordinating node, the catalog version (DDL), and the statistics
+version (ANALYZE) — to the already-optimized physical
 plan. Physical plans are immutable after optimization, so concurrent
 queries can execute one shared plan object simultaneously; only the
 executor's per-query state (counters, exchange tags) is cloned per run.
@@ -54,9 +54,9 @@ class PlanCache:
 
     @staticmethod
     def key(
-        sql: str, mode: str, coordinator: int, catalog_version: int, stats_version: int
+        sql: str, coordinator: int, catalog_version: int, stats_version: int
     ) -> Hashable:
-        return (normalize_sql(sql), mode, coordinator, catalog_version, stats_version)
+        return (normalize_sql(sql), coordinator, catalog_version, stats_version)
 
     def get(self, key: Hashable):
         with self._mu:

@@ -79,17 +79,13 @@ class ClusterConfig:
     #: trace_event JSON); off by default — disabled telemetry costs one
     #: attribute test per operator
     tracing: bool = False
-    #: queries slower than this (seconds) land in ``Database.slow_queries``
-    #: with their full trace attached; 0 disables the slow-query log.
-    #: A positive threshold implies tracing (the log needs the spans).
-    slow_query_threshold_s: float = 0.0
     #: completed query traces retained for export (oldest evicted first)
     trace_retention: int = 16
     #: byte cap (MB) for the content-keyed decoded-page LRU caches
     decoded_cache_mb: int = 64
     #: always-on cluster flight recorder: bounded ring of structured
     #: operational events (admission, faults, breaker transitions, epoch
-    #: publishes, slow queries, spills), queryable as
+    #: publishes, spills), queryable as
     #: ``sys.events`` and dumpable via ``python -m repro events``
     flight_recorder: bool = True
     #: samples retained per metric series in ``sys.metrics_history``;
@@ -131,8 +127,6 @@ class ClusterConfig:
             raise ConfigError("admission_timeout must be positive")
         if self.plan_cache_size < 0:
             raise ConfigError("plan_cache_size must be >= 0 (0 disables)")
-        if self.slow_query_threshold_s < 0:
-            raise ConfigError("slow_query_threshold_s must be >= 0 (0 disables)")
         if self.trace_retention < 1:
             raise ConfigError("trace_retention must be >= 1")
         if self.decoded_cache_mb < 1:

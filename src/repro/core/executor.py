@@ -55,7 +55,6 @@ from ..optimizer.dataflow import _split_aggs
 from ..optimizer.physical import COORD, WORKERS, PhysOp
 from ..sql.compiler import compile_expr, compile_predicate
 from ..storage.table import ScanStats, TableStorage
-from ..telemetry.profile import OpProfile
 from ..telemetry.trace import Tracer
 from ..util.fs import FileSystem
 from .aggregate import final_aggregate, fold_partial, partial_aggregate
@@ -250,9 +249,6 @@ class DistributedExecutor(ScanSource, Exchange):
         #: query-lifecycle tracer (None = tracing disabled: the only cost
         #: at every instrumentation point is this attribute test)
         self.tracer: Tracer | None = None
-        #: per-operator profiles for EXPLAIN ANALYZE ({} when profiling,
-        #: None otherwise)
-        self.op_prof: dict[int, OpProfile] | None = None
         #: virtual (sys.*) relation providers: table name -> () -> RowBatch,
         #: materialized on demand at the coordinator by ``_eval_sysscan``.
         #: Shared by reference across per-query clones — providers are
@@ -283,12 +279,8 @@ class DistributedExecutor(ScanSource, Exchange):
         #: coordinator-only busy time, seconds
         self.coord_busy_s = 0.0
         self._busy_mu = threading.Lock()
-        if self.op_prof is not None:
-            self.op_prof = {}  # a restarted attempt profiles afresh
 
-    def for_query(
-        self, qid: int, coord_id: int | None = None, profiled: bool = False
-    ) -> "DistributedExecutor":
+    def for_query(self, qid: int, coord_id: int | None = None) -> "DistributedExecutor":
         """A shallow per-query clone with isolated mutable state.
 
         Shared (by reference): workers (and their governors — aggregate
@@ -310,7 +302,6 @@ class DistributedExecutor(ScanSource, Exchange):
             clone.tree = TreeTopology(
                 [coord_id] + self.worker_ids, self.config.n_max, root=coord_id
             )
-        clone.op_prof = {} if profiled else None
         clone._begin_attempt()
         return clone
 
@@ -397,54 +388,42 @@ class DistributedExecutor(ScanSource, Exchange):
     def _traced(self, op: PhysOp, thunk: Callable[[], SiteData]) -> SiteData:
         """Run one operator with per-operator observability.
 
-        Fast path (no tracer, no profiling): evaluate and record the row
-        count, exactly the pre-telemetry behaviour. Otherwise wrap the
-        evaluation in an ``operator`` span and/or fill an
-        :class:`OpProfile` from before/after :meth:`_counters` snapshots
-        (inclusive of children, like every EXPLAIN ANALYZE).
+        Fast path (no tracer): evaluate and record the row count. Under a
+        tracer the evaluation runs in an ``operator`` span whose args get
+        the :meth:`_counters` delta of the evaluation (inclusive of
+        children, like every EXPLAIN ANALYZE) — the one per-operator
+        record EXPLAIN ANALYZE and ``sys.query_operators`` read.
         """
         tr = self.tracer
-        prof = self.op_prof
-        if tr is None and prof is None:
+        if tr is None:
             out = thunk()
             self.op_rows[op.id] = sum(b.length for bs in out.values() for b in bs)
             return out
-        sp = None
-        if tr is not None:
-            stem = self._EXCHANGE_STEMS.get(op.op)
-            tag = f"{self.qtag}{stem}{op.id}" if stem else ""
-            sp = tr.begin(op.op, cat="operator", tag=tag, op_id=op.id)
-        t0 = time.perf_counter()
-        base = self._counters() if prof is not None else None
+        stem = self._EXCHANGE_STEMS.get(op.op)
+        tag = f"{self.qtag}{stem}{op.id}" if stem else ""
+        sp = tr.begin(op.op, cat="operator", tag=tag, op_id=op.id)
+        base = self._counters()
         try:
             out = thunk()
         except BaseException:
-            if sp is not None:
-                tr.end(sp, error=True)
+            tr.end(sp, error=True)
             raise
         rows = sum(b.length for bs in out.values() for b in bs)
         self.op_rows[op.id] = rows
-        if prof is not None:
-            folded = prof.get(op.id)
-            d = self._counters().since(base)
-            prof[op.id] = OpProfile(
-                op_id=op.id,
-                rows=rows,
-                batches=sum(len(bs) for bs in out.values()),
-                time_s=time.perf_counter() - t0,
-                # the root of a collected chain was folded like its steps
-                fused=folded is not None and folded.fused,
-                scan_rows=d.rows_scanned,
-                pages=d.pages_read,
-                sets_skipped=d.sets_skipped,
-                sets_total=d.sets_total,
-                net_bytes=d.network_bytes,
-                spilled_bytes=d.spilled_bytes,
-                pages_skipped=d.pages_skipped,
-                pages_pushed=d.pages_pushed_down,
-            )
-        if sp is not None:
-            tr.end(sp, rows=rows)
+        d = self._counters().since(base)
+        tr.end(
+            sp,
+            rows=rows,
+            batches=sum(len(bs) for bs in out.values()),
+            scan_rows=d.rows_scanned,
+            pages=d.pages_read,
+            sets_skipped=d.sets_skipped,
+            sets_total=d.sets_total,
+            pages_skipped=d.pages_skipped,
+            pages_pushed=d.pages_pushed_down,
+            net_bytes=d.network_bytes,
+            spilled_bytes=d.spilled_bytes,
+        )
         return out
 
     # -- chains ---------------------------------------------------------------------
@@ -508,19 +487,18 @@ class DistributedExecutor(ScanSource, Exchange):
         batches from :meth:`_site_batches`. However the body exits, the
         stream it was consuming is closed — morsels stopped, the site's
         ``pipeline`` span ended. On success the folded operators' actual
-        rows are published for EXPLAIN ANALYZE."""
+        rows are published for EXPLAIN ANALYZE and, under a tracer, they
+        are marked fused on the span of the operator that ran the chain
+        (they have no span of their own)."""
         run = self._open_chain(op)
         try:
             yield run
         finally:
             if run.live is not None:
                 run.live.close()
-        for op_id, n in run.counts.items():
-            self.op_rows[op_id] = n
-            if self.op_prof is not None and op_id not in self.op_prof:
-                # operators folded into a pipeline have no standalone
-                # timing; their rows still show, flagged as fused
-                self.op_prof[op_id] = OpProfile(op_id=op_id, rows=n, fused=True)
+        self.op_rows.update(run.counts)
+        if self.tracer is not None and run.counts:
+            self.tracer.current().args.setdefault("fused", []).extend(run.counts)
 
     def _collect(self, op: PhysOp) -> SiteData:
         """Evaluate ``op``'s chain to materialized per-site batches (for

@@ -1,4 +1,4 @@
-"""Telemetry: query-lifecycle tracing, cluster metrics, query profiles.
+"""Telemetry: query-lifecycle tracing, cluster metrics, EXPLAIN ANALYZE.
 
 Four integrated layers (DESIGN.md §9, §14):
 
@@ -10,8 +10,10 @@ Four integrated layers (DESIGN.md §9, §14):
   Histogram primitives (per-thread shards, no locks on the hot path)
   plus a pull-model registry that samples every cluster subsystem and
   renders Prometheus text format.
-* :mod:`repro.telemetry.profile` — per-operator profiles behind
-  profile-grade ``EXPLAIN ANALYZE`` and the slow-query log.
+* :mod:`repro.telemetry.profile` — ``EXPLAIN ANALYZE``, a rendering of
+  a query's operator spans. There is no separate slow-query log: select
+  from ``sys.queries where duration_s > … or restarts > 0`` and export
+  the trace of a qid it names (``Database.export_trace``).
 * :mod:`repro.telemetry.recorder` / :mod:`repro.telemetry.sampler` —
   the always-on cluster flight recorder (bounded, lock-sharded event
   ring behind ``sys.events``) and the metrics time-series sampler
@@ -19,7 +21,7 @@ Four integrated layers (DESIGN.md §9, §14):
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import OpProfile, SlowQuery, render_analyze
+from .profile import fused_ops, operator_spans, render_analyze
 from .recorder import FlightEvent, FlightRecorder
 from .sampler import MetricsSampler
 from .trace import Span, Tracer, validate_trace
@@ -32,9 +34,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSampler",
-    "OpProfile",
-    "SlowQuery",
     "Span",
     "Tracer",
+    "fused_ops",
+    "operator_spans",
+    "render_analyze",
     "validate_trace",
 ]

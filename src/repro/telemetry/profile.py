@@ -1,74 +1,46 @@
-"""Profile-grade EXPLAIN ANALYZE and the slow-query log.
+"""EXPLAIN ANALYZE: a rendering of a query's operator spans.
 
-The executor (when asked to profile) fills one :class:`OpProfile` per
-physical operator: output rows and batches, inclusive wall time, the
-scan-level observables (pages read, column sets skipped vs total), the
-network bytes its exchanges moved, and bytes spilled under it.
-:func:`render_analyze` prints the annotated plan tree plus a footer that
+Under a tracer, every operator the executor evaluates gets one
+``operator`` span whose args carry the counter delta of its evaluation
+(batches, scan rows, pages, sets skipped / total, pages skipped and
+pushed, network and spilled bytes); its ``rows`` is the operator's
+output. Operators folded into a chain have no span of their own: the
+span of the operator that ran the chain lists them under ``fused``.
+:func:`operator_spans` picks the final attempt's spans out of a query
+trace, and :func:`render_analyze` prints the annotated plan tree from
+them plus the query's per-operator row counts, with a footer that
 reconciles network traffic — this query's tagged bytes *and* the
 untagged/legacy ``""`` prefix are attributed explicitly, so per-prefix
 sums always add up to the cluster totals.
-
-:class:`SlowQuery` records queries that exceeded
-``ClusterConfig.slow_query_threshold_s`` — or restarted under chaos —
-with their full trace attached, so fault post-mortems carry the
-timeline of what actually happened.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-
-@dataclass
-class OpProfile:
-    """Per-operator actuals for one query execution.
-
-    Times are *inclusive* (an operator's time contains its children's),
-    matching how EXPLAIN ANALYZE reads in row-store systems; subtracting
-    children gives self time, which the renderer does.
-    """
-
-    op_id: int = -1
-    #: output rows the operator produced (summed over sites)
-    rows: int = 0
-    #: output batches (0 for operators fused into a pipeline)
-    batches: int = 0
-    #: inclusive wall seconds
-    time_s: float = 0.0
-    #: scan-only: rows read off storage under this operator
-    scan_rows: int = 0
-    #: scan-only: pages fetched
-    pages: int = 0
-    #: data skipping under this operator: column sets skipped / total
-    sets_skipped: int = 0
-    sets_total: int = 0
-    #: pages a plain decode scan would have read but skipping avoided
-    pages_skipped: int = 0
-    #: pages whose predicate ran near-data over the encoded form
-    pages_pushed: int = 0
-    #: bytes this operator's exchanges put on the wire (per-hop accounted)
-    net_bytes: int = 0
-    #: bytes spilled to disk while this operator (or its children) ran
-    spilled_bytes: int = 0
-    #: operator executed inside a fused morsel pipeline
-    fused: bool = False
+from .trace import Span
 
 
-@dataclass
-class SlowQuery:
-    """One slow-query log entry (see ``Database.slow_queries``)."""
+def operator_spans(root: Optional[Span]) -> dict[int, Span]:
+    """The final attempt's ``operator`` spans of a query trace, keyed by
+    physical-op id (a restarted query's failed attempts are ignored;
+    an untraced query, ``root`` None, has none)."""
+    if root is None:
+        return {}
+    attempts = [
+        a for c in root.children if c.name == "execute"
+        for a in c.children if a.name == "attempt"
+    ]
+    if not attempts:
+        return {}
+    return {
+        sp.args["op_id"]: sp for sp in attempts[-1].walk() if sp.cat == "operator"
+    }
 
-    qid: int
-    sql: str
-    duration_s: float
-    restarts: int = 0
-    failed_workers: tuple = ()
-    #: why the query was captured: "slow" or "restarted"
-    reason: str = "slow"
-    #: full Chrome trace_event export of the query, when tracing was on
-    trace: Optional[dict] = field(default=None, repr=False)
+
+def fused_ops(spans: dict[int, Span]) -> set[int]:
+    """Ids of the operators the spans mark as folded into a chain."""
+    return {i for sp in spans.values() for i in sp.args.get("fused", ())}
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -77,56 +49,65 @@ def _fmt_ms(seconds: float) -> str:
 
 def render_analyze(
     physical,
-    profiles: dict[int, OpProfile],
+    op_rows: dict[int, int],
+    trace: Optional[Span],
     stats,
     network: Optional[dict] = None,
 ) -> str:
     """Render the annotated dataflow tree for EXPLAIN ANALYZE.
 
-    ``physical`` is the plan root, ``profiles`` maps physical-op id →
-    :class:`OpProfile`, ``stats`` is the query's ExecStats, and
-    ``network`` (optional) maps traffic-prefix → TrafficStats for the
-    reconciliation footer.
+    ``physical`` is the plan root, ``op_rows`` maps physical-op id →
+    actual output rows, ``trace`` is the query's root span (its final
+    attempt's operator spans give times and counters), ``stats`` is the
+    query's ExecStats, and ``network`` (optional) maps traffic-prefix →
+    TrafficStats for the reconciliation footer. Times are *inclusive*
+    (an operator's contains its children's); self time subtracts them.
     """
 
     from ..optimizer.feedback import qerror
 
+    spans = operator_spans(trace)
+    fused = fused_ops(spans)
+
+    def time_s(op) -> float:
+        sp = spans.get(op.id)
+        return sp.dur if sp is not None else 0.0
+
     def render(op, indent: int = 0) -> list[str]:
         pad = "  " * indent
-        prof = profiles.get(op.id)
+        rows = op_rows.get(op.id)
         head = op.pretty(0).splitlines()[0]
         bits = []
-        if prof is not None:
-            bits.append(f"rows={prof.rows}")
+        if rows is not None:
+            sp = spans.get(op.id)
+            args = sp.args if sp is not None else {}
+            bits.append(f"rows={rows}")
             est = op.attrs.get("est_rows")
             # int or float: dataflow seeds floats, but older plans (and
             # raw Scan row counts) may carry ints — both must render
             if isinstance(est, (int, float)) and not isinstance(est, bool):
                 bits.append(f"est={float(est):.0f}")
-                bits.append(f"q={qerror(float(est), float(prof.rows)):.1f}")
-            if prof.batches:
-                bits.append(f"batches={prof.batches}")
-            child_time = sum(
-                profiles[c.id].time_s for c in op.children if c.id in profiles
-            )
-            self_s = max(prof.time_s - child_time, 0.0)
-            bits.append(f"time={_fmt_ms(prof.time_s)}")
+                bits.append(f"q={qerror(float(est), float(rows)):.1f}")
+            if args.get("batches"):
+                bits.append(f"batches={args['batches']}")
+            bits.append(f"time={_fmt_ms(time_s(op))}")
             if op.children:
-                bits.append(f"self={_fmt_ms(self_s)}")
-            if prof.fused:
+                self_s = time_s(op) - sum(time_s(c) for c in op.children)
+                bits.append(f"self={_fmt_ms(max(self_s, 0.0))}")
+            if op.id in fused:
                 bits.append("fused")
-            if prof.sets_total:
-                bits.append(f"skipped={prof.sets_skipped}/{prof.sets_total}")
-            if prof.pages:
-                bits.append(f"pages={prof.pages}")
-            if prof.pages_skipped:
-                bits.append(f"pages_skipped={prof.pages_skipped}")
-            if prof.pages_pushed:
-                bits.append(f"pushed={prof.pages_pushed}")
-            if prof.net_bytes:
-                bits.append(f"net={prof.net_bytes}B")
-            if prof.spilled_bytes:
-                bits.append(f"spill={prof.spilled_bytes}B")
+            if args.get("sets_total"):
+                bits.append(f"skipped={args['sets_skipped']}/{args['sets_total']}")
+            if args.get("pages"):
+                bits.append(f"pages={args['pages']}")
+            if args.get("pages_skipped"):
+                bits.append(f"pages_skipped={args['pages_skipped']}")
+            if args.get("pages_pushed"):
+                bits.append(f"pushed={args['pages_pushed']}")
+            if args.get("net_bytes"):
+                bits.append(f"net={args['net_bytes']}B")
+            if args.get("spilled_bytes"):
+                bits.append(f"spill={args['spilled_bytes']}B")
         else:
             bits.append("rows=?")
         lines = [f"{pad}{head}  [{' '.join(bits)}]"]

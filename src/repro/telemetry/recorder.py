@@ -3,9 +3,8 @@ operational events for post-incident reconstruction.
 
 The recorder answers "what happened?" after a chaos run, an elastic
 event, or a slow query — admission grants and timeouts, fault
-injections, health-breaker transitions, placement-epoch publishes,
-slow queries, and spills all land here with monotonic per-shard
-sequence numbers.
+injections, health-breaker transitions, placement-epoch publishes and
+spills all land here with monotonic per-shard sequence numbers.
 
 Design constraints (this sits on the query hot path):
 

@@ -25,6 +25,15 @@ per site and nesting must — and does — never overlap within a site.
 Span events (chaos faults, retries) become instant (``"ph": "i"``)
 events on the same track.
 
+Operator spans are the engine's one per-operator record: their args
+carry the operator's counter delta (batches, scan rows, pages, sets
+skipped / total, pages skipped and pushed, network and spilled bytes)
+and a chain's folded operators are listed under ``fused``. EXPLAIN
+ANALYZE (:mod:`repro.telemetry.profile`) and ``sys.query_operators``
+render them; EXPLAIN ANALYZE on an untraced cluster runs its query
+under a one-query tracer. The slow-query view is a ``sys.queries``
+select (``duration_s``, ``restarts``) plus the exported trace of a qid.
+
 When tracing is disabled the tracer is simply *absent* (``None``) at
 every instrumentation point; the cost of disabled telemetry is one
 attribute load and ``is not None`` test per operator, which
@@ -97,7 +106,7 @@ class Span:
         self.children: list["Span"] = []
         self.events: list[tuple[str, float, dict]] = []
 
-    # -- introspection helpers (tests, slow-query rendering) -------------------
+    # -- introspection helpers (tests, EXPLAIN ANALYZE) ------------------------
     def walk(self) -> Iterator["Span"]:
         yield self
         for c in self.children:

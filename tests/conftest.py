@@ -13,6 +13,7 @@ from repro.core.executor import DistributedExecutor
 from repro.sql import parse
 from repro.storage.buffer import BufferManager
 from repro.storage.table import TableStorage
+from repro.telemetry import Tracer
 from repro.util.fs import MemFS
 from repro.workloads import tpch_dbgen, tpch_schema
 
@@ -100,10 +101,10 @@ def forced_scans(**overrides):
         yield
 
 
-def profiled(db: Database, sql: str):
+def analyzed(db: Database, sql: str):
     """Run ``sql`` the way ``explain_analyze`` does — the SELECT lifecycle
-    with per-operator profiles kept — and return the QueryResult."""
-    return db._select(sql, parse(sql), False, 0, None, profiled=True)
+    under a tracer — and return the QueryResult with its trace."""
+    return db._select(sql, parse(sql), 0, None, tracer=db.tracer or Tracer())
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from repro.optimizer.feedback import qerror
 from repro.optimizer.stats import TableStats
 from repro.telemetry import render_analyze
 
-from tests.conftest import profiled
+from tests.conftest import analyzed
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +48,13 @@ class TestNormalizeSQL:
         assert s.endswith(", 2")
 
     def test_cache_keys_distinguish_literals(self):
-        k1 = PlanCache.key("SELECT 'x  y'", "opt", 0, 1, 1)
-        k2 = PlanCache.key("SELECT 'x y'", "opt", 0, 1, 1)
+        k1 = PlanCache.key("SELECT 'x  y'", 0, 1, 1)
+        k2 = PlanCache.key("SELECT 'x y'", 0, 1, 1)
         assert k1 != k2
 
     def test_formatting_only_same_key(self):
-        k1 = PlanCache.key("SELECT  *  FROM t", "opt", 0, 1, 1)
-        k2 = PlanCache.key("SELECT * FROM t", "opt", 0, 1, 1)
+        k1 = PlanCache.key("SELECT  *  FROM t", 0, 1, 1)
+        k2 = PlanCache.key("SELECT * FROM t", 0, 1, 1)
         assert k1 == k2
 
 
@@ -179,10 +179,10 @@ class TestEstRendering:
         # older plans (and raw Scan row counts) carry int est_rows;
         # the renderer must not silently drop them (the bug)
         db = feedback_db()
-        res = profiled(db, JOIN_SQL)
+        res = analyzed(db, JOIN_SQL)
         for op in res.physical.walk():
             est = op.attrs.get("est_rows")
             if isinstance(est, float):
                 op.attrs["est_rows"] = int(est)
-        out = render_analyze(res.physical, res.profiles or {}, res.stats)
+        out = render_analyze(res.physical, res.op_rows, res.trace, res.stats)
         assert "est=" in out and "q=" in out

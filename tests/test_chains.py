@@ -26,9 +26,10 @@ from repro.core.executor import DistributedExecutor
 from repro.core.pipeline import chain_step
 from repro.fault import FaultInjector, FaultSchedule
 from repro.storage.external import InMemoryCsvTable
+from repro.telemetry import fused_ops, operator_spans
 from repro.workloads.tpch_queries import ALL_QUERIES, query
 
-from tests.conftest import TPCH_SF, load_tpch, profiled, quiescent, rows_match_unordered
+from tests.conftest import TPCH_SF, analyzed, load_tpch, quiescent, rows_match_unordered
 
 CHAOS_SEEDS = [11, 23, 37]
 
@@ -138,7 +139,7 @@ class TestEveryOperatorInOneChain:
         monkeypatch.setattr(DistributedExecutor, "_open_chain", spy)
         sql = query(qno, TPCH_SF)
         with quiescent(tpch_db):
-            res = profiled(tpch_db, sql)
+            res = analyzed(tpch_db, sql)
         assert res.stats.pipelines == len(opened)
         folded = [
             op.id for c in opened for op in c.transforms + ([c.source] if c.scans else [])
@@ -150,9 +151,12 @@ class TestEveryOperatorInOneChain:
         # exactly one chain, and EXPLAIN ANALYZE says so
         assert sorted(folded) == sorted(op.id for op in steps)
         assert res.stats.fused_ops == len(folded)
+        spans = operator_spans(res.trace)
+        fused = fused_ops(spans)
         for op in steps:
-            assert res.profiles[op.id].fused, (qno, op.op)
-            assert res.op_rows[op.id] == res.profiles[op.id].rows
+            assert op.id in fused, (qno, op.op)
+            if op.id in spans:  # a chain root evaluated as an operator
+                assert res.op_rows[op.id] == spans[op.id].rows
 
 
 def list_db(**overrides) -> Database:
@@ -198,10 +202,10 @@ class TestListSourcedChains:
 
     def test_having_is_a_list_sourced_chain(self):
         db = list_db()
-        res = profiled(db, LIST_SOURCED[0])
+        res = analyzed(db, LIST_SOURCED[0])
         having = [op for op in res.physical.walk() if op.op == "filter"]
         assert having and all(op.children[0].op != "scan" for op in having)
-        assert all(res.profiles[op.id].fused for op in having)
+        assert all(op.id in fused_ops(operator_spans(res.trace)) for op in having)
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_byte_identical_under_chaos(self, canonical, seed):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ClusterConfig, Database, DataType, RowBatch, Schema
 from repro.common.errors import CatalogError, PlanError
+from repro.optimizer.dataflow import convert_naive
 
 from tests.conftest import quiescent
 
@@ -75,6 +76,16 @@ class TestLoadAnalyze:
         for coord in db.coordinators:
             assert coord.stats.table("t").row_count == 3
 
+    @pytest.mark.parametrize("scheme", [("replicated", ()), ("hash", ("a",))])
+    def test_analyze_without_sample_counts_each_row_once(self, scheme):
+        db = fresh(4)
+        db.create_table("t", Schema.of(("a", DataType.INT64)), scheme)
+        db.load("t", RowBatch.from_pairs(("a", DataType.INT64, [1, 2, 3])))
+        assert db.stats.table("t").row_count == 3
+        db.analyze("t")  # reads the stored rows back: one replica, not four
+        assert db.stats.table("t").row_count == 3
+        assert db.stats.table("t").columns["a"].ndv == 3
+
     def test_set_table_stats(self):
         from repro.optimizer.stats import TableStats
 
@@ -120,12 +131,16 @@ class TestExplain:
         assert "scan" in text and "Aggregate" in text
 
     def test_explain_naive_differs(self):
+        from repro.sql import parse
+
         db = fresh()
         db.sql("create table t (a integer, b integer) partition by hash (a)")
-        opt = db.explain("select b, count(*) from t group by b")
-        naive = db.explain("select b, count(*) from t group by b", naive_dataflow=True)
+        sql = "select b, count(*) from t group by b"
+        opt = db.explain(sql).split("-- dataflow --\n")[1]
+        logical, _ = db.plan_select(parse(sql))
+        naive = convert_naive(logical, lambda t: db.catalog.entry(t).partitioning()).pretty()
         assert opt != naive
-        assert "shuffle" not in naive  # phase 2 never shuffles
+        assert "shuffle" in opt and "shuffle" not in naive  # phase 2 never shuffles
 
     def test_explain_rejects_dml(self):
         db = fresh()

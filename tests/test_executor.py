@@ -7,6 +7,7 @@ from repro import ClusterConfig, Database
 from repro.baselines import MPPStyleExecutor
 from repro.common import DataType, RowBatch, Schema
 from repro.core.spill import MemoryGovernor, SpillableList
+from repro.optimizer.dataflow import convert_naive
 from repro.sql import parse
 from repro.util.fs import MemFS
 
@@ -83,9 +84,12 @@ class TestDistributedMatchesReference:
 
     @pytest.mark.parametrize("sql", QUERIES[:6])
     def test_naive_dataflow_matches(self, db, sql):
-        got = db.sql(sql, naive_dataflow=True).rows()
-        want = db.execute_reference(sql).rows()
-        assert rows_match_unordered(got, want)
+        # the paper's Phase 2 plan (Fig. 6(b)), executed directly
+        logical, _ = db.plan_select(parse(sql))
+        naive = convert_naive(logical, lambda t: db.catalog.entry(t).partitioning())
+        got, _ = db._executor.for_query(next(db._qid)).execute(naive)
+        assert rows_match_unordered(got.rows(), db.sql(sql).rows())
+        assert rows_match_unordered(got.rows(), db.execute_reference(sql).rows())
 
     def test_results_stable_across_worker_counts(self):
         results = []

@@ -184,7 +184,7 @@ class TestSysTables:
         db = build_db()
         db.sql(QUERIES[0])
         db.sql(QUERIES[0])  # cache hit: still one entry
-        rows = db.sql("SELECT sql, mode FROM sys.plan_cache").rows()
+        rows = db.sql("SELECT sql, coordinator FROM sys.plan_cache").rows()
         assert any("group by v" in r[0] for r in rows)
 
     def test_admission_wait_recorded(self):
@@ -293,7 +293,7 @@ class TestTraceRetention:
             ).rows()
             assert ops == [(0,)]
             rec = db.query_log.get(qid)
-            assert rec.physical is None and rec.profiles is None
+            assert rec.physical is None and rec.trace is None
         # full summary stats survive on the evicted rows
         done = db.sql(
             f"SELECT status, rows FROM sys.queries WHERE qid = {qids[1]}"

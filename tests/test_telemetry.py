@@ -1,4 +1,4 @@
-"""Telemetry: tracing, metrics registry, profiles, slow-query log.
+"""Telemetry: tracing, metrics registry, EXPLAIN ANALYZE over spans.
 
 Covers the observability acceptance criteria:
 
@@ -10,26 +10,34 @@ Covers the observability acceptance criteria:
 * ExecStats.merge as the single restart-combination path;
 * untagged-traffic attribution in EXPLAIN ANALYZE;
 * metrics registry coverage (>= 7 subsystems) and Prometheus rendering;
-* the slow-query log, with and without chaos restarts.
+* the operator span as the one per-operator record: EXPLAIN ANALYZE and
+  ``sys.query_operators`` read it, traced or not, restarted or not;
+* the slow-query view — ``sys.queries`` plus the query's trace — with
+  and without chaos restarts.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 import threading
 from collections import defaultdict
 
 import pytest
 
-from tests.conftest import TPCH_SF, simple_db
+from tests.conftest import TPCH_SF, analyzed, load_tpch, simple_db
 from repro import ClusterConfig, Database
-from repro.core.executor import ExecStats
+from repro.core.executor import DistributedExecutor, ExecStats
 from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     Tracer,
+    fused_ops,
+    operator_spans,
+    render_analyze,
     validate_trace,
 )
 from repro.workloads import tpch_schema
@@ -40,14 +48,13 @@ Q3 = query(3, TPCH_SF)
 
 @pytest.fixture(scope="module")
 def traced_db(tpch_data):
-    """A 4-worker TPC-H cluster with tracing + slow-query log enabled."""
+    """A 4-worker TPC-H cluster with tracing enabled."""
     cfg = ClusterConfig(
         n_workers=4,
         n_max=4,
         page_size=32 * 1024,
         batch_size=4096,
         tracing=True,
-        slow_query_threshold_s=30.0,
     )
     db = Database(cfg)
     for name, schema in tpch_schema.SCHEMAS.items():
@@ -296,6 +303,104 @@ def test_untagged_traffic_attributed():
     assert "(untagged)" in text
 
 
+# -- the operator span is the one per-operator record ------------------------------
+
+#: wall-clock values in EXPLAIN ANALYZE text (inclusive / self time, busy ms)
+_TIMES = re.compile(r"(time|self|coord_busy|site_busy|w\d+)=[0-9.]+ms")
+
+
+def _masked_analyze(db, qnos):
+    return [_TIMES.sub(r"\1=<ms>", db.explain_analyze(query(q, TPCH_SF))) for q in qnos]
+
+
+def test_explain_analyze_same_traced_or_not(tpch_data):
+    qnos = (1, 3, 6, 13, 18, 21)
+    plain = _masked_analyze(load_tpch(tpch_data), qnos)
+    traced = _masked_analyze(load_tpch(tpch_data, tracing=True), qnos)
+    assert plain == traced
+    assert all("time=<ms>" in text and re.search(r"\bfused\b", text) for text in plain)
+
+
+def _tree_rows(text):
+    """(operator, rows, fused) per plan line of EXPLAIN ANALYZE text."""
+    out = []
+    for line in text.splitlines():
+        if not line.startswith("--"):
+            head, bits = line.rsplit("  [", 1)
+            out.append((head, re.search(r"rows=(\S+?)[ \]]", bits).group(1), "fused" in bits))
+    return out
+
+
+def test_restarted_query_renders_its_final_attempt():
+    from repro.fault import CrashWindow, FaultSchedule
+
+    def build():
+        db = simple_db(n_workers=2)
+        db.sql("create table t (a int, b int) partition by hash(a)")
+        rows = ", ".join(f"({i}, {i % 5})" for i in range(200))
+        db.sql(f"insert into t values {rows}")
+        return db
+
+    sql = "select b, sum(a) from t group by b order by b"
+    clean = build().explain_analyze(sql)
+    db = build()
+    db.chaos(FaultSchedule(crashes=(CrashWindow(node=1, at=4, duration=25),)))
+    res = analyzed(db, sql)
+    assert res.stats.restarts > 0
+    attempts = res.trace.find("attempt")
+    assert len(attempts) == res.stats.restarts + 1
+    spans = operator_spans(res.trace)
+    assert spans and set(spans.values()) <= set(attempts[-1].walk())
+    assert not any(sp.args.get("error") for sp in spans.values())
+    text = render_analyze(res.physical, res.op_rows, res.trace, res.stats)
+    assert _tree_rows(text) == _tree_rows(clean)
+
+
+def _operator_times(db, qid):
+    return dict(
+        db.sql(f"select op_id, time_s from sys.query_operators where qid = {qid}").rows()
+    )
+
+
+def test_query_operators_time_reads_operator_spans():
+    sql = "select b, count(*), sum(a) from t where a < 150 group by b order by b"
+
+    def build(**cfg):
+        db = simple_db(n_workers=2, **cfg)
+        db.sql("create table t (a int, b int) partition by hash(a)")
+        db.sql("insert into t values " + ", ".join(f"({i}, {i % 7})" for i in range(300)))
+        return db
+
+    untraced = build()
+    times = _operator_times(untraced, untraced.sql(sql).qid)
+    assert times and all(t == 0.0 for t in times.values())
+    untraced.explain_analyze(sql)
+    explained = untraced.query_log.records()[-1]
+    traced = build(tracing=True)
+    for db, qid in ((untraced, explained.qid), (traced, traced.sql(sql).qid)):
+        times = _operator_times(db, qid)
+        fused = fused_ops(operator_spans(db.query_log.get(qid).trace))
+        assert times and any(t > 0 for t in times.values())
+        for op_id, t in times.items():
+            assert t > 0 or op_id in fused, (op_id, t)
+
+
+def test_untraced_query_takes_only_the_attempt_snapshots(monkeypatch):
+    callers = []
+    counters = DistributedExecutor._counters
+
+    def spy(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return counters(self)
+
+    db = simple_db(n_workers=2)
+    db.sql("create table t (a int, b int) partition by hash(a)")
+    db.sql("insert into t values (1, 2), (3, 4), (5, 6)")
+    monkeypatch.setattr(DistributedExecutor, "_counters", spy)
+    db.sql("select b, sum(a) from t where a > 1 group by b order by b")
+    assert callers == ["execute", "execute"]
+
+
 # -- metrics over a live cluster ----------------------------------------------------
 
 
@@ -329,19 +434,20 @@ def test_wal_and_lock_metrics_move():
     assert wal > 0 and fsyncs > 0
 
 
-# -- slow-query log -----------------------------------------------------------------
+# -- the slow-query view: sys.queries + export_trace ---------------------------------
 
 
-def test_slow_query_log_captures_trace():
-    db = simple_db(n_workers=2, slow_query_threshold_s=1e-9)
-    assert db.tracer is not None  # threshold implies tracing
+def test_sys_queries_names_queries_whose_traces_export():
+    db = simple_db(n_workers=2, tracing=True)
     db.sql("create table t (a int) partition by hash(a)")
     db.sql("insert into t values (1), (2), (3)")
-    db.sql("select sum(a) from t")
-    assert db.slow_queries, "every query beats a 1ns threshold"
-    entry = db.slow_queries[-1]
-    assert entry.reason == "slow" and entry.sql.startswith("select")
-    assert entry.trace is not None and validate_trace(entry.trace) == []
+    qid = db.sql("select sum(a) from t").qid
+    # every query beats a 1ns threshold
+    rows = db.sql(
+        "select qid, sql from sys.queries where duration_s > 0.000000001 or restarts > 0"
+    ).rows()
+    assert (qid, "select sum(a) from t") in rows
+    assert validate_trace(db.export_trace(qid)) == []
 
 
 def test_disabled_telemetry_has_no_tracer():
@@ -358,9 +464,12 @@ def test_disabled_telemetry_has_no_tracer():
 
 
 def test_restarted_query_lands_in_slow_log_with_chaos_events():
+    """What a slow-log entry of a restarted query held — restarts,
+    duration, attempt spans, chaos events — is in ``sys.queries`` and
+    the query's trace."""
     from repro.fault import CrashWindow, FaultSchedule
 
-    db = simple_db(n_workers=2, slow_query_threshold_s=30.0)
+    db = simple_db(n_workers=2, tracing=True)
     db.sql("create table t (a int, b int) partition by hash(a)")
     rows = ", ".join(f"({i}, {i % 5})" for i in range(200))
     db.sql(f"insert into t values {rows}")
@@ -369,8 +478,10 @@ def test_restarted_query_lands_in_slow_log_with_chaos_events():
     )
     result = db.sql("select b, sum(a) from t group by b order by b")
     assert result.stats.restarts > 0
-    entry = db.slow_queries[-1]
-    assert entry.reason == "restarted" and entry.restarts == result.stats.restarts
+    restarts, duration = db.sql(
+        f"select restarts, duration_s from sys.queries where qid = {result.qid}"
+    ).rows()[0]
+    assert restarts == result.stats.restarts and duration > 0
     root = db.tracer.root(result.qid)
     execute = next(c for c in root.children if c.name == "execute")
     assert len([c for c in execute.children if c.name == "attempt"]) >= 2
