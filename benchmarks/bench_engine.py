@@ -10,11 +10,10 @@ import pytest
 
 from repro.common import DataType, RowBatch, Schema
 from repro.core.kernels import (
+    JoinHashTable,
     bloom_filter_codes,
     bloom_filter_test,
-    factorize_pair,
     group_aggregate,
-    join_match_indices,
     sort_indices,
 )
 from repro.storage.buffer import BufferManager
@@ -32,8 +31,7 @@ def test_hash_join_kernel(benchmark):
     right = rng.integers(0, 50_000, N // 4)
 
     def run():
-        l, r = factorize_pair([left], [right])
-        return join_match_indices(l, r)
+        return JoinHashTable([right]).match_indices([left])
 
     li, ri = benchmark(run)
     assert len(li) > 0

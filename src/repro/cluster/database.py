@@ -34,7 +34,6 @@ from ..common.errors import CatalogError, NetworkError, PlanError, WorkerFailure
 from ..common.schema import Schema
 from ..core.executor import DistributedExecutor, ExecStats, WorkerRuntime
 from ..core.pipeline import MorselScheduler
-from ..core.reference import execute_logical
 from ..core.spill import MemoryGovernor
 from ..network.simnet import SimNetwork
 from ..network.topology import BinomialGraphTopology, TreeTopology
@@ -1478,7 +1477,12 @@ class Database:
         )
 
     def execute_reference(self, text: str) -> RowBatch:
-        """Run via the single-node reference executor (oracle for tests)."""
+        """Run via the single-node reference executor (oracle for tests).
+
+        The one importer of :mod:`repro.core.reference`, and only when
+        called: no query the engine runs loads it."""
+        from ..core.reference import execute_logical
+
         stmt = parse(text)
         if not isinstance(stmt, SelectStmt):
             raise PlanError("reference executor supports SELECT only")

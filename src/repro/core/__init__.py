@@ -1,22 +1,18 @@
 """The distributed execution engine (the paper's core contribution)."""
 
 from .kernels import (
+    JoinHashTable,
     bloom_filter_codes,
     bloom_filter_test,
     factorize,
-    factorize_pair,
     group_aggregate,
-    join_match_indices,
     sort_indices,
     top_k,
 )
-from .reference import execute_logical
 
 __all__ = [
-    "execute_logical",
+    "JoinHashTable",
     "factorize",
-    "factorize_pair",
-    "join_match_indices",
     "group_aggregate",
     "sort_indices",
     "top_k",

@@ -27,7 +27,7 @@ from ..common.errors import NetworkError, WorkerFailureError
 from ..optimizer.physical import COORD, PhysOp
 from ..sql.compiler import compile_expr
 from .aggregate import combine_partials
-from .kernels import bloom_filter_codes, bloom_filter_test, sort_indices, top_k
+from .kernels import bloom_filter_codes, bloom_filter_test, merge_sorted, top_k
 from .spill import SpillableList
 
 if TYPE_CHECKING:
@@ -234,6 +234,8 @@ class Exchange:
         return [final] if final is not None else []
 
     def _combine_level(self, op: PhysOp, batches: list[RowBatch], mode: str) -> RowBatch | None:
+        if mode == "merge":
+            return merge_sorted(batches, op.schema, op.attrs["sort_keys"])
         merged = RowBatch.concat(op.schema, batches)
         if mode == "combine":
             specs = op.attrs["combine_specs"]
@@ -241,10 +243,6 @@ class Exchange:
             return combine_partials(merged, keys, specs, op.schema)
         if mode == "topk":
             return top_k(merged, op.attrs["sort_keys"], op.attrs["k"])
-        if mode == "merge":
-            if merged.length == 0:
-                return merged
-            return merged.take(sort_indices(merged, op.attrs["sort_keys"]))
         return merged
 
     # -- Bloom-filtered shuffle -------------------------------------------------------------

@@ -57,9 +57,9 @@ from ..sql.compiler import compile_expr, compile_predicate
 from ..storage.table import ScanStats, TableStorage
 from ..telemetry.trace import Tracer
 from ..util.fs import FileSystem
-from .aggregate import final_aggregate, fold_partial, partial_aggregate
+from .aggregate import aggregate_batch, final_aggregate, fold_partial, partial_aggregate
 from .exchange import Exchange
-from .kernels import JoinHashTable, sort_indices, top_k
+from .kernels import JoinHashTable, distinct_batch, hash_join, join_rows, sort_indices, top_k
 from .pipeline import (
     FusedChain,
     InflightTracker,
@@ -70,7 +70,6 @@ from .pipeline import (
     coalesce_batches,
     fuse_chain,
 )
-from .reference import _combine, aggregate_batch, distinct_batch, hash_join
 from .scan_source import ScanSource, strip_qualifiers
 from .spill import MemoryGovernor
 
@@ -770,29 +769,10 @@ class DistributedExecutor(ScanSource, Exchange):
     ) -> RowBatch:
         """Probe one left batch against a site's prebuilt join hash table
         (``rb`` is the build side the table indexes)."""
-        kind = op.attrs["kind"]
         li, ri = jht.match_indices([fn(lb) for fn in lkey_fns])
-        residual = op.attrs["residual"]
-        if residual and len(li):
-            combined = _combine(lb.take(li), rb.take(ri))
-            mask = np.ones(len(li), dtype=bool)
-            for r in residual:
-                mask &= compile_predicate(r, combined.schema)(combined)
-            li, ri = li[mask], ri[mask]
-        if kind == "inner":
-            lt, rt = lb.take(li), rb.take(ri)
-            cols = {c.name: lt.col(c.name) for c in op.children[0].schema}
-            for c in op.children[1].schema:
-                cols[c.name] = rt.col(c.name)
-            return RowBatch(op.schema, cols)
-        if kind == "semi":
-            keep = np.zeros(lb.length, dtype=bool)
-            keep[li] = True
-            return lb.filter(keep)
-        # anti
-        keep = np.ones(lb.length, dtype=bool)
-        keep[li] = False
-        return lb.filter(keep)
+        left_op, right_op = op.children
+        return join_rows(lb, rb, li, ri, op.attrs["kind"], op.attrs["residual"],
+                         op.schema, left_op.schema, right_op.schema)
 
     # -- helpers --------------------------------------------------------------------------
     def _materialize(self, site: int, schema: Schema, batches: list[RowBatch]) -> RowBatch:

@@ -4,12 +4,12 @@ All heavy row-at-a-time work is replaced by NumPy primitives (the
 hpc-parallel guides' core rule): keys are *factorized* into dense exact
 integer codes — a string column (:class:`~repro.common.batch.DictColumn`)
 already is one, ranked through its dictionary's value order; numeric
-columns go through ``np.unique`` — joins become sorted-code range lookups
-expanded with ``repeat``/``cumsum``, and aggregations become
-``bincount``/``reduceat`` over code-sorted arrays. The same kernels back
-the single-node reference executor and the distributed operators, so
-"distributed == reference" tests compare two compositions of one
-implementation-correct core.
+columns go through ``np.unique`` — and aggregations become
+``bincount``/``reduceat`` over code-sorted arrays. Every join, streaming
+probe or blocking, matches its rows through one build-once
+:class:`JoinHashTable`, and :func:`join_rows` turns the matched pairs
+into the join's output for every join kind. The single-node reference
+evaluator runs these same kernels, so it is not an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from ..common.batch import (
     code_space_is_dense,
     densify_codes,
 )
+from ..common.dtypes import DataType
 from ..common.errors import ExecutionError
+from ..common.schema import Schema
+from ..sql.ast import Expr
+from ..sql.compiler import compile_expr, compile_predicate
 
 
 # ---------------------------------------------------------------------------
@@ -56,44 +60,28 @@ def _value_codes(col) -> tuple[np.ndarray, int]:
     return inv, max(len(uniq), 1)
 
 
-def _combine_codes(per_column: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
-    """Mixed-radix composite of per-column codes: (codes, code space).
+def _combine_codes(
+    per_column: Sequence[tuple[np.ndarray, int]], n: int
+) -> tuple[np.ndarray, int, list[np.ndarray | None]]:
+    """Mixed-radix composite of per-column codes: (codes, code space, and
+    per column the ascending distinct running codes the composite was
+    densified through before that column, or None).
 
     A running code about to leave int64 is densified to at most ``n``
     values first; every column's bound is below 2**33 (``_value_codes``),
     so the next product then fits for any ``n`` under 2**29 rows."""
     code = np.zeros(n, dtype=np.int64)
     space = 1
+    prefixes: list[np.ndarray | None] = []
     for inv, k in per_column:
+        distinct = None
         if space * k > _CODE_SPACE_MAX:
             code, distinct = densify_codes(code, space)
             space = max(len(distinct), 1)
+        prefixes.append(distinct)
         code = code * k + inv
         space *= k
-    return code, space
-
-
-def factorize_pair(
-    left_cols: Sequence[np.ndarray], right_cols: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact composite codes for join keys, shared dictionary across sides.
-
-    Equal key tuples (across sides) get equal codes; unequal get unequal.
-    """
-    if len(left_cols) != len(right_cols):
-        raise ExecutionError("join key arity mismatch")
-    nl = len(left_cols[0]) if left_cols else 0
-    nr = len(right_cols[0]) if right_cols else 0
-    per_column = []
-    for lc, rc in zip(left_cols, right_cols):
-        lc, rc = as_column(lc), as_column(rc)
-        if isinstance(lc, DictColumn):
-            both = DictColumn.concat([lc, rc])
-        else:
-            both = np.concatenate([lc, rc])
-        per_column.append(_value_codes(both))
-    code, _ = _combine_codes(per_column, nl + nr)
-    return code[:nl], code[nl:]
+    return code, space, prefixes
 
 
 def factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
@@ -103,7 +91,7 @@ def factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     value order), so group output order is the sort order of the keys."""
     if not cols:
         return np.zeros(0, dtype=np.int64), 0
-    code, space = _combine_codes([_value_codes(as_column(c)) for c in cols], len(cols[0]))
+    code, space, _ = _combine_codes([_value_codes(as_column(c)) for c in cols], len(cols[0]))
     dense, distinct = densify_codes(code, space)
     return dense, len(distinct)
 
@@ -111,26 +99,6 @@ def factorize(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # joins
 # ---------------------------------------------------------------------------
-
-
-def join_match_indices(
-    lcode: np.ndarray, rcode: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All matching (left_idx, right_idx) pairs for equal codes."""
-    order = np.argsort(rcode, kind="stable")
-    sorted_r = rcode[order]
-    starts = np.searchsorted(sorted_r, lcode, side="left")
-    ends = np.searchsorted(sorted_r, lcode, side="right")
-    counts = ends - starts
-    left_idx = np.repeat(np.arange(len(lcode)), counts)
-    if len(left_idx) == 0:
-        return left_idx, left_idx.copy()
-    # positions within sorted_r for each match, fully vectorized:
-    # for row i the matches are sorted positions starts[i] .. ends[i]-1
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    flat = np.arange(counts.sum()) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-    right_idx = order[flat]
-    return left_idx, right_idx
 
 
 def _lookup_sorted(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -153,25 +121,27 @@ def _lookup_strings(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class JoinHashTable:
-    """Build-once / probe-many join table for streaming pipelines.
+    """Build-once / probe-many join table: the engine's one join kernel.
 
-    ``factorize_pair`` re-dictionarizes both sides on every call, so a
-    pipelined probe (one call per probe batch) would rebuild the build
-    side's dictionary per batch. This table factorizes the build side
-    once — per-column sorted distinct values (a string column's come from
-    its dictionary's canonical form) plus a composite code with one
-    sentinel slot per column for probe values absent from the build side
-    — and each probe batch only pays lookups: ``searchsorted`` per row for
-    numbers, per dictionary *entry* for strings (none at all when the
-    probe column shares the build column's dictionary).
+    The build side is factorized once — per-column sorted distinct values
+    (a string column's come from its dictionary's canonical form) plus a
+    composite code with one sentinel slot per column — and each probe
+    batch only pays lookups: ``searchsorted`` per row for numbers, per
+    dictionary *entry* for strings (none at all when the probe column
+    shares the build column's dictionary).
 
-    Output ordering is identical to ``factorize_pair`` +
-    ``join_match_indices``: probe-major, build rows in original order
-    within a key (stable sort), so a per-batch probe concatenated over
-    probe batches reproduces the materialized join bit-for-bit.
+    NULL keys never match: a NaN or a NULL dictionary entry is absent
+    from the probe lookups, and a NULL build key takes its column's
+    sentinel slot. A composite code about to leave int64 is densified
+    through the build's distinct running codes, and a probe maps its
+    running code through the same ones.
+
+    Pairs come out probe-major, build rows in original order within a
+    key (stable sort), so a per-batch probe concatenated over probe
+    batches reproduces a probe of the whole side bit-for-bit.
     """
 
-    __slots__ = ("keys", "order", "sorted_codes", "n_build")
+    __slots__ = ("keys", "prefixes", "order", "sorted_codes", "n_build")
 
     def __init__(self, build_cols: Sequence[np.ndarray]):
         cols = [as_column(c) for c in build_cols]
@@ -179,7 +149,7 @@ class JoinHashTable:
         #: per key column: (sorted distinct values, the build column's
         #: dictionary or None for a numeric column)
         self.keys: list[tuple[np.ndarray, StringDictionary | None]] = []
-        code = np.zeros(self.n_build, dtype=np.int64)
+        per_column = []
         for c in cols:
             if isinstance(c, DictColumn):
                 uniq, inv = c.dictionary.canon().values, c.ranks()
@@ -190,7 +160,8 @@ class JoinHashTable:
                 uniq, inv = np.unique(c, return_inverse=True)
                 self.keys.append((uniq, None))
             # +1 reserves a sentinel code per column for probe misses
-            code = code * (len(uniq) + 1) + inv
+            per_column.append((inv, len(uniq) + 1))
+        code, _, self.prefixes = _combine_codes(per_column, self.n_build)
         self.order = np.argsort(code, kind="stable")
         self.sorted_codes = code[self.order]
 
@@ -201,7 +172,11 @@ class JoinHashTable:
         n = len(cols[0]) if cols else 0
         code = np.zeros(n, dtype=np.int64)
         miss = np.zeros(n, dtype=bool)
-        for (uniq, dictionary), c in zip(self.keys, cols):
+        for (uniq, dictionary), prefix, c in zip(self.keys, self.prefixes, cols):
+            if prefix is not None:
+                pos = _lookup_sorted(prefix, code)
+                miss |= pos < 0
+                code = np.where(pos < 0, len(prefix), pos)
             if not isinstance(c, DictColumn):
                 inv = _lookup_sorted(uniq, c)
             elif c.dictionary is dictionary:
@@ -230,14 +205,125 @@ class JoinHashTable:
         return probe_idx, self.order[flat]
 
 
-def match_mask(lcode: np.ndarray, rcode: np.ndarray) -> np.ndarray:
-    """Boolean per left row: does any right row share its code? (semi join)"""
-    uniq_r = np.unique(rcode)
-    pos = np.searchsorted(uniq_r, lcode)
-    pos = np.clip(pos, 0, len(uniq_r) - 1) if len(uniq_r) else np.zeros(len(lcode), int)
-    if not len(uniq_r):
-        return np.zeros(len(lcode), dtype=bool)
-    return uniq_r[pos] == lcode
+def hash_join(
+    left: RowBatch,
+    right: RowBatch,
+    kind: str,
+    pairs: list[tuple[Expr, Expr]],
+    residual: list[Expr],
+    out_schema: Schema,
+    match_col: str | None,
+    lschema: Schema | None = None,
+    rschema: Schema | None = None,
+) -> RowBatch:
+    """Join two materialized batches: a :class:`JoinHashTable` over the
+    right side's keys, probed with the left side's (blocking joins and
+    the reference evaluator)."""
+    lschema = lschema if lschema is not None else left.schema
+    rschema = rschema if rschema is not None else right.schema
+
+    if kind == "single":
+        if right.length > 1:
+            raise ExecutionError("scalar subquery returned more than one row")
+        if right.length == 0:
+            return RowBatch.empty(out_schema)
+        cols = dict(left.columns)
+        cols.update(right.take(np.zeros(left.length, dtype=np.int64)).columns)
+        return RowBatch(out_schema, cols)
+
+    if pairs:
+        jht = JoinHashTable([compile_expr(re, right.schema).fn(right) for _, re in pairs])
+        li, ri = jht.match_indices([compile_expr(le, left.schema).fn(left) for le, _ in pairs])
+    else:
+        # cross pairs (guarded: a missed pushdown must fail fast, not OOM)
+        if left.length * right.length > 50_000_000:
+            raise ExecutionError(
+                f"cross product of {left.length} x {right.length} rows refused; "
+                "run predicate pushdown first"
+            )
+        li = np.repeat(np.arange(left.length), right.length)
+        ri = np.tile(np.arange(right.length), left.length)
+    return join_rows(left, right, li, ri, kind, residual, out_schema, lschema, rschema, match_col)
+
+
+def join_rows(
+    left: RowBatch,
+    right: RowBatch,
+    li: np.ndarray,
+    ri: np.ndarray,
+    kind: str,
+    residual: list[Expr],
+    out_schema: Schema,
+    lschema: Schema,
+    rschema: Schema,
+    match_col: str | None = None,
+) -> RowBatch:
+    """A join's output from its candidate (left row, right row) pairs:
+    the residual conjuncts filter the pairs, then ``kind`` (inner, cross,
+    semi, anti, left) assembles the rows."""
+    if residual and len(li):
+        combined = _combine(left.take(li), right.take(ri))
+        mask = np.ones(len(li), dtype=bool)
+        for r in residual:
+            mask &= compile_predicate(r, combined.schema)(combined)
+        li, ri = li[mask], ri[mask]
+
+    if kind in ("inner", "cross"):
+        lt, rt = left.take(li), right.take(ri)
+        cols = {c.name: lt.col(c.name) for c in lschema}
+        for c in rschema:
+            cols[c.name] = rt.col(c.name)
+        return RowBatch(out_schema, cols)
+
+    if kind in ("semi", "anti"):
+        keep = np.full(left.length, kind == "anti")
+        keep[li] = kind == "semi"
+        return left.filter(keep)
+
+    if kind == "left":
+        matched = np.zeros(left.length, dtype=bool)
+        matched[li] = True
+        unmatched_idx = np.flatnonzero(~matched)
+        lt = left.take(np.concatenate([li, unmatched_idx]))
+        cols = {c.name: lt.col(c.name) for c in lschema}
+        n_match = len(li)
+        n_un = len(unmatched_idx)
+        pad = RowBatch(rschema, {
+            c.name: np.full(n_un, _fill_value(c.dtype), dtype=c.dtype.numpy_dtype)
+            for c in rschema
+        })
+        cols.update(RowBatch.concat(rschema, [right.take(ri), pad]).columns)
+        mcol = match_col or out_schema.columns[-1].name
+        cols[mcol] = np.concatenate(
+            [np.ones(n_match, dtype=bool), np.zeros(n_un, dtype=bool)]
+        )
+        return RowBatch(out_schema, cols)
+
+    raise ExecutionError(f"unsupported join kind {kind}")
+
+
+def _combine(lt: RowBatch, rt: RowBatch) -> RowBatch:
+    schema = lt.schema.concat(rt.schema)
+    cols = dict(lt.columns)
+    cols.update(rt.columns)
+    return RowBatch(schema, cols)
+
+
+def _fill_value(dt: DataType):
+    if dt == DataType.STRING:
+        return ""
+    if dt == DataType.BOOL:
+        return False
+    return 0
+
+
+def distinct_batch(batch: RowBatch) -> RowBatch:
+    """The batch's distinct rows, each at its first occurrence."""
+    if batch.length == 0:
+        return batch
+    codes, _ = factorize([batch.col(c.name) for c in batch.schema])
+    _, first = np.unique(codes, return_index=True)
+    return batch.take(np.sort(first))
 
 
 # Bloom filters live in common.bloom; re-exported here for the shuffle
@@ -415,7 +501,8 @@ def sort_indices(batch: RowBatch, keys: Sequence[tuple[str, bool]]) -> np.ndarra
 
 
 def merge_sorted(batches: list[RowBatch], schema, keys: Sequence[tuple[str, bool]]) -> RowBatch:
-    """k-way merge of individually sorted batches (used by tree merge)."""
+    """k-way merge of individually sorted batches (the tree merge's
+    ``merge`` level)."""
     merged = RowBatch.concat(schema, batches)
     if merged.length == 0:
         return merged

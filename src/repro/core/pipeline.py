@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from ..common.batch import RowBatch
+from ..common.schema import Schema
 from ..optimizer.physical import PhysOp
-from ..sql.compiler import compile_predicate
+from ..sql.compiler import compile_expr, compile_predicate
 from ..telemetry.metrics import Counter as TelemetryCounter
-from .reference import project_batch
 
 
 @dataclass
@@ -172,6 +172,14 @@ def fuse_chain(op: PhysOp) -> FusedChain:
         transforms.append(cur)
         cur = cur.children[0]
     return FusedChain(source=cur, transforms=transforms[::-1])
+
+
+def project_batch(child: RowBatch, exprs, out_schema: Schema) -> RowBatch:
+    """Evaluate a projection's ``(name, expr)`` list over one batch."""
+    cols = {}
+    for (name, e), col in zip(exprs, out_schema.columns):
+        cols[name] = compile_expr(e, child.schema).fn(child)
+    return RowBatch(out_schema, cols)
 
 
 def apply_steps(

@@ -26,7 +26,7 @@ from ..common.config import ClusterConfig
 from ..common.dtypes import DataType
 from ..common.errors import PlanError
 from ..common.schema import Column, Schema
-from ..sql.ast import ColumnRef, Expr
+from ..sql.ast import BinaryOp, ColumnRef, Expr, column_refs
 from .derive import StatsDeriver
 from .logical import (
     Aggregate,
@@ -39,6 +39,7 @@ from .logical import (
     Scan,
     Sort,
     UnionAll,
+    split_equi_condition,
 )
 from .physical import (
     ARBITRARY,
@@ -98,8 +99,6 @@ def _coord_op(node: LogicalPlan, children: list[PhysOp]) -> PhysOp:
     if isinstance(node, Project):
         return make("project", children, node.schema, COORD, SINGLETON, exprs=node.exprs)
     if isinstance(node, Join):
-        from ..core.reference import split_equi_condition
-
         pairs, residual = split_equi_condition(node.condition, node.left.schema, node.right.schema)
         return make(
             "hashjoin",
@@ -257,8 +256,6 @@ class DataflowPlanner:
 
     # -- joins -------------------------------------------------------------------
     def _plan_join(self, node: Join) -> PhysOp:
-        from ..core.reference import split_equi_condition
-
         left = self._plan(node.left)
         right = self._plan(node.right)
         kind = node.kind
@@ -631,8 +628,6 @@ def fuse_scans(plan: PhysOp) -> PhysOp:
         if scan.attrs.get("predicate") is None:
             scan.attrs["predicate"] = plan.attrs["predicate"]
         else:
-            from ..sql.ast import BinaryOp
-
             scan.attrs["predicate"] = BinaryOp(
                 "AND", scan.attrs["predicate"], plan.attrs["predicate"]
             )
@@ -662,8 +657,6 @@ def _colbase(name: str) -> str:
 
 
 def _expr_refs(exprs) -> set[str]:
-    from ..sql.ast import column_refs
-
     out: set[str] = set()
     for e in exprs:
         if e is None:

@@ -25,7 +25,7 @@ from typing import Optional
 from ..common.dtypes import DataType
 from ..common.errors import PlanError
 from ..common.schema import Column, Schema
-from ..sql.ast import Expr
+from ..sql.ast import BinaryOp, Expr, column_refs
 
 _counter = itertools.count()
 
@@ -302,3 +302,56 @@ def transform_up(plan: LogicalPlan, fn) -> LogicalPlan:
     if new_children != plan.children():
         plan = plan.with_children(new_children)
     return fn(plan)
+
+
+def split_equi_condition(
+    cond: Expr | None, lschema: Schema, rschema: Schema
+) -> tuple[list[tuple[Expr, Expr]], list[Expr]]:
+    """Equi pairs as (left-side expr, right-side expr) + residual conjuncts."""
+    if cond is None:
+        return [], []
+    pairs: list[tuple[Expr, Expr]] = []
+    residual: list[Expr] = []
+    stack = [cond]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BinaryOp) and e.op == "AND":
+            stack += [e.left, e.right]
+            continue
+        if isinstance(e, BinaryOp) and e.op == "=":
+            l_side = _side_of(e.left, lschema, rschema)
+            r_side = _side_of(e.right, lschema, rschema)
+            if l_side == "left" and r_side == "right":
+                pairs.append((e.left, e.right))
+                continue
+            if l_side == "right" and r_side == "left":
+                pairs.append((e.right, e.left))
+                continue
+        residual.append(e)
+    return pairs, residual
+
+
+def _side_of(expr: Expr, lschema: Schema, rschema: Schema) -> str:
+    refs = column_refs(expr)
+    if not refs:
+        return "const"
+    in_l = all(
+        lschema.try_resolve(r.key) or lschema.try_resolve(r.name) for r in refs
+    )
+    in_r = all(
+        rschema.try_resolve(r.key) or rschema.try_resolve(r.name) for r in refs
+    )
+    if in_l and not in_r:
+        return "left"
+    if in_r and not in_l:
+        return "right"
+    if in_l and in_r:
+        # ambiguous: prefer exact qualified resolution
+        exact_l = all(lschema.try_resolve(r.key) for r in refs)
+        exact_r = all(rschema.try_resolve(r.key) for r in refs)
+        if exact_l and not exact_r:
+            return "left"
+        if exact_r and not exact_l:
+            return "right"
+        return "left"
+    return "both"

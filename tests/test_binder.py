@@ -12,7 +12,7 @@ import pytest
 
 from repro.common import DataType, RowBatch, Schema
 from repro.common.errors import PlanError
-from repro.core import execute_logical
+from repro.core.reference import execute_logical
 from repro.optimizer import Binder, Catalog
 from repro.optimizer.logical import Aggregate, Distinct, Filter, Join, Limit, Project, Scan, Sort
 from repro.optimizer.rewrite import push_filters

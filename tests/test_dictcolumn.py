@@ -26,10 +26,8 @@ from repro.common.batch import DictColumn, StringDictionary, hash_value_arrays
 from repro.core.kernels import (
     JoinHashTable,
     factorize,
-    factorize_pair,
     group_aggregate,
     group_count_distinct,
-    join_match_indices,
     sort_indices,
     top_k,
 )
@@ -155,9 +153,6 @@ class TestSameAsPlainStrings:
         want = [(i, j) for i, lv in enumerate(left) for j, rv in enumerate(right) if lv == rv]
         for llay, lb in layouts(left, 20).items():
             for rlay, rb in layouts(right, 21).items():
-                lcode, rcode = factorize_pair([lb.col("s")], [rb.col("s")])
-                li, ri = join_match_indices(lcode, rcode)
-                assert list(zip(li.tolist(), ri.tolist())) == want, (llay, rlay)
                 pi, bi = JoinHashTable([rb.col("s")]).match_indices([lb.col("s")])
                 assert list(zip(pi.tolist(), bi.tolist())) == want, (llay, rlay)
         # a probe column sharing the build column's dictionary
@@ -321,8 +316,6 @@ class TestWideIntegerKeys:
         assert groups == n
         # codes are the rank of each key tuple in tuple order
         assert np.array_equal(np.argsort(codes), np.lexsort(keys[::-1]))
-        lcode, rcode = factorize_pair(keys, [k[::-1] for k in keys])
-        assert np.array_equal(lcode, rcode[::-1]) and len(np.unique(lcode)) == n
 
 
 class TestDecodedPageCache:

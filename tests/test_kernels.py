@@ -5,22 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import DataType, RowBatch
+from repro.common import DataType, RowBatch, Schema
+from repro.common.batch import DictColumn
 from repro.core.kernels import (
     JoinHashTable,
     bloom_filter_codes,
     bloom_filter_test,
     factorize,
-    factorize_pair,
     group_aggregate,
     group_count_distinct,
     group_sum_distinct,
-    join_match_indices,
-    match_mask,
+    hash_join,
     merge_sorted,
     sort_indices,
     top_k,
 )
+from repro.sql.ast import BinaryOp, ColumnRef
+
+
+def nested_loop(probe, build):
+    """Every (probe row, build row) pair with equal key tuples, in
+    probe-major order with build rows in their original order."""
+    return [
+        (i, j)
+        for i, p in enumerate(zip(*[c.tolist() for c in probe]))
+        for j, b in enumerate(zip(*[c.tolist() for c in build]))
+        if p == b
+    ]
+
+
+def matched(build, probe):
+    pi, bi = JoinHashTable(build).match_indices(probe)
+    return list(zip(pi.tolist(), bi.tolist()))
 
 
 class TestFactorize:
@@ -34,15 +50,12 @@ class TestFactorize:
         assert n == 3
 
     def test_pair_shared_dictionary(self):
-        l, r = factorize_pair([np.array([1, 2, 3])], [np.array([3, 4])])
-        assert l[2] == r[0]
-        assert len(set(l.tolist()) | set(r.tolist())) == 4
+        # a value on both sides matches; one on a single side matches nothing
+        assert matched([np.array([3, 4])], [np.array([1, 2, 3])]) == [(2, 0)]
 
     def test_pair_strings(self):
-        l, r = factorize_pair(
-            [np.array(["x", "y"], object)], [np.array(["y", "z"], object)]
-        )
-        assert l[1] == r[0] and l[0] != r[1]
+        build, probe = [np.array(["y", "z"], object)], [np.array(["x", "y"], object)]
+        assert matched(build, probe) == [(1, 0)]
 
     def test_empty(self):
         codes, n = factorize([np.array([], dtype=np.int64)])
@@ -51,19 +64,11 @@ class TestFactorize:
 
 class TestJoinIndices:
     def test_all_pairs(self):
-        l, r = factorize_pair([np.array([1, 2, 2])], [np.array([2, 2, 3])])
-        li, ri = join_match_indices(l, r)
-        pairs = sorted(zip(li.tolist(), ri.tolist()))
-        assert pairs == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        build, probe = [np.array([2, 2, 3])], [np.array([1, 2, 2])]
+        assert matched(build, probe) == [(1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_no_matches(self):
-        l, r = factorize_pair([np.array([1])], [np.array([2])])
-        li, ri = join_match_indices(l, r)
-        assert len(li) == 0 and len(ri) == 0
-
-    def test_match_mask(self):
-        l, r = factorize_pair([np.array([1, 5, 9])], [np.array([5, 5])])
-        assert match_mask(l, r).tolist() == [False, True, False]
+        assert matched([np.array([2])], [np.array([1])]) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,13 +77,8 @@ class TestJoinIndices:
     right=st.lists(st.integers(0, 8), min_size=0, max_size=30),
 )
 def test_join_matches_bruteforce(left, right):
-    l, r = factorize_pair([np.array(left, np.int64)], [np.array(right, np.int64)])
-    li, ri = join_match_indices(l, r)
-    got = sorted(zip(li.tolist(), ri.tolist()))
-    want = sorted(
-        (i, j) for i, a in enumerate(left) for j, b in enumerate(right) if a == b
-    )
-    assert got == want
+    probe, build = [np.array(left, np.int64)], [np.array(right, np.int64)]
+    assert matched(build, probe) == nested_loop(probe, build)
 
 
 class TestGroupAggregate:
@@ -349,21 +349,14 @@ class TestEdgeCases:
 
 
 class TestJoinHashTable:
-    """Build-once/probe-many table must replicate factorize_pair +
-    join_match_indices exactly, including per-batch probing."""
-
-    def _oracle(self, build, probe):
-        build_codes, probe_codes = factorize_pair(build, probe)
-        pi, bi = join_match_indices(probe_codes, build_codes)
-        return sorted(zip(pi.tolist(), bi.tolist()))
+    """The build-once/probe-many table yields exactly a nested loop's
+    pairs, in its order, including per-batch probing."""
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
         build = [rng.integers(0, 20, 100)]
         probe = [rng.integers(0, 25, 300)]
-        jt = JoinHashTable(build)
-        pi, bi = jt.match_indices(probe)
-        assert sorted(zip(pi.tolist(), bi.tolist())) == self._oracle(build, probe)
+        assert matched(build, probe) == nested_loop(probe, build)
 
     def test_batched_probe_equals_whole(self):
         rng = np.random.default_rng(4)
@@ -395,6 +388,60 @@ class TestJoinHashTable:
         jt = JoinHashTable([b])
         pi, bi = jt.match_indices([p])
         assert sorted(zip(pi.tolist(), bi.tolist())) == [(0, 0), (0, 2)]
+
+    def test_wide_composite_key_does_not_wrap(self):
+        # 4 columns of 70 000 distinct values: build row 0's composite code
+        # 53778*70001**3 + 20310*70001**2 + 56752*70001 + 776 is 2**64, so
+        # an unguarded int64 code wraps to 0, the all-zeros key's code
+        rng = np.random.default_rng(0)
+        build = []
+        for v in (53778, 20310, 56752, 776):
+            col = rng.permutation(70_000).astype(np.int64)
+            j = int(np.flatnonzero(col == v)[0])
+            col[[0, j]] = col[[j, 0]]
+            build.append(col)
+        assert not (np.stack(build) == 0).all(axis=0).any()
+        probe = [np.array([0, c[0], c[5], 70_000], np.int64) for c in build]
+        assert matched(build, probe) == [(1, 0), (2, 5)]
+
+
+class TestNullKeysNeverMatch:
+    """NaN and a NULL (None) dictionary entry are SQL NULL: a NULL key
+    equals nothing, not even another NULL, in every join kind."""
+
+    L = Schema.of(("lk", DataType.FLOAT64), ("ls", DataType.STRING))
+    R = Schema.of(("rk", DataType.FLOAT64), ("rs", DataType.STRING))
+
+    def sides(self):
+        # row 0 is NULL in both key columns on both sides; row 1 matches
+        strs = DictColumn.wrap(np.array([None, "a"], object))
+        left = RowBatch(self.L, {"lk": np.array([np.nan, 1.0]), "ls": strs})
+        right = RowBatch(self.R, {"rk": np.array([np.nan, 1.0]), "rs": strs})
+        return left, right
+
+    def test_streaming_probe(self):
+        left, right = self.sides()
+        for lk, rk in (("lk", "rk"), ("ls", "rs")):
+            assert matched([right.col(rk)], [left.col(lk)]) == [(1, 1)]
+        # an unshared dictionary with a NULL entry
+        other = DictColumn.wrap(np.array(["a", None, None], object))
+        assert matched([right.col("rs")], [other]) == [(0, 1)]
+
+    @pytest.mark.parametrize("key", ["k", "s"])
+    def test_hash_join_kinds(self, key):
+        left, right = self.sides()
+        e = BinaryOp("=", ColumnRef("l" + key), ColumnRef("r" + key))
+        pairs = [(e.left, e.right)]
+        out = self.L.concat(self.R)
+        inner = hash_join(left, right, "inner", pairs, [], out, None)
+        assert inner.col("lk").tolist() == [1.0]
+        assert hash_join(left, right, "semi", pairs, [], self.L, None).col("lk").tolist() == [1.0]
+        anti = hash_join(left, right, "anti", pairs, [], self.L, None).col("lk")
+        assert len(anti) == 1 and np.isnan(anti[0])
+        with_m = out.concat(Schema.of(("m", DataType.BOOL)))
+        outer = hash_join(left, right, "left", pairs, [], with_m, "m")
+        assert outer.col("m").tolist() == [True, False]
+        assert outer.col("rk").tolist() == [1.0, 0.0]
 
 
 class TestBloom:

@@ -1,17 +1,20 @@
-"""Reference executor edge cases: join kinds, fills, aggregates, stats derivation."""
+"""Batch-operator edge cases (join kinds, fills, aggregates, distinct),
+stats derivation, and the reference evaluator's place in the package."""
+
+import ast
+import sqlite3
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch, Schema
 from repro.common.errors import ExecutionError
-from repro.core.reference import (
-    aggregate_batch,
-    distinct_batch,
-    hash_join,
-    split_equi_condition,
-)
-from repro.optimizer.logical import AggSpec
+from repro.core.aggregate import aggregate_batch
+from repro.core.kernels import distinct_batch, hash_join
+from repro.optimizer.logical import AggSpec, split_equi_condition
 from repro.optimizer.stats import ColumnStats, predicate_selectivity
 from repro.sql import parse_expr
 
@@ -231,3 +234,70 @@ class TestSelectivity:
     def test_string_range(self):
         sel = predicate_selectivity(parse_expr("s < 'mmm'"), self.of, None)
         assert 0.2 < sel < 0.8
+
+
+NULL_JOINS = [
+    "select count(*) from (select max(a) m from t where a<0) x, "
+    "(select max(b) m2 from t where b<0) y where x.m = y.m2",
+    "select sum(case when y.k = 7 then 1 else 0 end) from "
+    "(select max(a) m from t where a<0) x left join "
+    "(select max(b) m2, sum(b)+7 k from t where b<0) y on x.m = y.m2",
+]
+
+
+@pytest.mark.parametrize("text", NULL_JOINS, ids=["inner", "left"])
+def test_null_join_keys_match_nothing(text):
+    """MAX over no rows is NULL, and NULL = NULL is not true: the engine,
+    the reference evaluator and SQLite all find no match."""
+    db = Database(ClusterConfig(n_workers=2, n_max=4, page_size=16 * 1024))
+    lite = sqlite3.connect(":memory:")
+    for stmt in ("create table t (a integer, b integer)", "insert into t values (1, 2), (3, 4)"):
+        db.sql(stmt)
+        lite.execute(stmt)
+    want = lite.execute(text).fetchall()
+    assert want == [(0,)]
+    assert db.sql(text).rows() == want
+    assert db.execute_reference(text).rows() == want
+
+
+SRC = Path(repro.__file__).parent
+REFERENCE = "repro.core.reference"
+
+
+def _reference_imports(path: Path) -> set[tuple[str, str | None]]:
+    """(module path, enclosing function or None) of every import of
+    ``repro.core.reference`` in one source file."""
+    package = ("repro",) + path.relative_to(SRC).parent.parts
+    rel = str(path.relative_to(SRC))
+    found: set[tuple[str, str | None]] = set()
+
+    def visit(node: ast.AST, fn: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                base = package[: len(package) - child.level + 1] if child.level else ()
+                mod = ".".join(base + ((child.module,) if child.module else ()))
+                names = {mod} | {f"{mod}.{a.name}" for a in child.names}
+            elif isinstance(child, ast.Import):
+                names = {a.name for a in child.names}
+            else:
+                names = set()
+            if any(n == REFERENCE or n.startswith(REFERENCE + ".") for n in names):
+                found.add((rel, fn))
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_engine_does_not_import_the_reference_evaluator():
+    """Nothing the engine runs loads ``core/reference.py``: its one
+    importer is ``Database.execute_reference``, the oracle's entry point,
+    and only when that is called."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path != SRC / "core" / "reference.py":
+            found |= _reference_imports(path)
+    assert found == {("cluster/database.py", "execute_reference")}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.common import DataType, RowBatch, Schema
-from repro.core import execute_logical
+from repro.core.reference import execute_logical
 from repro.optimizer import Binder, Catalog, StatsDeriver, StatsProvider, TableStats
 from repro.optimizer.logical import Aggregate, Filter, Join, Scan, walk
 from repro.optimizer.rewrite import (
