@@ -121,8 +121,6 @@ def cmd_events(db: Database, args) -> None:
     """Run the given queries (if any) and dump the flight recorder."""
     for q in args.sql:
         db.sql(q.rstrip(";"))
-    if db.recorder is None:
-        raise SystemExit("flight recorder is disabled (ClusterConfig.flight_recorder)")
     dump = db.recorder.dump_json()
     if args.out:
         with open(args.out, "w") as fh:

@@ -208,7 +208,7 @@ def print_tab_newver() -> None:
     )
 
 
-def main() -> None:  # pragma: no cover - exercised via benchmarks
+def main() -> None:  # pragma: no cover - exercised via examples/paper_figures.py
     print_fig7()
     print()
     print_fig8(8)

@@ -291,18 +291,16 @@ class Database:
         self.rebalances: list[RebalanceReport] = []
         self._register_collectors()
         # -- introspection (DESIGN.md §14) ----------------------------------
-        #: always-on cluster flight recorder (sys.events, `repro events`)
-        self.recorder: FlightRecorder | None = None
-        if self.config.flight_recorder:
-            self.recorder = FlightRecorder()
+        #: always-on cluster flight recorder: a bounded ring of structured
+        #: operational events (admission, faults, breaker transitions,
+        #: epoch publishes, spills) behind sys.events and `repro events`
+        self.recorder = FlightRecorder()
         #: metrics time-series sampler (sys.metrics_history)
-        self.sampler: MetricsSampler | None = None
-        if self.config.metrics_history_window > 0:
-            self.sampler = MetricsSampler(
-                self.metrics,
-                window=self.config.metrics_history_window,
-                wall_every_s=self.config.metrics_sample_s,
-            )
+        self.sampler = MetricsSampler(
+            self.metrics,
+            window=self.config.metrics_history_window,
+            wall_every_s=self.config.metrics_sample_s,
+        )
         #: per-query lifecycle summaries (sys.queries/sys.query_operators)
         self.query_log = QueryRegistry(self.config.query_history)
         if self.tracer is not None:
@@ -329,10 +327,8 @@ class Database:
             self.tracer.sim_clock = lambda: injector.tick
         # the recorder and sampler follow the fault clock too, so chaos
         # runs replay with deterministic ticks in sys.events/history
-        if self.recorder is not None:
-            self.recorder.clock = lambda: injector.tick
-        if self.sampler is not None:
-            self.sampler.clock = lambda: injector.tick
+        self.recorder.clock = lambda: injector.tick
+        self.sampler.clock = lambda: injector.tick
         injector.listener = self._chaos_event
         return injector
 
@@ -349,16 +345,14 @@ class Database:
                 tag=ev.tag,
                 detail=ev.detail,
             )
-        rec = self.recorder
-        if rec is not None:
-            rec.record(
-                "chaos_" + ev.kind,
-                node=-1 if ev.node is None else ev.node,
-                src=ev.src,
-                dst=ev.dst,
-                tag=ev.tag,
-                detail=ev.detail,
-            )
+        self.recorder.record(
+            "chaos_" + ev.kind,
+            node=-1 if ev.node is None else ev.node,
+            src=ev.src,
+            dst=ev.dst,
+            tag=ev.tag,
+            detail=ev.detail,
+        )
 
     # -- introspection wiring (DESIGN.md §14) -------------------------------------
     def _register_sys_tables(self) -> None:
@@ -379,18 +373,14 @@ class Database:
                 len(r.op_rows) for r in self.query_log.records()
             ),
             "sys.metrics": lambda: 4 * len(self.metrics.snapshot()),
-            "sys.metrics_history": lambda: (
-                self.sampler.stats()["points"] if self.sampler is not None else 0
-            ),
+            "sys.metrics_history": lambda: self.sampler.stats()["points"],
             "sys.workers": lambda: len(self.workers),
             "sys.fragments": lambda: sum(
                 len(ts.fragments) for wk in self.workers.values()
                 for ts in wk.storage.values()
             ),
             "sys.plan_cache": lambda: len(self.plan_cache),
-            "sys.events": lambda: (
-                self.recorder.stats()["retained"] if self.recorder is not None else 0
-            ),
+            "sys.events": lambda: self.recorder.stats()["retained"],
         }
         for c in self.coordinators:
             for name, fn in counts.items():
@@ -400,33 +390,26 @@ class Database:
 
     def _wire_governor(self, worker_id: int, governor: MemoryGovernor) -> None:
         def on_spill(nbytes: int, _w: int = worker_id) -> None:
-            rec = self.recorder
-            if rec is not None:
-                rec.record("spill", node=_w, nbytes=nbytes)
+            self.recorder.record("spill", node=_w, nbytes=nbytes)
 
         governor.listener = on_spill
 
     def _breaker_event(self, worker: int, old: str, new: str) -> None:
         """Health-tracker listener: circuit-breaker transitions
         (healthy/blacklisted/probation) land in the flight recorder."""
-        rec = self.recorder
-        if rec is not None:
-            rec.record("breaker_" + new, node=worker, prev=old)
+        self.recorder.record("breaker_" + new, node=worker, prev=old)
 
     def _record_admission(self, qid: int, wait_s: float, granted: bool = True) -> None:
         self.query_log.note_admission(qid, wait_s)
-        rec = self.recorder
-        if rec is not None:
-            rec.record(
-                "admission_grant" if granted else "admission_timeout",
-                qid=qid,
-                wait_s=round(wait_s, 6),
-            )
+        self.recorder.record(
+            "admission_grant" if granted else "admission_timeout",
+            qid=qid,
+            wait_s=round(wait_s, 6),
+        )
 
     def _introspection_tick(self) -> None:
         """Per-query-completion cadence check for the metrics sampler."""
-        if self.sampler is not None:
-            self.sampler.maybe_sample()
+        self.sampler.maybe_sample()
 
     def _make_fs(self, worker_id: int) -> FileSystem:
         if self.config.data_dir:
@@ -1166,13 +1149,12 @@ class Database:
         ex.recorder = old_exec.recorder
         for wk in joining.values():
             self._wire_governor(wk.worker_id, wk.governor)
-        if self.recorder is not None:
-            self.recorder.record(
-                "epoch_publish",
-                epoch=report.epoch,
-                change=report.kind,
-                workers=sorted(self.worker_ids),
-            )
+        self.recorder.record(
+            "epoch_publish",
+            epoch=report.epoch,
+            change=report.kind,
+            workers=sorted(self.worker_ids),
+        )
         self._executor = ex
         # membership-aware resource management: the admission budget
         # follows the live aggregate memory; worker DOP scales back when

@@ -258,13 +258,7 @@ def build_providers(db) -> dict:
         return _batch(SYS_SCHEMAS["sys.metrics"], rows)
 
     def metrics_history() -> RowBatch:
-        rows = [
-            (sid, tick, name, labels, value)
-            for (sid, tick, name, labels, value) in (
-                db.sampler.rows() if db.sampler is not None else []
-            )
-        ]
-        return _batch(SYS_SCHEMAS["sys.metrics_history"], rows)
+        return _batch(SYS_SCHEMAS["sys.metrics_history"], db.sampler.rows())
 
     def workers() -> RowBatch:
         health = db._executor.health
@@ -304,10 +298,9 @@ def build_providers(db) -> dict:
         return _batch(SYS_SCHEMAS["sys.plan_cache"], rows)
 
     def events() -> RowBatch:
-        evs = db.recorder.events() if db.recorder is not None else []
         rows = [
             (e.shard, e.seq, e.tick, e.ts, e.kind, e.qid, e.node, e.detail)
-            for e in evs
+            for e in db.recorder.events()
         ]
         return _batch(SYS_SCHEMAS["sys.events"], rows)
 

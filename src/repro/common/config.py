@@ -83,13 +83,7 @@ class ClusterConfig:
     trace_retention: int = 16
     #: byte cap (MB) for the content-keyed decoded-page LRU caches
     decoded_cache_mb: int = 64
-    #: always-on cluster flight recorder: bounded ring of structured
-    #: operational events (admission, faults, breaker transitions, epoch
-    #: publishes, spills), queryable as
-    #: ``sys.events`` and dumpable via ``python -m repro events``
-    flight_recorder: bool = True
-    #: samples retained per metric series in ``sys.metrics_history``;
-    #: 0 disables the sampler entirely
+    #: samples retained per metric series in ``sys.metrics_history``
     metrics_history_window: int = 240
     #: wall-clock seconds between metric samples (no chaos clock)
     metrics_sample_s: float = 0.25
@@ -131,8 +125,8 @@ class ClusterConfig:
             raise ConfigError("trace_retention must be >= 1")
         if self.decoded_cache_mb < 1:
             raise ConfigError("decoded_cache_mb must be >= 1")
-        if self.metrics_history_window < 0:
-            raise ConfigError("metrics_history_window must be >= 0 (0 disables)")
+        if self.metrics_history_window < 1:
+            raise ConfigError("metrics_history_window must be >= 1")
         if self.metrics_sample_s <= 0:
             raise ConfigError("metrics_sample_s must be positive")
         if self.query_history < 1:

@@ -170,6 +170,10 @@ class TestClusterConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(page_size=65 * 1024 * 1024)
 
+    def test_invalid_metrics_history_window(self):
+        with pytest.raises(ConfigError):
+            ClusterConfig(metrics_history_window=0)
+
     def test_with_(self):
         cfg = ClusterConfig(n_workers=2).with_(n_workers=8)
         assert cfg.n_workers == 8

@@ -559,19 +559,16 @@ class TestScaleEventMidQuery:
             )
 
     def test_concurrent_sessions_across_scale_events(self, baseline):
-        """Constant session load across a scale-out and a drain: zero
-        failed queries, zero mismatched results."""
+        """Constant session load across a scale-out 4 -> 6 (two
+        ``add_worker`` calls) and a drain 6 -> 4 (two ``drain_worker``
+        calls): zero failed queries, zero mismatched results."""
         db = build_db()
         want = {q: rows for q, rows in zip(QUERIES, baseline)}
-        futures = []
-        for i in range(6):
-            futures.append(db.submit(QUERIES[i % len(QUERIES)]))
-        db.add_worker()
-        for i in range(6):
-            futures.append(db.submit(QUERIES[i % len(QUERIES)]))
-        db.drain_worker(4)
-        for i in range(6):
-            futures.append(db.submit(QUERIES[i % len(QUERIES)]))
+        futures = [db.submit(QUERIES[i % len(QUERIES)]) for i in range(6)]
+        for event in (db.add_worker, db.add_worker,
+                      lambda: db.drain_worker(4), lambda: db.drain_worker(5)):
+            event()
+            futures += [db.submit(QUERIES[i % len(QUERIES)]) for i in range(6)]
         failed, mismatched = 0, 0
         for i, fut in enumerate(futures):
             q = QUERIES[i % len(QUERIES)]
@@ -583,7 +580,7 @@ class TestScaleEventMidQuery:
         db.close()
         assert failed == 0 and mismatched == 0
         assert db.worker_ids == [0, 1, 2, 3]
-        assert db.catalog.placement_epoch == 3
+        assert db.catalog.placement_epoch == 6  # one per add, two per drain
 
 
 class TestTPCHScaleEvents:

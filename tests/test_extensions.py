@@ -134,6 +134,29 @@ class TestCreateIndex:
         assert got == no_idx
         assert st.sets_skipped_index > 0
 
+    def test_point_lookup_skips_most_sets(self):
+        """On the indexed, unclustered column (min-max cannot help) a
+        point lookup skips more than half the page sets by index alone
+        and returns what a full scan returns."""
+        from repro.sql import compile_predicate, parse_expr, to_scan_predicate
+        from repro.storage.table import ScanStats
+
+        db = self._indexed_db()
+        db.sql("create index ik on t (k)")
+        skipped = total = 0
+        for wk in db.workers.values():
+            ts = wk.storage["t"]
+            pred = compile_predicate(parse_expr("k = 777"), ts.schema)
+            sp = to_scan_predicate(parse_expr("k = 777"), ts.schema)
+            st = ScanStats()
+            got = sum(b.length for b in ts.scan(["k", "v"], pred, sp, stats=st))
+            assert got == sum(
+                b.length for b in ts.scan(["k", "v"], pred, sp, skipping=False)
+            )
+            skipped += st.sets_skipped_index
+            total += st.sets_total
+        assert skipped > total // 2
+
     def test_index_maintained_on_insert(self):
         db = self._indexed_db()
         db.sql("create index ik on t (k)")

@@ -263,12 +263,6 @@ class TestMetricsHistory:
         ).rows()
         assert 0 < rows[0][0] <= 3
 
-    def test_sampler_disabled_leaves_table_empty(self):
-        db = build_db(metrics_history_window=0)
-        db.sql(QUERIES[1])
-        assert db.sampler is None
-        assert db.sql("SELECT count(*) FROM sys.metrics_history").rows() == [(0,)]
-
 
 # ---------------------------------------------------------------------------
 # trace retention vs sys.queries (satellite: no dangling profiles)
@@ -388,12 +382,6 @@ class TestFlightRecorder:
             db.sql("select count(*) from dim")
         kinds = [r[0] for r in db.sql("SELECT kind FROM sys.events").rows()]
         assert "breaker_blacklisted" in kinds
-
-    def test_disabled_recorder_leaves_table_empty(self):
-        db = build_db(flight_recorder=False)
-        db.sql(QUERIES[1])
-        assert db.recorder is None
-        assert db.sql("SELECT count(*) FROM sys.events").rows() == [(0,)]
 
 
 class TestRecorderUnderChaos:

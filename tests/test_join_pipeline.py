@@ -12,12 +12,14 @@ mid-query scale-out (the test_elastic chaos harness).
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import ClusterConfig, Database
 from repro.core import pipeline
+from repro.core.exchange import Exchange
 from repro.fault import FaultSchedule
 from repro.workloads import tpch_schema
 from repro.workloads.tpch_queries import query as tpch_query
@@ -88,6 +90,25 @@ class TestJoinFusionEquivalence:
         merge work."""
         st = pipelined.sql(tpch_query(1, sf=0.002)).stats
         assert sum(st.site_busy_s.values()) > st.coord_busy_s
+
+    def test_final_merges_reach_coordinator_as_one_frame(self, pipelined, monkeypatch):
+        """Final merges stay off the coordinator: on the Q1/Q3/Q6/Q12
+        mix every reduce-tree gather delivers at most one pre-merged
+        frame to the coordinator, never one frame per worker."""
+        frames = []
+        recv = Exchange._recv
+
+        def spy(self, node, tag, *args, **kwargs):
+            out = recv(self, node, tag, *args, **kwargs)
+            if (node == self.coord_id
+                    and sys._getframe(1).f_code.co_name == "_reduce_tree_gather"):
+                frames.append(len(out))
+            return out
+
+        monkeypatch.setattr(Exchange, "_recv", spy)
+        for q in (1, 3, 6, 12):
+            pipelined.sql(tpch_query(q, sf=0.002))
+        assert len(frames) >= 4 and max(frames) <= 1, frames
 
     def test_morsel_min_rows_inlines_tiny_scans(self, pipelined, monkeypatch):
         """Below the threshold every (site, table) pair is one inline

@@ -111,6 +111,16 @@ class TestFig7Shape:
 
 
 @pytest.mark.slow
+class TestFig8Shape:
+    def test_hrdbms_ahead_on_most_queries_at_96(self):
+        """Per query at 96 nodes, HRDBMS is ahead (or Greenplum fails)
+        on more than half of the queries (paper Fig 8)."""
+        rows = figures.fig8_per_query(n_nodes=96)
+        wins = sum(1 for r in rows if r.greenplum is None or r.ratio > 1.0)
+        assert wins > len(rows) / 2
+
+
+@pytest.mark.slow
 class TestFig9Shape:
     def test_q18_crossover(self):
         rows = figures.fig9_q18()

@@ -35,6 +35,7 @@ class TestTreeTopology:
     def test_height_logarithmic(self):
         t = TreeTopology(range(100), n_max=11)  # fan-out 10
         assert t.height == 2
+        assert TreeTopology(range(96), n_max=8).height <= 3  # fan-out 7
 
     def test_levels_partition_nodes(self):
         t = TreeTopology(range(20), n_max=4)
@@ -90,6 +91,13 @@ class TestBinomialGraph:
     def test_diameter_logarithmic(self):
         t = BinomialGraphTopology(range(256), n_max=8)
         assert t.diameter <= 12
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_route_length_scales_as_root_of_n(self, n):
+        """Routes stay within 4 * n^(1/(N_max/2)) hops out to 1024 nodes."""
+        t = BinomialGraphTopology(range(n), n_max=8)
+        longest = max(len(t.route(0, d)) for d in range(1, n, max(1, n // 32)))
+        assert longest <= 4 * n ** (1 / 4)
 
     def test_reduce_schedule_folds_to_root(self):
         t = BinomialGraphTopology(range(8), n_max=4)
@@ -202,6 +210,22 @@ class TestSimNetwork:
                 if i != j:
                     net.route_send(topo, i, j, b"payload")
         assert net.max_connections() <= 6
+
+    def test_hub_topology_at_96_nodes(self):
+        """The §IV trade-off at n=96, N_max=8: an all-to-all shuffle keeps
+        every node within N_max connections, where the direct mesh needs
+        95, for less than 4.5x the bytes of hub forwarding."""
+        n, n_max = 96, 8
+        topo = BinomialGraphTopology(range(n), n_max)
+        hub, direct = SimNetwork(range(n)), SimNetwork(range(n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    hub.route_send(topo, i, j, b"payload")
+                    direct.send(i, j, b"payload")
+        assert hub.max_connections() <= n_max
+        assert direct.max_connections() == n - 1
+        assert hub.total_bytes / direct.total_bytes < 4.5
 
     def test_direct_all_to_all_needs_n_connections(self):
         net = SimNetwork(range(32))

@@ -40,6 +40,7 @@ from repro.telemetry import (
     render_analyze,
     validate_trace,
 )
+from repro.telemetry.trace import Span
 from repro.workloads import tpch_schema
 from repro.workloads.tpch_queries import query
 
@@ -399,6 +400,58 @@ def test_untraced_query_takes_only_the_attempt_snapshots(monkeypatch):
     monkeypatch.setattr(DistributedExecutor, "_counters", spy)
     db.sql("select b, sum(a) from t where a > 1 group by b order by b")
     assert callers == ["execute", "execute"]
+
+
+def test_untraced_query_constructs_no_spans(tpch_db, monkeypatch):
+    """Tracing off costs nothing: with the tracer absent, the scan/agg
+    and join-shaped TPC-H queries build no span at all."""
+    built = []
+    init = Span.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", spy)
+    for q in (1, 3, 6):
+        tpch_db.sql(query(q, TPCH_SF))
+    assert built == []
+    analyzed(tpch_db, Q3)  # the same query under a tracer does build them
+    assert "query" in built and "gather" in built
+
+
+def test_introspection_hooks_run_once_per_query(monkeypatch):
+    """Each query pays one admission record and one sampler cadence
+    check, and even a sampler due on every check snapshots the registry
+    at most once per query. Fault-free, the flight recorder gains exactly
+    one event per query: its admission grant."""
+    db = simple_db(n_workers=2, metrics_sample_s=1e-9)
+    db.sql("create table t (a int, b int) partition by hash(a)")
+    db.sql("insert into t values (1, 2), (3, 4), (5, 6)")
+    calls: dict[str, int] = defaultdict(int)
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("_record_admission", "_introspection_tick"):
+        monkeypatch.setattr(Database, name, counting(name, getattr(Database, name)))
+    monkeypatch.setattr(db.sampler, "sample", counting("sample", db.sampler.sample))
+    db.recorder.clear()
+    sqls = [
+        "select b, sum(a) from t where a > 1 group by b order by b",
+        "select count(*) from t",
+        "select a from t order by a desc limit 2",
+    ]
+    for sql in sqls:
+        db.sql(sql)
+    n = len(sqls)
+    assert calls["_record_admission"] == n
+    assert calls["_introspection_tick"] == n
+    assert 0 < calls["sample"] <= n
+    assert [e.kind for e in db.recorder.events()] == ["admission_grant"] * n
 
 
 # -- metrics over a live cluster ----------------------------------------------------

@@ -246,12 +246,19 @@ class TestTwoPC:
     def test_hierarchical_bounds_coordinator_messages(self):
         """The tree fan-out bounds the coordinator's direct message count
         regardless of participant count (paper §VI)."""
-        xa, _ = self._xa(n_nodes=30, n_max=4)
-        stats = TwoPCStats()
-        parts = {i: _FakeParticipant(i) for i in range(30)}
-        xa.commit(1, parts, stats)
+
+        def coordinator_messages(n: int, n_max: int) -> int:
+            xa, _ = self._xa(n_nodes=n, n_max=n_max)
+            stats = TwoPCStats()
+            assert xa.commit(1, {i: _FakeParticipant(i) for i in range(n)}, stats)
+            return stats.coordinator_messages
+
         # fan-out 3: the coordinator exchanges messages with <= 3 children
-        assert stats.coordinator_messages <= 3 * 3  # prepare+vote+decision
+        assert coordinator_messages(30, 4) <= 3 * 3  # prepare+vote+decision
+        assert coordinator_messages(96, 4) <= 3 * 3
+        # fan-out = cluster size degenerates to flat 2PC: the coordinator
+        # talks to every participant
+        assert coordinator_messages(96, 97) >= 2 * 96
 
 
 class TestXAOutcomeRecovery:
