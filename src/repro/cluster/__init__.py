@@ -10,7 +10,7 @@ from .database import (
     Worker,
 )
 from .plancache import PlanCache
-from .resource import AdmissionController, AdmissionTimeout, ResourceMonitor
+from .resource import AdmissionController, AdmissionTimeout
 
 __all__ = [
     "Database",
@@ -25,5 +25,4 @@ __all__ = [
     "PlanCache",
     "AdmissionController",
     "AdmissionTimeout",
-    "ResourceMonitor",
 ]

@@ -33,7 +33,6 @@ from ..common.config import ClusterConfig
 from ..common.errors import CatalogError, NetworkError, PlanError, WorkerFailureError
 from ..common.schema import Schema
 from ..core.executor import DistributedExecutor, ExecStats, WorkerRuntime
-from ..core.pipeline import MorselScheduler
 from ..core.spill import MemoryGovernor
 from ..network.simnet import SimNetwork
 from ..network.topology import BinomialGraphTopology, TreeTopology
@@ -157,11 +156,6 @@ class Worker:
         self.governor = MemoryGovernor(config.memory_per_node)
         self.storage: dict[str, TableStorage] = {}
         self.external: dict[str, object] = {}
-        # worker-level resource management (paper's level 2): DOP follows
-        # local memory pressure
-        from .resource import ResourceMonitor
-
-        self.monitor = ResourceMonitor(self.governor, config.disks_per_node)
 
     def create_table(self, entry: CatalogEntry) -> TableStorage:
         ts = TableStorage(
@@ -188,8 +182,6 @@ class Worker:
             storage=self.storage,
             governor=self.governor,
             external=self.external,
-            effective_dop=self.config.disks_per_node,
-            dop_source=self.monitor.effective_dop,
         )
 
 
@@ -249,9 +241,6 @@ class Database:
             self.config,
         )
         # -- concurrent serving layer --------------------------------------
-        #: shared morsel pool multiplexed across concurrent queries
-        self.scheduler = MorselScheduler()
-        self._executor.scheduler = self.scheduler
         #: coordinator admission gate against the aggregate memory budget
         self.admission = AdmissionController(
             total_budget=self.config.memory_per_node * self.config.n_workers,
@@ -440,19 +429,17 @@ class Database:
         return pool.submit(sess.sql, text)
 
     def close(self) -> None:
-        """Shut down the client pool and the shared morsel scheduler."""
+        """Shut down the client pool."""
         with self._submit_mu:
             if self._submit_pool is not None:
                 self._submit_pool.shutdown(wait=True)
                 self._submit_pool = None
-        self.scheduler.shutdown()
 
     def concurrency_stats(self) -> dict:
-        """Serving-layer observability: admission, plan cache, morsels."""
+        """Serving-layer observability: admission, plan cache, memory."""
         return {
             "admission": self.admission.stats(),
             "plan_cache": self.plan_cache.stats(),
-            "morsel_tasks": self.scheduler.submitted,
             "peak_memory": max(w.governor.peak for w in self.workers.values()),
             "memory_budget_per_node": self.config.memory_per_node,
         }
@@ -579,17 +566,6 @@ class Database:
         m.register_collector(
             "repro_admission_timeouts_total", "counter", "admissions that timed out",
             lambda: [({}, adm.timeouts)],
-        )
-        # morsel scheduler
-        sched = self.scheduler
-        m.register_collector(
-            "repro_scheduler_tasks_total", "counter", "morsel tasks submitted",
-            lambda: [({}, sched.submitted)],
-        )
-        m.register_collector(
-            "repro_scheduler_busy_seconds_total", "counter",
-            "wall seconds pool threads spent running morsel tasks",
-            lambda: [({}, sched.busy.value)],
         )
         # plan cache
         pc = self.plan_cache
@@ -1137,7 +1113,6 @@ class Database:
             self.net,
             self.config,
         )
-        ex.scheduler = self.scheduler
         ex.health = old_exec.health  # failure history survives epochs
         ex.tracer = old_exec.tracer
         ex.fault_injector = old_exec.fault_injector
@@ -1157,13 +1132,8 @@ class Database:
         )
         self._executor = ex
         # membership-aware resource management: the admission budget
-        # follows the live aggregate memory; worker DOP scales back when
-        # the cluster is degraded below its baseline size
+        # follows the live aggregate memory
         self.admission.resize(self.config.memory_per_node * len(self.worker_ids))
-        for w in self.worker_ids:
-            self.workers[w].monitor.set_membership(
-                len(self.worker_ids), self.config.n_workers
-            )
 
     def elasticity_stats(self) -> dict:
         """Membership + rebalance observability for benches and tests."""

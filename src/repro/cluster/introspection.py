@@ -66,7 +66,7 @@ SYS_SCHEMAS: dict[str, Schema] = {
     "sys.workers": Schema.of(
         ("worker_id", I64), ("state", STR), ("draining", I64),
         ("failures", I64), ("mem_used", I64), ("mem_peak", I64),
-        ("spilled_bytes", I64), ("effective_dop", I64), ("tables", I64),
+        ("spilled_bytes", I64), ("tables", I64),
         ("in_placement", I64),
     ),
     "sys.fragments": Schema.of(
@@ -270,8 +270,7 @@ def build_providers(db) -> dict:
                 (
                     w, health.state(w), int(health.is_draining(w)),
                     health.failures(w), gov.used, gov.peak, gov.spilled_bytes,
-                    wk.monitor.effective_dop(), len(wk.storage),
-                    int(w in placement),
+                    len(wk.storage), int(w in placement),
                 )
             )
         return _batch(SYS_SCHEMAS["sys.workers"], rows)

@@ -6,9 +6,13 @@ YARN/Mesos, decentralizing decisions:
 1. **Cluster level** — the optimizer balances load and communication
    across workers (in this codebase: the Phase-3 planner's placement and
    exchange decisions in :mod:`repro.optimizer.dataflow`).
-2. **Worker level** — each worker monitors its own memory pressure and
-   reduces the degree of parallelism of query operators when resources
-   are scarce (:class:`ResourceMonitor` below).
+   Coordinators also gate query starts against the aggregate memory
+   budget (:class:`AdmissionController` below).
+2. **Worker level** — each worker owns its memory budget
+   (:class:`~repro.core.spill.MemoryGovernor`) and its operators draw on
+   it without asking a coordinator. The paper also scales a worker's
+   degree of parallelism back under memory pressure; here a query runs
+   on one thread, so there is no parallelism to scale.
 3. **Operator level** — operators spill to disk to bound memory
    (:mod:`repro.core.spill`).
 
@@ -22,66 +26,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from ..common.errors import ReproError
-from ..core.spill import MemoryGovernor
 
 
 class AdmissionTimeout(ReproError):
     """A query waited longer than ``admission_timeout`` for admission."""
-
-
-@dataclass
-class ResourceMonitor:
-    """Worker-local DOP control (resource-management level 2).
-
-    The base degree of parallelism equals the disk count (the paper's
-    scan rule); as the memory governor's utilization climbs, operator
-    parallelism is scaled back so concurrent operator state shrinks,
-    down to 1 under severe pressure.
-    """
-
-    governor: MemoryGovernor
-    base_dop: int
-    #: start throttling above this utilization
-    soft_threshold: float = 0.6
-    #: run single-threaded above this utilization
-    hard_threshold: float = 0.95
-    #: live/baseline worker counts (elastic membership). When workers
-    #: drain, the survivors absorb their load, so each one scales its
-    #: per-operator DOP back to keep the aggregate morsel-thread
-    #: pressure bounded; scale-out restores (never exceeds) ``base_dop``.
-    live_workers: int = 0
-    baseline_workers: int = 0
-
-    @property
-    def utilization(self) -> float:
-        if self.governor.budget <= 0:
-            return 1.0
-        return min(self.governor.used / self.governor.budget, 1.5)
-
-    def set_membership(self, live: int, baseline: int) -> None:
-        self.live_workers = max(0, live)
-        self.baseline_workers = max(0, baseline)
-
-    def effective_dop(self) -> int:
-        u = self.utilization
-        if u <= self.soft_threshold:
-            dop = self.base_dop
-        elif u >= self.hard_threshold:
-            dop = 1
-        else:
-            # linear scale-back between the thresholds
-            span = self.hard_threshold - self.soft_threshold
-            frac = 1.0 - (u - self.soft_threshold) / span
-            dop = max(1, round(1 + frac * (self.base_dop - 1)))
-        if 0 < self.live_workers < self.baseline_workers:
-            dop = max(1, round(dop * self.live_workers / self.baseline_workers))
-        return dop
-
-    def should_throttle(self) -> bool:
-        return self.effective_dop() < self.base_dop
 
 
 class AdmissionController:

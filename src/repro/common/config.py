@@ -3,8 +3,8 @@
 One :class:`ClusterConfig` object parameterizes everything the paper's
 §I-A overview enumerates: node counts, the ``N_max`` neighbor limit for
 communication topologies, page size, buffer-pool sizing, per-node memory
-budget (used to reproduce the 24 GB vs 384 GB experiments), and
-degree-of-parallelism defaults.
+budget (used to reproduce the 24 GB vs 384 GB experiments), and disks
+per node.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class ClusterConfig:
     #: coordinator nodes (metadata, planning, 2PC); the paper replicates
     #: metadata across all of them and load-balances clients
     n_coordinators: int = 1
-    #: disks per worker; scan DOP = number of disks (paper §IV)
+    #: disks per worker; a table stores one fragment per disk (paper §IV)
     disks_per_node: int = 2
     #: maximum number of network neighbors per node (paper's N_max)
     n_max: int = 8
@@ -37,11 +37,6 @@ class ClusterConfig:
     memory_per_node: int = 256 * MB
     #: rows per execution batch
     batch_size: int = 8192
-    #: run each table fragment's morsel (scan plus the chain's steps) in
-    #: its own thread (paper §IV: "one scan thread for each fragment");
-    #: DOP per worker = number of disks, throttled by the worker's
-    #: resource monitor
-    parallel_scans: bool = False
     #: page compression ("lz4sim" = fast byte-oriented codec, "none")
     compression: str = "lz4sim"
     #: lock wait timeout, seconds of simulated time

@@ -118,17 +118,22 @@ class Exchange:
             w: SpillableList(self.workers[w].fs, self.workers[w].governor, op.schema, tag)
             for w in self.worker_ids
         }
-        with self._chain(child_op) as run:
-            for src in run.sites:
-                for batch in self._coalesce(self._site_batches(run, src), child_op.schema):
-                    self._shuffle_batch(src, batch, compiled, buffers, tag, prefilter)
-        out: SiteData = {}
-        for w in self.worker_ids:
-            for b in self._recv(w, tag):
-                buffers[w].append(b)
-            out[w] = list(buffers[w])
-            buffers[w].close()
-        return out
+        try:
+            with self._chain(child_op) as run:
+                for src in run.sites:
+                    for batch in self._coalesce(self._site_batches(run, src), child_op.schema):
+                        self._shuffle_batch(src, batch, compiled, buffers, tag, prefilter)
+            out: SiteData = {}
+            for w in self.worker_ids:
+                for b in self._recv(w, tag):
+                    buffers[w].append(b)
+                out[w] = list(buffers[w])
+            return out
+        finally:
+            # on every exit, a failed send included: the buffers' memory
+            # goes back to the governors
+            for buf in buffers.values():
+                buf.close()
 
     # -- broadcast ------------------------------------------------------------------------
     def _eval_broadcast(self, op: PhysOp) -> SiteData:

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .kernels import JoinHashTable, distinct_batch, hash_join, join_rows, sort_i
 from .pipeline import (
     FusedChain,
     InflightTracker,
-    MorselScheduler,
     PipelineMetrics,
     apply_steps,
     chain_step,
@@ -83,14 +82,6 @@ class WorkerRuntime:
     storage: dict[str, TableStorage]
     governor: MemoryGovernor
     external: dict[str, object] = field(default_factory=dict)
-    #: degree of parallelism the worker grants (resource-management L2)
-    effective_dop: int = 2
-    #: live DOP source (the worker's resource monitor); overrides
-    #: ``effective_dop`` when present so throttling reacts to pressure
-    dop_source: Optional[Callable[[], int]] = None
-
-    def current_dop(self) -> int:
-        return self.dop_source() if self.dop_source is not None else self.effective_dop
 
 
 @dataclass
@@ -127,11 +118,11 @@ class ExecStats:
     pipelines: int = 0
     #: operators folded into those pipelines (scans included)
     fused_ops: int = 0
-    #: morsel tasks executed (one per table fragment per site)
+    #: morsels executed (one per site per table scan)
     morsels: int = 0
-    #: peak batches produced by morsel tasks but not yet consumed
+    #: peak batches produced by morsels but not yet consumed
     peak_inflight_batches: int = 0
-    #: measured wall-seconds of morsel-task work per serving worker — the
+    #: measured wall-seconds of morsel work per serving worker — the
     #: data-parallel portion a real cluster runs on the worker machines
     #: (feeds the concurrency bench's modeled-throughput computation and
     #: exposes worker busy-time skew)
@@ -205,7 +196,8 @@ class _ChainRun:
     #: a blocking source's evaluated batches per site (None: table scan)
     source_data: SiteData | None
     #: the site stream being consumed; closed when the chain closes so an
-    #: abandoned stream stops its morsels and its pipeline span
+    #: abandoned stream drops its unconsumed batches and ends its
+    #: pipeline span
     live: Iterator[RowBatch] | None = None
 
 
@@ -243,8 +235,6 @@ class DistributedExecutor(ScanSource, Exchange):
         #: "q<id>|" by :meth:`for_query` so concurrent queries' messages
         #: never cross-deliver
         self.qtag = ""
-        #: shared cross-query morsel pool (None = private per-chain pool)
-        self.scheduler: MorselScheduler | None = None
         #: query-lifecycle tracer (None = tracing disabled: the only cost
         #: at every instrumentation point is this attribute test)
         self.tracer: Tracer | None = None
@@ -283,11 +273,10 @@ class DistributedExecutor(ScanSource, Exchange):
         """A shallow per-query clone with isolated mutable state.
 
         Shared (by reference): workers (and their governors — aggregate
-        memory pressure must see every query), the network, topologies,
-        the health tracker, and the morsel scheduler. Fresh per clone:
-        every counter ``execute`` mutates, plus a unique exchange-tag
-        namespace. This is what lets multiple threads run ``execute``
-        concurrently against one cluster.
+        memory pressure must see every query), the network, topologies
+        and the health tracker. Fresh per clone: every counter ``execute``
+        mutates, plus a unique exchange-tag namespace. This is what lets
+        multiple threads run ``execute`` concurrently against one cluster.
 
         ``coord_id`` roots the query at a specific coordinator node
         (HRDBMS load-balances clients across replicated coordinators, so
@@ -307,8 +296,7 @@ class DistributedExecutor(ScanSource, Exchange):
     def _note_busy(self, site: int, seconds: float) -> None:
         """Attribute wall time to the node that did the work: worker ids
         accrue to ``site_busy_s``, anything else (the coordinator) to
-        ``coord_busy_s`` (morsel threads race under ``parallel_scans``,
-        hence the lock)."""
+        ``coord_busy_s``."""
         with self._busy_mu:
             if site in self.workers:
                 self.site_busy_s[site] = self.site_busy_s.get(site, 0.0) + seconds
@@ -484,8 +472,8 @@ class DistributedExecutor(ScanSource, Exchange):
     def _chain(self, op: PhysOp) -> Iterator[_ChainRun]:
         """Run ``op``'s subtree as a chain: the body pulls each site's
         batches from :meth:`_site_batches`. However the body exits, the
-        stream it was consuming is closed — morsels stopped, the site's
-        ``pipeline`` span ended. On success the folded operators' actual
+        stream it was consuming is closed — unconsumed batches dropped,
+        the site's ``pipeline`` span ended. On success the folded operators' actual
         rows are published for EXPLAIN ANALYZE and, under a tracer, they
         are marked fused on the span of the operator that ran the chain
         (they have no span of their own)."""
@@ -517,7 +505,7 @@ class DistributedExecutor(ScanSource, Exchange):
 
         The span opens when the first batch is pulled and closes when the
         site's stream is exhausted; because sites are consumed one after
-        another on the query's driver thread, pipeline spans of the same
+        another on the query's thread, pipeline spans of the same
         site never overlap — the invariant the trace tests assert. Any
         network send issued while a batch is being consumed (streaming
         shuffle/broadcast/gather) nests inside the producing site's span.
@@ -550,7 +538,7 @@ class DistributedExecutor(ScanSource, Exchange):
 
     def _list_site_batches(self, run: _ChainRun, site: int):
         """Stream a blocking source's batches through the chain's steps on
-        the driver thread. Inputs are coalesced first so filters and
+        the query's thread. Inputs are coalesced first so filters and
         probes run at full batch width (grouping depends only on
         deterministic sizes)."""
         steps = run.chain.steps()

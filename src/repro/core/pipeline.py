@@ -10,11 +10,11 @@ supplies the pieces the distributed executor composes into that shape:
   probe steps — a single-pass batch transformer with per-op row
   accounting (EXPLAIN ANALYZE still sees every fused operator). It is
   the engine's only execution shape.
-* :func:`run_tasks_ordered` is the morsel driver: per-fragment scan
-  tasks run on a bounded thread pool (generalizing the seed's
-  scan-only DOP to the whole fused chain), and results are consumed in
-  deterministic submission order so downstream network sends — and
-  therefore the fault injector's event clock — are reproducible.
+* A site's table scan is one morsel: the query's own thread scans
+  the site's fragments and runs the chain's steps over them, then the
+  morsel's batches are consumed in order, so downstream network sends —
+  and therefore the fault injector's event clock — are reproducible.
+  A query runs on one thread.
 * :class:`InflightTracker` measures the peak number of produced-but-
   unconsumed batches, the observable of how far producers run ahead of
   the consumer.
@@ -28,7 +28,6 @@ fold in :mod:`repro.core.executor`.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -36,7 +35,6 @@ from ..common.batch import RowBatch
 from ..common.schema import Schema
 from ..optimizer.physical import PhysOp
 from ..sql.compiler import compile_expr, compile_predicate
-from ..telemetry.metrics import Counter as TelemetryCounter
 
 
 @dataclass
@@ -47,12 +45,12 @@ class PipelineMetrics:
     pipelines: int = 0
     #: operators folded into those chains (scan included)
     fused_ops: int = 0
-    #: morsel tasks executed (one per table fragment per site)
+    #: morsels executed (one per site per table scan)
     morsels: int = 0
 
 
 class InflightTracker:
-    """Counts batches produced by morsel tasks but not yet consumed."""
+    """Counts batches produced by morsels but not yet consumed."""
 
     def __init__(self) -> None:
         self._cur = 0
@@ -76,7 +74,7 @@ class InflightTracker:
 
     def drain(self) -> None:
         """Forget batches of an abandoned stream. Call only once its
-        morsel tasks have stopped: what is still counted can no longer
+        morsel has stopped: what is still counted can no longer
         be consumed."""
         with self._lock:
             self._cur = 0
@@ -87,7 +85,7 @@ class FusedChain:
     """One subtree as a source followed by single-pass steps.
 
     ``source`` is either a table ``scan`` (storage or external-table
-    fragments, read by morsel tasks) or a blocking operator — an
+    fragments, read by one morsel per site) or a blocking operator — an
     aggregate, exchange, sort, non-streamable join — whose already
     evaluated per-site batches feed the steps. ``transforms`` holds the
     filter/project/hash-join ops bottom-up (nearest the source first). A
@@ -110,7 +108,7 @@ class FusedChain:
 
     @property
     def scans(self) -> bool:
-        """True when morsel tasks read the source from a table."""
+        """True when morsels read the source from a table."""
         return self.source.op == "scan"
 
     @property
@@ -126,9 +124,8 @@ class FusedChain:
     def steps(self) -> list[tuple[int, str, object]]:
         """Compiled (op_id, kind, payload) list; compiled lazily once.
 
-        Call from the driver thread before spawning morsel tasks — the
-        compiled closures are pure and safe to share across threads.
-        Probe steps carry no payload here: their per-site closures (the
+        The compiled closures are pure, so every site's morsel shares
+        them. Probe steps carry no payload here: their per-site closures (the
         hash table is per site) are passed to :func:`apply_steps`
         separately.
         """
@@ -227,7 +224,7 @@ def coalesce_batches(
     holds at most ``target_rows`` rows, so memory stays bounded while
     downstream work runs at full batch width. Grouping depends only on
     batch sizes, which are deterministic, so exchange ordering (and the
-    fault injector's clock) is unaffected by thread scheduling.
+    fault injector's clock) is reproducible.
     """
     pending: list[RowBatch] = []
     rows = 0
@@ -242,123 +239,3 @@ def coalesce_batches(
     if pending:
         yield pending[0] if len(pending) == 1 else RowBatch.concat(schema, pending)
 
-
-#: a site whose table holds fewer rows than this runs its chain inline as
-#: a single morsel (no per-fragment split, no pool dispatch) — tiny
-#: selective scans stop paying scheduling overhead
-MORSEL_MIN_ROWS = 32768
-
-
-def morsel_disks(n_disks: int, row_count: int) -> list[list[int] | None]:
-    """The fragment list of each morsel task of one site's table scan:
-    one morsel per fragment, or one inline morsel over all of them
-    (``None``) below :data:`MORSEL_MIN_ROWS`."""
-    if row_count < MORSEL_MIN_ROWS:
-        return [None]
-    return [[d] for d in range(n_disks)]
-
-
-class MorselScheduler:
-    """A shared morsel worker pool multiplexed across concurrent queries.
-
-    The seed executor instantiated a fresh thread pool per query (per
-    fused chain, even); under concurrent sessions that multiplies OS
-    threads by the number of in-flight queries and defeats the morsel
-    model's core idea — a fixed worker set pulling tasks from whoever
-    has work. This scheduler owns one lazily-started pool sized to the
-    machine (cpu count, capped at 32); queries submit task lists through
-    :meth:`run_ordered`, which keeps at most ``dop`` of *that query's*
-    tasks in flight (preserving each query's intra-query DOP grant)
-    while the pool interleaves tasks from all queries.
-
-    Deadlock-free by construction: morsel tasks are leaf closures that
-    never submit to the scheduler themselves, so pool threads never
-    block on pool work.
-    """
-
-    def __init__(self, max_threads: int = 0):
-        import os
-
-        self.max_threads = max_threads if max_threads > 0 else min(32, (os.cpu_count() or 4))
-        self._pool = None
-        self._mu = threading.Lock()
-        #: tasks ever submitted (observability)
-        self.submitted = 0
-        #: wall seconds pool threads spent running tasks; per-thread
-        #: sharded, so worker threads record without a lock
-        self.busy = TelemetryCounter()
-
-    def _ensure_pool(self):
-        with self._mu:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_threads, thread_name_prefix="morsel"
-                )
-            return self._pool
-
-    def run_ordered(self, tasks: list[Callable[[], object]], dop: int) -> Iterator[object]:
-        """Run ``tasks`` on the shared pool, at most ``dop`` in flight,
-        yielding results in submission order."""
-        from collections import deque as _deque
-        from concurrent.futures import wait
-
-        pool = self._ensure_pool()
-        window = max(1, dop)
-        inflight: "_deque" = _deque()
-        it = iter(tasks)
-        try:
-            for t in it:
-                inflight.append(pool.submit(self._timed, t))
-                self.submitted += 1
-                if len(inflight) >= window:
-                    yield inflight.popleft().result()
-            while inflight:
-                yield inflight.popleft().result()
-        finally:
-            # a consumer bailing early must leave nothing behind: queued
-            # futures are cancelled and running ones waited out, so no
-            # task of the query still runs once the query has returned
-            for f in inflight:
-                f.cancel()
-            wait(inflight)
-
-    def _timed(self, task: Callable[[], object]) -> object:
-        t0 = time.perf_counter()
-        try:
-            return task()
-        finally:
-            self.busy.inc(time.perf_counter() - t0)
-
-    def shutdown(self) -> None:
-        with self._mu:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-
-def run_tasks_ordered(
-    tasks: list[Callable[[], object]],
-    dop: int,
-    threaded: bool,
-    scheduler: MorselScheduler | None = None,
-) -> Iterator[object]:
-    """Morsel driver: run tasks with up to ``dop`` threads, yielding
-    results in submission order (deterministic regardless of thread
-    scheduling). With a :class:`MorselScheduler` the tasks run on the
-    shared cross-query pool; otherwise a private pool is spun up, and
-    when threading is disabled or pointless execution is inline."""
-    if threaded and dop > 1 and len(tasks) > 1:
-        if scheduler is not None:
-            yield from scheduler.run_ordered(tasks, dop)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=dop) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            for f in futures:
-                yield f.result()
-    else:
-        for t in tasks:
-            yield t()

@@ -5,13 +5,14 @@ For each site the executor asks :meth:`ScanSource._serving_for` which
 worker will read the partition (the site itself, or — replicated tables
 only — a healthy replica after the blacklist / half-open-probe / failover
 dance), then :meth:`ScanSource._scan_site_batches` turns that worker's
-fragments into morsel tasks that scan and run the chain's steps.
-External tables stream their fragments through the same morsel body.
+fragments into the site's one morsel, which scans them and runs the
+chain's steps on the query's thread. External tables stream their
+fragments through the same morsel body.
 
 :class:`ScanSource` is mixed into
 :class:`~repro.core.executor.DistributedExecutor` and uses its cluster
 handles (``workers``, ``worker_ids``, ``health``, ``net``, ``config``,
-``scheduler``, ``fault_injector``), its per-attempt state
+``fault_injector``), its per-attempt state
 (``_scan_stats``, ``pipe``, ``inflight``, ``failed_workers``) and
 ``_note_busy`` / ``_record_chaos``.
 """
@@ -19,7 +20,6 @@ handles (``workers``, ``worker_ids``, ``health``, ``net``, ``config``,
 from __future__ import annotations
 
 import time
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ..common.batch import RowBatch
@@ -28,7 +28,7 @@ from ..optimizer.physical import PhysOp
 from ..sql.ast import ColumnRef, Expr, column_refs
 from ..sql.compiler import compile_predicate, to_scan_predicate
 from ..storage.table import ScanStats, TableStorage
-from .pipeline import apply_steps, morsel_disks, run_tasks_ordered
+from .pipeline import apply_steps
 
 if TYPE_CHECKING:
     from .executor import WorkerRuntime, _ChainRun
@@ -161,47 +161,35 @@ class ScanSource:
     def _scan_site_batches(self, run: _ChainRun, w: int):
         """Stream one site's table through the chain.
 
-        Each table fragment becomes one morsel task that scans and runs
-        the full transform chain in its worker thread; the driver thread
-        consumes task results in submission order, so every downstream
-        send sequence (and the fault injector's clock) stays
-        deterministic no matter how threads interleave. Tables below
-        :data:`~repro.core.pipeline.MORSEL_MIN_ROWS`, and external
-        tables, run as one inline morsel instead.
+        The site's scan is one morsel, run on the query's own thread: it
+        reads every fragment (or every external-table fragment) and runs
+        the full transform chain, then its batches are yielded in order,
+        so every downstream send sequence (and the fault injector's
+        clock) is deterministic.
         """
         op = run.chain.source
         table = op.attrs["table"]
         replicated = op.partitioning.kind == "replicated"
         serving = self._serving_for(op, w, table, replicated)
         rt = self.workers[serving]
+        st = self._scan_stats
         if table in rt.external:
-            def scan(ds, st):
-                return self._external_batches(rt, op, st)
+            scanned = self._external_batches(rt, op, st)
 
             def finish(b):
                 return b
-
-            parts = [None]
         else:
             storage = rt.storage.get(table)
             if storage is None:
                 raise ExecutionError(f"worker {serving} has no table {table!r}")
             needed, pred_fn, scan_pred, finish = self._scan_plan(storage, op)
-
-            def scan(ds, st):
-                return storage.scan(
-                    needed, pred_fn, scan_pred,
-                    skipping=True, stats=st, disks=ds, neardata=True,
-                )
-
-            parts = morsel_disks(len(storage.fragments), storage.row_count)
+            scanned = storage.scan(
+                needed, pred_fn, scan_pred, skipping=True, stats=st, neardata=True
+            )
         steps = run.chain.steps()
         probes = run.probes.get(w)
         counts = run.counts
         scan_id = op.id
-        # one scan thread per fragment, throttled by the worker's
-        # resource monitor (paper §IV)
-        dop = min(rt.current_dop(), len(parts))
 
         # a probe has fixed NumPy setup cost per call, so probing each
         # page-set-sized scan batch wastes most of the kernel's width.
@@ -222,59 +210,46 @@ class ScanSource:
         # batch width (grouping depends only on deterministic sizes)
         target = max(1, self.config.batch_size)
 
-        def morsel(ds: list[int] | None) -> tuple[list[RowBatch], dict[int, int], ScanStats]:
-            t0 = time.perf_counter()
-            st = ScanStats()
-            local: dict[int, int] = {}
-            outs: list[RowBatch] = []
-            staged: list[RowBatch] = []
-            buf: list[RowBatch] = []
-            held = 0
+        t0 = time.perf_counter()
+        self.pipe.morsels += 1
+        outs: list[RowBatch] = []
+        staged: list[RowBatch] = []
+        buf: list[RowBatch] = []
+        held = 0
 
-            def step(raws: list[RowBatch]) -> None:
-                raw = raws[0] if len(raws) == 1 else RowBatch.concat(raws[0].schema, raws)
-                b = finish(raw)
-                local[scan_id] = local.get(scan_id, 0) + b.length
-                b = apply_steps(b, pre, local, probes)
-                if b is not None and b.length:
-                    (outs if post is None else staged).append(b)
+        def step(raws: list[RowBatch]) -> None:
+            raw = raws[0] if len(raws) == 1 else RowBatch.concat(raws[0].schema, raws)
+            b = finish(raw)
+            counts[scan_id] = counts.get(scan_id, 0) + b.length
+            b = apply_steps(b, pre, counts, probes)
+            if b is not None and b.length:
+                (outs if post is None else staged).append(b)
 
-            for raw in scan(ds, st):
-                buf.append(raw)
-                held += raw.length
-                if held >= target:
-                    step(buf)
-                    buf, held = [], 0
-            if buf:
+        for raw in scanned:
+            buf.append(raw)
+            held += raw.length
+            if held >= target:
                 step(buf)
-            if post is not None and staged:
-                merged = (
-                    staged[0] if len(staged) == 1
-                    else RowBatch.concat(staged[0].schema, staged)
-                )
-                b = apply_steps(merged, post, local, probes)
-                if b is not None and b.length:
-                    outs.append(b)
-            self.inflight.produced(len(outs))
-            self._note_busy(serving, time.perf_counter() - t0)
-            return outs, local, st
-
-        tasks = [partial(morsel, ds) for ds in parts]
-        self.pipe.morsels += len(tasks)
-        results = run_tasks_ordered(tasks, dop, self.config.parallel_scans, self.scheduler)
+                buf, held = [], 0
+        if buf:
+            step(buf)
+        if post is not None and staged:
+            merged = (
+                staged[0] if len(staged) == 1
+                else RowBatch.concat(staged[0].schema, staged)
+            )
+            b = apply_steps(merged, post, counts, probes)
+            if b is not None and b.length:
+                outs.append(b)
+        self.inflight.produced(len(outs))
+        self._note_busy(serving, time.perf_counter() - t0)
         try:
-            for outs, local, st in results:
-                self._scan_stats.merge(st)
-                for op_id, n in local.items():
-                    counts[op_id] = counts.get(op_id, 0) + n
-                for b in outs:
-                    self.inflight.consumed(1)
-                    yield b
+            for b in outs:
+                self.inflight.consumed(1)
+                yield b
         finally:
             # an abandoned stream (failed send, restart) leaves produced
-            # batches nobody will consume; closing the task stream first
-            # waits its running morsels out, so the count is final
-            results.close()
+            # batches nobody will consume
             self.inflight.drain()
 
 

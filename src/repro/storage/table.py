@@ -697,13 +697,11 @@ class TableStorage:
         scan_pred: ScanPredicate | None = None,
         skipping: bool = True,
         stats: ScanStats | None = None,
-        disks: Sequence[int] | None = None,
         neardata: bool = False,
     ) -> Iterator[RowBatch]:
         cols = list(columns) if columns is not None else self.schema.names()
-        frag_ids = disks if disks is not None else range(len(self.fragments))
-        for d in frag_ids:
-            yield from self.fragments[d].scan(cols, predicate, scan_pred, skipping, stats, neardata)
+        for frag in self.fragments:
+            yield from frag.scan(cols, predicate, scan_pred, skipping, stats, neardata)
 
     def reorganize(self) -> None:
         for f in self.fragments:

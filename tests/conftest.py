@@ -111,8 +111,9 @@ def analyzed(db: Database, sql: str):
 def quiescent(db: Database):
     """Every query run inside the block — succeeded, restarted or failed
     for good — must leave nothing behind: its in-flight batch count
-    reads 0 and no node's inbox holds a message under its ``q<id>|``
-    exchange-tag prefix."""
+    reads 0, no node's inbox holds a message under its ``q<id>|``
+    exchange-tag prefix, admission holds no query, grant or waiter, and
+    every worker's memory governor is back at 0 bytes used."""
     executors: list[DistributedExecutor] = []
     for_query = DistributedExecutor.for_query
 
@@ -133,3 +134,7 @@ def quiescent(db: Database):
             if tag.startswith(ex.qtag)
         ]
         assert not stale, f"{ex.qtag} left messages in inboxes: {stale[:3]}"
+    adm = db.admission
+    assert (adm.active, adm.granted, adm.queue_depth) == (0, 0, 0), "admission not released"
+    used = {w: wk.governor.used for w, wk in db.workers.items() if wk.governor.used}
+    assert not used, f"governors still hold memory: {used}"

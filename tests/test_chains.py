@@ -5,11 +5,10 @@ the evaluated batches of a blocking operator — followed by filter /
 project / probe steps. These tests pin that shape on all 22 TPC-H plans
 (every scan/filter/project is folded into exactly one chain, and
 ``ExecStats.pipelines`` counts the chains opened), its results against
-the reference executor with morsels inline and on pool threads
-(eager aggregation directly over a scan and a one-worker cluster
-included), one retried transient drop per exchange kind, the
-list-sourced and external-table sources, and quiescence after every
-query — one that exhausts its restart budget mid-chain included.
+the reference executor (eager aggregation directly over a scan and a
+one-worker cluster included), one retried transient drop per exchange
+kind, the list-sourced and external-table sources, and quiescence after
+every query — one that exhausts its restart budget mid-chain included.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch
 from repro.common.errors import NetworkError, WorkerFailureError
 from repro.common.schema import Schema
-from repro.core import pipeline
 from repro.core.executor import DistributedExecutor
 from repro.core.pipeline import chain_step
 from repro.fault import FaultInjector, FaultSchedule
@@ -32,13 +30,6 @@ from repro.workloads.tpch_queries import ALL_QUERIES, query
 from tests.conftest import TPCH_SF, analyzed, load_tpch, quiescent, rows_match_unordered
 
 CHAOS_SEEDS = [11, 23, 37]
-
-
-@pytest.fixture()
-def split_morsels(monkeypatch):
-    """One morsel per fragment even on the tiny test tables, so
-    ``parallel_scans`` really puts morsels on pool threads."""
-    monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
 
 
 #: eager aggregation placed directly on a scan: the planner pushes a
@@ -54,20 +45,13 @@ STATEMENTS = {f"q{q}": query(q, TPCH_SF) for q in ALL_QUERIES} | EAGER_AGG_OVER_
 
 @pytest.mark.slow
 class TestAllQueriesSerialAndThreaded:
-    @pytest.fixture(scope="class")
-    def threaded(self, tpch_data):
-        return load_tpch(tpch_data, parallel_scans=True)
-
     @pytest.mark.parametrize("name", STATEMENTS)
-    def test_matches_reference_byte_identical(self, tpch_db, threaded, split_morsels, name):
+    def test_matches_reference_byte_identical(self, tpch_db, name):
         sql = STATEMENTS[name]
         want = tpch_db.execute_reference(sql).rows()
         with quiescent(tpch_db):
             a = tpch_db.sql(sql)
-        with quiescent(threaded):
-            b = threaded.sql(sql)
         assert rows_match_unordered(a.rows(), want), name
-        assert a.batch.to_bytes() == b.batch.to_bytes(), name
         if name in EAGER_AGG_OVER_SCAN:
             assert any(
                 op.op == "agg" and op.children[0].op == "scan" for op in a.physical.walk()
@@ -235,15 +219,13 @@ class TestExternalSourceChain:
 
 
 class TestQuiescenceAfterFailure:
-    def test_restart_budget_exhausted_mid_chain(self, split_morsels):
+    def test_restart_budget_exhausted_mid_chain(self):
         """Worker 3 is down for good. Site 0 streams the broadcast side's
-        morsels on pool threads; the first coalesced batch reaches live
-        inboxes, then the send to the dead node fails — with batches
-        produced that nobody will consume and messages nobody will
-        receive — on every attempt until the budget is gone."""
-        db = list_db(
-            parallel_scans=True, disks_per_node=4, batch_size=64, max_query_restarts=2
-        )
+        morsel; the first coalesced batch reaches live inboxes, then the
+        send to the dead node fails — with batches produced that nobody
+        will consume and messages nobody will receive — on every attempt
+        until the budget is gone."""
+        db = list_db(disks_per_node=4, batch_size=64, max_query_restarts=2)
         db.chaos(FaultSchedule.none()).crash_now(3)
         with quiescent(db):
             with pytest.raises(WorkerFailureError, match="restart budget exhausted"):

@@ -20,7 +20,6 @@ from repro import ClusterConfig, Database
 from repro.cluster.resource import AdmissionController, AdmissionTimeout
 from repro.cluster.plancache import PlanCache, normalize_sql
 from repro.common import DataType, RowBatch
-from repro.core.pipeline import MorselScheduler
 from repro.network.simnet import tag_prefix
 from repro.workloads import tpch_schema
 from repro.workloads.tpch_queries import query
@@ -33,15 +32,14 @@ TPCH_QUERIES = [1, 3, 6, 12]
 
 @pytest.fixture(scope="module")
 def conc_db(tpch_data):
-    """A cluster tuned for concurrency tests (2 coordinators, parallel
-    scans through the shared morsel scheduler)."""
+    """A cluster tuned for concurrency tests (2 coordinators, 4
+    admission slots)."""
     cfg = ClusterConfig(
         n_workers=4,
         n_coordinators=2,
         n_max=4,
         page_size=32 * 1024,
         batch_size=4096,
-        parallel_scans=True,
         max_concurrent_queries=4,
     )
     db = Database(cfg)
@@ -275,28 +273,6 @@ class TestAdmissionController:
         # the timed-out ticket must not wedge the queue
         with ctrl.admit():
             pass
-
-
-class TestMorselScheduler:
-    def test_ordered_results(self):
-        sched = MorselScheduler(max_threads=4)
-        tasks = [lambda i=i: i * i for i in range(50)]
-        assert list(sched.run_ordered(tasks, dop=4)) == [i * i for i in range(50)]
-        sched.shutdown()
-
-    def test_shared_across_concurrent_queries(self):
-        sched = MorselScheduler(max_threads=4)
-
-        def one_query(base):
-            tasks = [lambda i=i: base + i for i in range(20)]
-            return list(sched.run_ordered(tasks, dop=3))
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            outs = list(pool.map(one_query, [0, 100, 200, 300]))
-        for base, out in zip([0, 100, 200, 300], outs):
-            assert out == [base + i for i in range(20)]
-        assert sched.submitted == 80
-        sched.shutdown()
 
 
 class TestNetworkIsolation:

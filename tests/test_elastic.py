@@ -27,10 +27,9 @@ from repro import ClusterConfig, Database
 from repro.cluster import PlacementMap
 from repro.cluster.catalog import CatalogEntry, ClusterCatalog
 from repro.cluster.database import REBALANCE_SEND_RETRIES, _all_of
-from repro.cluster.resource import AdmissionController, ResourceMonitor
+from repro.cluster.resource import AdmissionController
 from repro.common import DataType, RowBatch
 from repro.common.errors import PlanError
-from repro.core.spill import MemoryGovernor
 from repro.fault import FaultSchedule, NetworkPartition, WorkerHealthTracker
 from repro.storage.partition import HashPartition, Replicated
 from repro.workloads import tpch_schema
@@ -311,16 +310,6 @@ class TestLiveMembershipResources:
         finally:
             first.release()
             t.join()
-
-    def test_effective_dop_scales_with_membership(self):
-        mon = ResourceMonitor(governor=MemoryGovernor(1 << 30), base_dop=4)
-        assert mon.effective_dop() == 4
-        mon.set_membership(live=2, baseline=4)  # degraded: survivors throttle
-        assert mon.effective_dop() == 2
-        mon.set_membership(live=6, baseline=4)  # scale-out never exceeds base
-        assert mon.effective_dop() == 4
-        mon.set_membership(live=4, baseline=4)
-        assert mon.effective_dop() == 4
 
     def test_database_budget_tracks_membership(self):
         db = build_db()

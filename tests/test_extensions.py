@@ -1,13 +1,11 @@
-"""Extension features: UNION ALL, CREATE INDEX scans, resource monitor."""
+"""Extension features: UNION ALL, CREATE INDEX scans."""
 
 import numpy as np
 import pytest
 
 from repro import ClusterConfig, Database
-from repro.cluster.resource import ResourceMonitor
 from repro.common import DataType, RowBatch
 from repro.common.errors import ParseError
-from repro.core.spill import MemoryGovernor
 from repro.sql import parse
 from repro.sql.ast import CreateIndex
 
@@ -183,41 +181,3 @@ class TestCreateIndex:
         db = self._indexed_db()
         with pytest.raises(CatalogError):
             db.sql("create index bad on t (nope)")
-
-
-class TestResourceMonitor:
-    def test_full_dop_when_idle(self):
-        gov = MemoryGovernor(1000)
-        m = ResourceMonitor(gov, base_dop=4)
-        assert m.effective_dop() == 4
-        assert not m.should_throttle()
-
-    def test_scale_back_under_pressure(self):
-        gov = MemoryGovernor(1000)
-        m = ResourceMonitor(gov, base_dop=4)
-        gov.acquire(800)  # 80% utilization: between soft and hard
-        assert 1 <= m.effective_dop() < 4
-        assert m.should_throttle()
-
-    def test_single_threaded_at_hard_limit(self):
-        gov = MemoryGovernor(1000)
-        m = ResourceMonitor(gov, base_dop=8)
-        gov.acquire(990)
-        assert m.effective_dop() == 1
-
-    def test_recovers_after_release(self):
-        gov = MemoryGovernor(1000)
-        m = ResourceMonitor(gov, base_dop=4)
-        gov.acquire(900)
-        assert m.effective_dop() < 4
-        gov.release(900)
-        assert m.effective_dop() == 4
-
-    def test_monotone_in_utilization(self):
-        gov = MemoryGovernor(1000)
-        m = ResourceMonitor(gov, base_dop=6)
-        dops = []
-        for used in (0, 500, 700, 800, 900, 990):
-            gov.used = used
-            dops.append(m.effective_dop())
-        assert dops == sorted(dops, reverse=True)

@@ -145,18 +145,14 @@ class TestBufferManagerConcurrency:
                 assert f.read_page(b * 50 + i) == f"w{b}-{i}".encode()
 
 
-class TestParallelScans:
-    """Intra-operator parallelism: one scan thread per fragment (paper §IV)."""
-
-    def _db(self, parallel: bool):
+class TestScanUnderMemoryPressure:
+    def test_query_completes_under_memory_pressure(self):
+        """A worker whose governor is 99 % used still serves its scan."""
         from repro import ClusterConfig, Database
         from repro.common import DataType, RowBatch
 
         db = Database(
-            ClusterConfig(
-                n_workers=2, n_max=4, page_size=16 * 1024,
-                disks_per_node=3, parallel_scans=parallel,
-            )
+            ClusterConfig(n_workers=2, n_max=4, page_size=16 * 1024, disks_per_node=3)
         )
         db.sql("create table t (k integer, v integer) partition by hash (k)")
         rng = np.random.default_rng(6)
@@ -167,24 +163,7 @@ class TestParallelScans:
                 ("v", DataType.INT64, rng.integers(0, 10, 8000)),
             ),
         )
-        return db
-
-    def test_results_identical(self):
-        sql = "select v, count(*), sum(k) from t where k < 50 group by v order by v"
-        assert self._db(True).sql(sql).rows() == self._db(False).sql(sql).rows()
-
-    def test_stats_merged_across_threads(self):
-        db = self._db(True)
-        r = db.sql("select count(*) from t where k < 50")
-        r2 = self._db(False).sql("select count(*) from t where k < 50")
-        assert r.stats.rows_scanned == r2.stats.rows_scanned
-        assert r.stats.sets_total == r2.stats.sets_total
-
-    def test_dop_throttled_under_memory_pressure(self):
-        db = self._db(True)
         worker = db.workers[0]
         worker.governor.acquire(int(worker.governor.budget * 0.99))
-        # the monitor must report reduced parallelism; the query still works
-        assert worker.monitor.effective_dop() == 1
         assert db.sql("select count(*) from t").rows()[0][0] == 8000
         worker.governor.release(int(worker.governor.budget * 0.99))

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import ClusterConfig, Database
-from repro.core import pipeline
 from repro.core.exchange import Exchange
 from repro.fault import FaultSchedule
 from repro.workloads import tpch_schema
@@ -109,18 +108,6 @@ class TestJoinFusionEquivalence:
         for q in (1, 3, 6, 12):
             pipelined.sql(tpch_query(q, sf=0.002))
         assert len(frames) >= 4 and max(frames) <= 1, frames
-
-    def test_morsel_min_rows_inlines_tiny_scans(self, pipelined, monkeypatch):
-        """Below the threshold every (site, table) pair is one inline
-        morsel; above it the scan splits per fragment."""
-        sql = tpch_query(6, sf=0.002)
-        monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 1 << 30)
-        inline = pipelined.sql(sql)
-        monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
-        split = pipelined.sql(sql)
-        assert inline.stats.morsels < split.stats.morsels
-        assert inline.stats.rows_returned == split.stats.rows_returned
-        assert inline.rows() == pytest.approx(split.rows())
 
 
 class TestFaultSeedByteIdentity:

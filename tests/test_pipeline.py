@@ -3,17 +3,21 @@
 Every subtree runs as a chain — a source followed by filter / project /
 probe steps. Results must match the reference executor, with the engine
 shape observable only through ExecStats pipeline counters. These tests
-pin that contract, plus the bulk string codecs' equivalence with their
-per-string references and the batch coalescer.
+pin that contract, one morsel per site with no threads started for
+it, plus the bulk string codecs' equivalence with their per-string
+references and the batch coalescer.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch, Schema
 from repro.common import batch as batch_mod
-from repro.core import pipeline
 from repro.core.pipeline import coalesce_batches, fuse_chain
 from repro.storage import col_page
 from repro.storage import compression as comp_mod
@@ -103,15 +107,52 @@ class TestPipelinedExecution:
         assert "morsels=" in out
         assert "peak_inflight_batches=" in out
 
-    def test_morsel_dop_threads_same_rows(self, monkeypatch):
-        # per-fragment morsels on pool threads, not the tiny-table inline path
-        monkeypatch.setattr(pipeline, "MORSEL_MIN_ROWS", 0)
-        threaded = build_db(parallel_scans=True, disks_per_node=4)
-        serial = build_db(disks_per_node=4)
+    def test_one_morsel_per_site(self):
+        """A site's table scan is one morsel, however many fragments it
+        reads: three sites with four disks each run three morsels."""
         sql = "select tag, count(*) c, sum(val) s from fact group by tag order by tag"
-        a, b = threaded.sql(sql), serial.sql(sql)
-        assert a.stats.morsels == 3 * 4
-        assert a.batch.to_bytes() == b.batch.to_bytes()
+        assert build_db(disks_per_node=4).sql(sql).stats.morsels == 3
+
+
+SRC = Path(repro.__file__).parent
+#: packages that run query work; a query runs on the thread that issued it
+SINGLE_THREADED = ("core", "storage", "optimizer", "sql")
+
+
+def _thread_starts(path: Path) -> list[str]:
+    """Every import of ``concurrent.futures`` and every ``threading.Thread``
+    (imported or called) in one source file, as ``file:line: name``."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            names = [ast.unparse(node.func)]
+        else:
+            continue
+        hits += [
+            f"{path.relative_to(SRC)}:{node.lineno}: {n}"
+            for n in names
+            if n.startswith("concurrent.") or n in ("threading.Thread", "Thread")
+        ]
+    return hits
+
+
+def test_query_execution_starts_no_threads():
+    """Query execution stays single-threaded per query: nothing under
+    ``core``, ``storage``, ``optimizer`` or ``sql`` imports
+    ``concurrent.futures`` or constructs a ``threading.Thread``. Client
+    concurrency (``Database.submit``'s pool in ``cluster``) is outside
+    the guard."""
+    hits = [
+        hit
+        for pkg in SINGLE_THREADED
+        for path in sorted((SRC / pkg).rglob("*.py"))
+        for hit in _thread_starts(path)
+    ]
+    assert hits == []
 
 
 class TestFuseChain:

@@ -461,7 +461,7 @@ def test_metrics_cover_subsystems(traced_db):
     traced_db.sql(Q3)
     subs = traced_db.metrics.subsystems()
     assert {
-        "buffer", "locks", "wal", "admission", "scheduler", "plancache",
+        "buffer", "locks", "wal", "admission", "plancache",
         "network", "query",
     } <= subs
     assert len(subs) >= 7
