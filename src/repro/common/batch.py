@@ -55,8 +55,29 @@ _DICT_MIN_ROWS = 64
 
 def code_space_is_dense(space: int, rows: int) -> bool:
     """Is a code space small enough, against the rows that fill it, for a
-    ``space``-long scratch array to beat sorting the rows?"""
-    return space <= 4 * rows + 1024
+    ``space``-long scratch array to beat sorting the rows? The one density
+    rule of the engine's direct addressing (factorized group keys, join
+    tables): within four slots a row, or within 64 slots a row up to a
+    fixed budget of 2**20 slots — so a hash fragment of a key column,
+    spread some 16x wider than its rows, still qualifies."""
+    return space <= max(4 * rows + 1024, min(1 << 20, 64 * rows))
+
+
+def stable_order(codes: np.ndarray, space: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` for integers in ``[0, space)``.
+
+    Codes narrowed to ``uint8``/``uint16`` are radix-sorted by NumPy, in
+    linear time; a space up to 2**32 takes two such passes, low half
+    first (a stable LSD radix sort)."""
+    if space <= 1 << 8:
+        return np.argsort(codes.astype(np.uint8), kind="stable")
+    if space <= 1 << 16:
+        return np.argsort(codes.astype(np.uint16), kind="stable")
+    if space <= 1 << 32:
+        order = np.argsort((codes & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (codes[order] >> 16).astype(np.uint16)
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(codes, kind="stable")
 
 
 def densify_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +85,9 @@ def densify_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray
     keeping their order. Returns the dense int64 codes and the ``k``
     distinct original codes, ascending.
 
-    A code space within a small multiple of the row count is densified
-    with one scatter and one ``cumsum``; only a sparse one pays the sort
-    inside ``np.unique``."""
+    A code space the density rule (:func:`code_space_is_dense`) accepts
+    is densified with one scatter and one ``cumsum``; only a sparse one
+    pays the sort inside ``np.unique``."""
     if code_space_is_dense(space, len(codes)):
         present = np.zeros(space, dtype=bool)
         present[codes] = True
@@ -523,10 +544,9 @@ class RowBatch:
         hash partitioner: the shuffle exchange and the baseline engines'
         disk shuffle hash their key *expressions* and slice through here."""
         part = (codes % np.uint64(n_parts)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        sorted_part = part[order]
-        bounds = np.searchsorted(sorted_part, np.arange(1, n_parts))
-        chunks = np.split(order, bounds)
+        # a counting partition: the part sizes, and a stable (radix) order
+        bounds = np.cumsum(np.bincount(part, minlength=n_parts))[:-1]
+        chunks = np.split(stable_order(part, n_parts), bounds)
         return [self.take(idx) for idx in chunks]
 
     # -- serialization -----------------------------------------------------------

@@ -17,7 +17,13 @@ from ..common.dtypes import DataType
 from ..common.errors import ExecutionError
 from ..common.schema import Column, Schema
 from ..optimizer.logical import AggSpec
-from .kernels import factorize, group_aggregate, group_count_distinct, group_sum_distinct
+from .kernels import (
+    factorize,
+    first_occurrence,
+    group_aggregate,
+    group_count_distinct,
+    group_sum_distinct,
+)
 
 
 def partial_aggregate(batch: RowBatch, keys, partial_specs, out_schema: Schema) -> RowBatch:
@@ -88,14 +94,9 @@ def aggregate_batch(child: RowBatch, group_keys, aggs, out_schema: Schema) -> Ro
     if group_keys:
         key_cols = [child.col(k) for k in group_keys]
         codes, n_groups = factorize(key_cols)
-        # representative row per group (first occurrence)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sorted_codes)) + 1]
-        ) if len(sorted_codes) else np.empty(0, np.int64)
-        rep = order[boundaries.astype(np.int64)] if len(sorted_codes) else np.empty(0, np.int64)
-        rep_codes = sorted_codes[boundaries.astype(np.int64)] if len(sorted_codes) else np.empty(0, np.int64)
+        # representative row per group: its first occurrence. The codes
+        # are dense, so rows come out in group (= key) order
+        rep = first_occurrence(codes, n_groups)
         cols = {}
         for k in group_keys:
             cols[k] = child.col(k)[rep]
@@ -108,8 +109,7 @@ def aggregate_batch(child: RowBatch, group_keys, aggs, out_schema: Schema) -> Ro
                 per_group = group_sum_distinct(codes, n_groups, values)
             else:
                 per_group = group_aggregate(codes, n_groups, spec.func, values, valid)
-            arr = per_group[rep_codes]
-            cols[spec.name] = _cast_agg(arr, out_schema.dtype_of(spec.name))
+            cols[spec.name] = _cast_agg(per_group, out_schema.dtype_of(spec.name))
         return RowBatch(out_schema, cols)
 
     # global aggregate: exactly one row

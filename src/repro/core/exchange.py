@@ -285,11 +285,11 @@ class Exchange:
         )
         for w in self.worker_ids:
             self._recv(w, tag, decode=bytes)
-        probe_exprs = [le for le, _ in pairs]
         probe_schema = op.children[0].children[0].schema  # shuffle's child
+        probe_fns = [compile_expr(le, probe_schema).fn for le, _ in pairs]
 
         def prefilter(batch: RowBatch) -> RowBatch:
-            arrays = [compile_expr(e, probe_schema).fn(batch) for e in probe_exprs]
+            arrays = [fn(batch) for fn in probe_fns]
             return batch.filter(bloom_filter_test(bits, hash_value_arrays(arrays)))
 
         return prefilter

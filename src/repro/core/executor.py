@@ -59,7 +59,16 @@ from ..telemetry.trace import Tracer
 from ..util.fs import FileSystem
 from .aggregate import aggregate_batch, final_aggregate, fold_partial, partial_aggregate
 from .exchange import Exchange
-from .kernels import JoinHashTable, distinct_batch, hash_join, join_rows, sort_indices, top_k
+from .kernels import (
+    JoinHashTable,
+    distinct_batch,
+    existence_only,
+    hash_join,
+    join_rows,
+    semi_join,
+    sort_indices,
+    top_k,
+)
 from .pipeline import (
     FusedChain,
     InflightTracker,
@@ -455,7 +464,8 @@ class DistributedExecutor(ScanSource, Exchange):
                 t0 = time.perf_counter()
                 rb = self._materialize(w, right_op.schema, right.get(w, []))
                 jht = JoinHashTable(
-                    [compile_expr(re, right_op.schema).fn(rb) for _, re in pairs]
+                    [compile_expr(re, right_op.schema).fn(rb) for _, re in pairs],
+                    exists_only=existence_only(jop.attrs["kind"], jop.attrs["residual"]),
                 )
                 self._note_busy(w, time.perf_counter() - t0)
                 probes[w][jop.id] = partial(self._probe_batch, jop, jht, rb, lkey_fns)
@@ -757,7 +767,10 @@ class DistributedExecutor(ScanSource, Exchange):
     ) -> RowBatch:
         """Probe one left batch against a site's prebuilt join hash table
         (``rb`` is the build side the table indexes)."""
-        li, ri = jht.match_indices([fn(lb) for fn in lkey_fns])
+        keys = [fn(lb) for fn in lkey_fns]
+        if existence_only(op.attrs["kind"], op.attrs["residual"]):
+            return semi_join(lb, jht.contains(keys), op.attrs["kind"])
+        li, ri = jht.match_indices(keys)
         left_op, right_op = op.children
         return join_rows(lb, rb, li, ri, op.attrs["kind"], op.attrs["residual"],
                          op.schema, left_op.schema, right_op.schema)

@@ -3,13 +3,18 @@
 All heavy row-at-a-time work is replaced by NumPy primitives (the
 hpc-parallel guides' core rule): keys are *factorized* into dense exact
 integer codes — a string column (:class:`~repro.common.batch.DictColumn`)
-already is one, ranked through its dictionary's value order; numeric
-columns go through ``np.unique`` — and aggregations become
-``bincount``/``reduceat`` over code-sorted arrays. Every join, streaming
-probe or blocking, matches its rows through one build-once
-:class:`JoinHashTable`, and :func:`join_rows` turns the matched pairs
-into the join's output for every join kind. The single-node reference
-evaluator runs these same kernels, so it is not an independent oracle.
+already is one, ranked through its dictionary's value order; an integer
+column whose span the density rule
+(:func:`~repro.common.batch.code_space_is_dense`) accepts codes by its
+offset from the minimum; only floats and sparse integers go through
+``np.unique`` — and aggregations become ``bincount`` and scatter-reduces
+(``ufunc.at``) over the codes, with no sort (DISTINCT aggregates
+``lexsort`` their (group, value) pairs). Every join, streaming probe or
+blocking, matches its rows through one build-once
+:class:`JoinHashTable`, direct-addressed by the same density rule, and
+:func:`join_rows` turns the matched pairs into the join's output for
+every join kind. The single-node reference evaluator runs these same
+kernels, so it is not an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from ..common.batch import (
     as_column,
     code_space_is_dense,
     densify_codes,
+    stable_order,
 )
 from ..common.dtypes import DataType
 from ..common.errors import ExecutionError
@@ -45,8 +51,10 @@ _CODE_SPACE_MAX = 1 << 62
 def _value_codes(col) -> tuple[np.ndarray, int]:
     """Order-preserving exact codes for one key column: non-negative
     int64, below the returned bound; equal values get equal codes. The
-    bound is a dictionary's entry count (``uint32`` codes) or within
-    ``4 * len(col) + 1025``: below 2**33 for any column under 2**30 rows."""
+    bound is a dictionary's entry count (``uint32`` codes), at most
+    ``len(col)`` (``np.unique``) or a span the density rule accepts, at
+    most ``max(4 * len(col) + 1024, 2**20)``: below 2**33 for any column
+    under 2**30 rows."""
     if isinstance(col, DictColumn):
         canon = col.dictionary.canon()
         return canon.rank[col.codes] + canon.has_null, len(canon.values) + canon.has_null
@@ -120,89 +128,162 @@ def _lookup_strings(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _lookup_sorted(sorted_vals, values)
 
 
+class _Key:
+    """One build key column's code space ``[0, space)`` and how a probe
+    column maps into it (-1 for a value the build side does not hold):
+
+    * a string column codes by value rank in its dictionary's canonical
+      form — a probe sharing the dictionary reuses the ranks, another
+      dictionary is looked up once per entry;
+    * an integer column whose span the density rule accepts codes by its
+      offset from the minimum — a probe pays one range check;
+    * anything else (floats, sparse integers) codes by position among the
+      sorted distinct values — a probe pays a ``searchsorted``.
+    """
+
+    __slots__ = ("space", "lo", "values", "dictionary")
+
+    def __init__(self, space: int, lo=None, values=None, dictionary=None):
+        self.space, self.lo, self.values, self.dictionary = space, lo, values, dictionary
+
+    @staticmethod
+    def build(col) -> tuple["_Key", np.ndarray]:
+        """The key and the build column's codes (-1 for a NULL string)."""
+        if isinstance(col, DictColumn):
+            values = col.dictionary.canon().values
+            return _Key(len(values), values=values, dictionary=col.dictionary), col.ranks()
+        if col.dtype.kind in "iub" and len(col):
+            lo, hi = int(col.min()), int(col.max())
+            if code_space_is_dense(hi - lo + 1, len(col)):
+                return _Key(hi - lo + 1, lo=lo), col.astype(np.int64) - lo
+        values, inv = np.unique(col, return_inverse=True)
+        return _Key(len(values), values=values), inv
+
+    def probe(self, col) -> np.ndarray:
+        if isinstance(col, DictColumn):
+            if col.dictionary is self.dictionary:
+                return col.ranks()
+            return col.map_entries(lambda v, u=self.values: _lookup_strings(u, v))
+        if self.lo is None:
+            return _lookup_sorted(self.values, col)
+        if col.dtype.kind not in "iub":
+            return _lookup_sorted(np.arange(self.lo, self.lo + self.space), col)
+        code = col.astype(np.int64) - self.lo
+        return np.where((code >= 0) & (code < self.space), code, -1)
+
+
 class JoinHashTable:
     """Build-once / probe-many join table: the engine's one join kernel.
 
-    The build side is factorized once — per-column sorted distinct values
-    (a string column's come from its dictionary's canonical form) plus a
-    composite code with one sentinel slot per column — and each probe
-    batch only pays lookups: ``searchsorted`` per row for numbers, per
-    dictionary *entry* for strings (none at all when the probe column
-    shares the build column's dictionary).
+    Each build key column gets a code space (:class:`_Key`) and the
+    columns combine into one mixed-radix composite code, densified through
+    the build's distinct running codes before it would leave int64. When
+    the density rule (:func:`~repro.common.batch.code_space_is_dense`)
+    accepts the composite space, the table is direct-addressed by it;
+    otherwise the build's distinct composite codes are kept sorted and a
+    probe code is first found among them by ``searchsorted`` (the sorted
+    table: floats, sparse keys, unshared dictionaries that spread wide).
+
+    The direct table is a slot per code: the build row, when the build
+    keys are unique; otherwise CSR over the codes — per code a count and a
+    start into the build rows ordered by code (``bincount`` + ``cumsum``
+    and a radix-stable order). ``exists_only`` keeps just the counts:
+    enough for :meth:`contains`, the whole of a semi or anti join without
+    a residual.
 
     NULL keys never match: a NaN or a NULL dictionary entry is absent
-    from the probe lookups, and a NULL build key takes its column's
-    sentinel slot. A composite code about to leave int64 is densified
-    through the build's distinct running codes, and a probe maps its
-    running code through the same ones.
+    from the probe lookups, and a build row with a NULL string key is
+    left out of the table.
 
     Pairs come out probe-major, build rows in original order within a
-    key (stable sort), so a per-batch probe concatenated over probe
-    batches reproduces a probe of the whole side bit-for-bit.
+    key, so a per-batch probe concatenated over probe batches reproduces
+    a probe of the whole side bit-for-bit.
     """
 
-    __slots__ = ("keys", "prefixes", "order", "sorted_codes", "n_build")
+    __slots__ = ("keys", "prefixes", "distinct", "space", "slots", "counts", "starts", "order")
 
-    def __init__(self, build_cols: Sequence[np.ndarray]):
+    def __init__(self, build_cols: Sequence[np.ndarray], exists_only: bool = False):
         cols = [as_column(c) for c in build_cols]
-        self.n_build = len(cols[0]) if cols else 0
-        #: per key column: (sorted distinct values, the build column's
-        #: dictionary or None for a numeric column)
-        self.keys: list[tuple[np.ndarray, StringDictionary | None]] = []
+        n = len(cols[0]) if cols else 0
+        self.keys: list[_Key] = []
         per_column = []
+        null = None
         for c in cols:
-            if isinstance(c, DictColumn):
-                uniq, inv = c.dictionary.canon().values, c.ranks()
-                # a NULL build key takes the sentinel slot: it never matches
-                inv = np.where(inv < 0, len(uniq), inv)
-                self.keys.append((uniq, c.dictionary))
-            else:
-                uniq, inv = np.unique(c, return_inverse=True)
-                self.keys.append((uniq, None))
-            # +1 reserves a sentinel code per column for probe misses
-            per_column.append((inv, len(uniq) + 1))
-        code, _, self.prefixes = _combine_codes(per_column, self.n_build)
-        self.order = np.argsort(code, kind="stable")
-        self.sorted_codes = code[self.order]
+            key, inv = _Key.build(c)
+            if isinstance(c, DictColumn) and c.dictionary.has_null:
+                absent = inv < 0
+                null = absent if null is None else null | absent
+                inv = np.where(absent, 0, inv)
+            self.keys.append(key)
+            per_column.append((inv, key.space))
+        code, space, self.prefixes = _combine_codes(per_column, n)
+        rows = None
+        if null is not None and null.any():
+            rows = np.flatnonzero(~null)
+            code = code[rows]
+        #: the sorted table: distinct composite codes a probe is looked up in
+        self.distinct = None
+        if not code_space_is_dense(space, len(code)):
+            self.distinct, code = np.unique(code, return_inverse=True)
+            space = len(self.distinct)
+        self.space = space
+        # every per-code array has one more slot: the code of a probe miss
+        self.counts = counts = np.bincount(code, minlength=space + 1)
+        self.slots = self.starts = self.order = None
+        if exists_only:
+            return
+        ids = np.arange(len(code)) if rows is None else rows
+        if not len(code) or counts.max() <= 1:
+            self.slots = np.full(space + 1, -1, dtype=np.int64)
+            self.slots[code] = ids
+            self.counts = None
+            return
+        self.starts = np.cumsum(counts) - counts
+        self.order = ids[stable_order(code, space)]
 
-    def _probe_codes(self, probe_cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def _probe_codes(self, probe_cols: Sequence[np.ndarray]) -> np.ndarray:
+        """Each probe row's code in the table's space; ``space`` on a miss."""
         cols = [as_column(c) for c in probe_cols]
         if len(cols) != len(self.keys):
             raise ExecutionError("join key arity mismatch")
-        n = len(cols[0]) if cols else 0
-        code = np.zeros(n, dtype=np.int64)
-        miss = np.zeros(n, dtype=bool)
-        for (uniq, dictionary), prefix, c in zip(self.keys, self.prefixes, cols):
+        code = None
+        for key, prefix, c in zip(self.keys, self.prefixes, cols):
+            inv = key.probe(c)
+            if code is None:
+                code = inv
+                continue
             if prefix is not None:
-                pos = _lookup_sorted(prefix, code)
-                miss |= pos < 0
-                code = np.where(pos < 0, len(prefix), pos)
-            if not isinstance(c, DictColumn):
-                inv = _lookup_sorted(uniq, c)
-            elif c.dictionary is dictionary:
-                inv = c.ranks()
-            else:
-                inv = c.map_entries(lambda v, u=uniq: _lookup_strings(u, v))
-            absent = inv < 0
-            miss |= absent
-            code = code * (len(uniq) + 1) + np.where(absent, len(uniq), inv)
-        return code, miss
+                code = _lookup_sorted(prefix, code)  # a miss (-1) stays absent
+            code = np.where((code < 0) | (inv < 0), -1, code * key.space + inv)
+        if code is None:
+            return np.zeros(0, dtype=np.int64)
+        if self.distinct is not None:
+            code = _lookup_sorted(self.distinct, code)
+        return np.where(code < 0, self.space, code)
+
+    def contains(self, probe_cols: Sequence[np.ndarray]) -> np.ndarray:
+        """Per probe row: does any build row match it?"""
+        code = self._probe_codes(probe_cols)
+        if self.slots is not None:
+            return self.slots[code] >= 0
+        return self.counts[code] > 0
 
     def match_indices(self, probe_cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """All matching (probe_idx, build_idx) pairs for one probe batch."""
-        code, miss = self._probe_codes(probe_cols)
-        if len(code):
-            # build codes are non-negative, so -1 can never match
-            code = np.where(miss, np.int64(-1), code)
-        starts = np.searchsorted(self.sorted_codes, code, side="left")
-        ends = np.searchsorted(self.sorted_codes, code, side="right")
-        counts = ends - starts
+        code = self._probe_codes(probe_cols)
+        if self.slots is not None:
+            build_idx = self.slots[code]
+            probe_idx = np.flatnonzero(build_idx >= 0)
+            return probe_idx, build_idx[probe_idx]
+        if self.order is None:
+            raise ExecutionError("an existence-only join table has no pairs")
+        counts = self.counts[code]
         probe_idx = np.repeat(np.arange(len(code)), counts)
         if len(probe_idx) == 0:
             return probe_idx, probe_idx.copy()
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        flat = np.arange(counts.sum()) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-        return probe_idx, self.order[flat]
+        # the i-th pair of probe row p reads build slot starts[code[p]] + i
+        skew = np.repeat(self.starts[code] - (np.cumsum(counts) - counts), counts)
+        return probe_idx, self.order[np.arange(len(probe_idx)) + skew]
 
 
 def hash_join(
@@ -232,8 +313,11 @@ def hash_join(
         return RowBatch(out_schema, cols)
 
     if pairs:
-        jht = JoinHashTable([compile_expr(re, right.schema).fn(right) for _, re in pairs])
-        li, ri = jht.match_indices([compile_expr(le, left.schema).fn(left) for le, _ in pairs])
+        build = [compile_expr(re, right.schema).fn(right) for _, re in pairs]
+        probe = [compile_expr(le, left.schema).fn(left) for le, _ in pairs]
+        if existence_only(kind, residual):
+            return semi_join(left, JoinHashTable(build, exists_only=True).contains(probe), kind)
+        li, ri = JoinHashTable(build).match_indices(probe)
     else:
         # cross pairs (guarded: a missed pushdown must fail fast, not OOM)
         if left.length * right.length > 50_000_000:
@@ -276,9 +360,9 @@ def join_rows(
         return RowBatch(out_schema, cols)
 
     if kind in ("semi", "anti"):
-        keep = np.full(left.length, kind == "anti")
-        keep[li] = kind == "semi"
-        return left.filter(keep)
+        matched = np.zeros(left.length, dtype=bool)
+        matched[li] = True
+        return semi_join(left, matched, kind)
 
     if kind == "left":
         matched = np.zeros(left.length, dtype=bool)
@@ -302,6 +386,17 @@ def join_rows(
     raise ExecutionError(f"unsupported join kind {kind}")
 
 
+def existence_only(kind: str, residual: list[Expr]) -> bool:
+    """Does a join need only whether a probe row matches? A semi or anti
+    join without a residual: its build is an existence-only table."""
+    return kind in ("semi", "anti") and not residual
+
+
+def semi_join(left: RowBatch, matched: np.ndarray, kind: str) -> RowBatch:
+    """A semi join's rows (``matched``) or an anti join's (the rest)."""
+    return left.filter(matched if kind == "semi" else ~matched)
+
+
 def _combine(lt: RowBatch, rt: RowBatch) -> RowBatch:
     schema = lt.schema.concat(rt.schema)
     cols = dict(lt.columns)
@@ -317,13 +412,22 @@ def _fill_value(dt: DataType):
     return 0
 
 
+def first_occurrence(codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per group code in ``[0, n_groups)``, the first row holding it — by
+    scatter, no sort (``n`` for a code no row holds)."""
+    first = np.full(n_groups, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
+
+
 def distinct_batch(batch: RowBatch) -> RowBatch:
     """The batch's distinct rows, each at its first occurrence."""
     if batch.length == 0:
         return batch
-    codes, _ = factorize([batch.col(c.name) for c in batch.schema])
-    _, first = np.unique(codes, return_index=True)
-    return batch.take(np.sort(first))
+    codes, n = factorize([batch.col(c.name) for c in batch.schema])
+    keep = np.zeros(batch.length, dtype=bool)
+    keep[first_occurrence(codes, n)] = True
+    return batch.filter(keep)
 
 
 # Bloom filters live in common.bloom; re-exported here for the shuffle
@@ -406,24 +510,21 @@ def _group_min_max(codes: np.ndarray, n_groups: int, func: str, values: np.ndarr
         return DictColumn(out, StringDictionary(np.concatenate([[None], canon.values])))
     if len(codes) == 0:
         return np.full(n_groups, np.nan, dtype=np.float64)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-    starts = np.concatenate([[0], boundaries])
-    present = sorted_codes[starts]
+    # a scatter-reduce into one slot per group, no sort
     if np.issubdtype(values.dtype, np.floating):
         ufunc = np.fmin if func == "MIN" else np.fmax  # NaN = NULL: skip
+        out = np.full(n_groups, np.nan, dtype=values.dtype)
     else:
         ufunc = np.minimum if func == "MIN" else np.maximum
-    segd = ufunc.reduceat(sorted_vals, starts)
-    if len(present) == n_groups:
-        out = np.empty(n_groups, dtype=values.dtype)
-        out[present] = segd
+        # any value is a neutral start for the extremum on its own side
+        out = np.full(n_groups, values.max() if func == "MIN" else values.min())
+    ufunc.at(out, codes, values)
+    empty = np.bincount(codes, minlength=n_groups) == 0
+    if not empty.any():
         return out
     # groups with no rows are NULL: promote to float64 with NaN holes
-    out = np.full(n_groups, np.nan, dtype=np.float64)
-    out[present] = segd.astype(np.float64)
+    out = out.astype(np.float64)
+    out[empty] = np.nan
     return out
 
 
@@ -512,8 +613,10 @@ def merge_sorted(batches: list[RowBatch], schema, keys: Sequence[tuple[str, bool
 def top_k(batch: RowBatch, keys: Sequence[tuple[str, bool]], k: int) -> RowBatch:
     """Top-k rows under the sort order (paper: per-worker min-heap).
 
-    Implemented as argpartition + sort of the surviving k — the
-    vectorized equivalent of maintaining a bounded heap.
+    A stable sort of the whole batch and its first ``k`` rows; the
+    executor folds it over a stream with an accumulator of at most ``k``
+    rows, which bounds the sort to ``k`` + one batch — the vectorized
+    stand-in for a bounded heap.
     """
     if batch.length <= k:
         return batch.take(sort_indices(batch, keys))

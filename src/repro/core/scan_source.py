@@ -204,8 +204,8 @@ class ScanSource:
         pre = steps if probe_at is None else steps[:probe_at]
         post = None if probe_at is None else steps[probe_at:]
 
-        # page sets are sized by the table's widest column, so a scan of
-        # narrow columns yields batches far below batch_size; coalescing
+        # a scan yields one batch per fragment, which a small or highly
+        # selective fragment leaves far below batch_size; coalescing
         # the raw stream first lets finish/filter/probe run at full
         # batch width (grouping depends only on deterministic sizes)
         target = max(1, self.config.batch_size)

@@ -20,11 +20,16 @@ codes and its dictionary as they are, a plain Huffman page its decoded
 values as the dictionary with ascending codes. Nothing here builds an
 array of row strings.
 
-Decoded-page reuse is content-keyed (pages are immutable, so a payload's
-bytes fully determine its decoded form) and bounded by a byte-capped LRU
-— long sessions over many tables stay within ``set_decoded_cache_limit``
-instead of growing without bound. Dictionaries are cached by their blob,
-so pages that repeat one (every ``l_returnflag`` page) share a single
+Decoded columns live in one byte-capped LRU, so long sessions over many
+tables stay within ``set_decoded_cache_limit`` instead of growing without
+bound. Scans read *fragment columns* (see :mod:`repro.storage.table`):
+each built from :func:`decode_page` and cached under the fragment's
+generation number (:func:`cached_column` / :func:`cache_column`), so a
+page folded into one is not cached again on its own. The one-page
+reader :func:`decode_column` caches by content instead (pages are
+immutable, so a payload's bytes fully determine its decoded form).
+Dictionaries are cached by their blob, so pages that repeat one (every
+``l_returnflag`` page) share a single
 :class:`~repro.common.batch.StringDictionary` and whatever has been
 memoised on it.
 """
@@ -102,6 +107,12 @@ class _ByteLRU:
                 self.bytes -= sz
                 self.evictions += 1
 
+    def discard(self, key) -> None:
+        with self._lock:
+            old = self._d.pop(key, None)
+            if old is not None:
+                self.bytes -= old[1]
+
     def clear(self) -> None:
         with self._lock:
             self._d.clear()
@@ -111,7 +122,8 @@ class _ByteLRU:
 #: default byte budgets; Database applies ClusterConfig.decoded_cache_mb
 _DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
-#: decoded full columns (numeric copies + string DictColumns)
+#: decoded columns (numeric copies + string DictColumns): fragment
+#: columns, and the pages :func:`decode_column` reads one at a time
 _COLUMN_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES)
 #: Huffman-decoded dictionaries of dictionary pages, shared across pages
 _STRING_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES // 4)
@@ -136,6 +148,19 @@ def decoded_cache_stats() -> dict[str, int]:
 def clear_decoded_caches() -> None:
     _COLUMN_CACHE.clear()
     _STRING_CACHE.clear()
+
+
+def cached_column(key):
+    """A decoded column cached under ``key``, or None (counted as a miss)."""
+    return _COLUMN_CACHE.lookup(key)
+
+
+def cache_column(key, value, nbytes: int) -> None:
+    _COLUMN_CACHE.insert(key, value, nbytes)
+
+
+def uncache_column(key) -> None:
+    _COLUMN_CACHE.discard(key)
 
 
 def _dict_encode_strings(values: list[str]) -> bytes | None:
@@ -212,34 +237,53 @@ def encode_column(arr, dtype: DataType) -> bytes:
     return np.ascontiguousarray(arr, dtype=dtype.numpy_dtype).tobytes()
 
 
+def decode_page(payload: bytes, dtype: DataType, n_rows: int):
+    """Decode one column page, uncached: a DictColumn for STRING, else a
+    read-only view that borrows the payload's buffer. Every column page
+    is validated against ``n_rows``."""
+    if dtype == DataType.STRING:
+        return _decode_string_page(payload, n_rows)
+    col = np.frombuffer(payload, dtype=dtype.numpy_dtype)
+    if len(col) != n_rows:
+        raise PageFormatError(f"column page holds {len(col)} values, expected {n_rows}")
+    return col
+
+
+def decoded_nbytes(col) -> int:
+    """What the cache is charged for a decoded column: a string column's
+    codes and dictionary (the entry keeps the dictionary alive whatever
+    the string cache does)."""
+    if isinstance(col, DictColumn):
+        return col.codes.nbytes + _dictionary_nbytes(col.dictionary)
+    return col.nbytes
+
+
+def freeze(col):
+    """Mark a decoded column read-only before it is shared across scans and
+    queries, so an accidental in-place mutation fails loudly instead of
+    corrupting the cache."""
+    (col.codes if isinstance(col, DictColumn) else col).setflags(write=False)
+    return col
+
+
 def decode_column(payload: bytes, dtype: DataType, n_rows: int):
-    """Decode one column page: an ndarray, or a DictColumn for STRING.
-    Pages are immutable and the cache key is the payload *content*, so
-    rewritten pages can never serve stale values — they are a different
-    payload."""
+    """Decode one column page through the cache: an ndarray, or a
+    DictColumn for STRING. Pages are immutable and the cache key is the
+    payload *content*, so rewritten pages can never serve stale values —
+    they are a different payload."""
     key = (payload, dtype, n_rows)
     col = _COLUMN_CACHE.lookup(key)
     if col is not None:
-        return _handout(col)
-    if dtype == DataType.STRING:
-        col = _decode_string_page(payload, n_rows)
-        # the entry keeps its dictionary alive whatever the string cache does
-        writable, nbytes = col.codes, col.codes.nbytes + _dictionary_nbytes(col.dictionary)
-    else:
-        col = np.frombuffer(payload, dtype=dtype.numpy_dtype)
-        if len(col) != n_rows:
-            raise PageFormatError(f"column page holds {len(col)} values, expected {n_rows}")
-        col = writable = col.copy()
-        nbytes = col.nbytes
-    # shared across scans and queries: read-only so an accidental
-    # in-place mutation fails loudly instead of corrupting the cache
-    writable.setflags(write=False)
-    _COLUMN_CACHE.insert(key, col, nbytes)
-    return _handout(col)
+        return handout(col)
+    col = decode_page(payload, dtype, n_rows)
+    if not isinstance(col, DictColumn):
+        col = col.copy()
+    _COLUMN_CACHE.insert(key, freeze(col), decoded_nbytes(col))
+    return handout(col)
 
 
-def _handout(col):
-    """What a scan gets of a cached column. A string column is a fresh
+def handout(col):
+    """What a reader gets of a cached column. A string column is a fresh
     :class:`DictColumn` over the cached codes and dictionary, so the row
     strings a consumer memoises on it die with that consumer — the cache
     holds, and is charged for, codes and dictionary only."""
@@ -248,22 +292,6 @@ def _handout(col):
         fresh._decoded = col._decoded  # a plain page's values: the dictionary itself
         return fresh
     return col
-
-
-def column_values_view(payload: bytes, dtype: DataType, n_rows: int) -> np.ndarray:
-    """Zero-copy view over a fixed-width column page (near-data path).
-
-    Unlike :func:`decode_column` this neither copies nor caches — the
-    view borrows the page payload's buffer, which is exactly what a
-    predicate evaluated *at* the page wants. STRING pages have no raw
-    view; callers go through :func:`decode_column`.
-    """
-    if dtype == DataType.STRING:
-        raise PageFormatError("string pages have no fixed-width view")
-    arr = np.frombuffer(payload, dtype=dtype.numpy_dtype)
-    if len(arr) != n_rows:
-        raise PageFormatError(f"column page holds {len(arr)} values, expected {n_rows}")
-    return arr
 
 
 def estimate_rows_per_set(schema_types: list[DataType], max_payload: int, avg_string: int = 24) -> int:

@@ -7,19 +7,36 @@ cache, tombstone-based deletes (inserts are append-only, updates are
 delete + re-insert — never in place), and reorganization to restore
 clustering.
 
-Scans stream :class:`RowBatch` objects, apply the pushed-down predicate
-vectorized, consult the skipping structures, pre-declare upcoming pages
-to the buffer manager, and feed the predicate cache with pages that
-matched nothing.
+Every reader of a fragment's rows — scans, DML, ``all_rows`` and
+``reorganize`` — reads *fragment columns*: per (fragment, column), every
+page set's decoded values concatenated into one array (a string column
+into one :class:`DictColumn` over one appended dictionary), beside the
+sets' row offsets. A fragment column is built on first use through the
+buffer pool and the page decoder, and cached in the decoded-column LRU
+under the fragment's *generation*: a process-wide number the fragment
+draws whenever its layout is rebuilt (creation, which covers a meta
+reload, and ``reorganize``). Appends only add sets, so a cached column
+that covers fewer sets than the fragment holds is extended by decoding
+only the new ones; tombstones stay a scan-time mask.
+
+A scan first decides per page set, as before, which sets the index, the
+predicate cache and the min/max statistics prove empty (each counted).
+Then it makes one vectorized pass over the kept rows of the whole
+fragment: predicate atoms over the atom columns (fixed-width values,
+string dictionary entries) drop further sets, whose emptiness is
+recorded in the predicate cache; the survivors' other columns are
+gathered once, and any opaque conjuncts run the compiled predicate on
+that thinned batch. A scan yields at most one batch per fragment.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import pickle
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,13 +46,8 @@ from ..common.errors import StorageError
 from ..common.schema import Schema
 from ..util.fs import FileSystem
 from .buffer import BufferManager
-from .col_page import (
-    column_values_view,
-    decode_column,
-    encode_column,
-    estimate_rows_per_set,
-    is_dict_page,
-)
+from . import col_page
+from .col_page import decode_page, encode_column, estimate_rows_per_set, is_dict_page
 from .page import PagedFile
 from .predicate_cache import Atom, Op, PageMinMax, PredicateCache, ScanPredicate
 from .row_page import RowPage, encode_row
@@ -50,11 +62,16 @@ COLUMN = "column"
 class ScanStats:
     """Per-scan observability; benchmarks read these to show skipping.
 
-    ``pages_skipped`` counts pages a solo decode scan would have read
-    but this scan avoided (zone maps, predicate cache, indexes, or
-    encoded-page elimination); ``pages_pushed_down`` counts pages whose
-    predicate atoms were evaluated in encoded form (raw fixed-width view
-    or dictionary code space) without materializing a RowBatch.
+    The counters are kept in units of page sets and column pages, as if
+    each set were read page by page, although a scan reads decoded
+    fragment columns: ``pages_read`` counts the column pages a set-at-a-
+    time reader would have fetched; ``pages_skipped`` the pages a decode
+    scan would have read but this scan avoided (index, predicate cache,
+    min/max, or an empty atom mask: ``sets_skipped_encoded``);
+    ``pages_pushed_down`` the atom-column pages whose atoms were answered
+    in encoded form — fixed-width values, or the entries of a dictionary
+    page — rather than per decoded row string; ``sets_pushed`` the sets
+    that survived their atoms.
     """
 
     sets_total: int = 0
@@ -110,38 +127,31 @@ _ATOM_OPS = {
 }
 
 
-def _atom_mask(
-    payload: bytes, dtype: DataType, n_rows: int, atoms: list[Atom]
-) -> tuple[np.ndarray, bool]:
-    """Row mask for a conjunction of atoms over one encoded column page.
-
-    Returns ``(mask, encoded)`` where ``encoded`` is True when the page
-    was evaluated near-data (fixed-width view or dictionary code space)
-    rather than via a full decode.
-    """
-    if dtype == DataType.STRING:
-        # atoms run against the page's dictionary and map through its
-        # codes. A value absent from a dictionary page's (tiny) dictionary
-        # simply yields an all-false mask for EQ — the whole set drops. A
-        # plain Huffman page has one entry per row, so nothing was saved:
-        # counted as read, not pushed
-        values = decode_column(payload, dtype, n_rows)
-        encoded = is_dict_page(payload)
-    else:
-        values = column_values_view(payload, dtype, n_rows)
-        encoded = True
-    mask: np.ndarray | None = None
-    for a in atoms:
-        m = _ATOM_OPS[a.op](values, a.value)
-        mask = m if mask is None else mask & m
-    return mask, encoded
+#: fragment layouts are numbered from one process-wide counter, so a
+#: decoded column's cache key ``(generation, column)`` names exactly one
+#: layout of one fragment
+_generations = itertools.count()
 
 
-def _gather_column(payload: bytes, dtype: DataType, n_rows: int, sel: np.ndarray):
-    """Materialize only the selected rows of one encoded column page."""
-    if dtype == DataType.STRING:
-        return decode_column(payload, dtype, n_rows)[sel]
-    return column_values_view(payload, dtype, n_rows)[sel]
+class _FragColumn(NamedTuple):
+    """One column of a fragment, decoded: the values of its first
+    ``n_sets`` page sets, concatenated."""
+
+    values: np.ndarray | DictColumn
+    n_sets: int
+    #: per set, is its page answered in encoded form by a predicate atom?
+    #: (a string column's dictionary pages); None: every page is
+    encoded: np.ndarray | None
+
+
+def _rows(values, idx: np.ndarray | None):
+    """A fragment column's rows ``idx`` (all of them for None)."""
+    return col_page.handout(values) if idx is None else values[idx]
+
+
+def _any_per_set(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per set (given its first row; no set is empty): any row set?"""
+    return np.logical_or.reduceat(mask, starts)
 
 
 @dataclass
@@ -187,9 +197,23 @@ class _Fragment:
         self._cum_lock = threading.Lock()
         #: set-granular secondary indexes: column -> B+-tree(value -> set id)
         self.indexes: dict[str, "BPlusTree"] = {}
+        self._new_generation()
         if fs.exists(self.meta_path):
             self._load_meta()
             self._reopen_indexes()
+
+    def _new_generation(self) -> None:
+        """Start a new layout: the decoded columns of the old one are
+        dropped, and later ones are cached under a fresh number."""
+        old = getattr(self, "generation", None)
+        if old is not None:
+            for c in self.schema:
+                col_page.uncache_column((old, c.name))
+        self.generation = next(_generations)
+        #: row offsets of the sets (extended as sets are appended)
+        self._bounds = np.zeros(1, dtype=np.int64)
+        #: does any set carry tombstones?
+        self._tombstoned = False
 
     # -- metadata persistence ---------------------------------------------------
     def _save_meta(self) -> None:
@@ -229,6 +253,7 @@ class _Fragment:
             mask = None
             if deleted is not None:
                 mask = np.unpackbits(np.frombuffer(deleted, dtype=np.uint8))[:n_rows].astype(bool)
+                self._tombstoned = True
             self.sets.append(_SetMeta(first_page, n_rows, minmax, mask))
         for i, s in enumerate(self.sets):
             if s.minmax:
@@ -242,9 +267,8 @@ class _Fragment:
         else:
             self._append_rows(batch)
         self._save_meta()
-        for set_id in range(first_new, len(self.sets)):
-            for col in list(self.indexes):
-                self._index_set(col, set_id, self.sets[set_id])
+        for col in list(self.indexes):
+            self._index_sets(col, first_new)
 
     def _append_columnar(self, batch: RowBatch) -> None:
         types = [c.dtype for c in self.schema]
@@ -341,15 +365,21 @@ class _Fragment:
         self.bufmgr.invalidate(self._index_path(col))
         tree = BPlusTree(self.fs, self.bufmgr, self._index_path(col), page_size=self.page_size)
         self.indexes[col] = tree
-        for set_id, s in enumerate(self.sets):
-            self._index_set(col, set_id, s)
+        self._index_sets(col, 0)
 
-    def _index_set(self, col: str, set_id: int, s: "_SetMeta") -> None:
-        # tombstoned values stay indexed: the index is a superset anyway
-        values = self._read_set(s, self.schema.project([col]), live_only=False).col(col)
-        distinct = set(values.tolist()) if isinstance(values, DictColumn) else np.unique(values)
-        for v in distinct:
-            self.indexes[col].insert(v if isinstance(v, str) else v.item() if hasattr(v, "item") else v, set_id)
+    def _index_sets(self, col: str, first: int) -> None:
+        """Index the values of sets ``first`` onwards; tombstoned values
+        stay indexed: the index is a superset anyway."""
+        n_sets = len(self.sets)
+        if first >= n_sets:
+            return
+        bounds = self._set_bounds(n_sets)
+        column = self._columns([col], n_sets)[col].values
+        for set_id in range(first, n_sets):
+            values = column[bounds[set_id] : bounds[set_id + 1]]
+            distinct = set(values.tolist()) if isinstance(values, DictColumn) else np.unique(values)
+            for v in distinct:
+                self.indexes[col].insert(v if isinstance(v, str) else v.item() if hasattr(v, "item") else v, set_id)
 
     def _index_candidates(self, scan_pred: ScanPredicate) -> set[int] | None:
         """Set ids that may contain matches, per the indexes; None = no
@@ -377,6 +407,106 @@ class _Fragment:
             candidates = ids if candidates is None else (candidates & ids)
         return candidates
 
+    # -- fragment columns -------------------------------------------------------------
+    def _set_bounds(self, n_sets: int) -> np.ndarray:
+        """Row offsets of the first ``n_sets`` sets (``n_sets + 1`` values)."""
+        bounds = self._bounds
+        if len(bounds) <= n_sets:
+            sizes = [s.n_rows for s in self.sets[len(bounds) - 1 : n_sets]]
+            bounds = self._bounds = np.concatenate([bounds, bounds[-1] + np.cumsum(sizes)])
+        return bounds[: n_sets + 1]
+
+    def _columns(self, names: Sequence[str], n_sets: int) -> dict[str, _FragColumn]:
+        """The decoded columns ``names``, covering at least the first
+        ``n_sets`` sets: cached, or built (extended, after appends)."""
+        out: dict[str, _FragColumn] = {}
+        stale: list[tuple[str, _FragColumn | None]] = []
+        for name in names:
+            fc = col_page.cached_column((self.generation, name))
+            if fc is None or fc.n_sets < n_sets:
+                stale.append((name, fc))
+            elif fc.n_sets == n_sets:
+                out[name] = fc
+            else:  # extended past this reader's sets by a later append
+                rows = int(self._set_bounds(n_sets)[-1])
+                out[name] = _FragColumn(
+                    fc.values[:rows], n_sets, None if fc.encoded is None else fc.encoded[:n_sets]
+                )
+        if stale:
+            out.update(self._build_columns(stale, n_sets))
+        return out
+
+    def _build_columns(
+        self, stale: list[tuple[str, _FragColumn | None]], n_sets: int
+    ) -> dict[str, _FragColumn]:
+        """Decode the sets each column is missing (all of them, or those
+        appended since it was cached), through the buffer pool, and cache
+        the extended columns."""
+        sets = self.sets[:n_sets]
+        first = min(0 if fc is None else fc.n_sets for _, fc in stale)
+        if self.format == ROW:
+            # a row page holds every column: decode each page once for all
+            # the columns that need it
+            batches = [
+                RowPage.from_payload(
+                    self.bufmgr.get(self.path, s.first_page, pin=False), self.file.max_payload
+                ).to_batch(self.schema)
+                for s in sets[first:]
+            ]
+        out = {}
+        for name, fc in stale:
+            start = 0 if fc is None else fc.n_sets
+            new_sets = sets[start:]
+            dtype = self.schema.dtype_of(name)
+            encoded = None
+            if self.format == ROW:
+                parts = [b.col(name) for b in batches[start - first :]]
+            else:
+                col_no = self.schema.index_of(name)
+                pages = [s.first_page + col_no for s in new_sets]
+                self.bufmgr.declare_scan(self.path, pages[:256])
+                payloads = self.bufmgr.get_many(self.path, pages)
+                parts = [decode_page(p, dtype, s.n_rows) for p, s in zip(payloads, new_sets)]
+                if dtype == DataType.STRING:
+                    encoded = np.array([is_dict_page(p) for p in payloads], dtype=bool)
+            if fc is not None:
+                parts.insert(0, fc.values)
+                if encoded is not None:
+                    encoded = np.concatenate([fc.encoded, encoded])
+            if dtype == DataType.STRING:
+                values = DictColumn.concat(parts)
+            else:
+                values = np.concatenate(parts)
+            fc = _FragColumn(col_page.freeze(values), n_sets, encoded)
+            nbytes = col_page.decoded_nbytes(values) + (0 if encoded is None else encoded.nbytes)
+            col_page.cache_column((self.generation, name), fc, nbytes)
+            out[name] = fc
+        return out
+
+    def _tombstones(self, n_sets: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(per row of the first ``n_sets`` sets: tombstoned?, per set: has
+        it tombstones?), or (None, None) when no set has any."""
+        if not self._tombstoned:
+            return None, None
+        bounds = self._set_bounds(n_sets)
+        rows = np.zeros(bounds[-1], dtype=bool)
+        has = np.zeros(n_sets, dtype=bool)
+        for i, s in enumerate(self.sets[:n_sets]):
+            if s.deleted is not None:
+                rows[bounds[i] : bounds[i + 1]] = s.deleted[: s.n_rows]
+                has[i] = True
+        return rows, has
+
+    def _read_all(self, n_sets: int) -> RowBatch:
+        """Every column of the first ``n_sets`` sets, tombstoned rows too."""
+        if not n_sets:
+            return RowBatch.empty(self.schema)
+        cols = self._columns(self.schema.names(), n_sets)
+        total = int(self._set_bounds(n_sets)[-1])
+        return RowBatch._trusted(
+            self.schema, {n: _rows(cols[n].values, None) for n in self.schema.names()}, total
+        )
+
     # -- scanning -----------------------------------------------------------------
     def scan(
         self,
@@ -396,6 +526,25 @@ class _Fragment:
             with self._cum_lock:
                 self.cum_stats.merge(delta)
 
+    def _kept_sets(self, n_sets: int, scan_pred: ScanPredicate, stats: ScanStats) -> np.ndarray:
+        """Per set: not proven empty by the index, the predicate cache or
+        the min/max statistics (asked in that order, each counted)."""
+        candidates = self._index_candidates(scan_pred)
+        skipped = []
+        for set_id in range(n_sets):
+            if candidates is not None and set_id not in candidates:
+                stats.sets_skipped_index += 1
+            elif self.pred_cache.can_skip(set_id, scan_pred):
+                stats.sets_skipped_cache += 1
+            elif self.minmax.can_skip(set_id, scan_pred):
+                stats.sets_skipped_minmax += 1
+            else:
+                continue
+            skipped.append(set_id)
+        keep = np.ones(n_sets, dtype=bool)
+        keep[skipped] = False
+        return keep
+
     def _scan_impl(
         self,
         columns: Sequence[str],
@@ -407,192 +556,151 @@ class _Fragment:
     ) -> Iterator[RowBatch]:
         out_schema = self.schema.project([self.schema.resolve(c) for c in columns])
         names = out_schema.names()
-        col_idx = {c.name: i for i, c in enumerate(self.schema.columns)}
+        n_sets = len(self.sets)  # a concurrent append only adds sets after these
+        stats.sets_total += n_sets
         pages_per_set = len(names) if self.format == COLUMN else 1
+        pruning = skipping and scan_pred is not None
+        keep = None
+        if pruning:
+            keep = self._kept_sets(n_sets, scan_pred, stats)
+            stats.pages_skipped += pages_per_set * int(n_sets - keep.sum())
+        kept = np.arange(n_sets) if keep is None else np.flatnonzero(keep)
+        if not len(kept):
+            return
 
-        # pre-declare the pages this scan will touch (paper's clock
-        # hint); the buffer manager only honours the first 256, so stop
-        # building the list there instead of enumerating every set
-        upcoming: list[int] = []
-        for s in self.sets:
-            if self.format == COLUMN:
-                upcoming.extend(s.first_page + col_idx[n] for n in names)
-            else:
-                upcoming.append(s.first_page)
-            if len(upcoming) >= 256:
-                break
-        self.bufmgr.declare_scan(self.path, upcoming[:256])
-
-        index_candidates = (
-            self._index_candidates(scan_pred) if skipping and scan_pred else None
-        )
-
-        # predicate atoms grouped by column for the encoded-page path; the
+        # predicate atoms grouped by column for the encoded path; the
         # compiler guarantees atoms+opaque ≡ the full predicate, so when
         # opaque is empty the atom masks alone ARE the predicate
-        atoms_by_col: dict[str, list[Atom]] | None = None
-        atoms_exact = False
-        if (
-            neardata
-            and self.format == COLUMN
-            and skipping
-            and scan_pred is not None
-            and scan_pred.atoms
-        ):
-            atoms_by_col = {}
+        atoms_by_col: dict[str, list[Atom]] = {}
+        if neardata and self.format == COLUMN and pruning:
             for a in sorted(scan_pred.atoms, key=str):
                 atoms_by_col.setdefault(a.column, []).append(a)
-            atoms_exact = not scan_pred.opaque
+        cols = self._columns(list(dict.fromkeys([*names, *atoms_by_col])), n_sets)
+        bounds = self._set_bounds(n_sets)
+        sizes = np.diff(bounds)[kept]
+        # the rows of the kept sets (None: every row), and each kept set's
+        # first row among them
+        idx = None if len(kept) == n_sets else np.flatnonzero(np.repeat(keep, np.diff(bounds)))
+        starts = np.cumsum(sizes) - sizes
+        tomb, tombstoned = self._tombstones(n_sets)
+        if tomb is not None:
+            tomb = tomb if idx is None else tomb[idx]
+            tombstoned = tombstoned[kept]
 
-        def near_data_set(set_id: int, s: _SetMeta) -> RowBatch | None:
-            """Evaluate atoms over encoded pages; materialize only
-            qualifying rows. Returns None when the set is eliminated."""
-            n = s.n_rows
-            fetched: dict[str, bytes] = {}
-            mask: np.ndarray | None = None
-            pushed = 0
-            for colname, alist in atoms_by_col.items():
-                payload = self.bufmgr.get(
-                    self.path, s.first_page + col_idx[colname], pin=False
-                )
-                fetched[colname] = payload
-                stats.pages_read += 1
-                cmask, encoded = _atom_mask(
-                    payload, self.schema.dtype_of(colname), n, alist
-                )
-                pushed += int(encoded)
-                mask = cmask if mask is None else mask & cmask
-                if not mask.any():
-                    break
-            stats.pages_pushed_down += pushed
-            if not mask.any():
-                # the full predicate implies its atoms, so an empty atom
-                # mask over the whole set proves the set empty for the
-                # predicate too — same cache fact the decode path records
-                if s.deleted is None:
-                    self.pred_cache.record_empty(set_id, scan_pred)
-                stats.sets_skipped_encoded += 1
-                stats.pages_skipped += len(names) - len(fetched.keys() & set(names))
-                return None
-            stats.sets_pushed += 1
-            stats.sets_read += 1
-            if s.deleted is not None and s.deleted.any():
-                mask = mask & ~s.deleted[:n]
-            sel = np.flatnonzero(mask)
-            if not len(sel):
-                return None  # every candidate row is tombstoned
-            cols: dict[str, np.ndarray] = {}
-            for name in names:
-                payload = fetched.get(name)
-                if payload is None:
-                    payload = self.bufmgr.get(
-                        self.path, s.first_page + col_idx[name], pin=False
-                    )
-                    stats.pages_read += 1
-                cols[name] = _gather_column(
-                    payload, self.schema.dtype_of(name), n, sel
-                )
-            batch = RowBatch._trusted(out_schema, cols, len(sel))
-            if not atoms_exact and predicate is not None:
-                # opaque conjuncts remain: finish on the (already thinned)
-                # candidates with the compiled predicate — bit-identical
-                # to decode-then-filter because expr ⇒ atoms
-                m2 = predicate(batch)
-                if not m2.any() and s.deleted is None:
-                    self.pred_cache.record_empty(set_id, scan_pred)
-                batch = batch.filter(m2)
-            return batch
-
-        def do_set(set_id: int, s: _SetMeta) -> RowBatch | None:
-            stats.sets_total += 1
-            if skipping and scan_pred is not None:
-                if index_candidates is not None and set_id not in index_candidates:
-                    stats.sets_skipped_index += 1
-                    stats.pages_skipped += pages_per_set
-                    return None
-                if self.pred_cache.can_skip(set_id, scan_pred):
-                    stats.sets_skipped_cache += 1
-                    stats.pages_skipped += pages_per_set
-                    return None
-                if self.minmax.can_skip(set_id, scan_pred):
-                    stats.sets_skipped_minmax += 1
-                    stats.pages_skipped += pages_per_set
-                    return None
-            if atoms_by_col is not None:
-                return near_data_set(set_id, s)
-            batch = self._read_set(s, out_schema, stats=stats)
-            stats.sets_read += 1
-            if predicate is not None:
-                mask = predicate(batch)
-                if skipping and scan_pred is not None and not mask.any():
-                    if s.deleted is None:  # deletes could hide future matches
-                        self.pred_cache.record_empty(set_id, scan_pred)
-                batch = batch.filter(mask)
-            return batch
-
-        for set_id, s in enumerate(self.sets):
-            batch = do_set(set_id, s)
-            if batch is not None and batch.length:
-                stats.rows_out += batch.length
-                yield batch
-
-    def _read_set(
-        self,
-        s: _SetMeta,
-        schema: Schema,
-        *,
-        live_only: bool = True,
-        stats: ScanStats | None = None,
-    ) -> RowBatch:
-        """Decode one page set's ``schema`` columns (a projection of the
-        table's schema). ``live_only=False`` keeps tombstoned rows, so row
-        positions line up with ``s.deleted`` (DML); ``stats`` is charged
-        the pages read."""
-        if self.format == COLUMN:
-            payloads = self.bufmgr.get_many(
-                self.path, [s.first_page + self.schema.index_of(c.name) for c in schema]
+        if atoms_by_col:
+            mask = self._atom_pass(
+                cols, atoms_by_col, names, idx, kept, starts, tomb, tombstoned, scan_pred, stats
             )
-            # decode_column validates every column against s.n_rows
-            cols = {
-                c.name: decode_column(payload, c.dtype, s.n_rows)
-                for c, payload in zip(schema, payloads)
-            }
-            batch = RowBatch._trusted(schema, cols, s.n_rows)
-            pages = len(cols)
+            recheck = bool(scan_pred.opaque) and predicate is not None
         else:
-            payload = self.bufmgr.get(self.path, s.first_page, pin=False)
-            page = RowPage.from_payload(payload, self.file.max_payload)
-            batch = page.to_batch(self.schema).project(schema.names())
-            pages = 1
-        if stats is not None:
-            stats.pages_read += pages
-        if live_only and s.deleted is not None and s.deleted.any():
-            batch = batch.filter(~s.deleted[: batch.length])
-        return batch
+            stats.sets_read += len(kept)
+            stats.pages_read += len(kept) * pages_per_set
+            mask = None if tomb is None else ~tomb
+            recheck = predicate is not None
+        sel = np.flatnonzero(mask) if mask is not None else None
+        rows = sel if idx is None else idx if sel is None else idx[sel]
+        batch = RowBatch._trusted(
+            out_schema,
+            {n: _rows(cols[n].values, rows) for n in names},
+            int(bounds[-1]) if rows is None else len(rows),
+        )
+        if recheck:
+            # the compiled predicate over the (already thinned) candidates —
+            # bit-identical to decode-then-filter because expr ⇒ atoms
+            m = predicate(batch)
+            if pruning:
+                # a set none of whose rows matches is empty for the predicate:
+                # cached, unless tombstones could be hiding future matches
+                hit = m
+                if sel is not None:
+                    hit = np.zeros(int(sizes.sum()), dtype=bool)
+                    hit[sel] = m
+                empty = ~_any_per_set(hit, starts)
+                if atoms_by_col:
+                    # sets the atoms dropped were counted there
+                    empty &= _any_per_set(mask, starts)
+                if tombstoned is not None:
+                    empty &= ~tombstoned
+                for set_id in kept[empty].tolist():
+                    self.pred_cache.record_empty(set_id, scan_pred)
+            batch = batch.filter(m)
+        if batch.length:
+            stats.rows_out += batch.length
+            yield batch
+
+    def _atom_pass(
+        self, cols, atoms_by_col, names, idx, kept, starts, tomb, tombstoned, scan_pred, stats
+    ) -> np.ndarray:
+        """The atoms' row mask over the kept rows, live rows only. Sets it
+        leaves empty are skipped (and cached as empty); the counters are
+        those of reading each set's atom pages in order, stopping at the
+        first that leaves the set empty."""
+        n_kept = len(kept)
+        alive = np.ones(n_kept, dtype=bool)  # sets no atom page has emptied yet
+        fetched = np.zeros(n_kept, dtype=np.int64)  # of those pages, scan columns
+        mask = None
+        for name, atoms in atoms_by_col.items():
+            fc = cols[name]
+            values = _rows(fc.values, idx)
+            for a in atoms:
+                m = _ATOM_OPS[a.op](values, a.value)
+                mask = m if mask is None else mask & m
+            stats.pages_read += int(alive.sum())
+            encoded = alive if fc.encoded is None else alive & fc.encoded[kept]
+            stats.pages_pushed_down += int(encoded.sum())
+            if name in names:
+                fetched += alive
+            alive &= _any_per_set(mask, starts)
+        # the full predicate implies its atoms, so an empty atom mask over
+        # a whole set proves the set empty for the predicate too
+        dropped = ~alive
+        stats.sets_skipped_encoded += int(dropped.sum())
+        stats.pages_skipped += int((len(names) - fetched[dropped]).sum())
+        cacheable = dropped if tombstoned is None else dropped & ~tombstoned
+        for set_id in kept[cacheable].tolist():
+            self.pred_cache.record_empty(set_id, scan_pred)
+        n_alive = int(alive.sum())
+        stats.sets_pushed += n_alive
+        stats.sets_read += n_alive
+        if tomb is not None:
+            mask = mask & ~tomb
+        # a survivor's other scan columns are read unless tombstones left
+        # it no candidate row
+        others = len(set(names) - atoms_by_col.keys())
+        stats.pages_read += others * int((alive & _any_per_set(mask, starts)).sum())
+        return mask
 
     # -- DML ---------------------------------------------------------------------
     def delete_where(self, predicate: PredicateFn) -> RowBatch:
         """Tombstone the live rows matching the predicate; returns them
         (in set order) so an update can re-insert their new versions."""
-        victims = []
-        for s in self.sets:
-            batch = self._read_set(s, self.schema, live_only=False)
-            hit = predicate(batch)
-            if s.deleted is not None:
-                hit = hit & ~s.deleted
-            if not hit.any():
-                continue
-            s.deleted = hit.copy() if s.deleted is None else s.deleted | hit
-            victims.append(batch.filter(hit))
+        n_sets = len(self.sets)
+        if not n_sets:
+            self._save_meta()
+            return RowBatch.empty(self.schema)
+        batch = self._read_all(n_sets)
+        hit = predicate(batch)
+        tomb, _ = self._tombstones(n_sets)
+        if tomb is not None:
+            hit = hit & ~tomb
+        bounds = self._set_bounds(n_sets)
+        for i in np.flatnonzero(_any_per_set(hit, bounds[:-1])).tolist():
+            s = self.sets[i]
+            seg = hit[bounds[i] : bounds[i + 1]]
+            s.deleted = seg.copy() if s.deleted is None else s.deleted | seg
+            self._tombstoned = True
             # cached "no rows match" facts may now be stale in the other
             # direction only; deletes can only *remove* rows, so cached
             # empty-page facts stay valid. Min-max stays conservative.
         self._save_meta()
-        return RowBatch.concat(self.schema, victims)
+        return batch.filter(hit)
 
     # -- maintenance ----------------------------------------------------------------
     def all_rows(self) -> RowBatch:
-        return RowBatch.concat(self.schema, (self._read_set(s, self.schema) for s in self.sets))
+        n_sets = len(self.sets)
+        tomb, _ = self._tombstones(n_sets)
+        batch = self._read_all(n_sets)
+        return batch if tomb is None else batch.filter(~tomb)
 
     def reorganize(self, clustering: Sequence[str] | None) -> None:
         """Rewrite the fragment sorted on the clustering key; clears caches."""
@@ -605,6 +713,7 @@ class _Fragment:
         self.file.truncate_pages(0)
         self.sets = []
         self.next_page = 0
+        self._new_generation()
         self.pred_cache.clear()
         self.minmax.clear()
         indexed_cols = list(self.indexes)

@@ -1,4 +1,5 @@
-"""The section-8 verdict of ``tools/ab_pairs.py`` on hand-made samples."""
+"""The verdicts ``tools/ab_pairs.py`` prints, on hand-made samples: its
+own section-8 verdict, and the benchmark pipeline's beside it."""
 
 from __future__ import annotations
 
@@ -39,3 +40,29 @@ BIMODAL = [10.0] * 5 + [20.0] * 5
 )
 def test_verdict(parent, change, better, want):
     assert ab_pairs.verdict(parent, change, better, 0.2) == want
+
+
+@pytest.mark.parametrize(
+    "parent, change, want",
+    [
+        # a clean gain on narrow runs: both call it
+        (STEADY, [x - 3.0 for x in STEADY], ("gain", "improved")),
+        # a clean sweep on wide runs is "same" for section 8, but the
+        # pipeline cannot resolve it: either side's spread exceeds the bound
+        (BIMODAL, [9.0] * 10, ("same", "unresolved")),
+        # 30 % worse on narrow runs
+        (STEADY, [x * 1.3 for x in STEADY], ("worse", "regressed")),
+    ],
+)
+def test_pipeline_verdict_printed_beside_section_8(parent, change, want, capsys):
+    runs = [
+        [{"failed": 0, "attempted": 1, "correct": True,
+          "metrics": {"pass_s": {"value": v}}} for v in side]
+        for side in (parent, change)
+    ]
+    spec = {"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.2}]}
+    ab_pairs.report("w", spec, *runs)
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("pass_s"))
+    assert row.split()[-2:] == list(want)
+    assert ab_pairs.pipeline_verdict(parent, change, "lower", 0.2)[1] == want[1]

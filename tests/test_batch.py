@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import DataType, RowBatch, Schema
+from repro.common.batch import stable_order
 from repro.common.errors import ExecutionError
 
 
@@ -137,6 +138,29 @@ class TestHashPartition:
         d = RowBatch.from_pairs(("k", DataType.DATE, [1000, 2000]))
         i = RowBatch.from_pairs(("k", DataType.INT64, [1000, 2000]))
         assert d.hash_codes(["k"]).tolist() == i.hash_codes(["k"]).tolist()
+
+
+class TestCountingPartition:
+    """``partition_codes`` is a counting partition: the part sizes from a
+    ``bincount``, rows placed by a radix-stable order."""
+
+    @pytest.mark.parametrize("n_parts", [1, 3, 4, 16, 300])
+    def test_row_order_within_a_part_is_kept(self, n_parts):
+        rng = np.random.default_rng(n_parts)
+        codes = rng.integers(0, 2**63, 5000).astype(np.uint64)
+        b = RowBatch.from_pairs(("i", DataType.INT64, np.arange(5000)))
+        parts = b.partition_codes(codes, n_parts)
+        assert len(parts) == n_parts
+        for p, part in enumerate(parts):
+            want = np.flatnonzero(codes % np.uint64(n_parts) == p)
+            assert part.col("i").tolist() == want.tolist()
+
+    @pytest.mark.parametrize("space", [1, 2**8, 2**16, 2**20, 2**40])
+    def test_stable_order_is_the_stable_argsort(self, space):
+        rng = np.random.default_rng(7)
+        codes = rng.integers(0, space, 20_000)
+        want = np.argsort(codes, kind="stable")
+        assert np.array_equal(stable_order(codes, space), want)
 
 
 @settings(max_examples=50, deadline=None)

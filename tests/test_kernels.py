@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 
 from repro.common import DataType, RowBatch, Schema
 from repro.common.batch import DictColumn
+from repro.core.aggregate import aggregate_batch
 from repro.core.kernels import (
     JoinHashTable,
     bloom_filter_codes,
     bloom_filter_test,
     factorize,
+    first_occurrence,
     group_aggregate,
     group_count_distinct,
     group_sum_distinct,
     hash_join,
+    join_rows,
     merge_sorted,
     sort_indices,
     top_k,
 )
+from repro.optimizer.logical import AggSpec
 from repro.sql.ast import BinaryOp, ColumnRef
 
 
@@ -458,3 +462,161 @@ class TestBloom:
         bits = bloom_filter_codes(members)
         fp = bloom_filter_test(bits, others).mean()
         assert fp < 0.05
+
+
+#: an injective map that spreads keys far past any slot budget: the same
+#: equalities, answered by the sorted table instead of the direct one
+SPREAD = 1_000_003
+
+
+def _join_cases():
+    rng = np.random.default_rng(11)
+    return {
+        "dense": ([rng.integers(0, 300, 200)], [rng.integers(0, 300, 400)]),
+        "unique": ([rng.permutation(300)], [rng.integers(-20, 320, 400)]),
+        "sparse_16x": ([rng.choice(16 * 200, 200, replace=False)],
+                       [rng.integers(0, 16 * 200, 400)]),
+        "duplicate_heavy": ([rng.integers(0, 6, 200)], [rng.integers(0, 8, 400)]),
+        "negative": ([rng.integers(-500, -300, 200)], [rng.integers(-600, -200, 400)]),
+        "out_of_range_probes": ([rng.integers(100, 200, 200)],
+                                [rng.integers(-100_000, 100_000, 400)]),
+        "composite": ([rng.integers(0, 15, 200), rng.integers(-5, 5, 200)],
+                      [rng.integers(0, 16, 400), rng.integers(-6, 6, 400)]),
+        "empty_build": ([np.zeros(0, np.int64)], [rng.integers(0, 9, 50)]),
+        "empty_probe": ([rng.integers(0, 9, 50)], [np.zeros(0, np.int64)]),
+        "both_empty": ([np.zeros(0, np.int64)] * 2, [np.zeros(0, np.int64)] * 2),
+    }
+
+
+JOIN_CASES = _join_cases()
+
+
+def _is_direct(jt: JoinHashTable) -> bool:
+    return jt.distinct is None and all(k.lo is not None for k in jt.keys)
+
+
+class TestDirectTableEquivalence:
+    """Integer keys inside the slot budget get a direct-addressed table;
+    its pairs are exactly the sorted table's, in the same order."""
+
+    @pytest.mark.parametrize("case", JOIN_CASES)
+    def test_direct_equals_sorted(self, case):
+        build, probe = JOIN_CASES[case]
+        direct = JoinHashTable(build)
+        spread = JoinHashTable([c * SPREAD for c in build])
+        if len(build[0]):
+            assert _is_direct(direct) and not _is_direct(spread)
+        got = direct.match_indices(probe)
+        want = spread.match_indices([c * SPREAD for c in probe])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert list(zip(*[a.tolist() for a in got])) == nested_loop(probe, build)
+
+    def test_direct_probe_calls_no_searchsorted(self, monkeypatch):
+        probe = JOIN_CASES["out_of_range_probes"][1]
+        tables = [JoinHashTable(JOIN_CASES[c][0]) for c in ("unique", "duplicate_heavy")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searchsorted on the direct path")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        for jt in tables:
+            jt.match_indices(probe)
+            jt.contains(probe)
+
+    def test_floats_take_the_sorted_table(self):
+        build, probe = JOIN_CASES["duplicate_heavy"]
+        floats = JoinHashTable([build[0] + 0.5])
+        assert not _is_direct(floats)
+        got = floats.match_indices([probe[0] + 0.5])
+        want = JoinHashTable(build).match_indices(probe)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_extreme_probes_never_wrap_into_range(self):
+        ext = np.iinfo(np.int64)
+        probe = [np.array([ext.min, ext.min + 150, ext.max, ext.max - 150, 150], np.int64)]
+        for build in ([np.arange(100, 200)], [np.arange(-200, -100)]):
+            assert matched(build, probe) == nested_loop(probe, build)
+
+    @pytest.mark.parametrize("case", JOIN_CASES)
+    def test_existence_only_equals_pairs(self, case):
+        build, probe = JOIN_CASES[case]
+        pi, _ = JoinHashTable(build).match_indices(probe)
+        want = np.zeros(len(probe[0]), dtype=bool)
+        want[pi] = True
+        exists = JoinHashTable(build, exists_only=True)
+        assert exists.order is None and exists.slots is None
+        assert np.array_equal(exists.contains(probe), want)
+        assert np.array_equal(JoinHashTable(build).contains(probe), want)
+
+    @pytest.mark.parametrize("kind", ["semi", "anti"])
+    def test_semi_anti_join_rows_unchanged(self, kind):
+        build, probe = JOIN_CASES["duplicate_heavy"]
+        L, R = Schema.of(("a", DataType.INT64)), Schema.of(("b", DataType.INT64))
+        left, right = RowBatch(L, {"a": probe[0]}), RowBatch(R, {"b": build[0]})
+        pairs = [(ColumnRef("a"), ColumnRef("b"))]
+        li, ri = JoinHashTable(build).match_indices(probe)
+        want = join_rows(left, right, li, ri, kind, [], L, L, R)
+        got = hash_join(left, right, kind, pairs, [], L, None)
+        assert got.col("a").tolist() == want.col("a").tolist()
+
+
+def _stable_sort_pick(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representatives a stable argsort picks: per group, in code
+    order, its first row (and the groups' codes)."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1]).astype(np.int64)
+    return order[first], ordered[first]
+
+
+class TestScatterAggregation:
+    """Group representatives and MIN/MAX come from scatters over the dense
+    codes; they equal what sorting the codes gave."""
+
+    @pytest.mark.parametrize("k", [1, 7, 500, 40_000])
+    def test_first_occurrence_is_the_stable_sort_pick(self, k):
+        rng = np.random.default_rng(k)
+        codes, n = factorize([rng.integers(0, k, 5000) * 3])
+        rep, rep_codes = _stable_sort_pick(codes)
+        assert np.array_equal(rep_codes, np.arange(n))
+        assert np.array_equal(first_occurrence(codes, n), rep)
+
+    def test_aggregate_batch_representatives_and_group_order(self):
+        # -0.0 and 0.0 are one group; the sign shows which row stood for it
+        rng = np.random.default_rng(5)
+        k = rng.choice(np.array([0.0, -0.0, 1.5, -2.0]), 300)
+        x = rng.integers(0, 10, 300)
+        schema = Schema.of(("k", DataType.FLOAT64), ("x", DataType.INT64))
+        out_schema = Schema.of(("k", DataType.FLOAT64), ("s", DataType.INT64))
+        out = aggregate_batch(
+            RowBatch(schema, {"k": k, "x": x}), ("k",),
+            (AggSpec("s", "SUM", "x", False, None),), out_schema,
+        )
+        codes, n = factorize([k])
+        rep, _ = _stable_sort_pick(codes)
+        assert out.col("k").tobytes() == k[rep].tobytes()
+        assert out.col("s").tolist() == [int(x[codes == g].sum()) for g in range(n)]
+
+    @pytest.mark.parametrize("func", ["MIN", "MAX"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_min_max_equal_the_sorted_reduce(self, func, dtype):
+        rng = np.random.default_rng(3)
+        n_groups = 60  # some groups get no rows: NULL
+        codes = rng.integers(0, 50, 2000)
+        values = rng.integers(-1000, 1000, 2000).astype(dtype)
+        if dtype == np.float64:
+            values[rng.random(2000) < 0.3] = np.nan  # NULL inputs are skipped
+            values[codes == 7] = np.nan  # a group of NULLs stays NULL
+        got = group_aggregate(codes, n_groups, func, values)
+        rep, present = _stable_sort_pick(codes)
+        order = np.argsort(codes, kind="stable")
+        starts = np.searchsorted(codes[order], present)
+        ufunc = {("MIN", True): np.fmin, ("MAX", True): np.fmax,
+                 ("MIN", False): np.minimum, ("MAX", False): np.maximum}[
+                     func, dtype == np.float64]
+        want = np.full(n_groups, np.nan)
+        want[present] = ufunc.reduceat(values[order], starts)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+        full = group_aggregate(codes, 50, func, values)
+        assert full.dtype == values.dtype

@@ -6,7 +6,13 @@ import pytest
 from repro.common import DataType, RowBatch, Schema
 from repro.common.errors import BufferPoolError, PageFormatError, StorageError
 from repro.storage.buffer import BufferManager
-from repro.storage.col_page import decode_column, encode_column, estimate_rows_per_set
+from repro.storage.col_page import (
+    clear_decoded_caches,
+    decode_column,
+    decoded_cache_stats,
+    encode_column,
+    estimate_rows_per_set,
+)
 from repro.storage.compression import (
     HuffmanCoder,
     get_codec,
@@ -14,9 +20,10 @@ from repro.storage.compression import (
     huffman_encode_strings,
 )
 from repro.storage.page import PagedFile
+from repro.storage.predicate_cache import Atom, Op, ScanPredicate
 from repro.storage.row_page import RowPage, decode_row, encode_row
 from repro.storage.table import COLUMN, ROW, TableStorage
-from repro.util.fs import LocalFS
+from repro.util.fs import LocalFS, MemFS
 
 
 class TestMemFS:
@@ -407,6 +414,9 @@ class TestTableStorage:
         def bump(old):
             return RowBatch(old.schema, {**old.columns, "v": old.col("v") + 100.0})
 
+        # from cold decoded columns, the update reads each page through
+        # the pool exactly once (the delete above left them cached)
+        clear_decoded_caches()
         before = bufmgr.hits + bufmgr.misses
         n = t.update_where(lambda b: b.col("k") < 50, bump)
         assert bufmgr.hits + bufmgr.misses - before == pages
@@ -446,3 +456,108 @@ class TestTableStorage:
         t = _table(memfs, bufmgr)
         t.load(_data(100))
         assert t.predicate_cache_bytes() > 0  # pickled empty dict still has size
+
+
+class TestFragmentColumnInvalidation:
+    """Decoded fragment columns never serve stale rows: after each way a
+    fragment's rows change, a skipping, near-data scan returns exactly
+    what a ``skipping=False`` scan of freshly loaded data returns."""
+
+    #: a value inside every set's min/max range that few rows hold, so the
+    #: encoded pass drops sets and the predicate cache records them
+    SCAN_PRED = ScanPredicate([Atom("k", Op.EQ, 250)])
+
+    @staticmethod
+    def predicate(b):
+        return b.col("k") == 250
+
+    def matching(self, t, skipping=True):
+        kw = {"scan_pred": self.SCAN_PRED, "neardata": True} if skipping else {}
+        batches = t.scan(["k", "v", "s"], self.predicate, skipping=skipping, **kw)
+        return sorted(r for b in batches for r in b.rows())
+
+    def rows(self, t, skipping=True):
+        """The predicate's rows, then every row."""
+        return self.matching(t, skipping), sorted(r for b in t.scan(["k", "v", "s"]) for r in b.rows())
+
+    def fresh(self, data: RowBatch):
+        t = _table(MemFS(), BufferManager(4, 64), n_disks=2)
+        t.load(data)
+        return self.rows(t, skipping=False)
+
+    def warm(self, memfs, bufmgr):
+        t = _table(memfs, bufmgr, n_disks=2)
+        data = _data(3000)
+        t.load(data)
+        for _ in range(2):  # decoded columns and predicate cache warm
+            assert self.rows(t) == self.fresh(data)
+        assert t.cumulative_stats().sets_skipped_cache > 0
+        return t, data
+
+    def test_insert_extends_with_the_new_sets_only(self, memfs, bufmgr):
+        t, data = self.warm(memfs, bufmgr)
+        extra = _data(400, seed=1)
+        sets_before = sum(len(f.sets) for f in t.fragments)
+        t.insert(extra)
+        new_sets = sum(len(f.sets) for f in t.fragments) - sets_before
+        before = bufmgr.hits + bufmgr.misses
+        got = self.rows(t)
+        # the two scans decoded only the appended sets' pages, once
+        assert bufmgr.hits + bufmgr.misses - before == 3 * new_sets > 0
+        assert got == self.fresh(RowBatch.concat(data.schema, [data, extra]))
+
+    def test_delete_and_update(self, memfs, bufmgr):
+        t, data = self.warm(memfs, bufmgr)
+        t.delete_where(lambda b: b.col("k") % 3 == 0)
+        live = data.filter(data.col("k") % 3 != 0)
+        assert self.rows(t) == self.fresh(live)
+
+        def bump(old):
+            return RowBatch(old.schema, {**old.columns, "k": old.col("k") - 100})
+
+        t.update_where(lambda b: (b.col("k") >= 100) & (b.col("k") < 110), bump)
+        moved = (live.col("k") >= 100) & (live.col("k") < 110)
+        want = RowBatch.concat(live.schema, [live.filter(~moved), bump(live.filter(moved))])
+        assert self.rows(t) == self.fresh(want)
+
+    def test_reorganize(self, memfs, bufmgr):
+        t, data = self.warm(memfs, bufmgr)
+        t.delete_where(lambda b: b.col("k") % 2 == 0)
+        generations = [f.generation for f in t.fragments]
+        t.clustering = ("k",)
+        t.reorganize()
+        assert all(f.generation not in generations for f in t.fragments)
+        assert self.rows(t) == self.fresh(data.filter(data.col("k") % 2 == 1))
+
+    def test_restart_reloads_meta(self, memfs, bufmgr):
+        t, data = self.warm(memfs, bufmgr)
+        t.delete_where(lambda b: b.col("k") % 5 == 0)
+        t.persist_caches()
+        bufmgr.flush()
+        again = _table(memfs, BufferManager(4, 64), n_disks=2)
+        assert {f.generation for f in again.fragments}.isdisjoint(
+            f.generation for f in t.fragments
+        )
+        assert self.rows(again) == self.fresh(data.filter(data.col("k") % 5 != 0))
+
+    def test_elastic_rebalance(self):
+        from repro import ClusterConfig, Database
+
+        db = Database(ClusterConfig(n_workers=3, n_max=4, page_size=8192))
+        db.sql("create table t (k integer, v float, s varchar) partition by hash (k)")
+        data = _data(3000)
+        db.load("t", data)
+        assert db.sql("select count(*) from t where k = 250").rows()[0][0] > 0
+        db.add_worker()
+        got = sorted(r for w in db.workers.values() for r in self.matching(w.storage["t"]))
+        assert got == self.fresh(data)[0]
+
+    def test_cleared_cache_misses_on_the_next_scan(self, memfs, bufmgr):
+        t, _ = self.warm(memfs, bufmgr)
+        clear_decoded_caches()
+        before = decoded_cache_stats()
+        self.rows(t)
+        after = decoded_cache_stats()
+        assert after["misses"] > before["misses"] and after["bytes"] > 0
+        self.rows(t)
+        assert decoded_cache_stats()["misses"] == after["misses"]

@@ -23,6 +23,13 @@ verdict of the choosing-metrics guide, section 8:
   reads better than every run of the parent;
 * ``same``: none of the above.
 
+Next to it stands the verdict of ``benchmarks/e2e/compare.py`` (imported,
+not copied), the rule the benchmark pipeline applies to the same runs:
+``unresolved`` whenever either side's spread (inter-quartile distance
+over the median) exceeds the bound, else ``regressed`` / ``improved`` when
+the medians differ by more than the bound, else ``same``. A claim states
+what the pipeline will decide, not only the section-8 verdict.
+
 ``--traced`` adds one pair with ``--trace 1`` per workload and prints the
 per-layer metrics of both sides next to each other. Every run's JSON line
 is appended to ``OUT/runs.jsonl``.
@@ -41,6 +48,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+
+from compare import verdict as pipeline_verdict  # noqa: E402
 
 
 def export_commit(rev: str, dest: Path) -> None:
@@ -117,17 +127,18 @@ def report(workload: str, spec: dict, parent_runs: list[dict], change_runs: list
         wrong = sum(not r["correct"] for r in runs)
         print(f"{side}: failed {failed} of {attempted}, incorrect runs {wrong}")
     print(f"{'metric':28} {'parent median [q1-q3]':32} {'change median [q1-q3]':32} "
-          f"{'delta':>8} {'won':>5} verdict")
+          f"{'delta':>8} {'won':>5} {'verdict':10} pipeline")
     for m in spec["end_to_end"]:
         name = m["name"]
         p = [r["metrics"][name]["value"] for r in parent_runs]
         c = [r["metrics"][name]["value"] for r in change_runs]
         won, lost, v = verdict(p, c, m["better"], m["bound"])
+        _, pipeline = pipeline_verdict(p, c, m["better"], m["bound"])
         p1, pm, p3 = quartiles(p)
         c1, cm, c3 = quartiles(c)
         delta = (cm - pm) / pm * 100 if pm else 0.0
         print(f"{name:28} {f'{fmt(pm)} [{fmt(p1)}-{fmt(p3)}]':32} {f'{fmt(cm)} [{fmt(c1)}-{fmt(c3)}]':32} "
-              f"{delta:+7.1f}% {won:>2}/{len(p):<2} {v}")
+              f"{delta:+7.1f}% {won:>2}/{len(p):<2} {v:10} {pipeline}")
 
 
 def report_layers(workload: str, parent: dict, change: dict) -> None:
