@@ -582,6 +582,15 @@ def sort_indices(batch: RowBatch, keys: Sequence[tuple[str, bool]]) -> np.ndarra
     full int64 range, with no overflow at INT64_MIN the way ``-x`` has).
     This keeps the hot path inside ``np.lexsort``.
     """
+    arrays = _sort_arrays(batch, keys)
+    if not arrays:
+        return np.arange(batch.length)
+    return np.lexsort(arrays)
+
+
+def _sort_arrays(batch: RowBatch, keys: Sequence[tuple[str, bool]]) -> list[np.ndarray]:
+    """The keys as ascending-order arrays, in ``np.lexsort``'s order (the
+    leading key last)."""
     arrays: list[np.ndarray] = []
     for col, asc in reversed(list(keys)):
         arr = batch.col(col)
@@ -596,9 +605,7 @@ def sort_indices(batch: RowBatch, keys: Sequence[tuple[str, bool]]) -> np.ndarra
         else:
             arr = arr.astype(np.int64, copy=False)
             arrays.append(arr if asc else np.bitwise_not(arr))
-    if not arrays:
-        return np.arange(batch.length)
-    return np.lexsort(arrays)
+    return arrays
 
 
 def merge_sorted(batches: list[RowBatch], schema, keys: Sequence[tuple[str, bool]]) -> RowBatch:
@@ -613,12 +620,20 @@ def merge_sorted(batches: list[RowBatch], schema, keys: Sequence[tuple[str, bool
 def top_k(batch: RowBatch, keys: Sequence[tuple[str, bool]], k: int) -> RowBatch:
     """Top-k rows under the sort order (paper: per-worker min-heap).
 
-    A stable sort of the whole batch and its first ``k`` rows; the
-    executor folds it over a stream with an accumulator of at most ``k``
-    rows, which bounds the sort to ``k`` + one batch — the vectorized
-    stand-in for a bounded heap.
+    ``np.partition`` on the leading key finds the k-th value; the rows at
+    or before it (every row tied with the k-th included) are the only
+    candidates, and the stable sort runs over those alone — the same rows
+    in the same order as a full sort's first ``k``. The executor folds it
+    over a stream with an accumulator of at most ``k`` rows, the
+    vectorized stand-in for a bounded heap.
     """
-    if batch.length <= k:
-        return batch.take(sort_indices(batch, keys))
-    idx = sort_indices(batch, keys)[:k]
-    return batch.take(idx)
+    arrays = _sort_arrays(batch, keys)
+    if not arrays:
+        return batch.slice(0, k)
+    if batch.length > k:
+        lead = arrays[-1]
+        kth = np.partition(lead, k - 1)[k - 1]
+        if kth == kth:  # a NaN k-th value (NULLs sort last) keeps every row
+            cand = np.flatnonzero(lead <= kth)
+            return batch.take(cand[np.lexsort([a[cand] for a in arrays])[:k]])
+    return batch.take(np.lexsort(arrays)[:k])

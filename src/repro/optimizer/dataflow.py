@@ -16,10 +16,21 @@ assigns every exchange its communication topology (n-to-m binomial graph
 for shuffles, tree for gathers/broadcasts). Decisions with several
 options (notably aggregation) are made greedily with the refined cost
 model that includes communication cost — exactly the paper's scheme.
+
+Rows move only where partitioning requires it. An inner equi-join's
+output partitioning also records the key tuples the join makes equal to
+its hash keys (``hash(l_orderkey)`` stands for ``hash(o_orderkey)`` after
+``l_orderkey = o_orderkey``, same types only), projections keep whichever
+tuple survives, and an operator is co-located when any of them is a
+subset of its grouping. A grouped aggregate that still has to shuffle
+hashes one group key — the numeric key with the most estimated distinct
+values, given at least 8 a worker — since rows equal on all group keys
+are equal on that one.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 from ..common.config import ClusterConfig
@@ -345,7 +356,7 @@ class DataflowPlanner:
             [left, right],
             node.schema,
             site,
-            part,
+            _with_join_equivalents(part, node, pairs),
             kind=node.kind,
             pairs=pairs,
             residual=residual,
@@ -442,10 +453,11 @@ class DataflowPlanner:
         else:
             choice = "preagg" if preagg_shuffle_bytes < raw_shuffle_bytes else "shuffle_raw"
 
-        key_exprs = [ColumnRef(k) for k in keys]
+        route = self._route_keys(keys, node.child.schema, prof)
+        key_exprs = [ColumnRef(k) for k in route]
         if choice == "shuffle_raw":
             shuffled = self._shuffle(child, key_exprs, node.child.schema)
-            return make("agg", [shuffled], node.schema, WORKERS, hash_part(keys),
+            return make("agg", [shuffled], node.schema, WORKERS, hash_part(route),
                         mode="complete", group_keys=keys, aggs=node.aggs)
         partial_schema, partial_specs, final_specs = _split_aggs(node, node.child.schema)
         partial_rows = float(min(rows, local_groups * n))
@@ -453,10 +465,25 @@ class DataflowPlanner:
                        mode="partial", group_keys=keys, aggs=node.aggs,
                        partial_specs=partial_specs,
                        est_rows=partial_rows, est_bytes=partial_rows * width)
-        shuffled = self._shuffle(partial, [ColumnRef(k) for k in keys], partial_schema)
-        return make("agg", [shuffled], node.schema, WORKERS, hash_part(keys),
+        shuffled = self._shuffle(partial, key_exprs, partial_schema)
+        return make("agg", [shuffled], node.schema, WORKERS, hash_part(route),
                     mode="final", group_keys=keys, aggs=node.aggs,
                     final_specs=final_specs, partial_schema=partial_schema)
+
+    def _route_keys(self, keys: Sequence[str], schema: Schema, prof) -> tuple[str, ...]:
+        """The group keys a grouped aggregate's shuffle hashes. Rows equal
+        on every group key are equal on any one of them, so hashing one
+        key keeps each group on one worker: the non-STRING key with the
+        most estimated distinct values, when it has enough (8 a worker)
+        to spread the groups, else all of them."""
+        best, best_ndv = None, 0.0
+        for k in keys:
+            ndv = prof.col(k).ndv
+            if ndv > best_ndv and schema.dtype_of(k) != DataType.STRING:
+                best, best_ndv = k, ndv
+        if best is None or best_ndv < 8 * self.config.n_workers:
+            return tuple(keys)
+        return (best,)
 
     # -- sort / limit / distinct -----------------------------------------------------
     def _plan_sort(self, node: Sort) -> PhysOp:
@@ -599,24 +626,59 @@ def _matching_pair_subset(part: Partitioning, pairs, side: str) -> list[int] | N
 
 
 def _project_partitioning(part: Partitioning, exprs) -> Partitioning:
+    """``part`` over a projection's output names: every key tuple whose
+    columns all survive, renamed; arbitrary when none does."""
     if part.kind != "hash":
         return part
     rename: dict[str, str] = {}
     for name, e in exprs:
         if isinstance(e, ColumnRef):
-            rename.setdefault(e.key.rsplit(".", 1)[-1], name)
-    new_keys = []
-    for k in part.keys:
-        base = k.rsplit(".", 1)[-1]
-        if base in rename:
-            new_keys.append(rename[base])
-        else:
-            out = [n for n, e in exprs if isinstance(e, ColumnRef) and (e.key == k or e.key.rsplit(".", 1)[-1] == base)]
-            if out:
-                new_keys.append(out[0])
-            else:
-                return ARBITRARY  # a partition key was projected away
-    return hash_part(new_keys)
+            rename.setdefault(_colbase(e.key), name)
+    survivors: list[tuple[str, ...]] = []
+    for keys in part.key_tuples():
+        new_keys = tuple(rename.get(_colbase(k)) for k in keys)
+        if None not in new_keys and new_keys not in survivors:
+            survivors.append(new_keys)
+    if not survivors:
+        return ARBITRARY  # every key tuple lost a column
+    return Partitioning("hash", survivors[0], tuple(survivors[1:]))
+
+
+#: at most this many equivalent key tuples ride one partitioning
+_MAX_EQUIVALENTS = 8
+
+
+def _with_join_equivalents(part: Partitioning, node: Join, pairs) -> Partitioning:
+    """``part`` plus the key tuples an inner equi-join makes equal to its
+    hash keys. Each pair of same-typed columns holds one value in every
+    output row, so substituting one for the other in a key tuple hashes
+    every row to the same worker. A left join's inner columns are NULL
+    where nothing matched, and values of different types hash
+    differently, so neither adds one."""
+    if node.kind != "inner" or part.kind != "hash":
+        return part
+    lschema, rschema = node.left.schema, node.right.schema
+    same: dict[str, list[str]] = {}
+    for le, re in pairs:
+        if not (isinstance(le, ColumnRef) and isinstance(re, ColumnRef)):
+            continue
+        lk, rk = lschema.try_resolve(le.key), rschema.try_resolve(re.key)
+        if lk is None or rk is None or lschema.dtype_of(lk) != rschema.dtype_of(rk):
+            continue
+        same.setdefault(_colbase(lk), []).append(rk)
+        same.setdefault(_colbase(rk), []).append(lk)
+    if not same:
+        return part
+    tuples = list(part.key_tuples())
+    seen = {tuple(map(_colbase, t)) for t in tuples}
+    for keys in part.key_tuples():
+        options = [[k] + same.get(_colbase(k), []) for k in keys]
+        for alt in itertools.product(*options):
+            base = tuple(map(_colbase, alt))
+            if base not in seen and len(tuples) <= _MAX_EQUIVALENTS:
+                seen.add(base)
+                tuples.append(alt)
+    return Partitioning("hash", part.keys, tuple(tuples[1:]))
 
 
 def fuse_scans(plan: PhysOp) -> PhysOp:

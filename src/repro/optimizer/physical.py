@@ -38,25 +38,36 @@ class Partitioning:
       * ``replicated`` — every worker holds every row
       * ``singleton`` — all rows at one site (the coordinator)
       * ``arbitrary`` — spread with no known key
+
+    ``equivalents`` are further key tuples the rows are hash-distributed
+    by just as well: an inner equi-join makes each pair's two columns
+    equal in every output row, so ``hash(l_orderkey)`` is also
+    ``hash(o_orderkey)`` after ``l_orderkey = o_orderkey``.
     """
 
     kind: str
     keys: tuple[str, ...] = ()
+    equivalents: tuple[tuple[str, ...], ...] = ()
+
+    def key_tuples(self) -> tuple[tuple[str, ...], ...]:
+        """``keys`` and every equivalent key tuple, ``keys`` first."""
+        return (self.keys,) + self.equivalents
 
     def co_located_on(self, required: Sequence[str]) -> bool:
         """Can an operator needing grouping by ``required`` run locally?
 
-        True when the hash keys are a subset of ``required`` (all rows
-        sharing values on ``required`` provably live on one worker — the
-        paper's a-partitioned-implies-(a,b)-partitioned rule), or when
-        data is replicated / already at a single site.
+        True when the hash keys, or any equivalent key tuple, are a subset
+        of ``required`` (all rows sharing values on ``required`` provably
+        live on one worker — the paper's a-partitioned-implies-(a,b)-
+        partitioned rule), or when data is replicated / already at a
+        single site.
         """
         if self.kind in ("replicated", "singleton"):
             return True
         if self.kind != "hash" or not self.keys:
             return False
         req = {r.rsplit(".", 1)[-1] for r in required}
-        return {k.rsplit(".", 1)[-1] for k in self.keys} <= req
+        return any({k.rsplit(".", 1)[-1] for k in keys} <= req for keys in self.key_tuples())
 
 
 ARBITRARY = Partitioning("arbitrary")

@@ -98,6 +98,8 @@ def push_filters(plan: LogicalPlan) -> LogicalPlan:
     children = [push_filters(c) for c in plan.children()]
     if children != plan.children():
         plan = plan.with_children(children)
+    if isinstance(plan, Join) and plan.kind in ("left", "semi", "anti"):
+        return _push_inner_conjuncts(plan)
     if not isinstance(plan, Filter):
         return plan
     conjuncts = _split_and(factor_or(plan.predicate))
@@ -112,6 +114,29 @@ def push_filters(plan: LogicalPlan) -> LogicalPlan:
     if not kept:
         return child
     return Filter(child, _and_all(kept))
+
+
+def _push_inner_conjuncts(join: Join) -> Join:
+    """Move a left, semi or anti join's ON conjuncts that read only the
+    inner (right) side into a filter on that side: an inner row failing
+    one matches no outer row, so dropping it first changes no result.
+    At least one conjunct stays in the condition, and the join keeps its
+    match-column name."""
+    if join.condition is None:
+        return join
+    inner: list[Expr] = []
+    kept: list[Expr] = []
+    for c in _split_and(join.condition):
+        refs = [r.key for r in column_refs(c)]
+        only_right = bool(refs) and all(
+            _resolves(join.right.schema, r) and not _resolves(join.left.schema, r) for r in refs
+        )
+        (inner if only_right else kept).append(c)
+    if not inner or not kept:
+        return join
+    out = join.with_children([join.left, push_filters(Filter(join.right, _and_all(inner)))])
+    out.condition = _and_all(kept)
+    return out
 
 
 def _try_push(child: LogicalPlan, conjunct: Expr) -> LogicalPlan | None:
@@ -256,31 +281,11 @@ def _greedy_join(
     parts: list[LogicalPlan] = list(leaves)
     pending_residual = list(residual)
 
-    def provides(p: LogicalPlan, key: str) -> bool:
-        return _resolves(p.schema, key)
-
-    def join_condition(a: LogicalPlan, b: LogicalPlan) -> Expr | None:
-        """All equivalence-class-implied equalities between a and b."""
-        conds: list[Expr] = []
-        cols_a = [c.name for c in a.schema]
-        cols_b = [c.name for c in b.schema]
-        seen_classes: set[tuple[str, str]] = set()
-        for ca in cols_a:
-            for cb in cols_b:
-                if uf.find(ca) == uf.find(cb) and ca in uf.parent and cb in uf.parent:
-                    cls = uf.find(ca)
-                    pair_key = (cls, "")
-                    if pair_key in seen_classes:
-                        continue
-                    seen_classes.add(pair_key)
-                    conds.append(BinaryOp("=", ColumnRef(ca), ColumnRef(cb)))
-        return _and_all(conds) if conds else None
-
     while len(parts) > 1:
         best = None
         best_rows = None
         for i, j in itertools.combinations(range(len(parts)), 2):
-            cond = join_condition(parts[i], parts[j])
+            cond = join_condition(uf, parts[i], parts[j])
             trial = Join(parts[i], parts[j], "inner" if cond is not None else "cross", cond)
             rows = deriver.rows(trial)
             penalty = 1.0 if cond is not None else 1e6  # avoid crossproducts
@@ -305,6 +310,22 @@ def _greedy_join(
     if pending_residual:
         out = Filter(out, _and_all(pending_residual))
     return out
+
+
+def join_condition(uf: _UnionFind, a: LogicalPlan, b: LogicalPlan) -> Expr | None:
+    """All equivalence-class-implied equalities between ``a`` and ``b``:
+    per class, its first column in ``a`` equals its first column in
+    ``b``, in the order of ``a``'s columns. Each side's columns are
+    indexed by class once, instead of comparing every pair."""
+    first_b: dict[str, str] = {}
+    for c in b.schema:
+        first_b.setdefault(uf.find(c.name), c.name)
+    conds: list[Expr] = []
+    for c in a.schema:
+        cb = first_b.pop(uf.find(c.name), None)
+        if cb is not None:
+            conds.append(BinaryOp("=", ColumnRef(c.name), ColumnRef(cb)))
+    return _and_all(conds) if conds else None
 
 
 def _equi_cols(conjunct: Expr) -> tuple[str, str] | None:

@@ -245,8 +245,10 @@ def _compile(expr: Expr, schema: Schema) -> Compiled:
                 (r.match(s) is not None for s in entries), count=len(entries), dtype=bool
             )
 
-        def like_fn(batch: RowBatch, f=inner.fn, neg=expr.negated):
-            mask = f(batch).map_entries(matches)
+        def like_fn(batch: RowBatch, f=inner.fn, neg=expr.negated, key=("LIKE", rx.pattern)):
+            # memoised per dictionary: a cached page dictionary matches
+            # each pattern once for every query that applies it
+            mask = f(batch).map_entries(matches, key)
             return ~mask if neg else mask
 
         return Compiled(like_fn, DataType.BOOL)

@@ -8,7 +8,7 @@ from repro.optimizer.dataflow import DataflowPlanner, convert_naive
 from repro.optimizer.physical import COORD, REPLICATED, WORKERS, hash_part
 from repro.optimizer.rewrite import optimize_logical
 from repro.optimizer.stats import ColumnStats
-from repro.sql import parse
+from repro.sql import parse, parse_expr
 
 ORDERS = Schema.of(
     ("o_k", DataType.INT64), ("o_ck", DataType.INT64), ("o_v", DataType.FLOAT64)
@@ -215,3 +215,104 @@ class TestExchangeReduction:
         assert len(ops(p3, "gather")) < len(ops(p2, "gather"))
         worker_joins = [j for j in ops(p3, "hashjoin") if j.site == WORKERS]
         assert worker_joins
+
+
+class TestJoinEquivalentPartitioning:
+    """An inner equi-join's output is hash-partitioned on the other side's
+    key too; a left join, mixed types and a projected-away key add
+    nothing."""
+
+    def _equiv(self, kind, cond):
+        from repro.optimizer.dataflow import _with_join_equivalents
+        from repro.optimizer.logical import Join, Scan, split_equi_condition
+
+        left, right = Scan("orders", None, ORDERS), Scan("items", None, ITEMS)
+        node = Join(left, right, kind, parse_expr(cond))
+        pairs, _ = split_equi_condition(node.condition, left.schema, right.schema)
+        return _with_join_equivalents(hash_part(["o_k"]), node, pairs)
+
+    def test_inner_join_adds_the_other_key(self):
+        part = self._equiv("inner", "o_k = i_ok")
+        assert part.keys == ("o_k",) and part.equivalents == (("i_ok",),)
+        assert part.co_located_on(["i_ok", "i_q"])
+
+    def test_left_join_adds_none(self):
+        part = self._equiv("left", "o_k = i_ok")
+        assert part.equivalents == ()
+        assert not part.co_located_on(["i_ok"])
+
+    def test_mixed_types_add_none(self):
+        assert self._equiv("inner", "o_k = i_q").equivalents == ()
+
+    def test_projection_keeps_a_surviving_equivalent(self):
+        from repro.optimizer.dataflow import _project_partitioning
+        from repro.sql.ast import ColumnRef
+
+        part = self._equiv("inner", "o_k = i_ok")
+        kept = _project_partitioning(part, [("i_ok", ColumnRef("i_ok")), ("v", ColumnRef("o_v"))])
+        assert kept.kind == "hash" and kept.keys == ("i_ok",) and kept.equivalents == ()
+        gone = _project_partitioning(part, [("v", ColumnRef("o_v"))])
+        assert gone.kind == "arbitrary"
+
+    def test_group_by_the_joined_key_needs_no_shuffle(self):
+        p = plan("select i_ok, sum(o_v) from orders, items where o_k = i_ok group by i_ok")
+        (agg,) = ops(p, "agg")
+        assert agg.attrs["mode"] == "complete"
+        # one shuffle, under the join: none between the join and the aggregate
+        (shuffle,) = ops(p, "shuffle")
+        (join,) = ops(p, "hashjoin")
+        assert shuffle in join.children
+
+
+class TestOneKeyAggregateShuffle:
+    def test_the_numeric_key_with_most_distinct_values_routes(self):
+        p = plan("select o_v, o_k, count(*) from orders group by o_v, o_k")
+        (shuffle,) = ops(p, "shuffle")
+        assert [str(k) for k in shuffle.attrs["key_exprs"]] == ["o_k"]
+        assert ops(p, "agg")[0].partitioning.keys == ("o_k",)
+
+    def test_string_keys_never_route_alone(self):
+        p = plan("select c_n, count(*) from cust group by c_n")
+        (shuffle,) = ops(p, "shuffle")
+        assert [str(k) for k in shuffle.attrs["key_exprs"]] == ["c_n"]
+
+    def test_too_few_distinct_values_hash_every_key(self):
+        few = StatsProvider({"orders": TableStats(1e6, {
+            "o_k": ColumnStats(60, 1, 60),
+            "o_ck": ColumnStats(1e5, 1, 10**5),
+            "o_v": ColumnStats(50, 0, 50),
+        })})
+        logical = optimize_logical(
+            Binder(Cat()).bind(parse("select o_v, o_k, count(*) from orders group by o_v, o_k")),
+            StatsDeriver(few),
+        )
+        planner = DataflowPlanner(
+            lambda t: PLACEMENT[t], StatsDeriver(few), ClusterConfig(n_workers=8, n_max=8)
+        )
+        (shuffle,) = ops(planner.plan(logical), "shuffle")
+        # 60 distinct values are under 8 a worker on 8 workers
+        assert [str(k) for k in shuffle.attrs["key_exprs"]] == ["o_v", "o_k"]
+
+
+class TestTpchExchanges:
+    def test_q18_aggregates_where_the_join_left_its_rows(self, tpch_db):
+        from repro.sql import parse as parse_sql
+        from repro.workloads import tpch_queries
+
+        _, p = tpch_db.plan_select(parse_sql(tpch_queries.query(18, 0.002)))
+        agg = next(n for n in p.walk() if n.op == "agg")
+        node = agg.children[0]
+        while node.op == "project":
+            node = node.children[0]
+        assert node.op == "hashjoin"
+        assert agg.attrs["mode"] == "complete"
+
+    def test_q10_aggregate_shuffles_one_key(self, tpch_db):
+        from repro.sql import parse as parse_sql
+        from repro.workloads import tpch_queries
+
+        _, p = tpch_db.plan_select(parse_sql(tpch_queries.query(10, 0.002)))
+        agg = next(n for n in p.walk() if n.op == "agg")
+        assert len(agg.attrs["group_keys"]) == 7
+        (shuffle,) = [n for n in agg.walk() if n.op == "shuffle" and n in agg.children]
+        assert [str(k) for k in shuffle.attrs["key_exprs"]] == ["c_custkey"]

@@ -294,6 +294,35 @@ class TestTopK:
         assert acc.col("v").tolist() == want
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [1, 7, 40, 199, 200, 250])
+    def test_ties_equal_the_full_sort(self, seed, k):
+        """The candidates ``np.partition`` keeps (every row tied with the
+        k-th included) give exactly the rows and order of a full stable
+        sort's first k, across key types, directions and NULLs."""
+        rng = np.random.default_rng(seed)
+        n = 200
+        f = rng.integers(0, 5, n).astype(np.float64)
+        f[rng.random(n) < 0.2] = np.nan
+        strings = np.empty(n, dtype=object)
+        strings[:] = [f"s{i}" for i in rng.integers(0, 4, n)]
+        b = RowBatch.from_pairs(
+            ("a", DataType.INT64, rng.integers(0, 6, n)),
+            ("f", DataType.FLOAT64, f),
+            ("s", DataType.STRING, strings),
+            ("row", DataType.INT64, np.arange(n)),
+        )
+        for keys in (
+            [("a", True), ("s", False)],
+            [("a", False)],
+            [("f", True), ("a", True)],
+            [("f", False)],
+            [("s", True), ("f", False)],
+        ):
+            want = b.take(sort_indices(b, keys)[:k]).col("row").tolist()
+            assert top_k(b, keys, k).col("row").tolist() == want, keys
+
+
 class TestEdgeCases:
     """Degenerate inputs the streaming engine can produce: empty morsels,
     filters that drop every row, single-value group keys."""

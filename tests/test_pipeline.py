@@ -248,7 +248,7 @@ class TestCodecToggles:
         offsets = np.zeros(len(blobs) + 1, dtype=np.uint32)
         np.cumsum([len(x) for x in blobs], out=offsets[1:])
         entries = b.col("s").dictionary.values
-        assert batch_mod._encode_strings(entries) == offsets.tobytes() + b"".join(blobs)
+        assert batch_mod._utf8_face(entries).to_bytes() == offsets.tobytes() + b"".join(blobs)
 
     @pytest.mark.parametrize("values", CASES)
     def test_huffman_streams_bit_identical(self, values):
