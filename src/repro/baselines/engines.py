@@ -17,8 +17,10 @@ counts, sort work) are caused by the mechanism, not by unrelated code:
 * :class:`MPPStyleExecutor` (Greenplum 4.3): fully pipelined in-memory
   shuffle like HRDBMS, but over a **direct all-to-all interconnect** —
   every node opens a connection to every other node (no ``N_max`` bound,
-  no hub forwarding) — and without predicate-based data skipping or
-  Bloom-filtered shuffles.
+  no hub forwarding) — with a flat gather to the master in place of the
+  reduce tree, and without Bloom-filtered shuffles.
+
+All three scan with the engine's data skipping.
 
 These run real queries; the analytic performance model
 (:mod:`repro.bench.model`) uses the same mechanism switches to project

@@ -146,24 +146,6 @@ class ClusterCatalog(BinderCatalog):
         self.version += 1
         return pm
 
-    def snapshot(self) -> dict:
-        return {
-            "tables": dict(self.tables),
-            "virtual": dict(self.virtual),
-            "version": self.version,
-            "placement": self.placement,
-            "placement_history": dict(self.placement_history),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.tables = dict(snap["tables"])
-        self.virtual = dict(snap.get("virtual", {}))
-        self.version = snap["version"]
-        self.placement = snap.get("placement", PlacementMap())
-        self.placement_history = dict(
-            snap.get("placement_history", {self.placement.epoch: self.placement})
-        )
-
 
 def scheme_from_clause(
     partition: Optional[tuple[str, tuple[str, ...]]], n_workers: int

@@ -435,15 +435,6 @@ class Database:
                 self._submit_pool.shutdown(wait=True)
                 self._submit_pool = None
 
-    def concurrency_stats(self) -> dict:
-        """Serving-layer observability: admission, plan cache, memory."""
-        return {
-            "admission": self.admission.stats(),
-            "plan_cache": self.plan_cache.stats(),
-            "peak_memory": max(w.governor.peak for w in self.workers.values()),
-            "memory_budget_per_node": self.config.memory_per_node,
-        }
-
     # -- telemetry ----------------------------------------------------------------
     def _register_collectors(self) -> None:
         """Wire every subsystem's existing counters into the registry as
@@ -685,10 +676,11 @@ class Database:
         return self.coordinators[0].stats
 
     def _replicate_metadata(self, fn) -> None:
-        """Apply a metadata mutation on every coordinator replica.
+        """Apply a metadata mutation on every coordinator replica in turn.
 
-        The 2PC-backed path in :mod:`repro.txn` uses this hook; outside a
-        transaction it still updates all replicas atomically-in-process.
+        The replicas are identical in-process copies and every catalog
+        mutation validates before it writes, so a mutation that fails
+        fails on the first replica, before any replica has changed.
         """
         for c in self.coordinators:
             fn(c)
@@ -1135,19 +1127,6 @@ class Database:
         # follows the live aggregate memory
         self.admission.resize(self.config.memory_per_node * len(self.worker_ids))
 
-    def elasticity_stats(self) -> dict:
-        """Membership + rebalance observability for benches and tests."""
-        return {
-            "workers": len(self.worker_ids),
-            "placement_epoch": self.catalog.placement_epoch,
-            "rebalances": len(self.rebalances),
-            "bytes_moved": sum(r.bytes_moved for r in self.rebalances),
-            "streams": sum(r.streams for r in self.rebalances),
-            "retries": sum(r.retries for r in self.rebalances),
-            "reroutes": sum(r.reroutes for r in self.rebalances),
-            "draining": sorted(self._executor.health.draining()),
-        }
-
     # -- loading & statistics ---------------------------------------------------------
     def load(self, name: str, batch: RowBatch) -> None:
         """Bulk-load rows, partitioning across workers per the table scheme."""
@@ -1498,12 +1477,6 @@ class Database:
         return res
 
     # -- observability --------------------------------------------------------------------
-    def predicate_cache_bytes(self) -> dict[int, int]:
-        return {
-            w: sum(ts.predicate_cache_bytes() for ts in wk.storage.values())
-            for w, wk in self.workers.items()
-        }
-
     def table_rows(self, name: str) -> int:
         entry = self.catalog.entry(name)
         if isinstance(entry.scheme, Replicated):

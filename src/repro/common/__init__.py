@@ -8,7 +8,6 @@ from .errors import (
     CatalogError,
     ConfigError,
     ExecutionError,
-    OutOfMemoryError,
     ParseError,
     PlanError,
     ReproError,
@@ -40,6 +39,5 @@ __all__ = [
     "ParseError",
     "PlanError",
     "ExecutionError",
-    "OutOfMemoryError",
     "TxnError",
 ]

@@ -679,12 +679,6 @@ class RowBatch:
         cols = {mapping.get(k, k): v for k, v in self.columns.items()}
         return RowBatch(schema, cols)
 
-    def with_column(self, name: str, dtype: DataType, values: np.ndarray) -> "RowBatch":
-        schema = Schema(tuple(self.schema.columns) + (Column(name, dtype),))
-        cols = dict(self.columns)
-        cols[name] = values
-        return RowBatch(schema, cols)
-
     def decoded(self) -> "RowBatch":
         """Materialize every string column's values now (they are
         memoised on the column): the final gather of a query result, so

@@ -9,7 +9,7 @@ per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -127,15 +127,6 @@ class ClusterConfig:
         if self.query_history < 1:
             raise ConfigError("query_history must be >= 1")
 
-    def with_(self, **kwargs) -> "ClusterConfig":
-        """Functional update."""
-        return replace(self, **kwargs)
-
     @property
     def pages_per_pool(self) -> int:
         return max(1, self.buffer_pool_size // self.page_size)
-
-
-#: Mirror of the paper's evaluation environment (Cooley):
-#: 12 cores, 2+2 disks, 24 GB RAM cap for the main experiments.
-PAPER_NODE = dict(disks_per_node=2, n_max=8)

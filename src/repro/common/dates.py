@@ -67,8 +67,3 @@ def _days_in_month(year: int, month: int) -> int:
     else:
         nxt = _dt.date(year, month + 1, 1)
     return (nxt - _dt.date(year, month, 1)).days
-
-
-#: TPC-H date range endpoints, used by the data generator and statistics.
-TPCH_MIN_DATE = date_to_days("1992-01-01")
-TPCH_MAX_DATE = date_to_days("1998-12-31")

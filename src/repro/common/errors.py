@@ -24,11 +24,11 @@ class PageFormatError(StorageError):
 
 
 class BufferPoolError(StorageError):
-    """Buffer-manager invariant violation (double unpin, missing page, ...)."""
+    """Buffer-manager invariant violation (unregistered file, empty stripe, ...)."""
 
 
 class IndexError_(StorageError):
-    """Index structure errors (B+-tree / skip list)."""
+    """B+-tree structure errors."""
 
 
 class CatalogError(ReproError):
@@ -75,15 +75,6 @@ class WorkerFailureError(ExecutionError):
     def __init__(self, worker_id: int, message: str = ""):
         super().__init__(message or f"worker {worker_id} failed mid-query")
         self.worker_id = worker_id
-
-
-class OutOfMemoryError(ExecutionError):
-    """An operator exceeded its memory budget and the engine (or the
-    modeled engine) does not support spilling for that operator.
-
-    This mirrors the out-of-memory failures the paper observed for
-    Greenplum and Spark SQL at low memory-per-node configurations.
-    """
 
 
 class NetworkError(ReproError):

@@ -125,9 +125,6 @@ class SpillableList:
             fh.close()
         yield from self._mem
 
-    def materialize(self) -> RowBatch:
-        return RowBatch.concat(self.schema, list(self))
-
     @property
     def rows(self) -> int:
         return self._disk_rows + sum(b.length for b in self._mem)

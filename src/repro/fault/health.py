@@ -146,9 +146,3 @@ class WorkerHealthTracker:
         with self._mu:
             return set(self._draining)
 
-    def reset(self) -> None:
-        with self._mu:
-            self._failures.clear()
-            self._successes.clear()
-            self._skips.clear()
-            self._draining.clear()

@@ -1,15 +1,12 @@
 """Scalable communication: topologies + simulated network."""
 
-from .simnet import LinkStats, NetworkCostModel, SimNetwork
-from .topology import BinomialGraphTopology, Topology, TreeTopology, build_n_to_m, build_tree
+from .simnet import LinkStats, SimNetwork
+from .topology import BinomialGraphTopology, Topology, TreeTopology
 
 __all__ = [
     "SimNetwork",
     "LinkStats",
-    "NetworkCostModel",
     "Topology",
     "TreeTopology",
     "BinomialGraphTopology",
-    "build_tree",
-    "build_n_to_m",
 ]

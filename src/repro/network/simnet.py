@@ -5,12 +5,7 @@ hop through a :class:`~repro.network.topology.Topology`, so hub
 forwarding is real data movement, not an annotation. Per-link message
 and byte counters plus the set of distinct connections ever opened per
 node let tests and benchmarks verify the paper's central claim — the
-``N_max`` bound on per-node connections — and let the cost model charge
-for forwarding.
-
-Time is modeled, not wall-clock: :class:`NetworkCostModel` converts the
-recorded traffic into seconds using an alpha-beta (latency + bandwidth)
-model, the standard abstraction for cluster interconnects.
+``N_max`` bound on per-node connections.
 """
 
 from __future__ import annotations
@@ -243,10 +238,6 @@ class SimNetwork:
         with self._lock:
             return max((len(v) for v in self.connections.values()), default=0)
 
-    def connections_of(self, node: int) -> int:
-        with self._lock:
-            return len(self.connections.get(node, ()))
-
     def traffic_of(self, prefix: str) -> TrafficStats:
         """A snapshot of one query prefix's traffic totals."""
         with self._lock:
@@ -288,32 +279,3 @@ class SimNetwork:
             self.total_messages = 0
             self.total_bytes = 0
             self.forwarded_bytes = 0
-
-
-@dataclass(frozen=True)
-class NetworkCostModel:
-    """Alpha-beta interconnect model.
-
-    ``time = alpha * messages + bytes / bandwidth`` per link; aggregate
-    query time uses the busiest link (the critical path under full
-    overlap), which is how shuffle-bound stages behave.
-
-    Defaults approximate the paper's FDR InfiniBand fabric as seen by a
-    JVM application (effective, not line-rate).
-    """
-
-    alpha: float = 5e-6  # per-message latency, seconds
-    bandwidth: float = 3e9  # effective bytes/second per link
-    connection_setup: float = 2e-4  # socket open + handshake, seconds
-
-    def link_time(self, stats: LinkStats) -> float:
-        return self.alpha * stats.messages + stats.bytes / self.bandwidth
-
-    def critical_path_time(self, net: SimNetwork) -> float:
-        """Busiest-link time plus connection setup on the busiest node."""
-        link = max((self.link_time(s) for s in net.links.values()), default=0.0)
-        conn = net.max_connections() * self.connection_setup
-        return link + conn
-
-    def connections_setup_time(self, net: SimNetwork, node: int) -> float:
-        return net.connections_of(node) * self.connection_setup

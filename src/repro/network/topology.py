@@ -124,13 +124,6 @@ class TreeTopology(Topology):
             chain.append(p)
         return chain
 
-    def levels(self) -> list[list[int]]:
-        """Nodes grouped by depth, root first (merge-phase scheduling)."""
-        by_depth: dict[int, list[int]] = {}
-        for n in self.nodes:
-            by_depth.setdefault(self.depth(n), []).append(n)
-        return [by_depth[d] for d in sorted(by_depth)]
-
 
 class BinomialGraphTopology(Topology):
     """Generalized binomial graph on a ring.
@@ -239,11 +232,3 @@ class BinomialGraphTopology(Topology):
             if guard > 4 * n:  # pragma: no cover - safety net
                 raise TopologyError("routing failed to converge")
         return path
-
-
-def build_tree(nodes: Sequence[int], n_max: int, root: int | None = None) -> TreeTopology:
-    return TreeTopology(nodes, n_max, root)
-
-
-def build_n_to_m(nodes: Sequence[int], n_max: int) -> BinomialGraphTopology:
-    return BinomialGraphTopology(nodes, n_max)

@@ -296,14 +296,6 @@ def walk(plan: LogicalPlan):
         yield from walk(c)
 
 
-def transform_up(plan: LogicalPlan, fn) -> LogicalPlan:
-    """Bottom-up rewriting: children first, then the node itself."""
-    new_children = [transform_up(c, fn) for c in plan.children()]
-    if new_children != plan.children():
-        plan = plan.with_children(new_children)
-    return fn(plan)
-
-
 def split_equi_condition(
     cond: Expr | None, lschema: Schema, rschema: Schema
 ) -> tuple[list[tuple[Expr, Expr]], list[Expr]]:

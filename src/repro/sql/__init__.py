@@ -3,14 +3,13 @@
 from . import ast
 from .compiler import Compiled, compile_expr, compile_predicate, infer_type, to_scan_predicate
 from .lexer import Token, tokenize
-from .parser import parse, parse_expr, parse_select
+from .parser import parse, parse_expr
 
 __all__ = [
     "ast",
     "tokenize",
     "Token",
     "parse",
-    "parse_select",
     "parse_expr",
     "compile_expr",
     "compile_predicate",

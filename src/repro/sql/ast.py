@@ -252,10 +252,6 @@ class TableRef(FromItem):
     name: str
     alias: Optional[str] = None
 
-    @property
-    def binding(self) -> str:
-        return self.alias or self.name
-
 
 @dataclass(frozen=True)
 class SubqueryRef(FromItem):

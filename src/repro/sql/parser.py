@@ -51,13 +51,6 @@ def parse(sql: str):
     return Parser(tokenize(sql)).parse_statement()
 
 
-def parse_select(sql: str) -> SelectStmt:
-    stmt = parse(sql)
-    if not isinstance(stmt, SelectStmt):
-        raise ParseError("expected a SELECT statement")
-    return stmt
-
-
 def parse_expr(sql: str) -> Expr:
     """Parse a standalone scalar/boolean expression (tests, tools)."""
     p = Parser(tokenize(sql))

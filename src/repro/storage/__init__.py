@@ -7,7 +7,6 @@ from .external import CsvExternalTable, ExternalFragment, ExternalTableType, InM
 from .page import PagedFile
 from .partition import HashPartition, PartitionScheme, RangePartition, Replicated, RoundRobin
 from .predicate_cache import Atom, Op, PageMinMax, PredicateCache, ScanPredicate
-from .skiplist import DiskSkipList
 from .table import COLUMN, ROW, ScanStats, TableStorage
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "ROW",
     "COLUMN",
     "BPlusTree",
-    "DiskSkipList",
     "PredicateCache",
     "ScanPredicate",
     "Atom",

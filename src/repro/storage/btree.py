@@ -12,7 +12,7 @@ system; ``reorganize`` rebuilds the tree compactly.
 from __future__ import annotations
 
 import pickle
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..common.errors import IndexError_
 from ..util.fs import FileSystem
@@ -65,7 +65,7 @@ class BPlusTree:
         self.bufmgr.put(self.path, page_no, blob)
 
     def _read_node(self, page_no: int) -> tuple[int, list, list, int]:
-        return pickle.loads(self.bufmgr.get(self.path, page_no, pin=False))
+        return pickle.loads(self.bufmgr.get(self.path, page_no))
 
     def _save_meta(self) -> None:
         fh = self.fs.open(self.meta_path)
@@ -194,21 +194,6 @@ class BPlusTree:
                 return h
             page_no = payload[0]
             h += 1
-
-    @classmethod
-    def bulk_build(
-        cls,
-        fs: FileSystem,
-        bufmgr: BufferManager,
-        path: str,
-        items: Sequence[tuple[object, object]],
-        **kw,
-    ) -> "BPlusTree":
-        """Sorted bulk load (used at CREATE INDEX / reorganize time)."""
-        tree = cls(fs, bufmgr, path, **kw)
-        for k, v in sorted(items, key=lambda kv: kv[0]):
-            tree.insert(k, v)
-        return tree
 
 
 def _lower_bound(keys: list, key) -> int:

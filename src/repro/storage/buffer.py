@@ -9,11 +9,13 @@ then prioritizes — effective when most traffic is concurrent OLAP scans.
 This implementation keeps those structures and policies faithfully:
 
 * striped frame tables with per-stripe locks (stripe managers),
-* pin/unpin with dirty tracking and write-back on eviction,
+* dirty tracking and write-back on eviction,
 * clock-hand second-chance eviction,
 * ``declare_scan`` hints that shield announced pages from eviction until
-  consumed (one shielding per declaration),
-* dynamic grow/shrink of the pool (``set_capacity``).
+  consumed (one shielding per declaration).
+
+Readers get immutable ``bytes``, so evicting a frame never invalidates
+a page a reader holds, and frames need no pin counts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ PageKey = tuple[str, int]  # (file path, page number)
 class _Frame:
     key: PageKey
     payload: bytes
-    pin_count: int = 0
     referenced: bool = True
     dirty: bool = False
     declared: bool = False  # pre-declared by a scan; shielded once
@@ -49,30 +50,27 @@ class _Stripe:
         self.lock = threading.RLock()
 
     def _evict_one(self, writeback: Callable[[PageKey, bytes], None]) -> None:
-        """Advance the clock hand until a victim is found."""
+        """Advance the clock hand until a victim is found (within three
+        sweeps: a frame is spared once per declaration and once per
+        reference)."""
         if not self.ring:
             raise BufferPoolError("stripe has no evictable frames")
-        scanned = 0
-        limit = 3 * len(self.ring) + 1
-        while scanned <= limit:
+        while True:
             self.hand %= len(self.ring)
             key = self.ring[self.hand]
             frame = self.frames[key]
-            if frame.pin_count == 0:
-                if frame.declared:
-                    # pre-declared by a scan: spare it once
-                    frame.declared = False
-                elif frame.referenced:
-                    frame.referenced = False
-                else:
-                    if frame.dirty:
-                        writeback(key, frame.payload)
-                    del self.frames[key]
-                    self.ring.pop(self.hand)
-                    return
+            if frame.declared:
+                # pre-declared by a scan: spare it once
+                frame.declared = False
+            elif frame.referenced:
+                frame.referenced = False
+            else:
+                if frame.dirty:
+                    writeback(key, frame.payload)
+                del self.frames[key]
+                self.ring.pop(self.hand)
+                return
             self.hand += 1
-            scanned += 1
-        raise BufferPoolError("all frames pinned; cannot evict")
 
 
 class BufferManager:
@@ -108,8 +106,8 @@ class BufferManager:
         self.evictions += 1
 
     # -- public API ---------------------------------------------------------------
-    def get(self, path: str, page_no: int, pin: bool = True) -> bytes:
-        """Fetch a page (from cache or disk); optionally pin it."""
+    def get(self, path: str, page_no: int) -> bytes:
+        """Fetch a page (from cache or disk)."""
         key = (path, page_no)
         stripe = self._stripe_of(key)
         with stripe.lock:
@@ -126,12 +124,10 @@ class BufferManager:
                 self.hits += 1
                 frame.referenced = True
                 frame.declared = False  # the declaration has been consumed
-            if pin:
-                frame.pin_count += 1
             return frame.payload
 
     def get_many(self, path: str, page_nos: list[int]) -> list[bytes]:
-        """Fetch several pages unpinned in one call.
+        """Fetch several pages in one call.
 
         Hot scan path: one page set's column pages per call, so the
         per-page function/dispatch overhead of :meth:`get` is paid once
@@ -159,7 +155,7 @@ class BufferManager:
                 out.append(frame.payload)
         return out
 
-    def put(self, path: str, page_no: int, payload: bytes, pin: bool = False) -> None:
+    def put(self, path: str, page_no: int, payload: bytes) -> None:
         """Install a new/updated page image and mark it dirty."""
         key = (path, page_no)
         stripe = self._stripe_of(key)
@@ -175,17 +171,6 @@ class BufferManager:
                 frame.payload = payload
                 frame.dirty = True
                 frame.referenced = True
-            if pin:
-                frame.pin_count += 1
-
-    def unpin(self, path: str, page_no: int) -> None:
-        key = (path, page_no)
-        stripe = self._stripe_of(key)
-        with stripe.lock:
-            frame = stripe.frames.get(key)
-            if frame is None or frame.pin_count == 0:
-                raise BufferPoolError(f"unpin of unpinned page {key}")
-            frame.pin_count -= 1
 
     def declare_scan(self, path: str, page_nos: list[int]) -> None:
         """Pre-declare pages a scan will request soon (clock prioritizes)."""
@@ -223,20 +208,6 @@ class BufferManager:
                 stripe.ring = [k for k in stripe.ring if k[0] != path]
                 stripe.hand = 0
 
-    def set_capacity(self, capacity_pages: int) -> None:
-        """Dynamically grow or shrink the pool (paper: buffer pool resizes)."""
-        per = max(1, capacity_pages // len(self.stripes))
-        for stripe in self.stripes:
-            with stripe.lock:
-                stripe.capacity = per
-                while len(stripe.frames) > per:
-                    stripe._evict_one(self._writeback)
-
     @property
     def cached_pages(self) -> int:
         return sum(len(s.frames) for s in self.stripes)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -24,12 +24,9 @@ Decoded columns live in one byte-capped LRU, so long sessions over many
 tables stay within ``set_decoded_cache_limit`` instead of growing without
 bound. Scans read *fragment columns* (see :mod:`repro.storage.table`):
 each built from :func:`decode_page` and cached under the fragment's
-generation number (:func:`cached_column` / :func:`cache_column`), so a
-page folded into one is not cached again on its own. The one-page
-reader :func:`decode_column` caches by content instead (pages are
-immutable, so a payload's bytes fully determine its decoded form).
-Dictionaries are cached by their blob, so pages that repeat one (every
-``l_returnflag`` page) share a single
+generation number (:func:`cached_column` / :func:`cache_column`); no
+page is cached on its own. Dictionaries are cached by their blob, so
+pages that repeat one (every ``l_returnflag`` page) share a single
 :class:`~repro.common.batch.StringDictionary` and whatever has been
 memoised on it.
 """
@@ -122,8 +119,7 @@ class _ByteLRU:
 #: default byte budgets; Database applies ClusterConfig.decoded_cache_mb
 _DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
-#: decoded columns (numeric copies + string DictColumns): fragment
-#: columns, and the pages :func:`decode_column` reads one at a time
+#: decoded fragment columns (numeric copies + string DictColumns)
 _COLUMN_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES)
 #: Huffman-decoded dictionaries of dictionary pages, shared across pages
 _STRING_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES // 4)
@@ -264,22 +260,6 @@ def freeze(col):
     corrupting the cache."""
     (col.codes if isinstance(col, DictColumn) else col).setflags(write=False)
     return col
-
-
-def decode_column(payload: bytes, dtype: DataType, n_rows: int):
-    """Decode one column page through the cache: an ndarray, or a
-    DictColumn for STRING. Pages are immutable and the cache key is the
-    payload *content*, so rewritten pages can never serve stale values —
-    they are a different payload."""
-    key = (payload, dtype, n_rows)
-    col = _COLUMN_CACHE.lookup(key)
-    if col is not None:
-        return handout(col)
-    col = decode_page(payload, dtype, n_rows)
-    if not isinstance(col, DictColumn):
-        col = col.copy()
-    _COLUMN_CACHE.insert(key, freeze(col), decoded_nbytes(col))
-    return handout(col)
 
 
 def handout(col):

@@ -144,66 +144,3 @@ def _rows_to_batch(rows: list[list], schema: Schema) -> RowBatch:
         else:
             cols[col.name] = raw
     return RowBatch(schema, cols)
-
-
-class JsonLinesExternalTable(ExternalTableType):
-    """JSON-lines UET: one JSON object per line, one file per fragment.
-
-    A second concrete UET alongside CSV, demonstrating the framework's
-    extensibility (the paper's 'variety of external data sources').
-    Missing keys take type defaults; extra keys are ignored.
-    """
-
-    name = "jsonl"
-
-    def __init__(self, paths: Sequence[str], schema: Schema):
-        if not paths:
-            raise StorageError("external JSONL table needs at least one file")
-        self.paths = list(paths)
-        self._schema = schema
-
-    def schema(self) -> Schema:
-        return self._schema
-
-    def fragments(self, n_workers: int) -> list[ExternalFragment]:
-        return [
-            ExternalFragment(p, preferred_node=i % n_workers)
-            for i, p in enumerate(self.paths)
-        ]
-
-    def scan_fragment(self, frag: ExternalFragment, batch_size: int) -> Iterator[RowBatch]:
-        import json
-
-        buf: list[list] = []
-        names = [c.unqualified for c in self._schema]
-        with open(frag.locator) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                buf.append([obj.get(n) for n in names])
-                if len(buf) >= batch_size:
-                    yield _objects_to_batch(buf, self._schema)
-                    buf = []
-        if buf:
-            yield _objects_to_batch(buf, self._schema)
-
-
-def _objects_to_batch(rows: list[list], schema: Schema) -> RowBatch:
-    cols: dict[str, np.ndarray] = {}
-    for i, col in enumerate(schema.columns):
-        raw = [r[i] for r in rows]
-        if col.dtype == DataType.INT64:
-            cols[col.name] = np.asarray([int(v or 0) for v in raw], dtype=np.int64)
-        elif col.dtype in (DataType.FLOAT64, DataType.DECIMAL):
-            cols[col.name] = np.asarray([float(v or 0.0) for v in raw], dtype=np.float64)
-        elif col.dtype == DataType.DATE:
-            cols[col.name] = np.asarray(
-                [date_to_days(v) if v else 0 for v in raw], dtype=np.int32
-            )
-        elif col.dtype == DataType.BOOL:
-            cols[col.name] = np.asarray([bool(v) for v in raw], dtype=bool)
-        else:
-            cols[col.name] = ["" if v is None else str(v) for v in raw]
-    return RowBatch(schema, cols)

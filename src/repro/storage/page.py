@@ -83,19 +83,11 @@ class PagedFile:
             return self.codec.decompress(body)
         return bytes(body)
 
-    def append_page(self, payload: bytes) -> int:
-        page_no = self.num_pages()
-        self.write_page(page_no, payload)
-        return page_no
-
     def sync(self) -> None:
         self._fh.sync()
 
     def truncate_pages(self, n_pages: int) -> None:
         self._fh.truncate(n_pages * self.page_size)
-
-    def allocated_bytes(self) -> int:
-        return self.fs.allocated_bytes(self.path)
 
     def close(self) -> None:
         self._fh.close()

@@ -41,9 +41,6 @@ class Op(enum.Enum):
     NE = "<>"
 
 
-_FLIP = {Op.LT: Op.GT, Op.LE: Op.GE, Op.GT: Op.LT, Op.GE: Op.LE, Op.EQ: Op.EQ, Op.NE: Op.NE}
-
-
 @dataclass(frozen=True, order=True)
 class Atom:
     """A simple comparison ``column op constant``."""
@@ -51,9 +48,6 @@ class Atom:
     column: str
     op: Op
     value: object
-
-    def flipped(self) -> "Atom":
-        return Atom(self.column, _FLIP[self.op], self.value)
 
 
 class ScanPredicate:
@@ -246,9 +240,6 @@ class PredicateCache:
                 self.hits += 1
                 return True
         return False
-
-    def invalidate_page(self, page_id: int) -> None:
-        self._cache.pop(page_id, None)
 
     def clear(self) -> None:
         """Called on table reorganization."""

@@ -449,7 +449,7 @@ class _Fragment:
             # the columns that need it
             batches = [
                 RowPage.from_payload(
-                    self.bufmgr.get(self.path, s.first_page, pin=False), self.file.max_payload
+                    self.bufmgr.get(self.path, s.first_page), self.file.max_payload
                 ).to_batch(self.schema)
                 for s in sets[first:]
             ]
@@ -835,9 +835,6 @@ class TableStorage:
     @property
     def row_count(self) -> int:
         return sum(f.row_count for f in self.fragments)
-
-    def predicate_cache_bytes(self) -> int:
-        return sum(f.pred_cache.nbytes for f in self.fragments)
 
     def cumulative_stats(self) -> ScanStats:
         """Lifetime scan counters across fragments (metrics registry)."""

@@ -6,8 +6,8 @@ Four integrated layers (DESIGN.md §9, §14):
   → operator/exchange → per-site pipeline → network leg) exported as
   Chrome ``trace_event`` JSON, loadable in ``chrome://tracing`` or
   Perfetto.
-* :mod:`repro.telemetry.metrics` — process-wide Counter / Gauge /
-  Histogram primitives (per-thread shards, no locks on the hot path)
+* :mod:`repro.telemetry.metrics` — process-wide Counter / Histogram
+  primitives (per-thread shards, no locks on the hot path)
   plus a pull-model registry that samples every cluster subsystem and
   renders Prometheus text format.
 * :mod:`repro.telemetry.profile` — ``EXPLAIN ANALYZE``, a rendering of
@@ -20,7 +20,7 @@ Four integrated layers (DESIGN.md §9, §14):
   (ring-buffer history behind ``sys.metrics_history``).
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .profile import fused_ops, operator_spans, render_analyze
 from .recorder import FlightEvent, FlightRecorder
 from .sampler import MetricsSampler
@@ -30,7 +30,6 @@ __all__ = [
     "Counter",
     "FlightEvent",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSampler",

@@ -4,13 +4,12 @@ Two complementary acquisition paths, mirroring how production systems
 (and the H2O line of work on continuous resource metrics) split the
 problem:
 
-* **Push primitives** — :class:`Counter`, :class:`Gauge`,
-  :class:`Histogram` for code that wants to record as it runs (query
-  durations, morsel busy time). Counters and histograms shard their
-  state per thread: ``inc()``/``observe()`` touch only the calling
-  thread's slot — a plain dict update under the GIL, no lock — and
-  readers merge the shards at snapshot time. Gauges are single-slot
-  (last-write-wins is the correct semantics for a level).
+* **Push primitives** — :class:`Counter` and :class:`Histogram` for
+  code that wants to record as it runs (query durations, morsel busy
+  time). They shard their state per thread: ``inc()``/``observe()``
+  touch only the calling thread's slot — a plain dict update under the
+  GIL, no lock — and readers merge the shards at snapshot time. Levels
+  (queue depth, cached pages) are pull collectors of kind ``gauge``.
 * **Pull collectors** — subsystems that already keep counters (buffer
   manager hits, per-link network traffic, admission stats) register a
   collector callback; the registry samples them only when a snapshot is
@@ -76,31 +75,6 @@ class Counter:
     @property
     def value(self) -> float:
         return sum(self._shards.values())
-
-
-class Gauge:
-    """A level that can go up and down (queue depth, cached pages)."""
-
-    __slots__ = ("_value", "_mu")
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._mu = threading.Lock()
-
-    def set(self, v: float) -> None:
-        self._value = float(v)
-
-    def inc(self, v: float = 1.0) -> None:
-        with self._mu:
-            self._value += v
-
-    def dec(self, v: float = 1.0) -> None:
-        with self._mu:
-            self._value -= v
-
-    @property
-    def value(self) -> float:
-        return self._value
 
 
 class Histogram:
@@ -211,9 +185,6 @@ class MetricsRegistry:
     # -- primitive factories ----------------------------------------------------
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
         return self._family(name, "counter", help, labelnames, Counter)
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
-        return self._family(name, "gauge", help, labelnames, Gauge)
 
     def histogram(
         self,

@@ -44,7 +44,7 @@ class LockManager:
         self.waits = 0
         #: total simulated seconds spent waiting for locks
         self.wait_time_s = 0.0
-        #: deadlocks detected (immediate local cycles + periodic victims)
+        #: requests refused because waiting would close a local wait-for cycle
         self.deadlocks = 0
 
     # -- acquisition ----------------------------------------------------------------
@@ -163,41 +163,6 @@ class LockManager:
             seen.add(t)
             stack.extend(edges.get(t, ()))
         return False
-
-    def detect_deadlocks(self) -> list[int]:
-        """Periodic detector (paper: runs once a minute): returns victims
-        (youngest txn of each cycle)."""
-        edges = self._wait_for_edges()
-        victims: list[int] = []
-        seen_global: set[int] = set()
-        for start in list(edges):
-            if start in seen_global:
-                continue
-            path: list[int] = []
-            on_path: set[int] = set()
-
-            def dfs(t: int) -> int | None:
-                if t in on_path:
-                    cycle = path[path.index(t):]
-                    return max(cycle)  # youngest = largest id
-                if t in seen_global:
-                    return None
-                seen_global.add(t)
-                path.append(t)
-                on_path.add(t)
-                for nxt in edges.get(t, ()):
-                    v = dfs(nxt)
-                    if v is not None:
-                        return v
-                path.pop()
-                on_path.remove(t)
-                return None
-
-            v = dfs(start)
-            if v is not None:
-                victims.append(v)
-        self.deadlocks += len(victims)
-        return victims
 
     def advance_time(self, txn: int, seconds: float) -> None:
         """Simulated waiting; raises on timeout (distributed-deadlock escape)."""

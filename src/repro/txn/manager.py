@@ -4,9 +4,8 @@ Every worker runs a lock manager, transaction manager, and log manager;
 every coordinator additionally runs an XA manager (paper §VI). DML
 statements execute under SS2PL with logical undo logging; commit runs
 hierarchical 2PC across the involved workers. DDL (metadata changes)
-must succeed on *every* coordinator replica before committing — the
-paper's coordinator-metadata synchronization — which we drive through
-the same 2PC machinery with coordinators as participants.
+is not transactional here: the coordinator replicas are in-process
+copies that ``Database._replicate_metadata`` updates in turn.
 
 Undo is logical: an insert's compensation deletes exactly the inserted
 rows, a delete's re-inserts the removed rows, an update's restores the
@@ -66,7 +65,7 @@ class WorkerTxnNode:
         self.log.append(txn=txn, kind=COMMIT)
         self.log.force()
         # request the buffer manager to write back and release locks (paper's
-        # commit-time actions: unpin pages, release locks, persist WAL)
+        # commit-time actions: write back pages, release locks, persist WAL)
         self.worker.bufmgr.flush()
         self.locks.release_all(txn)
 
@@ -381,40 +380,3 @@ class TransactionSystem:
             elif op == "update":
                 self._delete_exact(storage, RowBatch.from_bytes(rec.after))
                 storage.insert(RowBatch.from_bytes(rec.before))
-
-    # -- metadata transactions (coordinator sync, paper §VI) --------------------------------
-    def metadata_commit(self, mutate, coordinator: int = 0) -> bool:
-        """Apply a metadata mutation on all coordinator replicas under 2PC.
-
-        ``mutate(coordinator_obj)`` must raise to vote NO. All replicas
-        prepare (apply + validate) before any commits; on any failure all
-        roll back to their snapshot.
-        """
-        txn_id = next(_txn_ids)
-        snapshots = {c.coord_id: c.catalog.snapshot() for c in self.db.coordinators}
-
-        class _CoordParticipant:
-            def __init__(self, coord, system):
-                self.node_id = coord.coord_id
-                self.coord = coord
-                self.failed = False
-
-            def prepare(self, txn: int, coordinator: int) -> bool:
-                try:
-                    mutate(self.coord)
-                    return True
-                except Exception:
-                    self.failed = True
-                    return False
-
-            def commit(self, txn: int) -> None:
-                pass
-
-            def rollback(self, txn: int) -> None:
-                self.coord.catalog.restore(snapshots[self.node_id])
-
-        participants = {
-            c.coord_id: _CoordParticipant(c, self) for c in self.db.coordinators
-        }
-        xa = self.xa[self.db.coord_ids[coordinator]]
-        return xa.commit(txn_id, participants)

@@ -28,7 +28,6 @@ BEGIN = "begin"
 COMMIT = "commit"
 ABORT = "abort"
 PREPARE = "prepare"
-CHECKPOINT = "checkpoint"
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class FileSystem:
     def listdir(self, prefix: str) -> list[str]:
         raise NotImplementedError
 
-    def allocated_bytes(self, path: str) -> int:
-        """Physically allocated bytes (sparse-aware where supported)."""
-        raise NotImplementedError
-
 
 class _SparseData:
     """One in-memory file: the 4 KiB blocks a write has touched, and the
@@ -130,7 +126,7 @@ class _MemFile(FileHandle):
 
 class MemFS(FileSystem):
     """In-memory filesystem of sparse files: only touched 4 KiB blocks are
-    stored, and they are what ``allocated_bytes`` counts."""
+    stored, and they are what ``total_allocated`` counts."""
 
     def __init__(self):
         self._files: dict[str, _SparseData] = {}
@@ -155,11 +151,6 @@ class MemFS(FileSystem):
     def listdir(self, prefix: str) -> list[str]:
         with self._lock:
             return sorted(p for p in self._files if p.startswith(prefix))
-
-    def allocated_bytes(self, path: str) -> int:
-        with self._lock:
-            f = self._files.get(path)
-            return len(f.blocks) * _SPARSE_BLOCK if f is not None else 0
 
     def total_allocated(self) -> int:
         with self._lock:
@@ -232,11 +223,3 @@ class LocalFS(FileSystem):
                 if rel.startswith(prefix):
                     out.append(rel)
         return sorted(out)
-
-    def allocated_bytes(self, path: str) -> int:
-        full = os.path.join(self.root, path)
-        try:
-            st = os.stat(full)
-        except FileNotFoundError:
-            return 0
-        return st.st_blocks * 512

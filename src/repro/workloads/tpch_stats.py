@@ -146,23 +146,3 @@ _BUILDERS = {
     "orders": _orders,
     "lineitem": _lineitem,
 }
-
-#: uncompressed bytes per row (spec-derived) — drives I/O volume estimates
-ROW_BYTES = {
-    "region": 120,
-    "nation": 110,
-    "supplier": 145,
-    "customer": 165,
-    "part": 120,
-    "partsupp": 150,
-    "orders": 105,
-    "lineitem": 115,
-}
-
-
-def table_bytes(table: str, sf: float) -> float:
-    return rows_at(table, sf) * ROW_BYTES[table]
-
-
-def database_bytes(sf: float) -> float:
-    return sum(table_bytes(t, sf) for t in BASE_ROWS)

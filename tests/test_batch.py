@@ -58,10 +58,6 @@ class TestBasics:
         assert "alpha" in b.schema
         assert b.col("alpha").tolist() == [1, 2, 3, 4]
 
-    def test_with_column(self):
-        b = sample().with_column("d", DataType.BOOL, np.array([True] * 4))
-        assert b.schema.names()[-1] == "d"
-
     def test_rows(self):
         assert sample().rows()[0] == (1, "x", 0.5)
 

@@ -173,7 +173,3 @@ class TestClusterConfig:
     def test_invalid_metrics_history_window(self):
         with pytest.raises(ConfigError):
             ClusterConfig(metrics_history_window=0)
-
-    def test_with_(self):
-        cfg = ClusterConfig(n_workers=2).with_(n_workers=8)
-        assert cfg.n_workers == 8

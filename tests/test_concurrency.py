@@ -85,8 +85,8 @@ class TestConcurrentTPCH:
         cfg = conc_db.config
         st = conc_db.admission.stats()
         assert st["peak_granted_bytes"] <= cfg.memory_per_node * cfg.n_workers
-        cs = conc_db.concurrency_stats()
-        assert cs["peak_memory"] <= cfg.memory_per_node * cfg.n_workers
+        peaks = conc_db.sql("select mem_peak from sys.workers").rows()
+        assert max(p for (p,) in peaks) <= cfg.memory_per_node * cfg.n_workers
         for w in conc_db.workers.values():
             assert w.governor.peak <= cfg.memory_per_node
 

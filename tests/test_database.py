@@ -161,13 +161,6 @@ class TestLocalFSMode:
 
 
 class TestObservability:
-    def test_predicate_cache_bytes_per_worker(self):
-        db = fresh()
-        db.sql("create table t (a integer) partition by hash (a)")
-        db.sql("insert into t values (1)")
-        sizes = db.predicate_cache_bytes()
-        assert set(sizes) == set(db.worker_ids)
-
     def test_table_rows(self):
         db = fresh()
         db.sql("create table t (a integer) partition by hash (a)")

@@ -34,6 +34,7 @@ from repro.core.kernels import (
 )
 from repro.sql import parse
 from repro.sql.compiler import compile_expr
+from repro.storage import col_page
 from repro.workloads import tpch_queries
 
 from tests.conftest import TPCH_SF, load_tpch, rows_match_unordered
@@ -320,31 +321,44 @@ class TestWideIntegerKeys:
 
 
 class TestDecodedPageCache:
-    """The cache holds, and is charged for, codes + dictionary only."""
+    """A fragment scan hands out the cached column's codes + dictionary;
+    the cache holds, and is charged for, those only."""
+
+    @staticmethod
+    def scan_twice(values: list[str]):
+        """Load ``values`` as a one-page string column and scan it twice,
+        memoising the first scan's row strings: (page, first, second)."""
+        from repro.storage.buffer import BufferManager
+        from repro.storage.table import TableStorage
+        from repro.util.fs import MemFS
+
+        col_page.clear_decoded_caches()
+        schema = Schema.of(("s", DataType.STRING))
+        t = TableStorage(MemFS(), BufferManager(4, 64), "t", schema, page_size=64 * 1024)
+        t.load(RowBatch(schema, {"s": values}))
+        [frag] = t.fragments
+        assert len(frag.sets) == 1
+        [first] = [b.col("s") for b in t.scan(["s"])]
+        first.tolist()
+        [second] = [b.col("s") for b in t.scan(["s"])]
+        return frag.bufmgr.get(frag.path, 0), first, second
 
     def test_row_strings_are_memoised_on_the_scan_s_column_not_the_cache_s(self):
-        from repro.storage import col_page
-
-        col_page.clear_decoded_caches()
-        page = col_page.encode_column(strings(400, 80, ["N", "A", "R"]), DataType.STRING)
+        values = strings(400, 80, ["N", "A", "R"])
+        page, first, second = self.scan_twice(values)
         assert col_page.is_dict_page(page)
-        first = col_page.decode_column(page, DataType.STRING, 400)
-        first.tolist()
-        second = col_page.decode_column(page, DataType.STRING, 400)
         assert second is not first and second._decoded is None
         assert second.codes is first.codes and second.dictionary is first.dictionary
+        assert second.tolist() == values
 
     def test_a_plain_page_is_charged_once(self):
-        from repro.storage import col_page
-
-        col_page.clear_decoded_caches()
         values = [f"name#{i:05d}" for i in range(300)]
-        page = col_page.encode_column(values, DataType.STRING)
+        page, _, second = self.scan_twice(values)
         assert not col_page.is_dict_page(page)
-        col = col_page.decode_column(page, DataType.STRING, 300)
-        assert col.tolist() == values
+        assert second.tolist() == values
         assert col_page._STRING_CACHE.bytes == 0 and col_page._COLUMN_CACHE.bytes > 0
-        # its values are the dictionary: decoding gathers nothing
+        # the page's values are its dictionary: decoding it gathers nothing
+        col = col_page.decode_page(page, DataType.STRING, len(values))
         assert col.decode() is col.dictionary.values
 
 

@@ -25,13 +25,13 @@ import pytest
 
 from repro import ClusterConfig, Database
 from repro.cluster import PlacementMap
-from repro.cluster.catalog import CatalogEntry, ClusterCatalog
+from repro.cluster.catalog import ClusterCatalog
 from repro.cluster.database import REBALANCE_SEND_RETRIES, _all_of
 from repro.cluster.resource import AdmissionController
 from repro.common import DataType, RowBatch
 from repro.common.errors import PlanError
 from repro.fault import FaultSchedule, NetworkPartition, WorkerHealthTracker
-from repro.storage.partition import HashPartition, Replicated
+from repro.storage.partition import Replicated
 from repro.workloads import tpch_schema
 from repro.workloads.tpch_queries import query as tpch_query
 
@@ -134,89 +134,6 @@ class TestPlacementEpochs:
         assert db.sql(QUERIES[1]).epoch == 1
 
 
-class TestCatalogSnapshotRestore:
-    def _schema(self):
-        db = build_db()
-        return db.catalog.entry("t").schema
-
-    def test_roundtrip_includes_placement(self):
-        cat = ClusterCatalog()
-        schema = self._schema()
-        cat.add(CatalogEntry("a", schema, HashPartition(("k",))))
-        cat.set_placement((0, 1, 2), draining=(2,))
-        snap = cat.snapshot()
-        fresh = ClusterCatalog()
-        fresh.restore(snap)
-        assert fresh.tables.keys() == cat.tables.keys()
-        assert fresh.version == cat.version
-        assert fresh.placement == cat.placement
-        assert fresh.placement_history == cat.placement_history
-
-    def test_restore_across_epoch_bump_rolls_back(self):
-        cat = ClusterCatalog()
-        cat.set_placement((0, 1))
-        snap = cat.snapshot()
-        cat.set_placement((0, 1, 2))
-        cat.set_placement((0, 1, 2), draining=(0,))
-        assert cat.placement_epoch == 3
-        cat.restore(snap)
-        assert cat.placement_epoch == 1
-        assert cat.placement.workers == (0, 1)
-        # the bumped epochs are gone from history too — a restored
-        # coordinator replica must not explain epochs it never published
-        assert sorted(cat.placement_history) == [0, 1]
-
-    def test_snapshot_is_isolated_from_later_ddl(self):
-        cat = ClusterCatalog()
-        schema = self._schema()
-        cat.add(CatalogEntry("a", schema, HashPartition(("k",))))
-        snap = cat.snapshot()
-        cat.add(CatalogEntry("b", schema, Replicated()))
-        cat.drop("a")
-        cat.set_placement((0, 1, 2, 3))
-        fresh = ClusterCatalog()
-        fresh.restore(snap)
-        assert set(fresh.tables) == {"a"} and fresh.placement_epoch == 0
-
-    def test_roundtrip_under_concurrent_ddl(self):
-        """Snapshots taken while another thread churns DDL and epochs must
-        each restore to an internally consistent catalog."""
-        cat = ClusterCatalog()
-        schema = self._schema()
-        stop = threading.Event()
-
-        def churn():
-            i = 0
-            while not stop.is_set():
-                name = f"tbl{i % 7}"
-                if name in cat.tables:
-                    cat.drop(name)
-                else:
-                    cat.add(CatalogEntry(name, schema, HashPartition(("k",))))
-                if i % 5 == 0:
-                    cat.set_placement(tuple(range(4 + i % 3)))
-                i += 1
-
-        t = threading.Thread(target=churn)
-        t.start()
-        try:
-            for _ in range(200):
-                snap = cat.snapshot()
-                fresh = ClusterCatalog()
-                fresh.restore(snap)
-                # internal consistency of the restored replica
-                assert fresh.placement.epoch in fresh.placement_history
-                assert fresh.placement_history[fresh.placement.epoch] == fresh.placement
-                assert fresh.version >= len(fresh.tables)
-                # restoring is idempotent
-                again = ClusterCatalog()
-                again.restore(fresh.snapshot())
-                assert again.snapshot() == fresh.snapshot()
-        finally:
-            stop.set()
-            t.join()
-
-
 # ---------------------------------------------------------------------------
 # health: blacklist -> half-open probe -> probation -> healthy (or re-blacklist)
 # ---------------------------------------------------------------------------
@@ -261,13 +178,6 @@ class TestHealthFlap:
         assert not h.is_blacklisted(3) and h.state(3) == "healthy"
         h.clear_draining(3)
         assert not h.is_draining(3)
-
-    def test_reset_clears_everything(self):
-        h = WorkerHealthTracker(blacklist_after=1)
-        h.record_failure(0)
-        h.mark_draining(1)
-        h.reset()
-        assert not h.is_blacklisted(0) and h.draining() == set()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +265,7 @@ class TestElasticMembership:
         assert hist[1].draining == (2,) and hist[1].workers == (0, 1, 2, 3)
         assert hist[2].draining == () and hist[2].workers == (0, 1, 3)
         # drained worker is no longer marked draining after the publish
-        assert db.elasticity_stats()["draining"] == []
+        assert db.sql("select worker_id from sys.workers where draining = 1").rows() == []
         for want, q in zip(baseline, QUERIES):
             assert db.sql(q).rows() == want
 
@@ -427,9 +337,8 @@ class TestElasticMembership:
         assert value("repro_admission_budget_bytes") == (
             db.config.memory_per_node * 4
         )
-        stats = db.elasticity_stats()
-        assert stats["workers"] == 4 and stats["rebalances"] == 2
-        assert stats["bytes_moved"] > 0 and stats["streams"] > 0
+        assert len(db.rebalances) == 2
+        assert all(r.bytes_moved > 0 and r.streams > 0 for r in db.rebalances)
 
     def test_rebalance_traces_exported(self):
         db = build_db(tracing=True)

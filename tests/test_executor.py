@@ -167,7 +167,7 @@ class TestSpill:
         sl = SpillableList(fs, gov, schema)
         sl.append(RowBatch.from_pairs(("a", DataType.INT64, [1])))
         assert not sl.spilled
-        assert sl.materialize().col("a").tolist() == [1]
+        assert [b.col("a").tolist() for b in sl] == [[1]]
         sl.close()
         assert gov.used == 0
 
@@ -218,18 +218,3 @@ class TestExternalTables:
         d.register_external("ext", InMemoryCsvTable(["1|a\n2|b\n3|c\n"], schema))
         got = d.sql("select v from ext where k >= 2 order by v").rows()
         assert got == [("b",), ("c",)]
-
-    def test_jsonl_uet(self, tmp_path):
-        from repro.storage.external import JsonLinesExternalTable
-
-        d = build_db()
-        p1 = tmp_path / "a.jsonl"
-        p1.write_text('{"k": 1, "v": "one"}\n{"k": 2, "v": "two"}\n')
-        p2 = tmp_path / "b.jsonl"
-        p2.write_text('{"k": 3, "v": "three", "extra": true}\n{"k": 4}\n')
-        schema = Schema.of(("k", DataType.INT64), ("v", DataType.STRING))
-        d.register_external("jl", JsonLinesExternalTable([str(p1), str(p2)], schema))
-        got = d.sql("select k, v from jl order by k").rows()
-        assert got == [(1, "one"), (2, "two"), (3, "three"), (4, "")]
-        # aggregate over the external source
-        assert d.sql("select count(*) from jl where k > 1").rows() == [(3,)]

@@ -110,7 +110,7 @@ class TestBufferManagerConcurrency:
             try:
                 for _ in range(300):
                     p = int(rng.integers(0, 128))
-                    got = bm.get("c.dat", p, pin=False)
+                    got = bm.get("c.dat", p)
                     if got != f"page-{p}".encode():
                         errors.append((p, got))
             except Exception as e:  # pragma: no cover

@@ -1,4 +1,4 @@
-"""B+-tree and disk skip list tests (unit + hypothesis vs oracle)."""
+"""B+-tree tests (unit + hypothesis vs oracle)."""
 
 import random
 
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferManager
-from repro.storage.skiplist import DiskSkipList
 from repro.util.fs import MemFS
 
 
@@ -108,72 +107,6 @@ class TestBPlusTree:
         t.insert((2, "a"), "z")
         assert [k for k, _ in t.items()] == [(1, "a"), (1, "b"), (2, "a")]
 
-    def test_bulk_build(self):
-        fs, bm = MemFS(), BufferManager(2, 128)
-        t = BPlusTree.bulk_build(fs, bm, "b.bt", [(3, "c"), (1, "a"), (2, "b")], page_size=8192)
-        assert [v for _, v in t.items()] == ["a", "b", "c"]
-
-
-class TestDiskSkipList:
-    def _sl(self):
-        fs = MemFS()
-        bm = BufferManager(2, 128)
-        return DiskSkipList(fs, bm, "idx.sl", page_size=8192), fs, bm
-
-    def test_insert_search(self):
-        sl, _, _ = self._sl()
-        for k in [5, 1, 9, 3, 7]:
-            sl.insert(k, k * 10)
-        assert sl.search(7) == [70]
-        assert sl.search(2) == []
-
-    def test_sorted_iteration(self):
-        sl, _, _ = self._sl()
-        random.seed(3)
-        keys = random.sample(range(1000), 200)
-        for k in keys:
-            sl.insert(k, k)
-        assert [k for k, _ in sl.items()] == sorted(keys)
-
-    def test_range_scan(self):
-        sl, _, _ = self._sl()
-        for k in range(50):
-            sl.insert(k, k)
-        assert [k for k, _ in sl.range_scan(10, 14)] == [10, 11, 12, 13, 14]
-
-    def test_duplicates_preserved(self):
-        sl, _, _ = self._sl()
-        sl.insert(4, "a")
-        sl.insert(4, "b")
-        assert len(sl.search(4)) == 2
-
-    def test_logical_delete(self):
-        sl, _, _ = self._sl()
-        for k in [1, 2, 2, 3]:
-            sl.insert(k, k)
-        assert sl.delete(2) == 2
-        assert [k for k, _ in sl.items()] == [1, 3]
-        # nodes remain on disk (append-only), only marked
-        assert sl.n_nodes == 4
-
-    def test_append_only_batch_locality(self):
-        """Batch inserts of ascending keys share pages (paper's I/O claim)."""
-        sl, fs, bm = self._sl()
-        for k in range(200):
-            sl.insert(k, k)
-        assert sl.file.num_pages() <= 4  # 128 nodes/page
-
-    def test_persistence_reopen(self):
-        sl, fs, bm = self._sl()
-        for k in range(30):
-            sl.insert(k, k)
-        bm.flush()
-        bm2 = BufferManager(2, 128)
-        sl2 = DiskSkipList(fs, bm2, "idx.sl", page_size=8192)
-        assert sl2.search(10) == [10]
-        sl2.insert(1000, 1)
-        assert [k for k, _ in sl2.range_scan(999, None)] == [1000]
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -197,13 +130,3 @@ def test_btree_matches_oracle(ops):
             assert removed == len(present)
             oracle = [p for p in oracle if p[0] != k]
     assert [k for k, _ in t.items()] == sorted(k for k, _ in oracle)
-
-
-@settings(max_examples=40, deadline=None)
-@given(keys=st.lists(st.integers(0, 100), min_size=0, max_size=80))
-def test_skiplist_matches_oracle(keys):
-    fs, bm = MemFS(), BufferManager(2, 128)
-    sl = DiskSkipList(fs, bm, "h.sl", page_size=8192)
-    for k in keys:
-        sl.insert(k, k)
-    assert [k for k, _ in sl.items()] == sorted(keys)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.common.errors import NetworkError, TopologyError
 from repro.network import (
     BinomialGraphTopology,
-    NetworkCostModel,
     SimNetwork,
     TreeTopology,
 )
@@ -36,13 +35,6 @@ class TestTreeTopology:
         t = TreeTopology(range(100), n_max=11)  # fan-out 10
         assert t.height == 2
         assert TreeTopology(range(96), n_max=8).height <= 3  # fan-out 7
-
-    def test_levels_partition_nodes(self):
-        t = TreeTopology(range(20), n_max=4)
-        levels = t.levels()
-        flat = [n for level in levels for n in level]
-        assert sorted(flat) == list(range(20))
-        assert levels[0] == [0]
 
     def test_route_through_common_ancestor(self):
         t = TreeTopology(range(7), n_max=3)
@@ -180,7 +172,6 @@ class TestSimNetwork:
         net.send(0, 1, b"12345")
         assert net.total_bytes == 5
         assert net.total_messages == 1
-        assert net.connections_of(0) == 1
         assert net.max_connections() == 1
 
     def test_route_send_counts_hops(self):
@@ -240,21 +231,3 @@ class TestSimNetwork:
         net.send(0, 1, b"x")
         net.reset_stats()
         assert net.total_bytes == 0 and net.max_connections() == 0
-
-
-class TestCostModel:
-    def test_link_time_monotone_in_bytes(self):
-        net = SimNetwork(range(2))
-        cm = NetworkCostModel()
-        net.send(0, 1, b"x" * 1000)
-        t1 = cm.critical_path_time(net)
-        net.send(0, 1, b"x" * 1_000_000)
-        t2 = cm.critical_path_time(net)
-        assert t2 > t1
-
-    def test_connection_setup_charged(self):
-        cm = NetworkCostModel(connection_setup=1.0)
-        net = SimNetwork(range(4))
-        net.send(0, 1, b"x")
-        net.send(0, 2, b"x")
-        assert cm.critical_path_time(net) > 2.0

@@ -277,21 +277,21 @@ class TestDictPages:
         arr = self._col(["A", "N", "R"] * 100)
         blob = col_page.encode_column(arr, DataType.STRING)
         assert blob[:4] == col_page._DICT_MAGIC
-        out = col_page.decode_column(blob, DataType.STRING, len(arr))
+        out = col_page.decode_page(blob, DataType.STRING, len(arr))
         assert out.tolist() == arr.tolist()
 
     def test_high_cardinality_falls_back(self):
         arr = self._col([f"c{i}" for i in range(300)])
         blob = col_page.encode_column(arr, DataType.STRING)
         assert blob[:4] != col_page._DICT_MAGIC
-        out = col_page.decode_column(blob, DataType.STRING, len(arr))
+        out = col_page.decode_page(blob, DataType.STRING, len(arr))
         assert out.tolist() == arr.tolist()
 
     def test_toggle_off_reads_old_format(self):
         arr = self._col(["x", "y"] * 100)
         # the page format before dictionary pages: one Huffman stream
         legacy = comp_mod.huffman_encode_strings(list(arr))
-        out = col_page.decode_column(legacy, DataType.STRING, len(arr))
+        out = col_page.decode_page(legacy, DataType.STRING, len(arr))
         assert out.tolist() == arr.tolist()
 
     def test_row_count_mismatch_raises(self):
@@ -300,4 +300,4 @@ class TestDictPages:
         arr = self._col(["a", "b"] * 64)
         blob = col_page.encode_column(arr, DataType.STRING)
         with pytest.raises(PageFormatError):
-            col_page.decode_column(blob, DataType.STRING, 5)
+            col_page.decode_page(blob, DataType.STRING, 5)

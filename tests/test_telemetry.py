@@ -31,7 +31,6 @@ from repro import ClusterConfig, Database
 from repro.core.executor import DistributedExecutor, ExecStats
 from repro.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -102,12 +101,7 @@ def test_counter_shards_across_threads():
     assert c.value == 8000
 
 
-def test_gauge_and_histogram():
-    g = Gauge()
-    g.set(5)
-    g.inc(2)
-    g.dec()
-    assert g.value == 6
+def test_histogram():
     h = Histogram(buckets=(0.1, 1.0))
     for v in (0.05, 0.5, 0.7, 5.0):
         h.observe(v)
@@ -557,7 +551,6 @@ def _build_sharded_registry(order):
     threads in the given order — the worst case for render stability."""
     reg = MetricsRegistry()
     c = reg.counter("repro_demo_ops_total", "ops", labelnames=("node", "disk"))
-    reg.gauge("repro_demo_depth", "queue depth")
     h = reg.histogram("repro_demo_wait_seconds", "wait", buckets=(0.1, 1.0))
     h.observe(0.05)
 

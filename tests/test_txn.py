@@ -1,9 +1,12 @@
 """Concurrency control & recovery: locks, WAL, ARIES, 2PC, DML."""
 
+from graphlib import TopologicalSorter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, Database
-from repro.common import DataType, Schema
 from repro.common.errors import DeadlockError, LockTimeoutError, RecoveryError, TxnError
 from repro.network.simnet import SimNetwork
 from repro.txn.aries import recover
@@ -66,15 +69,6 @@ class TestLockManager:
         with pytest.raises(DeadlockError):
             lm.acquire(2, "a", LockMode.X)  # closes the cycle
 
-    def test_periodic_detector_finds_cycle(self):
-        lm = LockManager()
-        lm.acquire(1, "a", LockMode.X)
-        lm.acquire(2, "b", LockMode.X)
-        lm._waiting[1] = ("b", LockMode.X)
-        lm._waiting[2] = ("a", LockMode.X)
-        victims = lm.detect_deadlocks()
-        assert victims == [2]  # youngest txn is the victim
-
     def test_timeout(self):
         lm = LockManager(timeout=5.0)
         lm.acquire(1, "a", LockMode.X)
@@ -88,6 +82,38 @@ class TestLockManager:
         lm.acquire(1, "b", LockMode.S)
         lm.release_all(1)
         assert lm.holds(1, "a") is None and lm.holds(1, "b") is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(
+    st.tuples(
+        st.sampled_from(["acquire"] * 4 + ["release_all", "cancel_wait"]),
+        st.integers(1, 4),
+        st.sampled_from("abc"),
+        st.sampled_from([LockMode.S, LockMode.X]),
+    ),
+    max_size=40,
+))
+@example(steps=[
+    ("acquire", 1, "a", LockMode.X), ("acquire", 2, "b", LockMode.S),
+    ("acquire", 3, "c", LockMode.X), ("acquire", 1, "b", LockMode.X),
+    ("acquire", 2, "c", LockMode.S), ("acquire", 3, "a", LockMode.S),
+])
+def test_wait_for_graph_never_holds_a_cycle(steps):
+    """``acquire`` refuses every wait that would close a local cycle, so
+    the wait-for graph stays acyclic and no periodic detector is needed."""
+    lm = LockManager()
+    for op, txn, resource, mode in steps:
+        if op == "acquire":
+            try:
+                lm.acquire(txn, resource, mode)
+            except DeadlockError:
+                pass
+        elif op == "release_all":
+            lm.release_all(txn)
+        else:
+            lm.cancel_wait(txn)
+        TopologicalSorter(lm._wait_for_edges()).prepare()  # raises CycleError on a cycle
 
 
 class TestWAL:
@@ -394,30 +420,20 @@ class TestMetadataSync:
         for coord in db.coordinators:
             assert coord.catalog.has_table("m")
 
-    def test_metadata_2pc_all_or_nothing(self):
-        db = _dml_db()
-        calls = {"n": 0}
+    def test_failing_ddl_changes_no_replica(self):
+        """DDL applies to each coordinator replica in turn; a mutation that
+        fails validates before it writes, so it fails on the first replica
+        and leaves every replica as it was."""
+        from repro.common.errors import CatalogError
 
-        def mutate(coord):
-            calls["n"] += 1
-            raise RuntimeError("validation failed")
-
-        before = {c.coord_id: c.catalog.version for c in db.coordinators}
-        ok = db.txn_system.metadata_commit(mutate)
-        assert not ok
-        after = {c.coord_id: c.catalog.version for c in db.coordinators}
-        assert before == after
-
-    def test_metadata_2pc_applies_everywhere(self):
-        from repro.cluster.catalog import CatalogEntry
-        from repro.storage.partition import RoundRobin
-
-        db = _dml_db()
-        entry = CatalogEntry("viaxa", Schema.of(("z", DataType.INT64)), RoundRobin())
-        ok = db.txn_system.metadata_commit(lambda c: c.catalog.add(entry))
-        assert ok
-        for coord in db.coordinators:
-            assert coord.catalog.has_table("viaxa")
+        db = Database(ClusterConfig(n_workers=2, n_coordinators=3, n_max=4, page_size=16 * 1024))
+        db.sql("create table m (x integer)")
+        before = [(c.catalog.version, set(c.catalog.tables)) for c in db.coordinators]
+        with pytest.raises(CatalogError):
+            db.sql("create table m (y integer)")
+        with pytest.raises(CatalogError):
+            db.sql("drop table nope")
+        assert [(c.catalog.version, set(c.catalog.tables)) for c in db.coordinators] == before
 
     def test_multi_coordinator_sync(self):
         cfg = ClusterConfig(n_workers=2, n_coordinators=3, n_max=4, page_size=16 * 1024)

@@ -31,10 +31,6 @@ class TestTpchStats:
         cu = tpch_stats.table_stats("customer", 1000.0)
         assert cu.columns["c_mktsegment"].ndv == 5
 
-    def test_database_bytes_about_1tb_at_sf1000(self):
-        total = tpch_stats.database_bytes(1000.0)
-        assert 0.7e12 < total < 1.5e12  # ~1 TB raw
-
     def test_stats_match_generated_data_shape(self):
         """Analytic NDVs should be consistent with actually generated data."""
         from repro.optimizer.stats import TableStats

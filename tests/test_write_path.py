@@ -85,7 +85,7 @@ class TestDictPages:
         page = col_page._dict_encode_strings(values)
         assert page is not None and page == ref.dict_page(values)
         assert col_page.encode_column(values, DataType.STRING) == page
-        assert col_page.decode_column(page, DataType.STRING, len(values)).tolist() == values
+        assert col_page.decode_page(page, DataType.STRING, len(values)).tolist() == values
 
     def test_distinct_objects_really_are(self):
         values = DICT_INPUTS["equal_strings_distinct_objects"]
