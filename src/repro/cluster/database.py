@@ -429,11 +429,15 @@ class Database:
         return pool.submit(sess.sql, text)
 
     def close(self) -> None:
-        """Shut down the client pool."""
+        """Shut down the client pool and persist every table's predicate
+        caches (paper §III: reloaded when the tables are opened again)."""
         with self._submit_mu:
             if self._submit_pool is not None:
                 self._submit_pool.shutdown(wait=True)
                 self._submit_pool = None
+        for worker in self.workers.values():
+            for storage in worker.storage.values():
+                storage.persist_caches()
 
     # -- telemetry ----------------------------------------------------------------
     def _register_collectors(self) -> None:

@@ -9,7 +9,8 @@ then prioritizes — effective when most traffic is concurrent OLAP scans.
 This implementation keeps those structures and policies faithfully:
 
 * striped frame tables with per-stripe locks (stripe managers),
-* dirty tracking and write-back on eviction,
+* dirty tracking (per stripe, a set of keys, so a commit's write-back
+  costs the pages it dirtied, not the pool) and write-back on eviction,
 * clock-hand second-chance eviction,
 * ``declare_scan`` hints that shield announced pages from eviction until
   consumed (one shielding per declaration).
@@ -35,7 +36,6 @@ class _Frame:
     key: PageKey
     payload: bytes
     referenced: bool = True
-    dirty: bool = False
     declared: bool = False  # pre-declared by a scan; shielded once
 
 
@@ -45,6 +45,8 @@ class _Stripe:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.frames: dict[PageKey, _Frame] = {}
+        #: frames whose payload the file does not hold yet
+        self.dirty: set[PageKey] = set()
         self.ring: list[PageKey] = []
         self.hand = 0
         self.lock = threading.RLock()
@@ -65,8 +67,9 @@ class _Stripe:
             elif frame.referenced:
                 frame.referenced = False
             else:
-                if frame.dirty:
+                if key in self.dirty:
                     writeback(key, frame.payload)
+                    self.dirty.discard(key)
                 del self.frames[key]
                 self.ring.pop(self.hand)
                 return
@@ -164,13 +167,13 @@ class BufferManager:
             if frame is None:
                 while len(stripe.frames) >= stripe.capacity:
                     stripe._evict_one(self._writeback)
-                frame = _Frame(key, payload, dirty=True)
+                frame = _Frame(key, payload)
                 stripe.frames[key] = frame
                 stripe.ring.append(key)
             else:
                 frame.payload = payload
-                frame.dirty = True
                 frame.referenced = True
+            stripe.dirty.add(key)
 
     def declare_scan(self, path: str, page_nos: list[int]) -> None:
         """Pre-declare pages a scan will request soon (clock prioritizes)."""
@@ -193,10 +196,10 @@ class BufferManager:
         """Write back dirty frames (all files, or one file)."""
         for stripe in self.stripes:
             with stripe.lock:
-                for key, frame in stripe.frames.items():
-                    if frame.dirty and (path is None or key[0] == path):
-                        self._files[key[0]].write_page(key[1], frame.payload)
-                        frame.dirty = False
+                done = [k for k in stripe.dirty if path is None or k[0] == path]
+                for key in sorted(done):
+                    self._files[key[0]].write_page(key[1], stripe.frames[key].payload)
+                stripe.dirty.difference_update(done)
 
     def invalidate(self, path: str) -> None:
         """Drop all frames of a file (after truncate/reorganize)."""
@@ -205,6 +208,7 @@ class BufferManager:
                 doomed = [k for k in stripe.frames if k[0] == path]
                 for k in doomed:
                     del stripe.frames[k]
+                stripe.dirty.difference_update(doomed)
                 stripe.ring = [k for k in stripe.ring if k[0] != path]
                 stripe.hand = 0
 

@@ -11,11 +11,14 @@ skip page ``P`` when
 
 Inserts are append-only and updates are not in place, so cached entries
 for full pages stay valid until the table is reorganized (which clears
-the cache).
+the cache). Deletes only add tombstones, and an entry is recorded only
+for a set with none, so no entry depends on which rows are live.
 
 The module also implements classic per-page min-max statistics (small
 materialized aggregates [Moerkotte 98]) which the paper's technique
 generalizes — keeping both lets benchmarks ablate one against the other.
+They are held as one pair of arrays per column, indexed by set, so a
+scan decides every set of a fragment with one comparison per atom.
 
 Predicates are *canonicalized conjunctions*: a set of simple atoms
 ``(column, op, constant)`` plus optionally a set of opaque conjunct
@@ -27,7 +30,9 @@ from __future__ import annotations
 import enum
 import pickle
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..common.errors import StorageError
 
@@ -50,6 +55,10 @@ class Atom:
     value: object
 
 
+#: a ScanPredicate's intervals before they are first derived
+_UNSET = object()
+
+
 class ScanPredicate:
     """Canonical conjunction of atoms + opaque fingerprints.
 
@@ -58,12 +67,13 @@ class ScanPredicate:
     paper targets.
     """
 
-    __slots__ = ("atoms", "opaque", "_hash")
+    __slots__ = ("atoms", "opaque", "_hash", "_ivs")
 
     def __init__(self, atoms: Iterable[Atom] = (), opaque: Iterable[str] = ()):
         self.atoms: frozenset[Atom] = frozenset(atoms)
         self.opaque: frozenset[str] = frozenset(opaque)
         self._hash = hash((self.atoms, self.opaque))
+        self._ivs = _UNSET
 
     def __eq__(self, other) -> bool:
         return (
@@ -94,7 +104,9 @@ class ScanPredicate:
         """
         if not other.opaque <= self.opaque:
             return False
-        ivs = _intervals(self.atoms)
+        if self._ivs is _UNSET:  # asked of many cached predicates: derive once
+            self._ivs = _intervals(self.atoms)
+        ivs = self._ivs
         if ivs is None:  # self is unsatisfiable => implies anything
             return True
         for atom in other.atoms:
@@ -241,6 +253,18 @@ class PredicateCache:
                 return True
         return False
 
+    def skippable(self, asked: np.ndarray, pred: ScanPredicate) -> list[int]:
+        """The sets among those ``asked`` marks that are proven empty for
+        ``pred``. Only sets holding an entry are probed."""
+        if pred.is_empty:
+            return []
+        n = len(asked)
+        return [
+            page_id
+            for page_id in list(self._cache)  # scans may record concurrently
+            if page_id < n and asked[page_id] and self.can_skip(page_id, pred)
+        ]
+
     def clear(self) -> None:
         """Called on table reorganization."""
         self._cache.clear()
@@ -280,38 +304,65 @@ class PredicateCache:
 # ---------------------------------------------------------------------------
 
 
+#: per atom operator: which sets' (lo, hi) prove it matches no row
+_MINMAX_EMPTY = {
+    Op.EQ: lambda lo, hi, v: (lo > v) | (hi < v),
+    Op.LT: lambda lo, hi, v: lo >= v,
+    Op.LE: lambda lo, hi, v: lo > v,
+    Op.GT: lambda lo, hi, v: hi <= v,
+    Op.GE: lambda lo, hi, v: hi < v,
+}
+
+
 class PageMinMax:
-    """Per-page min/max per column; the static scheme the paper generalizes."""
+    """Per-set min/max per column, the static scheme the paper
+    generalizes: per column one array of minima and one of maxima, whose
+    ``i``-th entries describe set ``i`` (strings as object arrays, so
+    they compare as Python strings do)."""
 
-    def __init__(self):
-        self._stats: dict[int, dict[str, tuple[object, object]]] = {}
+    def __init__(self, columns: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None):
+        self._cols: dict[str, tuple[np.ndarray, np.ndarray]] = dict(columns or {})
 
-    def record(self, page_id: int, column_minmax: Mapping[str, tuple[object, object]]) -> None:
-        self._stats[page_id] = dict(column_minmax)
+    def extend(self, sets: Sequence[Mapping[str, tuple[object, object]]]) -> None:
+        """Add the next sets' (min, max) per column, one mapping a set.
+        The arrays are replaced, never written, so a concurrent reader
+        sees whole ones (and treats sets past their end as unknown)."""
+        if not sets:
+            return
+        for col in sets[0]:
+            lo = [s[col][0] for s in sets]
+            hi = [s[col][1] for s in sets]
+            dtype = object if isinstance(lo[0], str) else None
+            new_lo, new_hi = np.array(lo, dtype=dtype), np.array(hi, dtype=dtype)
+            old = self._cols.get(col)
+            if old is not None:
+                new_lo = np.concatenate([old[0], new_lo])
+                new_hi = np.concatenate([old[1], new_hi])
+            self._cols[col] = (new_lo, new_hi)
 
-    def can_skip(self, page_id: int, pred: ScanPredicate) -> bool:
-        stats = self._stats.get(page_id)
-        if not stats:
-            return False
+    def skippable(self, n_sets: int, pred: ScanPredicate) -> np.ndarray:
+        """Per set of the first ``n_sets``: does some atom fall outside
+        its range?"""
+        out = None
         for atom in pred.atoms:
-            mm = stats.get(atom.column)
-            if mm is None:
+            arrays = self._cols.get(atom.column)
+            empty = _MINMAX_EMPTY.get(atom.op)
+            if arrays is None or empty is None:
                 continue
-            lo, hi = mm
             try:
-                if atom.op == Op.EQ and (atom.value < lo or atom.value > hi):
-                    return True
-                if atom.op in (Op.LT,) and lo >= atom.value:
-                    return True
-                if atom.op in (Op.LE,) and lo > atom.value:
-                    return True
-                if atom.op in (Op.GT,) and hi <= atom.value:
-                    return True
-                if atom.op in (Op.GE,) and hi < atom.value:
-                    return True
-            except TypeError:
-                continue
-        return False
+                hit = empty(arrays[0][:n_sets], arrays[1][:n_sets], atom.value)
+            except (TypeError, OverflowError):
+                continue  # incomparable constant: this atom cannot skip
+            out = hit if out is None else out | hit
+        if out is None:
+            return np.zeros(n_sets, dtype=bool)
+        if len(out) < n_sets:  # sets whose min/max is not recorded yet are kept
+            out = np.concatenate([out, np.zeros(n_sets - len(out), dtype=bool)])
+        return out
+
+    def columns(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The arrays, for persisting (``PageMinMax(columns)`` reloads)."""
+        return dict(self._cols)
 
     def clear(self) -> None:
-        self._stats.clear()
+        self._cols.clear()

@@ -103,14 +103,6 @@ class RowPage:
     def is_deleted(self, slot: int) -> bool:
         return bool(self.slots[slot][1] & FLAG_DEAD)
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.slots)
-
-    @property
-    def n_live(self) -> int:
-        return sum(1 for _, f in self.slots if not f & FLAG_DEAD)
-
     # -- (de)serialization ---------------------------------------------------------
     def to_payload(self) -> bytes:
         dir_parts = []

@@ -7,17 +7,18 @@ cache, tombstone-based deletes (inserts are append-only, updates are
 delete + re-insert — never in place), and reorganization to restore
 clustering.
 
-Every reader of a fragment's rows — scans, DML, ``all_rows`` and
-``reorganize`` — reads *fragment columns*: per (fragment, column), every
-page set's decoded values concatenated into one array (a string column
-into one :class:`DictColumn` over one appended dictionary), beside the
-sets' row offsets. A fragment column is built on first use through the
-buffer pool and the page decoder, and cached in the decoded-column LRU
-under the fragment's *generation*: a process-wide number the fragment
-draws whenever its layout is rebuilt (creation, which covers a meta
-reload, and ``reorganize``). Appends only add sets, so a cached column
-that covers fewer sets than the fragment holds is extended by decoding
-only the new ones; tombstones stay a scan-time mask.
+Scans, ``all_rows``, ``reorganize`` and index builds read *fragment
+columns*: per (fragment, column), every page set's decoded values
+concatenated into one array (a string column into one
+:class:`DictColumn` over one appended dictionary), beside the sets' row
+offsets. A fragment column is built on first use through the buffer
+pool and the page decoder, and cached in the decoded-column LRU under
+the fragment's *generation*: a process-wide number the fragment draws
+whenever its layout is rebuilt (creation, which covers a meta reload,
+and ``reorganize``). Appends only add sets, so a cached column that
+covers fewer sets than the fragment holds is extended by decoding only
+the new ones. Tombstones are one fragment-wide row mask, kept current
+with the live-row count by appends and deletes.
 
 A scan first decides per page set, as before, which sets the index, the
 predicate cache and the min/max statistics prove empty (each counted).
@@ -27,6 +28,19 @@ string dictionary entries) drop further sets, whose emptiness is
 recorded in the predicate cache; the survivors' other columns are
 gathered once, and any opaque conjuncts run the compiled predicate on
 that thinned batch. A scan yields at most one batch per fragment.
+
+DML costs what it changes. :meth:`TableStorage.find` decides sets the
+same way (tombstones too), evaluates the predicate over the predicate's
+columns only, extended no further than the last set it keeps, and
+gathers the matches' other columns from the sets that hold one, decoded
+set by set unless a cached fragment column already covers them; it
+returns the matches' positions with their rows. Deletes tombstone those
+positions, inserts append at a :class:`Span` named beforehand, and a
+transaction's undo tombstones its spans and revives its positions.
+A fragment writes its layout (``.meta``: the sets and the per-column
+min/max arrays) only when it gains sets, and its packed tombstone mask
+(``.del``) only when its tombstones change; the predicate cache has its
+own file (``.pcache``), written by ``persist_caches``.
 """
 
 from __future__ import annotations
@@ -144,6 +158,11 @@ class _FragColumn(NamedTuple):
     encoded: np.ndarray | None
 
 
+#: no row positions: what a DML predicate found in a fragment without a match
+_NOTHING = np.zeros(0, dtype=np.int64)
+_NOTHING.setflags(write=False)
+
+
 def _rows(values, idx: np.ndarray | None):
     """A fragment column's rows ``idx`` (all of them for None)."""
     return col_page.handout(values) if idx is None else values[idx]
@@ -154,16 +173,27 @@ def _any_per_set(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.logical_or.reduceat(mask, starts)
 
 
-@dataclass
-class _SetMeta:
+class _SetMeta(NamedTuple):
     first_page: int
     n_rows: int
-    minmax: dict[str, tuple]
-    deleted: np.ndarray | None = None  # bool mask or None when no deletes
 
-    @property
-    def n_live(self) -> int:
-        return self.n_rows - (int(self.deleted.sum()) if self.deleted is not None else 0)
+
+class Span(NamedTuple):
+    """Where one append lands: ``n_rows`` rows from the first row of set
+    ``first_set`` of fragment ``fragment``. Appends only add sets, so a
+    span names exactly the rows its append created."""
+
+    fragment: int
+    first_set: int
+    n_rows: int
+
+
+class Found(NamedTuple):
+    """The live rows a DML predicate matched: per fragment with any, its
+    number and their row positions, and the rows in that order."""
+
+    rows: RowBatch
+    at: list[tuple[int, np.ndarray]]
 
 
 class _Fragment:
@@ -183,94 +213,135 @@ class _Fragment:
         self.bufmgr = bufmgr
         self.path = path
         self.meta_path = path + ".meta"
+        self.deleted_path = path + ".del"
+        self.cache_path = path + ".pcache"
         self.schema = schema
         self.format = fmt
         self.page_size = page_size
         self.file = PagedFile(fs, path, page_size, codec)
         bufmgr.register_file(self.file)
-        self.sets: list[_SetMeta] = []
-        self.next_page = 0
         self.pred_cache = PredicateCache()
-        self.minmax = PageMinMax()
         #: lifetime scan counters for the metrics registry
         self.cum_stats = ScanStats()
         self._cum_lock = threading.Lock()
         #: set-granular secondary indexes: column -> B+-tree(value -> set id)
         self.indexes: dict[str, "BPlusTree"] = {}
-        self._new_generation()
+        self._new_layout()
         if fs.exists(self.meta_path):
             self._load_meta()
             self._reopen_indexes()
+        if fs.exists(self.deleted_path):
+            self._load_tombstones()
+        if fs.exists(self.cache_path):
+            self.pred_cache = PredicateCache.from_bytes(self._read(self.cache_path))
 
-    def _new_generation(self) -> None:
-        """Start a new layout: the decoded columns of the old one are
-        dropped, and later ones are cached under a fresh number."""
+    def _new_layout(self) -> None:
+        """Start an empty layout: the decoded columns of the old one are
+        dropped, and later ones are cached under a fresh generation."""
         old = getattr(self, "generation", None)
         if old is not None:
             for c in self.schema:
                 col_page.uncache_column((old, c.name))
+                for set_id in range(len(self.sets)):
+                    col_page.uncache_column((old, c.name, set_id))
         self.generation = next(_generations)
-        #: row offsets of the sets (extended as sets are appended)
+        self.sets: list[_SetMeta] = []
+        self.next_page = 0
+        self.minmax = PageMinMax()
+        #: row offsets of the sets (``len(sets) + 1`` values)
         self._bounds = np.zeros(1, dtype=np.int64)
-        #: does any set carry tombstones?
-        self._tombstoned = False
+        #: per row: tombstoned? (None while no row is)
+        self._deleted: np.ndarray | None = None
+        self._live = 0
 
     # -- metadata persistence ---------------------------------------------------
+    def _read(self, path: str) -> bytes:
+        fh = self.fs.open(path, create=False)
+        try:
+            return fh.pread(0, fh.size())
+        finally:
+            fh.close()
+
+    def _write(self, path: str, blob: bytes) -> None:
+        fh = self.fs.open(path)
+        try:
+            fh.truncate(0)
+            fh.pwrite(0, blob)
+        finally:
+            fh.close()
+
     def _save_meta(self) -> None:
-        blob = pickle.dumps(
+        """Persist the layout (written when sets are added): a few
+        arrays, whatever the number of sets."""
+        self._write(self.meta_path, pickle.dumps(
             {
-                "sets": [
-                    (
-                        s.first_page,
-                        s.n_rows,
-                        s.minmax,
-                        None if s.deleted is None else np.packbits(s.deleted).tobytes(),
-                    )
-                    for s in self.sets
-                ],
+                "sets": np.array(self.sets, dtype=np.int64).reshape(-1, 2),
                 "next_page": self.next_page,
-                # predicate caches are persisted and reloaded on restart
-                # (paper §III: "periodically persisted to disk")
-                "pred_cache": self.pred_cache.to_bytes(),
+                "minmax": self.minmax.columns(),
             },
             protocol=4,
-        )
-        fh = self.fs.open(self.meta_path)
-        fh.truncate(0)
-        fh.pwrite(0, blob)
-        fh.close()
+        ))
 
     def _load_meta(self) -> None:
-        fh = self.fs.open(self.meta_path, create=False)
-        blob = fh.pread(0, fh.size())
-        fh.close()
-        meta = pickle.loads(blob)
+        meta = pickle.loads(self._read(self.meta_path))
         self.next_page = meta["next_page"]
-        if meta.get("pred_cache"):
-            self.pred_cache = PredicateCache.from_bytes(meta["pred_cache"])
-        self.sets = []
-        for first_page, n_rows, minmax, deleted in meta["sets"]:
-            mask = None
-            if deleted is not None:
-                mask = np.unpackbits(np.frombuffer(deleted, dtype=np.uint8))[:n_rows].astype(bool)
-                self._tombstoned = True
-            self.sets.append(_SetMeta(first_page, n_rows, minmax, mask))
-        for i, s in enumerate(self.sets):
-            if s.minmax:
-                self.minmax.record(i, s.minmax)
+        self.sets = [_SetMeta(p, n) for p, n in meta["sets"].tolist()]
+        self._bounds = np.concatenate([[0], np.cumsum(meta["sets"][:, 1])]).astype(np.int64)
+        self.minmax = PageMinMax(meta["minmax"])
+        self._live = int(self._bounds[-1])
+
+    def _save_tombstones(self) -> None:
+        """Persist the tombstone mask, packed (written by deletes, which
+        change nothing else)."""
+        deleted = self._deleted
+        self._write(self.deleted_path, b"" if deleted is None else np.packbits(deleted).tobytes())
+
+    def _load_tombstones(self) -> None:
+        bits = np.unpackbits(np.frombuffer(self._read(self.deleted_path), dtype=np.uint8))
+        total = int(self._bounds[-1])
+        n = min(total, len(bits))  # rows appended after the last write are live
+        if bits[:n].any():
+            self._deleted = np.zeros(total, dtype=bool)
+            self._deleted[:n] = bits[:n]
+            self._live = total - int(self._deleted.sum())
+
+    def persist_cache(self) -> None:
+        """Write the predicate cache to its file (the paper's periodic
+        persist; reloaded when the fragment is opened again)."""
+        self._write(self.cache_path, self.pred_cache.to_bytes())
 
     # -- writing -----------------------------------------------------------------
     def append_batch(self, batch: RowBatch) -> None:
         first_new = len(self.sets)
-        if self.format == COLUMN:
-            self._append_columnar(batch)
-        else:
-            self._append_rows(batch)
+        minmax: list[dict[str, tuple]] = []  # one entry per published set
+        try:
+            if self.format == COLUMN:
+                self._append_columnar(batch, minmax)
+            else:
+                self._append_rows(batch, minmax)
+        finally:
+            # min/max may trail the published sets: a set it does not
+            # cover yet is simply never skipped
+            self.minmax.extend(minmax)
         self._save_meta()
         for col in list(self.indexes):
             self._index_sets(col, first_new)
 
-    def _append_columnar(self, batch: RowBatch) -> None:
+    def _add_set(self, first_page: int, chunk: RowBatch, minmax: list) -> None:
+        """Publish one written set. Its row offsets and tombstone rows go
+        in first, so a concurrent reader that sees the set sees them too."""
+        n = chunk.length
+        minmax.append(_column_minmax(chunk))
+        self._bounds = np.append(self._bounds, self._bounds[-1] + n)
+        if self._deleted is not None:
+            self._deleted = np.concatenate([self._deleted, np.zeros(n, dtype=bool)])
+        self._live += n
+        # page sets are immutable once written (appends always open a new
+        # set), so every set is safe to predicate-cache — the paper's
+        # "full page" validity condition holds by construction
+        self.sets.append(_SetMeta(first_page, n))
+
+    def _append_columnar(self, batch: RowBatch, minmax: list) -> None:
         types = [c.dtype for c in self.schema]
         rows_per_set = estimate_rows_per_set(types, self.file.max_payload)
         # column positions in the order an attempt encodes them: the one
@@ -293,12 +364,7 @@ class _Fragment:
             for i, payload in enumerate(payloads):
                 self.bufmgr.put(self.path, first_page + i, payload)
             self.next_page += len(payloads)
-            # page sets are immutable once written (appends always open a
-            # new set), so every set is safe to predicate-cache — the
-            # paper's "full page" validity condition holds by construction
-            meta = _SetMeta(first_page, take, _column_minmax(chunk))
-            self.sets.append(meta)
-            self.minmax.record(len(self.sets) - 1, meta.minmax)
+            self._add_set(first_page, chunk, minmax)
             off += take
 
     def _encode_set(self, chunk: RowBatch, order: list[int]) -> list[bytes] | None:
@@ -314,7 +380,7 @@ class _Fragment:
             payloads[i] = payload
         return payloads
 
-    def _append_rows(self, batch: RowBatch) -> None:
+    def _append_rows(self, batch: RowBatch, minmax: list) -> None:
         page = RowPage(self.file.max_payload)
         start_row = 0
         rows_in_page = 0
@@ -322,7 +388,7 @@ class _Fragment:
         for r in range(batch.length):
             row = encode_row(self.schema, [v[r] for v in values])
             if page.try_append(row) is None:
-                self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page))
+                self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page), minmax)
                 page = RowPage(self.file.max_payload)
                 if page.try_append(row) is None:
                     raise StorageError("single row exceeds page capacity")
@@ -330,15 +396,33 @@ class _Fragment:
                 rows_in_page = 0
             rows_in_page += 1
         if rows_in_page:
-            self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page))
+            self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page), minmax)
 
-    def _flush_row_page(self, page: RowPage, chunk: RowBatch) -> None:
+    def _flush_row_page(self, page: RowPage, chunk: RowBatch, minmax: list) -> None:
         self.bufmgr.put(self.path, self.next_page, page.to_payload())
         # row pages are likewise immutable once flushed
-        meta = _SetMeta(self.next_page, page.n_slots, _column_minmax(chunk))
         self.next_page += 1
-        self.sets.append(meta)
-        self.minmax.record(len(self.sets) - 1, meta.minmax)
+        self._add_set(self.next_page - 1, chunk, minmax)
+
+    def set_tombstones(self, positions: np.ndarray, deleted: bool) -> None:
+        """Tombstone (or, undoing a delete, revive) the rows at
+        ``positions``. The mask is replaced, never written in place, so a
+        concurrent scan reads one whole mask."""
+        mask = self._deleted
+        mask = np.zeros(int(self._bounds[-1]), dtype=bool) if mask is None else mask.copy()
+        changed = int((mask[positions] != deleted).sum())
+        if not changed:
+            return
+        mask[positions] = deleted
+        self._live += -changed if deleted else changed
+        self._deleted = mask if mask.any() else None
+        self._save_tombstones()
+
+    def span_rows(self, first_set: int, n_rows: int) -> np.ndarray:
+        """The positions of ``n_rows`` rows from set ``first_set`` on (of
+        those that exist: an append may have failed part-way)."""
+        start = int(self._bounds[min(first_set, len(self.sets))])
+        return np.arange(start, min(start + n_rows, int(self._bounds[-1])), dtype=np.int64)
 
     # -- secondary indexes (set-granular, paper §III) ------------------------------
     def _index_path(self, column: str) -> str:
@@ -410,11 +494,7 @@ class _Fragment:
     # -- fragment columns -------------------------------------------------------------
     def _set_bounds(self, n_sets: int) -> np.ndarray:
         """Row offsets of the first ``n_sets`` sets (``n_sets + 1`` values)."""
-        bounds = self._bounds
-        if len(bounds) <= n_sets:
-            sizes = [s.n_rows for s in self.sets[len(bounds) - 1 : n_sets]]
-            bounds = self._bounds = np.concatenate([bounds, bounds[-1] + np.cumsum(sizes)])
-        return bounds[: n_sets + 1]
+        return self._bounds[: n_sets + 1]
 
     def _columns(self, names: Sequence[str], n_sets: int) -> dict[str, _FragColumn]:
         """The decoded columns ``names``, covering at least the first
@@ -485,17 +565,44 @@ class _Fragment:
 
     def _tombstones(self, n_sets: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(per row of the first ``n_sets`` sets: tombstoned?, per set: has
-        it tombstones?), or (None, None) when no set has any."""
-        if not self._tombstoned:
+        it tombstones?), or (None, None) when no row is."""
+        deleted = self._deleted
+        if deleted is None:
             return None, None
         bounds = self._set_bounds(n_sets)
-        rows = np.zeros(bounds[-1], dtype=bool)
-        has = np.zeros(n_sets, dtype=bool)
-        for i, s in enumerate(self.sets[:n_sets]):
-            if s.deleted is not None:
-                rows[bounds[i] : bounds[i + 1]] = s.deleted[: s.n_rows]
-                has[i] = True
-        return rows, has
+        rows = deleted[: bounds[-1]]
+        return rows, _any_per_set(rows, bounds[:-1])
+
+    def _set_columns(self, names: Sequence[str], set_id: int) -> dict:
+        """The columns ``names`` of one set, decoded on their own (and
+        cached under the set) — for the few sets a DML touches."""
+        out, missing = {}, []
+        for name in names:
+            hit = col_page.cached_column((self.generation, name, set_id))
+            if hit is None:
+                missing.append(name)
+            else:
+                out[name] = hit
+        if not missing:
+            return out
+        s = self.sets[set_id]
+        if self.format == ROW:
+            page = RowPage.from_payload(self.bufmgr.get(self.path, s.first_page), self.file.max_payload)
+            batch = page.to_batch(self.schema)
+            decoded = {name: batch.col(name) for name in missing}
+        else:
+            pages = [s.first_page + self.schema.index_of(name) for name in missing]
+            decoded = {
+                name: decode_page(payload, self.schema.dtype_of(name), s.n_rows)
+                for name, payload in zip(missing, self.bufmgr.get_many(self.path, pages))
+            }
+        for name, values in decoded.items():
+            values = col_page.freeze(values)
+            col_page.cache_column(
+                (self.generation, name, set_id), values, col_page.decoded_nbytes(values)
+            )
+            out[name] = values
+        return out
 
     def _read_all(self, n_sets: int) -> RowBatch:
         """Every column of the first ``n_sets`` sets, tombstoned rows too."""
@@ -529,20 +636,20 @@ class _Fragment:
     def _kept_sets(self, n_sets: int, scan_pred: ScanPredicate, stats: ScanStats) -> np.ndarray:
         """Per set: not proven empty by the index, the predicate cache or
         the min/max statistics (asked in that order, each counted)."""
-        candidates = self._index_candidates(scan_pred)
-        skipped = []
-        for set_id in range(n_sets):
-            if candidates is not None and set_id not in candidates:
-                stats.sets_skipped_index += 1
-            elif self.pred_cache.can_skip(set_id, scan_pred):
-                stats.sets_skipped_cache += 1
-            elif self.minmax.can_skip(set_id, scan_pred):
-                stats.sets_skipped_minmax += 1
-            else:
-                continue
-            skipped.append(set_id)
         keep = np.ones(n_sets, dtype=bool)
-        keep[skipped] = False
+        candidates = self._index_candidates(scan_pred)
+        if candidates is not None:
+            keep[:] = False
+            keep[[c for c in candidates if c < n_sets]] = True
+            stats.sets_skipped_index += n_sets - int(np.count_nonzero(keep))
+        cached = self.pred_cache.skippable(keep, scan_pred)
+        if cached:
+            keep[cached] = False
+            stats.sets_skipped_cache += len(cached)
+        minmax = self.minmax.skippable(n_sets, scan_pred)
+        minmax &= keep
+        stats.sets_skipped_minmax += int(np.count_nonzero(minmax))
+        keep[minmax] = False
         return keep
 
     def _scan_impl(
@@ -671,29 +778,67 @@ class _Fragment:
         return mask
 
     # -- DML ---------------------------------------------------------------------
-    def delete_where(self, predicate: PredicateFn) -> RowBatch:
-        """Tombstone the live rows matching the predicate; returns them
-        (in set order) so an update can re-insert their new versions."""
+    def find(
+        self, predicate: PredicateFn, columns: Sequence[str], scan_pred: ScanPredicate | None
+    ) -> tuple[np.ndarray, RowBatch | None]:
+        """The live rows matching ``predicate``, which reads only
+        ``columns``: their positions, ascending, and the rows (None when
+        there are none).
+
+        Sets are decided by tombstones and, given ``scan_pred``, by the
+        index, the predicate cache and min/max; the predicate's columns
+        are read no further than the last set kept, and the other columns
+        only from the sets holding a match."""
         n_sets = len(self.sets)
         if not n_sets:
-            self._save_meta()
-            return RowBatch.empty(self.schema)
-        batch = self._read_all(n_sets)
-        hit = predicate(batch)
-        tomb, _ = self._tombstones(n_sets)
-        if tomb is not None:
-            hit = hit & ~tomb
+            return _NOTHING, None
         bounds = self._set_bounds(n_sets)
-        for i in np.flatnonzero(_any_per_set(hit, bounds[:-1])).tolist():
-            s = self.sets[i]
-            seg = hit[bounds[i] : bounds[i + 1]]
-            s.deleted = seg.copy() if s.deleted is None else s.deleted | seg
-            self._tombstoned = True
-            # cached "no rows match" facts may now be stale in the other
-            # direction only; deletes can only *remove* rows, so cached
-            # empty-page facts stay valid. Min-max stays conservative.
-        self._save_meta()
-        return batch.filter(hit)
+        sizes = np.diff(bounds)
+        keep = np.ones(n_sets, dtype=bool)
+        if scan_pred is not None:
+            keep = self._kept_sets(n_sets, scan_pred, ScanStats())
+        tomb = self._deleted
+        if tomb is not None:
+            tomb = tomb[: bounds[-1]]
+            keep &= np.add.reduceat(tomb.view(np.uint8), bounds[:-1], dtype=np.int64) < sizes
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            return _NOTHING, None
+        n_read = int(kept[-1]) + 1
+        rows = np.flatnonzero(np.repeat(keep[:n_read], sizes[:n_read]))
+        if tomb is not None:
+            rows = rows[~tomb[rows]]
+        wanted = set(columns)
+        names = [n for n in self.schema.names() if n in wanted]
+        cols = self._columns(names, n_read)
+        candidates = RowBatch._trusted(
+            self.schema.project(names), {n: cols[n].values[rows] for n in names}, len(rows)
+        )
+        hit = predicate(candidates)
+        positions = rows[hit]
+        if not len(positions):
+            return _NOTHING, None
+        out = {n: candidates.col(n)[hit] for n in names}
+        others = [n for n in self.schema.names() if n not in out]
+        last = int(np.searchsorted(bounds, positions[-1], side="right"))  # sets to cover
+        for n in others:
+            fc = col_page.cached_column((self.generation, n))
+            if fc is not None and fc.n_sets >= last:
+                out[n] = fc.values[positions]
+        missing = [n for n in others if n not in out]
+        if missing:
+            set_of = np.searchsorted(bounds, positions, side="right") - 1
+            ids, starts = np.unique(set_of, return_index=True)
+            parts: dict[str, list] = {n: [] for n in missing}
+            for set_id, lo, hi in zip(ids.tolist(), starts, [*starts[1:], len(positions)]):
+                values = self._set_columns(missing, set_id)
+                local = positions[lo:hi] - bounds[set_id]
+                for n in missing:
+                    parts[n].append(values[n][local])
+            for n in missing:
+                join = DictColumn.concat if isinstance(parts[n][0], DictColumn) else np.concatenate
+                out[n] = join(parts[n])
+        return positions, RowBatch._trusted(self.schema, out, len(positions))
 
     # -- maintenance ----------------------------------------------------------------
     def all_rows(self) -> RowBatch:
@@ -711,11 +856,13 @@ class _Fragment:
             data = data.take(order)
         self.bufmgr.invalidate(self.path)
         self.file.truncate_pages(0)
-        self.sets = []
-        self.next_page = 0
-        self._new_generation()
+        self._new_layout()
+        # the cleared cache and tombstones reach disk before any new set
+        # does, so nothing persisted names a set whose content changed
         self.pred_cache.clear()
-        self.minmax.clear()
+        self.persist_cache()
+        if self.fs.exists(self.deleted_path):
+            self._save_tombstones()
         indexed_cols = list(self.indexes)
         self.indexes = {}
         if data.length:
@@ -727,7 +874,7 @@ class _Fragment:
 
     @property
     def row_count(self) -> int:
-        return sum(s.n_live for s in self.sets)
+        return self._live
 
 
 class TableStorage:
@@ -781,23 +928,54 @@ class TableStorage:
             if part.length:
                 frag.append_batch(part)
 
-    def insert(self, batch: RowBatch) -> None:
-        """DML insert: append-only, does NOT respect clustering (paper)."""
-        frag = min(self.fragments, key=lambda f: f.row_count)
+    def next_span(self, n_rows: int, fragment: int | None = None) -> Span:
+        """Where an append of ``n_rows`` rows will land: after the last
+        set of ``fragment``, by default the one with the fewest live rows."""
+        if fragment is None:
+            fragment = min(range(len(self.fragments)), key=lambda i: self.fragments[i].row_count)
+        return Span(fragment, len(self.fragments[fragment].sets), n_rows)
+
+    def insert(self, batch: RowBatch, at: Span | None = None) -> Span:
+        """DML insert: append-only, does NOT respect clustering (paper).
+        ``at`` is the span a caller named (and logged) beforehand."""
+        at = at or self.next_span(batch.length)
+        frag = self.fragments[at.fragment]
+        if (at.first_set, at.n_rows) != (len(frag.sets), batch.length):
+            raise StorageError(f"insert at {at} after {len(frag.sets)} sets of {self.name!r}")
         frag.append_batch(batch)
+        return at
 
-    def delete_where(self, predicate: PredicateFn) -> int:
-        return sum(f.delete_where(predicate).length for f in self.fragments)
+    def find(
+        self,
+        predicate: PredicateFn,
+        columns: Sequence[str] | None = None,
+        scan_pred: ScanPredicate | None = None,
+    ) -> Found:
+        """The live rows matching ``predicate`` (which reads ``columns``,
+        by default all) in every fragment; ``scan_pred``, the predicate's
+        skipping key, lets min/max and the predicate cache drop sets."""
+        names = self.schema.names() if columns is None else list(columns)
+        at, parts = [], []
+        for i, frag in enumerate(self.fragments):
+            positions, rows = frag.find(predicate, names, scan_pred)
+            if len(positions):
+                at.append((i, positions))
+                parts.append(rows)
+        return Found(RowBatch.concat(self.schema, parts), at)
 
-    def update_where(self, predicate: PredicateFn, updater) -> int:
-        """Update = tombstone old rows + append new versions (paper §III)."""
-        n = 0
-        for frag in self.fragments:
-            old = frag.delete_where(predicate)
-            if old.length:
-                frag.append_batch(updater(old))
-                n += old.length
-        return n
+    def tombstone(self, at: Sequence[tuple[int, np.ndarray]]) -> None:
+        """Delete the rows at these (fragment, positions)."""
+        for i, positions in at:
+            self.fragments[i].set_tombstones(positions, True)
+
+    def revive(self, at: Sequence[tuple[int, np.ndarray]]) -> None:
+        """Undo a delete of the rows at these (fragment, positions)."""
+        for i, positions in at:
+            self.fragments[i].set_tombstones(positions, False)
+
+    def span_rows(self, span: Span) -> tuple[int, np.ndarray]:
+        """(fragment, positions) of the rows an append at ``span`` created."""
+        return span.fragment, self.fragments[span.fragment].span_rows(span.first_set, span.n_rows)
 
     def scan(
         self,
@@ -823,7 +1001,7 @@ class TableStorage:
     def persist_caches(self) -> None:
         """Flush predicate caches to disk (the paper's periodic persist)."""
         for f in self.fragments:
-            f._save_meta()
+            f.persist_cache()
 
     @property
     def indexed_columns(self) -> set[str]:
@@ -858,7 +1036,8 @@ def _column_minmax(batch: RowBatch) -> dict[str, tuple]:
             continue
         if isinstance(arr, DictColumn):
             vals = arr.tolist()
-            out[col.name] = (min(vals), max(vals))
+            # plain str: a numpy string scalar pickles an order slower
+            out[col.name] = (str(min(vals)), str(max(vals)))
         else:
             out[col.name] = (arr.min().item(), arr.max().item())
     return out

@@ -7,11 +7,18 @@ hierarchical 2PC across the involved workers. DDL (metadata changes)
 is not transactional here: the coordinator replicas are in-process
 copies that ``Database._replicate_metadata`` updates in turn.
 
-Undo is logical: an insert's compensation deletes exactly the inserted
-rows, a delete's re-inserts the removed rows, an update's restores the
-before-rows. Storage flushes at commit (force policy at the system
-level; the page-image no-force ARIES path lives in
-:mod:`repro.txn.aries` and is exercised at the storage layer).
+Undo goes by position. Every DML record names where its change
+happened: a delete the (fragment, row positions) it tombstoned, an
+insert the :class:`~repro.storage.table.Span` (fragment, first new set,
+rows) its append created, an update both. Appends only add sets and the
+transaction's X lock keeps other writers off the table on that worker,
+so undo tombstones exactly the spans and revives exactly the positions
+— never a committed row that merely equals an undone one. The same
+record drives the in-memory undo (rollback) and the WAL undo (crash
+recovery); its before/after images keep the rows themselves. Storage
+flushes at commit (force policy at the system level; the page-image
+no-force ARIES path lives in :mod:`repro.txn.aries` and is exercised at
+the storage layer).
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ import numpy as np
 
 from ..common.batch import RowBatch
 from ..common.errors import LockTimeoutError, TxnAbortedError, TxnError
-from ..sql.compiler import compile_predicate
+from ..sql.ast import column_refs
+from ..sql.compiler import compile_predicate, to_scan_predicate
 from .locks import LockManager, LockMode
 from .twopc import TwoPCStats, XAManager
 from .wal import ABORT, COMMIT, LogManager, PREPARE, UPDATE
@@ -37,8 +45,8 @@ class Txn:
     coordinator: int
     involved: set[int] = field(default_factory=set)
     state: str = "active"  # active | committed | aborted
-    #: logical undo stack per worker: (worker, op, table, payload)
-    undo: list[tuple[int, str, str, object]] = field(default_factory=list)
+    #: undo stack: (worker, table, the DML record's ``info``)
+    undo: list[tuple[int, str, dict]] = field(default_factory=list)
 
     def check_active(self) -> None:
         if self.state != "active":
@@ -195,39 +203,33 @@ class TransactionSystem:
             if part.length == 0:
                 continue
             self._lock(txn, w, entry.name)
-            node = self.nodes[w]
-            node.log.append(
-                txn=txn.txn_id, kind=UPDATE, page=("logical", entry.name, w),
-                after=part.to_bytes(), info={"op": "insert"},
-            )
-            self.db.workers[w].storage[entry.name].insert(part)
-            txn.undo.append((w, "insert", entry.name, part))
+            storage = self.db.workers[w].storage[entry.name]
+            span = storage.next_span(part.length)
+            info = {"op": "insert", "spans": [span]}
+            self._log(txn, w, entry.name, info, after=part.to_bytes())
+            storage.insert(part, span)
             total += part.length
         return total
 
     def _delete(self, txn: Txn, entry, predicate) -> int:
-        pred_fn = self._compile_pred(entry, predicate)
+        match = self._compile_pred(entry, predicate)
         total = 0
         for w in self.db.worker_ids:
             storage = self.db.workers[w].storage[entry.name]
-            victims = self._matching_rows(storage, pred_fn)
-            if victims.length == 0:
+            found = storage.find(*match)
+            if found.rows.length == 0:
                 continue
             self._lock(txn, w, entry.name)
-            node = self.nodes[w]
-            node.log.append(
-                txn=txn.txn_id, kind=UPDATE, page=("logical", entry.name, w),
-                before=victims.to_bytes(), info={"op": "delete"},
-            )
-            storage.delete_where(pred_fn)
-            txn.undo.append((w, "delete", entry.name, victims))
-            total += victims.length
+            self._log(txn, w, entry.name, {"op": "delete", "at": found.at},
+                      before=found.rows.to_bytes())
+            storage.tombstone(found.at)
+            total += found.rows.length
         return total
 
     def _update(self, txn: Txn, entry, predicate, assignments) -> int:
         from ..sql.compiler import compile_expr
 
-        pred_fn = self._compile_pred(entry, predicate)
+        match = self._compile_pred(entry, predicate)
         assign_fns = [
             (col, compile_expr(e, entry.schema)) for col, e in (assignments or [])
         ]
@@ -241,69 +243,68 @@ class TransactionSystem:
         total = 0
         for w in self.db.worker_ids:
             storage = self.db.workers[w].storage[entry.name]
-            victims = self._matching_rows(storage, pred_fn)
-            if victims.length == 0:
+            found = storage.find(*match)
+            if found.rows.length == 0:
                 continue
             self._lock(txn, w, entry.name)
-            node = self.nodes[w]
-            new_rows = updater(victims)
-            node.log.append(
-                txn=txn.txn_id, kind=UPDATE, page=("logical", entry.name, w),
-                before=victims.to_bytes(), after=new_rows.to_bytes(), info={"op": "update"},
-            )
-            storage.update_where(pred_fn, updater)
-            txn.undo.append((w, "update", entry.name, (victims, new_rows)))
-            total += victims.length
+            new_rows = updater(found.rows)
+            # each fragment's new versions are appended to that fragment
+            spans = [storage.next_span(len(pos), fragment=f) for f, pos in found.at]
+            info = {"op": "update", "at": found.at, "spans": spans}
+            self._log(txn, w, entry.name, info,
+                      before=found.rows.to_bytes(), after=new_rows.to_bytes())
+            storage.tombstone(found.at)
+            off = 0
+            for span in spans:
+                storage.insert(new_rows.slice(off, off + span.n_rows), span)
+                off += span.n_rows
+            total += found.rows.length
         return total
 
+    def _log(self, txn: Txn, worker: int, table: str, info: dict, **images) -> None:
+        """WAL first: the record (and the undo entry, so a change that
+        fails part-way is still undone) precede the storage change."""
+        self.nodes[worker].log.append(
+            txn=txn.txn_id, kind=UPDATE, page=("logical", table, worker), info=info, **images
+        )
+        txn.undo.append((worker, table, info))
+
     def _compile_pred(self, entry, predicate):
+        """(predicate, the columns it reads, its skipping key): what
+        ``TableStorage.find`` takes."""
         if predicate is None:
-            return lambda b: np.ones(b.length, dtype=bool)
-        return compile_predicate(predicate, entry.schema)
-
-    @staticmethod
-    def _matching_rows(storage, pred_fn) -> RowBatch:
-        from ..cluster.database import _all_of
-
-        allb = _all_of(storage)
-        return allb.filter(pred_fn(allb))
+            return lambda b: np.ones(b.length, dtype=bool), [], None
+        schema = entry.schema
+        columns = {
+            schema.try_resolve(r.key) or schema.try_resolve(r.name) for r in column_refs(predicate)
+        }
+        return (
+            compile_predicate(predicate, schema),
+            sorted(c for c in columns if c is not None),
+            to_scan_predicate(predicate, schema),
+        )
 
     # -- logical undo --------------------------------------------------------------------
     def undo_on_worker(self, worker_id: int, txn_id: int) -> None:
         txn = self._active.get(txn_id)
         if txn is None:
             return
-        for w, op, table, payload in reversed(txn.undo):
+        for w, table, info in reversed(txn.undo):
             if w != worker_id:
                 continue
             worker = self.db.workers.get(w)  # may have drained mid-txn
             storage = worker.storage.get(table) if worker is not None else None
-            if storage is None:
-                continue
-            if op == "insert":
-                self._delete_exact(storage, payload)
-            elif op == "delete":
-                storage.insert(payload)
-            elif op == "update":
-                before, after = payload
-                self._delete_exact(storage, after)
-                storage.insert(before)
+            if storage is not None:
+                self._undo(storage, info)
 
     @staticmethod
-    def _delete_exact(storage, rows: RowBatch) -> None:
-        """Delete exactly the given rows (whole-row match)."""
-        keys = set(map(tuple, rows.rows()))
-        names = rows.schema.names()
-
-        def pred(b: RowBatch) -> np.ndarray:
-            cols = [b.col(n) for n in names]
-            out = np.zeros(b.length, dtype=bool)
-            for i in range(b.length):
-                if tuple(c[i] for c in cols) in keys:
-                    out[i] = True
-            return out
-
-        storage.delete_where(pred)
+    def _undo(storage, info: dict) -> None:
+        """Undo one DML record: tombstone the rows its appends created,
+        revive the rows it tombstoned."""
+        spans = info.get("spans", ())
+        if spans:
+            storage.tombstone([storage.span_rows(s) for s in spans])
+        storage.revive(info.get("at", ()))
 
     # -- crash recovery (2PC termination protocol) -----------------------------------------
     def recover_worker(self, worker_id: int) -> dict[int, str]:
@@ -355,9 +356,9 @@ class TransactionSystem:
         return out
 
     def undo_from_wal(self, worker_id: int, txn_id: int) -> None:
-        """Logical undo driven purely by WAL before/after images — the
-        path a worker takes when its in-memory transaction state died
-        with it (crash recovery), mirroring ARIES logical undo."""
+        """Undo driven purely by the WAL's records — the path a worker
+        takes when its in-memory transaction state died with it (crash
+        recovery), mirroring ARIES logical undo."""
         node = self.nodes[worker_id]
         recs = [
             r
@@ -370,13 +371,5 @@ class TransactionSystem:
         for rec in reversed(recs):
             _, table, _w = rec.page
             storage = self.db.workers[worker_id].storage.get(table)
-            if storage is None:
-                continue
-            op = (rec.info or {}).get("op")
-            if op == "insert":
-                self._delete_exact(storage, RowBatch.from_bytes(rec.after))
-            elif op == "delete":
-                storage.insert(RowBatch.from_bytes(rec.before))
-            elif op == "update":
-                self._delete_exact(storage, RowBatch.from_bytes(rec.after))
-                storage.insert(RowBatch.from_bytes(rec.before))
+            if storage is not None:
+                self._undo(storage, rec.info)

@@ -27,6 +27,27 @@ def tpch_data():
     return tpch_dbgen.generate(sf=TPCH_SF, seed=TPCH_SEED)
 
 
+def delete_where(t: TableStorage, predicate) -> int:
+    """Storage-level DELETE, as the transaction system runs it: find the
+    live matches, then tombstone them. Returns the rows deleted."""
+    found = t.find(predicate)
+    t.tombstone(found.at)
+    return found.rows.length
+
+
+def update_where(t: TableStorage, predicate, updater) -> int:
+    """Storage-level UPDATE: tombstone the matches and append their new
+    versions (``updater(old rows)``) to the fragments they came from."""
+    found = t.find(predicate)
+    new_rows = updater(found.rows)
+    t.tombstone(found.at)
+    off = 0
+    for i, positions in found.at:
+        t.insert(new_rows.slice(off, off + len(positions)), t.next_span(len(positions), i))
+        off += len(positions)
+    return found.rows.length
+
+
 def load_tpch(data, **cfg_overrides) -> Database:
     """A 4-worker cluster loaded with a TPC-H instance."""
     cfg = dict(n_workers=4, n_max=4, page_size=32 * 1024, batch_size=4096)

@@ -66,3 +66,39 @@ def test_pipeline_verdict_printed_beside_section_8(parent, change, want, capsys)
                if line.startswith("pass_s"))
     assert row.split()[-2:] == list(want)
     assert ab_pairs.pipeline_verdict(parent, change, "lower", 0.2)[1] == want[1]
+
+
+def _op_runs(side: list[dict[str, float]]) -> list[dict]:
+    return [{"operations": {op: {"p25": v} for op, v in ops.items()}} for ops in side]
+
+
+def test_ops_report_medians_and_pairs_won(capsys):
+    parent = _op_runs([{"rf1": 0.010, "rf2": 0.018, "q01": 0.011}] * 3)
+    change = _op_runs([
+        {"rf1": 0.008, "rf2": 0.004, "q01": 0.012},
+        {"rf1": 0.011, "rf2": 0.005, "q01": 0.010},
+        {"rf1": 0.007, "rf2": 0.003, "q01": 0.011},
+    ])
+    ab_pairs.report_ops("refresh_mix", parent, change)
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:]}
+    assert rows["rf2"] == ["18", "4", "-77.8%", "3/3"]
+    assert rows["rf1"] == ["10", "8", "-20.0%", "2/3"]
+    # ties count for neither side
+    assert rows["q01"] == ["11", "11", "+0.0%", "1/3"]
+
+
+def test_run_once_reads_the_operations_of_the_record_it_asked_for(tmp_path):
+    """``--ops`` runs pass ``--out`` and take the operations from there."""
+    import sys
+
+    fake = tmp_path / "run.py"
+    fake.write_text(
+        "import json, sys\n"
+        "out = sys.argv[sys.argv.index('--out') + 1]\n"
+        "open(out, 'a').write(json.dumps({'operations': {'rf2': {'p25': 0.004}}}) + '\\n')\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n"
+    )
+    record = tmp_path / "side.record.jsonl"
+    record.write_text("stale\n")  # a previous run's record is not read
+    got = ab_pairs.run_once([sys.executable, str(fake)], tmp_path, "refresh_mix", 1, 1, 0, record)
+    assert got["operations"] == {"rf2": {"p25": 0.004}} and got["correct"]

@@ -32,7 +32,7 @@ from repro.storage.table import ScanStats, TableStorage
 from repro.util.fs import MemFS
 from repro.workloads import tpch_dbgen, tpch_queries, tpch_schema
 
-from tests.conftest import forced_scans
+from tests.conftest import delete_where, forced_scans
 
 CHAOS_SEEDS = [11, 23, 37]
 TPCH_QUERIES = [1, 3, 6, 12]
@@ -129,7 +129,7 @@ class TestNearDataOracle:
 
     def test_deleted_rows_respected(self):
         t = make_table()
-        t.delete_where(lambda b: b.col("k") % 3 == 0)
+        delete_where(t, lambda b: b.col("k") % 3 == 0)
         sp = ScanPredicate([Atom("k", Op.LT, 400)])
         pred = lambda b: b.col("k") < 400  # noqa: E731
         on, _ = collect(t, predicate=pred, scan_pred=sp, neardata=True)

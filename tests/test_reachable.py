@@ -49,7 +49,6 @@ ALLOWED = {
     "cluster/database.py::Database.reorganize": "restores clustering after DML (DESIGN.md §3)",
     "storage/table.py::TableStorage.reorganize": "restores clustering after DML (DESIGN.md §3)",
     "storage/table.py::_Fragment.reorganize": "restores clustering after DML (DESIGN.md §3)",
-    "storage/table.py::TableStorage.persist_caches": "paper §III: predicate caches survive a restart",
     "txn/manager.py::TransactionSystem.resolve_in_doubt": "2PC termination over every worker",
     "fault/injector.py::FaultInjector.crash_now": "fault-injection control of the chaos tests",
     "fault/injector.py::FaultInjector.recover_now": "fault-injection control of the chaos tests",
@@ -67,6 +66,7 @@ ALLOWED = {
     "optimizer/physical.py::PhysOp.count_ops": "plan shape the model and figure tests assert",
     "storage/btree.py::BPlusTree.height": "tree shape the split tests assert",
     "storage/predicate_cache.py::PredicateCache.n_entries": "cache size the skipping tests assert",
+    "optimizer/stats.py::StatsProvider.has": "table coverage the workload tests assert",
     "storage/row_page.py::RowPage.mark_deleted": "tombstone flag of the slotted-page format",
     "storage/row_page.py::RowPage.is_deleted": "tombstone flag of the slotted-page format",
     "telemetry/metrics.py::MetricsRegistry.subsystems": "metrics coverage the telemetry tests assert",

@@ -175,30 +175,46 @@ class TestPredicateCache:
 class TestPageMinMax:
     def test_skip_out_of_range(self):
         mm = PageMinMax()
-        mm.record(1, {"x": (10, 20)})
-        assert mm.can_skip(1, P(Atom("x", Op.LT, 5)))
-        assert mm.can_skip(1, P(Atom("x", Op.GT, 25)))
-        assert mm.can_skip(1, P(Atom("x", Op.EQ, 99)))
-        assert not mm.can_skip(1, P(Atom("x", Op.EQ, 15)))
-        assert not mm.can_skip(1, P(Atom("x", Op.LT, 15)))
+        mm.extend([{"x": (10, 20), "s": ("b", "d")}])
+        mm.extend([{"x": (0, 100), "s": ("a", "z")}])
+
+        def skips(*atoms):
+            return mm.skippable(2, P(*atoms)).tolist()
+
+        assert skips(Atom("x", Op.LT, 5)) == [True, False]
+        assert skips(Atom("x", Op.GT, 25)) == [True, False]
+        assert skips(Atom("x", Op.EQ, 99)) == [True, False]
+        assert skips(Atom("x", Op.EQ, 15)) == [False, False]
+        assert skips(Atom("x", Op.LT, 15)) == [False, False]
+        assert skips(Atom("x", Op.LE, -1)) == [True, True]
+        assert skips(Atom("x", Op.GE, 101)) == [True, True]
+        # strings compare as Python strings; atoms of a conjunction add up
+        assert skips(Atom("s", Op.EQ, "e")) == [True, False]
+        assert skips(Atom("s", Op.GE, "c"), Atom("x", Op.GT, 50)) == [True, False]
 
     def test_unknown_page_or_column(self):
         mm = PageMinMax()
-        assert not mm.can_skip(7, P(Atom("x", Op.LT, 5)))
-        mm.record(1, {"y": (0, 1)})
-        assert not mm.can_skip(1, P(Atom("x", Op.LT, 5)))
+        assert not mm.skippable(7, P(Atom("x", Op.LT, 5))).any()
+        mm.extend([{"y": (0, 1)}])
+        assert not mm.skippable(1, P(Atom("x", Op.LT, 5))).any()
+        # an incomparable constant proves nothing
+        assert not mm.skippable(1, P(Atom("y", Op.LT, "a"))).any()
+        # sets beyond the recorded ones are never skipped
+        assert mm.skippable(3, P(Atom("y", Op.GT, 5))).tolist() == [True, False, False]
 
     def test_generalization_claim(self):
         """Cases min-max cannot skip but the predicate cache can: an
         in-range predicate that previously matched nothing (the paper's
         generalization argument)."""
         mm = PageMinMax()
-        mm.record(1, {"x": (0, 100)})
+        mm.extend([{"x": (0, 100)}])
         p = P(Atom("x", Op.EQ, 50))  # in range: min-max cannot skip
-        assert not mm.can_skip(1, p)
+        assert not mm.skippable(1, p)[0]
         pc = PredicateCache()
-        pc.record_empty(1, p)  # ...but a previous scan proved it empty
-        assert pc.can_skip(1, p)
+        pc.record_empty(0, p)  # ...but a previous scan proved it empty
+        assert pc.can_skip(0, p)
+        assert pc.skippable(np.ones(2, dtype=bool), p) == [0]
+        assert pc.skippable(np.array([False, True]), p) == []
 
 
 class TestEndToEndSkipping:
@@ -285,3 +301,80 @@ class TestCachePersistence:
         st = ScanStats()
         list(t2.scan(["k"], pred, sp, stats=st))
         assert st.sets_skipped_cache > 0
+
+
+class TestDatabaseCachePersistence:
+    """``Database.close`` persists what read-only scans learned, and a
+    reorganize never leaves a persisted entry behind for its new sets."""
+
+    SQL = "select count(*) from t where k = {}"
+
+    @staticmethod
+    def _db():
+        from repro import ClusterConfig, Database
+        from repro.common import DataType, RowBatch
+
+        db = Database(ClusterConfig(n_workers=2, n_max=4, page_size=8192))
+        db.sql("create table t (k integer, v integer) partition by hash (k)")
+        # even keys only: an odd-key equality lies inside the min/max of
+        # every set yet matches nothing, which only the cache can learn
+        db.load("t", RowBatch.from_pairs(
+            ("k", DataType.INT64, [2 * i for i in range(6000)]),
+            ("v", DataType.INT64, list(range(6000))),
+        ))
+        return db
+
+    @staticmethod
+    def _reopened(db):
+        """Each worker's table opened again over the same MemFS, through
+        a fresh buffer pool (what a restart of the worker reads)."""
+        from repro.cluster.database import Worker
+
+        entry = db.catalog.entry("t")
+        return {w: Worker(w, db.config, wk.fs).create_table(entry) for w, wk in db.workers.items()}
+
+    @staticmethod
+    def _entries(storage):
+        return [{pid: set(preds) for pid, preds in f.pred_cache._cache.items()} for f in storage.fragments]
+
+    def test_read_only_entries_survive_close_and_reopen(self):
+        db = self._db()
+        for k in (1001, 3001, 7001):
+            assert db.sql(self.SQL.format(k)).rows() == [(0,)]
+        learned = {w: self._entries(wk.storage["t"]) for w, wk in db.workers.items()}
+        assert sum(len(e) for es in learned.values() for e in es) > 0
+        # nothing persisted them yet: a restart now would lose them
+        assert all(not any(self._entries(ts)) for ts in self._reopened(db).values())
+        db.close()
+        again = self._reopened(db)
+        assert {w: self._entries(ts) for w, ts in again.items()} == learned
+        from repro.storage.table import ScanStats
+
+        stats = ScanStats()
+        for ts in again.values():
+            sp = ScanPredicate([Atom("k", Op.EQ, 3001)])
+            assert not list(ts.scan(["k"], lambda b: b.col("k") == 3001, sp, stats=stats, neardata=True))
+        assert stats.sets_skipped_cache > 0
+
+    def test_reorganize_leaves_no_stale_entry(self):
+        db = self._db()
+        for k in (1001, 3001):
+            assert db.sql(self.SQL.format(k)).rows() == [(0,)]
+        db.close()  # the entries are on disk
+        # a matching row arrives in a new set, and a reorganize sorts it
+        # into sets whose old ids carry "k = 1001 matches nothing"
+        db.sql("insert into t values (1001, 1), (3001, 2)")
+        db.reorganize("t")
+        # no close: as after a crash, only what reorganize itself wrote
+        for w, ts in self._reopened(db).items():
+            assert not any(self._entries(ts)), w
+        for wk in db.workers.values():
+            wk.bufmgr.flush()
+        for k in (1001, 3001):
+            got = [
+                b.length
+                for ts in self._reopened(db).values()
+                for b in ts.scan(["k"], lambda b, k=k: b.col("k") == k,
+                                 ScanPredicate([Atom("k", Op.EQ, k)]), neardata=True)
+            ]
+            assert sum(got) == 1, k

@@ -24,6 +24,7 @@ from repro.storage.predicate_cache import Atom, Op, ScanPredicate
 from repro.storage.row_page import RowPage, decode_row, encode_row
 from repro.storage.table import COLUMN, ROW, TableStorage
 from repro.util.fs import LocalFS, MemFS
+from tests.conftest import delete_where, update_where
 
 
 class TestMemFS:
@@ -241,9 +242,8 @@ class TestRowPage:
             page.try_append(encode_row(s, [i, "r"]))
         page.mark_deleted(2)
         assert page.is_deleted(2)
-        assert page.n_live == 4
         live = [r[0] for _, r in page.iter_rows(s)]
-        assert 2 not in live
+        assert live == [0, 1, 3, 4]
 
     def test_to_batch(self):
         s = self.schema()
@@ -341,7 +341,7 @@ class TestTableStorage:
         t = _table(memfs, bufmgr)
         data = _data(300)
         t.load(data)
-        n = t.delete_where(lambda b: b.col("k") == data.col("k")[0])
+        n = delete_where(t, lambda b: b.col("k") == data.col("k")[0])
         assert n >= 1
         assert t.row_count == 300 - n
         remaining = [v for b in t.scan(["k"]) for v in b.col("k").tolist()]
@@ -356,7 +356,7 @@ class TestTableStorage:
             cols["v"] = old.col("v") + 100.0
             return RowBatch(old.schema, cols)
 
-        n = t.update_where(lambda b: b.col("k") < 10, bump)
+        n = update_where(t, lambda b: b.col("k") < 10, bump)
         assert n > 0
         assert t.row_count == 100  # update = delete + insert, count stable
         vals = [
@@ -371,7 +371,7 @@ class TestTableStorage:
         t = _table(memfs, bufmgr, fmt=fmt, n_disks=2)
         data = _data(2000)
         t.load(data)
-        t.delete_where(lambda b: b.col("k") % 7 == 0)
+        delete_where(t, lambda b: b.col("k") % 7 == 0)
         pages_per_set = len(t.schema) if fmt == COLUMN else 1
         pages = sum(len(f.sets) * pages_per_set for f in t.fragments)
 
@@ -382,7 +382,7 @@ class TestTableStorage:
         # the pool exactly once (the delete above left them cached)
         clear_decoded_caches()
         before = bufmgr.hits + bufmgr.misses
-        n = t.update_where(lambda b: b.col("k") < 50, bump)
+        n = update_where(t, lambda b: b.col("k") < 50, bump)
         assert bufmgr.hits + bufmgr.misses - before == pages
         # tombstoned rows are not resurrected as new versions
         k = data.col("k")
@@ -415,6 +415,22 @@ class TestTableStorage:
         bm2 = BufferManager(4, 64)
         t2 = _table(memfs, bm2)
         assert t2.row_count == 150
+
+    def test_live_rows_and_tombstones_survive_reopen(self, memfs, bufmgr):
+        """Appends after the last tombstone write are live on reopen; the
+        live-row count is kept by appends and deletes, not recounted."""
+        t = _table(memfs, bufmgr, n_disks=2)
+        data = _data(1500)
+        t.load(data)
+        n = delete_where(t, lambda b: b.col("k") % 4 == 0)
+        t.insert(_data(300, seed=5))  # after the mask was written
+        assert t.row_count == 1800 - n
+        bufmgr.flush()
+        again = _table(memfs, BufferManager(4, 64), n_disks=2)
+        assert [f.row_count for f in again.fragments] == [f.row_count for f in t.fragments]
+        assert sorted(r for b in again.scan(["k", "v", "s"]) for r in b.rows()) == sorted(
+            r for b in t.scan(["k", "v", "s"]) for r in b.rows()
+        )
 
     def test_predicate_cache_bytes(self, memfs, bufmgr):
         t = _table(memfs, bufmgr)
@@ -472,21 +488,21 @@ class TestFragmentColumnInvalidation:
 
     def test_delete_and_update(self, memfs, bufmgr):
         t, data = self.warm(memfs, bufmgr)
-        t.delete_where(lambda b: b.col("k") % 3 == 0)
+        delete_where(t, lambda b: b.col("k") % 3 == 0)
         live = data.filter(data.col("k") % 3 != 0)
         assert self.rows(t) == self.fresh(live)
 
         def bump(old):
             return RowBatch(old.schema, {**old.columns, "k": old.col("k") - 100})
 
-        t.update_where(lambda b: (b.col("k") >= 100) & (b.col("k") < 110), bump)
+        update_where(t, lambda b: (b.col("k") >= 100) & (b.col("k") < 110), bump)
         moved = (live.col("k") >= 100) & (live.col("k") < 110)
         want = RowBatch.concat(live.schema, [live.filter(~moved), bump(live.filter(moved))])
         assert self.rows(t) == self.fresh(want)
 
     def test_reorganize(self, memfs, bufmgr):
         t, data = self.warm(memfs, bufmgr)
-        t.delete_where(lambda b: b.col("k") % 2 == 0)
+        delete_where(t, lambda b: b.col("k") % 2 == 0)
         generations = [f.generation for f in t.fragments]
         t.clustering = ("k",)
         t.reorganize()
@@ -495,7 +511,7 @@ class TestFragmentColumnInvalidation:
 
     def test_restart_reloads_meta(self, memfs, bufmgr):
         t, data = self.warm(memfs, bufmgr)
-        t.delete_where(lambda b: b.col("k") % 5 == 0)
+        delete_where(t, lambda b: b.col("k") % 5 == 0)
         t.persist_caches()
         bufmgr.flush()
         again = _table(memfs, BufferManager(4, 64), n_disks=2)
@@ -525,3 +541,91 @@ class TestFragmentColumnInvalidation:
         assert after["misses"] > before["misses"] and after["bytes"] > 0
         self.rows(t)
         assert decoded_cache_stats()["misses"] == after["misses"]
+
+
+class TestDmlReadsWhatItChanges:
+    """A DELETE finds its rows through set skipping and pays for the
+    sets that hold them: counted in pages fetched and ``.meta`` writes."""
+
+    @staticmethod
+    def _db():
+        from repro import ClusterConfig, Database
+
+        db = Database(ClusterConfig(n_workers=1, n_max=4, disks_per_node=2, page_size=4096))
+        db.sql("create table t (k integer, v double, s varchar) partition by hash (k)")
+        n = 6000
+        db.load("t", RowBatch.from_pairs(
+            ("k", DataType.INT64, list(range(n))),
+            ("v", DataType.FLOAT64, [0.5 * i for i in range(n)]),
+            ("s", DataType.STRING, [f"row {i} of the load" for i in range(n)]),
+        ))
+        # appended sets: keys above every loaded one, in both fragments
+        db.sql("insert into t values " + ", ".join(f"({k}, 1.0, 'new')" for k in range(9000, 9400)))
+        db.sql("insert into t values " + ", ".join(f"({k}, 2.0, 'new')" for k in range(9400, 9800)))
+        return db
+
+    def test_delete_decodes_only_what_it_needs_and_logs_what_it_tombstones(self, monkeypatch):
+        from repro.storage import table as table_mod
+        from repro.txn.wal import UPDATE
+
+        db = self._db()
+        worker = db.workers[0]
+        storage = worker.storage["t"]
+        frags = storage.fragments
+        assert all(len(f.sets) > 10 for f in frags)
+        rows_before = [f.all_rows() for f in frags]
+        worker.bufmgr.flush()
+        clear_decoded_caches()
+
+        fetched: list[tuple[str, int]] = []
+        get, get_many = worker.bufmgr.get, worker.bufmgr.get_many
+        monkeypatch.setattr(worker.bufmgr, "get", lambda p, n: (fetched.append((p, n)), get(p, n))[1])
+        monkeypatch.setattr(
+            worker.bufmgr, "get_many", lambda p, ns: (fetched.extend((p, n) for n in ns), get_many(p, ns))[1]
+        )
+        saved: list[tuple[str, str]] = []
+        for what in ("_save_meta", "_save_tombstones", "persist_cache"):
+            save = getattr(table_mod._Fragment, what)
+            monkeypatch.setattr(
+                table_mod._Fragment, what,
+                lambda f, what=what, save=save: (saved.append((f.path, what)), save(f))[1],
+            )
+
+        assert db.sql("delete from t where k = 3001").rowcount == 1
+
+        def owner(path, page):
+            """(fragment, set, column) of a fetched page."""
+            f = next(i for i, f in enumerate(frags) if f.path == path)
+            set_id = max(i for i, s in enumerate(frags[f].sets) if s.first_page <= page)
+            return f, set_id, frags[f].schema.names()[page - frags[f].sets[set_id].first_page]
+
+        def admitted(f):
+            """The set of fragment ``f`` whose key range holds 3001 (keys
+            were loaded ascending, then came the appended sets)."""
+            keys, bounds = rows_before[f].col("k"), frags[f]._bounds
+            return next(i for i in range(len(frags[f].sets)) if keys[bounds[i + 1] - 1] >= 3001)
+
+        victim = next(f for f in (0, 1) if 3001 in rows_before[f].col("k"))
+        sets = {f: admitted(f) for f in (0, 1)}
+        assert all(sets[f] + 1 < len(frags[f].sets) for f in (0, 1))
+        # key pages as far as the set min/max admits (none after it, so
+        # none of the appended sets), and the victim set's other pages
+        assert {owner(*p) for p in fetched} == {
+            (f, i, "k") for f in (0, 1) for i in range(sets[f] + 1)
+        } | {(victim, sets[victim], "v"), (victim, sets[victim], "s")}
+        # the fragment that lost a row wrote its tombstones and nothing
+        # else; the other wrote nothing
+        assert saved == [(frags[victim].path, "_save_tombstones")]
+
+        rec = next(r for r in worker_log(db) if r.kind == UPDATE and r.info["op"] == "delete")
+        ((frag_no, positions),) = rec.info["at"]
+        image = RowBatch.from_bytes(rec.before)
+        assert frag_no == victim
+        assert image.rows() == rows_before[victim].take(positions).rows() == [(3001, 1500.5, "row 3001 of the load")]
+        assert sorted(frags[victim].all_rows().rows()) == sorted(
+            r for r in rows_before[victim].rows() if r[0] != 3001
+        )
+
+
+def worker_log(db):
+    return db.txn_system.nodes[0].log.records()

@@ -332,6 +332,60 @@ def _dml_db(n_workers=3):
     return db
 
 
+def _undo(db, txn, path: str) -> None:
+    """Roll ``txn`` back in memory, or as crash recovery does: from the
+    WAL alone, on every worker (a loser: no PREPARE, presumed abort)."""
+    if path == "memory":
+        db.txn_system.rollback(txn)
+    else:
+        resolved = db.txn_system.resolve_in_doubt()
+        assert set(resolved.values()) == {"rollback"}
+
+
+class TestPositionalUndo:
+    """Undo removes exactly the rows its transaction wrote: a committed
+    row equal to an undone one survives, in memory and from the WAL."""
+
+    @pytest.mark.parametrize("path", ["memory", "wal"])
+    def test_insert_rollback_keeps_an_equal_committed_row(self, path):
+        from repro.sql import parse
+
+        db = _dml_db()
+        db.sql("insert into t values (1, 'a'), (2, 'b')")
+        txn = db.txn_system.begin()
+        db.insert_values(parse("insert into t values (1, 'a')"), txn=txn)
+        _undo(db, txn, path)
+        assert sorted(db.sql("select k, v from t").rows()) == [(1, "a"), (2, "b")]
+
+    @pytest.mark.parametrize("path", ["memory", "wal"])
+    def test_update_rollback_keeps_an_equal_committed_row(self, path):
+        from repro.sql import parse
+
+        db = _dml_db()
+        db.sql("insert into t values (1, 'a'), (1, 'z'), (2, 'b')")
+        txn = db.txn_system.begin()
+        # the new version (1, 'z') equals a committed row
+        db.update_where(parse("update t set v = 'z' where v = 'a'"), txn=txn)
+        _undo(db, txn, path)
+        assert sorted(db.sql("select k, v from t").rows()) == [(1, "a"), (1, "z"), (2, "b")]
+
+    @pytest.mark.parametrize("path", ["memory", "wal"])
+    def test_rollback_of_a_transaction_that_rewrites_its_own_rows(self, path):
+        from repro.sql import parse
+
+        db = _dml_db()
+        db.sql("insert into t values (1, 'a'), (5, 'p')")
+        txn = db.txn_system.begin()
+        db.insert_values(parse("insert into t values (5, 'p'), (7, 'q')"), txn=txn)
+        db.update_where(parse("update t set v = 'r' where k = 5"), txn=txn)
+        db.update_where(parse("update t set v = 's' where k = 5"), txn=txn)
+        db.delete_where(parse("delete from t where k = 7 or k = 1"), txn=txn)
+        assert sorted(db.sql("select k, v from t").rows()) == [(5, "s"), (5, "s")]
+        _undo(db, txn, path)
+        assert sorted(db.sql("select k, v from t").rows()) == [(1, "a"), (5, "p")]
+        assert db.table_rows("t") == 2
+
+
 class TestTransactionalDML:
     def test_autocommit_insert_select(self):
         db = _dml_db()

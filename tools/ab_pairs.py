@@ -30,9 +30,13 @@ over the median) exceeds the bound, else ``regressed`` / ``improved`` when
 the medians differ by more than the bound, else ``same``. A claim states
 what the pipeline will decide, not only the section-8 verdict.
 
-``--traced`` adds one pair with ``--trace 1`` per workload and prints the
-per-layer metrics of both sides next to each other. Every run's JSON line
-is appended to ``OUT/runs.jsonl``.
+``--ops`` passes ``--out`` to every run and prints, after the end-to-end
+table, each operation's (``rf1``, ``rf2``, ``q01``, ..., ``pass``) median
+over the runs of its p25 latency on both sides and the pairs the change
+won, so a claim shows where the time went. ``--traced`` adds one pair
+with ``--trace 1`` per workload and prints the per-layer metrics of both
+sides next to each other. Every run's JSON line is appended to
+``OUT/runs.jsonl``.
 """
 
 from __future__ import annotations
@@ -78,15 +82,24 @@ def parent_export(rev: str, out: Path) -> Path:
     return dest
 
 
-def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One run of the benchmark; its last stdout line is the result."""
+def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: int, trace: int,
+             record: Path | None = None) -> dict:
+    """One run of the benchmark; its last stdout line is the result. With
+    ``record`` the run also writes its full record there (``--out``), and
+    the result gains that record's per-operation latencies."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
+    if record is not None:
+        record.unlink(missing_ok=True)
+        argv += ["--out", str(record)]
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv)} failed in {cwd}:\n{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if record is not None:
+        result["operations"] = json.loads(record.read_text().splitlines()[-1])["operations"]
+    return result
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -141,6 +154,25 @@ def report(workload: str, spec: dict, parent_runs: list[dict], change_runs: list
               f"{delta:+7.1f}% {won:>2}/{len(p):<2} {v:10} {pipeline}")
 
 
+def report_ops(workload: str, parent_runs: list[dict], change_runs: list[dict]) -> None:
+    """Per operation: the median over the runs of its p25 latency on each
+    side, and the pairs in which the change's was lower."""
+    print(f"\n## {workload}: per-operation p25, median over the runs (ms)")
+    print(f"{'operation':10} {'parent':>10} {'change':>10} {'delta':>8} {'won':>5}")
+    ops = sorted({op for r in parent_runs + change_runs for op in r["operations"]})
+    for op in ops:
+        pairs = [(p["operations"][op]["p25"], c["operations"][op]["p25"])
+                 for p, c in zip(parent_runs, change_runs)
+                 if op in p["operations"] and op in c["operations"]]
+        if not pairs:
+            continue
+        pm = statistics.median(p for p, _ in pairs) * 1e3
+        cm = statistics.median(c for _, c in pairs) * 1e3
+        won = sum(c < p for p, c in pairs)
+        delta = (cm - pm) / pm * 100 if pm else 0.0
+        print(f"{op:10} {fmt(pm):>10} {fmt(cm):>10} {delta:+7.1f}% {won:>2}/{len(pairs):<2}")
+
+
 def report_layers(workload: str, parent: dict, change: dict) -> None:
     print(f"\n## {workload}: per-layer metrics of one traced pair (parent -> change)")
     for name, cell in parent["metrics"].items():
@@ -157,6 +189,8 @@ def main() -> int:
     ap.add_argument("--workloads", default="", help="comma-separated subset (default: all)")
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--traced", action="store_true", help="one more pair per workload with --trace 1")
+    ap.add_argument("--ops", action="store_true",
+                    help="also report per-operation p25 medians and pairs won")
     ap.add_argument("--out", type=Path, required=True, help="scratch directory (parent export, runs.jsonl)")
     args = ap.parse_args()
 
@@ -172,7 +206,9 @@ def main() -> int:
     log = (args.out / "runs.jsonl").open("a")
 
     def run(side: str, workload: str, seed: int, trace: int) -> dict:
-        result = run_once(spec["command"], sides[side], workload, seed, spec["run_seconds"], trace)
+        record = (args.out / f"{side}.record.jsonl").resolve() if args.ops and not trace else None
+        result = run_once(spec["command"], sides[side], workload, seed, spec["run_seconds"], trace,
+                          record)
         log.write(json.dumps({"side": side, "workload": workload, "seed": seed,
                               "trace": trace, **result}) + "\n")
         log.flush()
@@ -186,6 +222,8 @@ def main() -> int:
                 runs[side].append(run(side, workload, args.first_seed + i, 0))
             print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
         report(workload, spec, runs["parent"], runs["change"])
+        if args.ops:
+            report_ops(workload, runs["parent"], runs["change"])
         if args.traced:
             report_layers(workload, run("parent", workload, args.first_seed, 1),
                           run("change", workload, args.first_seed, 1))
