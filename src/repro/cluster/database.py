@@ -152,7 +152,9 @@ class Worker:
         self.worker_id = worker_id
         self.config = config
         self.fs = fs
-        self.bufmgr = BufferManager(BUFFER_STRIPES, config.pages_per_pool)
+        self.bufmgr = BufferManager(
+            BUFFER_STRIPES, config.pages_per_pool, config.decoded_cache_mb << 20
+        )
         self.governor = MemoryGovernor(config.memory_per_node)
         self.storage: dict[str, TableStorage] = {}
         self.external: dict[str, object] = {}
@@ -173,7 +175,17 @@ class Worker:
         return ts
 
     def drop_table(self, name: str) -> None:
-        self.storage.pop(name, None)
+        """Forget a table and delete its files, those of every epoch a
+        rebalance left (``<name>@e<epoch>``) too, with their buffer-pool
+        pages and decoded columns."""
+        ts = self.storage.pop(name, None)
+        if ts is not None:
+            for frag in ts.fragments:
+                frag.forget_decoded()
+        for prefix in (f"tables/{name}/", f"tables/{name}@e"):
+            for path in self.fs.listdir(prefix):
+                self.bufmgr.invalidate(path)
+                self.fs.delete(path)
 
     def runtime(self) -> WorkerRuntime:
         return WorkerRuntime(
@@ -216,10 +228,6 @@ class Session:
 class Database:
     def __init__(self, config: ClusterConfig | None = None):
         self.config = config or ClusterConfig()
-        # the decoded-page caches are process-wide, like the page formats
-        from ..storage import col_page
-
-        col_page.set_decoded_cache_limit(self.config.decoded_cache_mb * 1024 * 1024)
         n = self.config.n_workers
         self.worker_ids = list(range(n))
         self.coord_ids = [COORD_BASE + i for i in range(self.config.n_coordinators)]
@@ -497,9 +505,7 @@ class Database:
             "pages whose predicate atoms ran over the encoded representation",
             per_worker(storage_total("pages_pushed_down")),
         )
-        # decoded-page caches are content-keyed and process-wide
-        from ..storage.col_page import decoded_cache_stats
-
+        # decoded caches (one per worker, held by its buffer manager)
         for key, kind in (
             ("hits", "counter"),
             ("misses", "counter"),
@@ -509,8 +515,8 @@ class Database:
             m.register_collector(
                 f"repro_storage_decoded_cache_{key}" + ("_total" if kind == "counter" else ""),
                 kind,
-                f"decoded-page LRU cache {key}",
-                lambda k=key: [({}, decoded_cache_stats()[k])],
+                f"decoded-column LRU cache {key}",
+                per_worker(lambda wk, k=key: getattr(wk.bufmgr.decoded, k)),
             )
         # lock managers (per worker node)
         nodes = self.txn_system.nodes

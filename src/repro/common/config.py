@@ -76,7 +76,8 @@ class ClusterConfig:
     tracing: bool = False
     #: completed query traces retained for export (oldest evicted first)
     trace_retention: int = 16
-    #: byte cap (MB) for the content-keyed decoded-page LRU caches
+    #: byte cap (MB) per worker for its one decoded LRU (fragment columns
+    #: and page dictionaries); a cluster holds at most n_workers x this
     decoded_cache_mb: int = 64
     #: samples retained per metric series in ``sys.metrics_history``
     metrics_history_window: int = 240

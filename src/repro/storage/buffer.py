@@ -17,6 +17,10 @@ This implementation keeps those structures and policies faithfully:
 
 Readers get immutable ``bytes``, so evicting a frame never invalidates
 a page a reader holds, and frames need no pin counts.
+
+The manager also owns its worker's decoded cache (``decoded``): the
+fragment columns and page dictionaries decoded from those pages, under
+a byte cap of their own.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..common.errors import BufferPoolError
+from .col_page import _ByteLRU
 from .page import PagedFile
 
 PageKey = tuple[str, int]  # (file path, page number)
@@ -79,12 +84,13 @@ class _Stripe:
 class BufferManager:
     """Facade over the stripe managers (the paper's lightweight wrapper)."""
 
-    def __init__(self, n_stripes: int, capacity_pages: int):
+    def __init__(self, n_stripes: int, capacity_pages: int, decoded_bytes: int = 64 << 20):
         if n_stripes < 1 or capacity_pages < n_stripes:
             raise BufferPoolError("capacity must allow >=1 page per stripe")
         per = capacity_pages // n_stripes
         self.stripes = [_Stripe(per) for _ in range(n_stripes)]
         self._files: dict[str, PagedFile] = {}
+        self.decoded = _ByteLRU(decoded_bytes)
         # statistics
         self.hits = 0
         self.misses = 0

@@ -20,13 +20,15 @@ codes and its dictionary as they are, a plain Huffman page its decoded
 values as the dictionary with ascending codes. Nothing here builds an
 array of row strings.
 
-Decoded columns live in one byte-capped LRU, so long sessions over many
-tables stay within ``set_decoded_cache_limit`` instead of growing without
-bound. Scans read *fragment columns* (see :mod:`repro.storage.table`):
-each built from :func:`decode_page` and cached under the fragment's
-generation number (:func:`cached_column` / :func:`cache_column`); no
-page is cached on its own. Dictionaries are cached by their blob, so
-pages that repeat one (every ``l_returnflag`` page) share a single
+Each worker's buffer manager owns one byte-capped LRU of decoded data
+(``BufferManager.decoded``, ``decoded_cache_mb`` per worker), so long
+sessions over many tables stay within that cap instead of growing
+without bound, and a cluster within ``n_workers`` times it. Scans read
+*fragment columns* (see :mod:`repro.storage.table`): each built from
+:func:`decode_page` and cached under the fragment's generation number;
+no page is cached on its own. Page dictionaries share the same LRU,
+keyed by their blob, so the pages of one worker that repeat one (every
+``l_returnflag`` page) share a single
 :class:`~repro.common.batch.StringDictionary` and whatever has been
 memoised on it.
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -53,15 +56,18 @@ _DICT_MIN_ROWS = 64
 
 
 class _ByteLRU:
-    """Content-keyed LRU bounded by total payload bytes, not entry count.
+    """One worker's decoded cache: an LRU bounded by total payload bytes,
+    not entry count.
 
     The previous ``functools.lru_cache(maxsize=4096)`` bounded entries
-    but not bytes: 4096 wide string pages can pin gigabytes. This keeps
-    the same content-keyed semantics (immutable pages, so staleness is
-    impossible) with an explicit byte budget and hit/miss/evict counters
-    for the metrics registry. Values are computed outside the lock so
-    concurrent scans never serialize on a decode; a racing duplicate
-    compute is tolerated (both produce identical immutable values).
+    but not bytes: 4096 wide string pages can pin gigabytes. Keys never
+    go stale: a fragment column's key names its layout's generation, a
+    dictionary's key is its immutable blob. Each cache keeps an explicit
+    byte budget and hit/miss/evict counters for the metrics registry,
+    and joins the process-wide totals while it lives. Values are
+    computed outside the lock so concurrent scans never serialize on a
+    decode; a racing duplicate compute is tolerated (both produce
+    identical immutable values).
     """
 
     def __init__(self, max_bytes: int):
@@ -72,6 +78,7 @@ class _ByteLRU:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        _LIVE.add(self)
 
     def lookup(self, key):
         with self._lock:
@@ -96,14 +103,6 @@ class _ByteLRU:
                 self.bytes -= sz
                 self.evictions += 1
 
-    def set_limit(self, max_bytes: int) -> None:
-        with self._lock:
-            self.max_bytes = max_bytes
-            while self.bytes > self.max_bytes and len(self._d) > 1:
-                _, (_, sz) = self._d.popitem(last=False)
-                self.bytes -= sz
-                self.evictions += 1
-
     def discard(self, key) -> None:
         with self._lock:
             old = self._d.pop(key, None)
@@ -116,47 +115,20 @@ class _ByteLRU:
             self.bytes = 0
 
 
-#: default byte budgets; Database applies ClusterConfig.decoded_cache_mb
-_DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
-
-#: decoded fragment columns (numeric copies + string DictColumns)
-_COLUMN_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES)
-#: Huffman-decoded dictionaries of dictionary pages, shared across pages
-_STRING_CACHE = _ByteLRU(_DEFAULT_CACHE_BYTES // 4)
-
-
-def set_decoded_cache_limit(column_bytes: int, string_bytes: int | None = None) -> None:
-    """Rebound both decoded caches (Database wires the config knob here)."""
-    _COLUMN_CACHE.set_limit(max(1, column_bytes))
-    _STRING_CACHE.set_limit(max(1, string_bytes if string_bytes is not None else column_bytes // 4))
+#: every live decoded cache in the process, for the process-wide totals
+#: below; a collected worker's cache leaves it
+_LIVE: weakref.WeakSet[_ByteLRU] = weakref.WeakSet()
 
 
 def decoded_cache_stats() -> dict[str, int]:
-    """Hit/miss/evict/byte counters for the metrics registry."""
-    return {
-        "hits": _COLUMN_CACHE.hits + _STRING_CACHE.hits,
-        "misses": _COLUMN_CACHE.misses + _STRING_CACHE.misses,
-        "evictions": _COLUMN_CACHE.evictions + _STRING_CACHE.evictions,
-        "bytes": _COLUMN_CACHE.bytes + _STRING_CACHE.bytes,
-    }
+    """Hit/miss/evict/byte counters summed over every live decoded cache."""
+    caches = list(_LIVE)
+    return {k: sum(getattr(c, k) for c in caches) for k in ("hits", "misses", "evictions", "bytes")}
 
 
 def clear_decoded_caches() -> None:
-    _COLUMN_CACHE.clear()
-    _STRING_CACHE.clear()
-
-
-def cached_column(key):
-    """A decoded column cached under ``key``, or None (counted as a miss)."""
-    return _COLUMN_CACHE.lookup(key)
-
-
-def cache_column(key, value, nbytes: int) -> None:
-    _COLUMN_CACHE.insert(key, value, nbytes)
-
-
-def uncache_column(key) -> None:
-    _COLUMN_CACHE.discard(key)
+    for c in list(_LIVE):
+        c.clear()
 
 
 def _dict_encode_strings(values: list[str]) -> bytes | None:
@@ -182,19 +154,21 @@ def _dict_encode_strings(values: list[str]) -> bytes | None:
     return header + dict_blob + codes.tobytes()
 
 
-def _decode_dictionary(blob: bytes) -> StringDictionary:
+def _decode_dictionary(blob: bytes, cache: _ByteLRU | None) -> StringDictionary:
     """Huffman-decode a dictionary page's dictionary once per distinct
-    content, so every page that repeats it shares one object.
+    content in ``cache`` (every time, for None), so every page that
+    repeats it shares one object.
 
     Storage pages are immutable, and the key here is the blob *content*
     (not a page number), so staleness is impossible: a rewritten page is
     a different blob.
     """
-    hit = _STRING_CACHE.lookup(blob)
+    hit = None if cache is None else cache.lookup(blob)
     if hit is not None:
         return hit
     dictionary = StringDictionary(huffman_decode_strings(blob))
-    _STRING_CACHE.insert(blob, dictionary, _dictionary_nbytes(dictionary))
+    if cache is not None:
+        cache.insert(blob, dictionary, _dictionary_nbytes(dictionary))
     return dictionary
 
 
@@ -207,11 +181,11 @@ def is_dict_page(payload: bytes) -> bool:
     return payload[:4] == _DICT_MAGIC
 
 
-def _decode_string_page(payload: bytes, n_rows: int) -> DictColumn:
+def _decode_string_page(payload: bytes, n_rows: int, cache: _ByteLRU | None) -> DictColumn:
     if is_dict_page(payload):
         width, n, dict_len = struct.unpack_from("<BII", payload, 4)
         off = 4 + struct.calcsize("<BII")
-        dictionary = _decode_dictionary(payload[off : off + dict_len])
+        dictionary = _decode_dictionary(payload[off : off + dict_len], cache)
         codes = np.frombuffer(payload, dtype=f"<u{width}", offset=off + dict_len)
         if n != n_rows or len(codes) != n_rows:
             raise PageFormatError(f"string page holds {n} values, expected {n_rows}")
@@ -233,12 +207,13 @@ def encode_column(arr, dtype: DataType) -> bytes:
     return np.ascontiguousarray(arr, dtype=dtype.numpy_dtype).tobytes()
 
 
-def decode_page(payload: bytes, dtype: DataType, n_rows: int):
-    """Decode one column page, uncached: a DictColumn for STRING, else a
-    read-only view that borrows the payload's buffer. Every column page
-    is validated against ``n_rows``."""
+def decode_page(payload: bytes, dtype: DataType, n_rows: int, cache: _ByteLRU | None = None):
+    """Decode one column page: a DictColumn for STRING, else a read-only
+    view that borrows the payload's buffer. A dictionary page's
+    dictionary is looked up in, and added to, ``cache`` (None: uncached).
+    Every column page is validated against ``n_rows``."""
     if dtype == DataType.STRING:
-        return _decode_string_page(payload, n_rows)
+        return _decode_string_page(payload, n_rows, cache)
     col = np.frombuffer(payload, dtype=dtype.numpy_dtype)
     if len(col) != n_rows:
         raise PageFormatError(f"column page holds {len(col)} values, expected {n_rows}")
@@ -248,7 +223,7 @@ def decode_page(payload: bytes, dtype: DataType, n_rows: int):
 def decoded_nbytes(col) -> int:
     """What the cache is charged for a decoded column: a string column's
     codes and dictionary (the entry keeps the dictionary alive whatever
-    the string cache does)."""
+    becomes of the dictionary's own entry)."""
     if isinstance(col, DictColumn):
         return col.codes.nbytes + _dictionary_nbytes(col.dictionary)
     return col.nbytes

@@ -12,10 +12,10 @@ columns*: per (fragment, column), every page set's decoded values
 concatenated into one array (a string column into one
 :class:`DictColumn` over one appended dictionary), beside the sets' row
 offsets. A fragment column is built on first use through the buffer
-pool and the page decoder, and cached in the decoded-column LRU under
-the fragment's *generation*: a process-wide number the fragment draws
-whenever its layout is rebuilt (creation, which covers a meta reload,
-and ``reorganize``). Appends only add sets, so a cached column that
+pool and the page decoder, and cached in the worker's decoded cache
+(``BufferManager.decoded``) under the fragment's *generation*: a
+process-wide number the fragment draws whenever its layout is rebuilt
+(creation, which covers a meta reload, and ``reorganize``). Appends only add sets, so a cached column that
 covers fewer sets than the fragment holds is extended by decoding only
 the new ones. Tombstones are one fragment-wide row mask, kept current
 with the live-row count by appends and deletes.
@@ -238,12 +238,8 @@ class _Fragment:
     def _new_layout(self) -> None:
         """Start an empty layout: the decoded columns of the old one are
         dropped, and later ones are cached under a fresh generation."""
-        old = getattr(self, "generation", None)
-        if old is not None:
-            for c in self.schema:
-                col_page.uncache_column((old, c.name))
-                for set_id in range(len(self.sets)):
-                    col_page.uncache_column((old, c.name, set_id))
+        if hasattr(self, "generation"):
+            self.forget_decoded()
         self.generation = next(_generations)
         self.sets: list[_SetMeta] = []
         self.next_page = 0
@@ -253,6 +249,13 @@ class _Fragment:
         #: per row: tombstoned? (None while no row is)
         self._deleted: np.ndarray | None = None
         self._live = 0
+
+    def forget_decoded(self) -> None:
+        """Drop this layout's decoded columns from the worker's cache."""
+        for c in self.schema:
+            self.bufmgr.decoded.discard((self.generation, c.name))
+            for set_id in range(len(self.sets)):
+                self.bufmgr.decoded.discard((self.generation, c.name, set_id))
 
     # -- metadata persistence ---------------------------------------------------
     def _read(self, path: str) -> bytes:
@@ -502,7 +505,7 @@ class _Fragment:
         out: dict[str, _FragColumn] = {}
         stale: list[tuple[str, _FragColumn | None]] = []
         for name in names:
-            fc = col_page.cached_column((self.generation, name))
+            fc = self.bufmgr.decoded.lookup((self.generation, name))
             if fc is None or fc.n_sets < n_sets:
                 stale.append((name, fc))
             elif fc.n_sets == n_sets:
@@ -546,7 +549,10 @@ class _Fragment:
                 pages = [s.first_page + col_no for s in new_sets]
                 self.bufmgr.declare_scan(self.path, pages[:256])
                 payloads = self.bufmgr.get_many(self.path, pages)
-                parts = [decode_page(p, dtype, s.n_rows) for p, s in zip(payloads, new_sets)]
+                parts = [
+                    decode_page(p, dtype, s.n_rows, self.bufmgr.decoded)
+                    for p, s in zip(payloads, new_sets)
+                ]
                 if dtype == DataType.STRING:
                     encoded = np.array([is_dict_page(p) for p in payloads], dtype=bool)
             if fc is not None:
@@ -559,7 +565,7 @@ class _Fragment:
                 values = np.concatenate(parts)
             fc = _FragColumn(col_page.freeze(values), n_sets, encoded)
             nbytes = col_page.decoded_nbytes(values) + (0 if encoded is None else encoded.nbytes)
-            col_page.cache_column((self.generation, name), fc, nbytes)
+            self.bufmgr.decoded.insert((self.generation, name), fc, nbytes)
             out[name] = fc
         return out
 
@@ -576,9 +582,10 @@ class _Fragment:
     def _set_columns(self, names: Sequence[str], set_id: int) -> dict:
         """The columns ``names`` of one set, decoded on their own (and
         cached under the set) — for the few sets a DML touches."""
+        cache = self.bufmgr.decoded
         out, missing = {}, []
         for name in names:
-            hit = col_page.cached_column((self.generation, name, set_id))
+            hit = cache.lookup((self.generation, name, set_id))
             if hit is None:
                 missing.append(name)
             else:
@@ -593,14 +600,12 @@ class _Fragment:
         else:
             pages = [s.first_page + self.schema.index_of(name) for name in missing]
             decoded = {
-                name: decode_page(payload, self.schema.dtype_of(name), s.n_rows)
+                name: decode_page(payload, self.schema.dtype_of(name), s.n_rows, cache)
                 for name, payload in zip(missing, self.bufmgr.get_many(self.path, pages))
             }
         for name, values in decoded.items():
             values = col_page.freeze(values)
-            col_page.cache_column(
-                (self.generation, name, set_id), values, col_page.decoded_nbytes(values)
-            )
+            cache.insert((self.generation, name, set_id), values, col_page.decoded_nbytes(values))
             out[name] = values
         return out
 
@@ -822,7 +827,7 @@ class _Fragment:
         others = [n for n in self.schema.names() if n not in out]
         last = int(np.searchsorted(bounds, positions[-1], side="right"))  # sets to cover
         for n in others:
-            fc = col_page.cached_column((self.generation, n))
+            fc = self.bufmgr.decoded.lookup((self.generation, n))
             if fc is not None and fc.n_sets >= last:
                 out[n] = fc.values[positions]
         missing = [n for n in others if n not in out]

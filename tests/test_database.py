@@ -32,6 +32,18 @@ class TestDDL:
         with pytest.raises(CatalogError):
             db.sql("select * from d")
 
+    @pytest.mark.parametrize("rebalanced", [False, True])
+    def test_drop_table_drops_its_data(self, rebalanced):
+        db = fresh()
+        db.sql("create table t (a integer, s varchar) partition by hash (a)")
+        db.sql("insert into t values (1, 'x'), (2, 'y')")
+        if rebalanced:  # the rows move to new-epoch files, beside the old ones
+            db.add_worker()
+        db.sql("drop table t")
+        assert all(w.fs.listdir("tables/t") == [] for w in db.workers.values())
+        db.sql("create table t (a integer, s varchar) partition by hash (a)")
+        assert db.sql("select count(*) from t").rows() == [(0,)]
+
     def test_unknown_table(self):
         db = fresh()
         with pytest.raises(CatalogError):

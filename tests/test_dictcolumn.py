@@ -327,12 +327,12 @@ class TestDecodedPageCache:
     @staticmethod
     def scan_twice(values: list[str]):
         """Load ``values`` as a one-page string column and scan it twice,
-        memoising the first scan's row strings: (page, first, second)."""
+        memoising the first scan's row strings: (page, first, second,
+        the worker's decoded cache)."""
         from repro.storage.buffer import BufferManager
         from repro.storage.table import TableStorage
         from repro.util.fs import MemFS
 
-        col_page.clear_decoded_caches()
         schema = Schema.of(("s", DataType.STRING))
         t = TableStorage(MemFS(), BufferManager(4, 64), "t", schema, page_size=64 * 1024)
         t.load(RowBatch(schema, {"s": values}))
@@ -341,11 +341,11 @@ class TestDecodedPageCache:
         [first] = [b.col("s") for b in t.scan(["s"])]
         first.tolist()
         [second] = [b.col("s") for b in t.scan(["s"])]
-        return frag.bufmgr.get(frag.path, 0), first, second
+        return frag.bufmgr.get(frag.path, 0), first, second, frag.bufmgr.decoded
 
     def test_row_strings_are_memoised_on_the_scan_s_column_not_the_cache_s(self):
         values = strings(400, 80, ["N", "A", "R"])
-        page, first, second = self.scan_twice(values)
+        page, first, second, _ = self.scan_twice(values)
         assert col_page.is_dict_page(page)
         assert second is not first and second._decoded is None
         assert second.codes is first.codes and second.dictionary is first.dictionary
@@ -353,10 +353,15 @@ class TestDecodedPageCache:
 
     def test_a_plain_page_is_charged_once(self):
         values = [f"name#{i:05d}" for i in range(300)]
-        page, _, second = self.scan_twice(values)
+        page, _, second, cache = self.scan_twice(values)
         assert not col_page.is_dict_page(page)
         assert second.tolist() == values
-        assert col_page._STRING_CACHE.bytes == 0 and col_page._COLUMN_CACHE.bytes > 0
+        # one entry, the fragment column, holds the cache's every byte:
+        # no dictionary entry (keyed by its blob) beside it
+        [key] = cache._d
+        fc = cache.lookup(key)
+        assert not isinstance(key, bytes)
+        assert cache.bytes == col_page.decoded_nbytes(fc.values) + fc.encoded.nbytes > 0
         # the page's values are its dictionary: decoding it gathers nothing
         col = col_page.decode_page(page, DataType.STRING, len(values))
         assert col.decode() is col.dictionary.values

@@ -14,6 +14,7 @@ faults against a baseline whose scans were forced onto the decode path.
 
 from __future__ import annotations
 
+import gc
 import threading
 from functools import partial
 
@@ -24,7 +25,6 @@ from repro import ClusterConfig, Database
 from repro.common import DataType, RowBatch
 from repro.common.schema import Schema
 from repro.fault import FaultSchedule
-from repro.storage import col_page
 from repro.storage.buffer import BufferManager
 from repro.storage.col_page import _ByteLRU, clear_decoded_caches, decoded_cache_stats
 from repro.storage.predicate_cache import Atom, Op, ScanPredicate
@@ -222,14 +222,6 @@ class TestByteLRU:
         c.insert("a", "A2", 30)
         assert c.bytes == 30 and c.lookup("a") == "A2"
 
-    def test_set_limit_shrinks(self):
-        c = _ByteLRU(1000)
-        for i in range(10):
-            c.insert(i, i, 100)
-        c.set_limit(250)
-        assert c.bytes <= 250 and c.evictions >= 7
-        assert c.lookup(9) == 9  # newest survives
-
     def test_oversized_entry_keeps_one(self):
         c = _ByteLRU(10)
         c.insert("big", "B", 500)
@@ -248,13 +240,61 @@ class TestByteLRU:
         assert after["hits"] > mid["hits"]
         assert after["misses"] == mid["misses"]  # second pass fully cached
 
-    def test_config_knob_applies_limit(self):
-        limit = col_page._COLUMN_CACHE.max_bytes
-        try:
-            Database(ClusterConfig(n_workers=1, decoded_cache_mb=3))
-            assert col_page._COLUMN_CACHE.max_bytes == 3 * 1024 * 1024
-        finally:
-            col_page.set_decoded_cache_limit(limit)
+    @staticmethod
+    def cluster(mb=64):
+        db = Database(ClusterConfig(n_workers=2, decoded_cache_mb=mb))
+        db.sql("create table t (k integer, s varchar) partition by hash (k)")
+        db.sql("insert into t values " + ", ".join(f"({k}, 's{k % 3}')" for k in range(200)))
+        return db
+
+    @staticmethod
+    def own_stats(*dbs):
+        """One cluster's worker caches' counters, summed (as the process
+        totals are)."""
+        caches = [w.bufmgr.decoded for db in dbs for w in db.workers.values()]
+        return {k: sum(getattr(c, k) for c in caches) for k in ("hits", "misses", "evictions", "bytes")}
+
+    def test_process_totals_cover_every_live_cluster_and_no_dead_one(self):
+        # the benchmark reads these two entry points: the totals over
+        # all live clusters, and a clear that makes its cold-scan probe cold
+        gc.collect()
+        clear_decoded_caches()
+        base = decoded_cache_stats()
+        a, b = self.cluster(), self.cluster()
+        for db in (a, b):
+            assert db.sql("select count(*) from t where s = 's1'").rows() == [(67,)]
+
+        def plus(*dbs):
+            own = self.own_stats(*dbs)
+            return {k: base[k] + own[k] for k in base}
+
+        assert decoded_cache_stats() == plus(a, b) and self.own_stats(a)["bytes"] > 0
+        del a
+        gc.collect()
+        assert decoded_cache_stats() == plus(b)
+        clear_decoded_caches()
+        assert decoded_cache_stats()["bytes"] == 0
+        misses = self.own_stats(b)["misses"]
+        b.sql("select count(*) from t where s = 's1'")
+        assert self.own_stats(b)["misses"] > misses  # cold again
+
+    def test_two_databases_keep_their_own_limits(self):
+        def decoded_samples(db):
+            snap = db.metrics_snapshot()
+            return {
+                (name, s["labels"]["node"]): s["value"]
+                for name, fam in snap.items() if name.startswith("repro_storage_decoded_cache_")
+                for s in fam["samples"]
+            }
+
+        small, large = self.cluster(3), self.cluster(5)
+        for db, mb in ((small, 3), (large, 5)):
+            assert [w.bufmgr.decoded.max_bytes for w in db.workers.values()] == [mb << 20] * 2
+        samples = decoded_samples(large)
+        assert len(samples) == 4 * 2 and not any(samples.values())
+        assert small.sql("select count(*) from t where s = 's1'").rows() == [(67,)]
+        assert decoded_samples(small)[("repro_storage_decoded_cache_bytes", "0")] > 0
+        assert decoded_samples(large) == samples  # the other cluster's caches are untouched
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,6 @@ ALLOWED = {
     "telemetry/trace.py::Tracer.qids": "retained traces the tracer tests assert",
     "txn/locks.py::LockManager.holds": "lock state the txn tests assert",
     "txn/locks.py::LockManager.held_resources": "lock state the txn tests assert",
-    "util/fs.py::FileSystem.listdir": "filesystem interface; tests list a worker's files",
-    "util/fs.py::MemFS.listdir": "filesystem interface; tests list a worker's files",
-    "util/fs.py::LocalFS.listdir": "filesystem interface; tests list a worker's files",
 }
 
 
