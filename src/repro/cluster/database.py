@@ -176,15 +176,16 @@ class Worker:
 
     def drop_table(self, name: str) -> None:
         """Forget a table and delete its files, those of every epoch a
-        rebalance left (``<name>@e<epoch>``) too, with their buffer-pool
-        pages and decoded columns."""
+        rebalance left (``<name>@e<epoch>``) too, with their decoded
+        columns; each file is first closed, its buffer-pool pages
+        dropped and its registration with the buffer manager undone."""
         ts = self.storage.pop(name, None)
         if ts is not None:
             for frag in ts.fragments:
                 frag.forget_decoded()
         for prefix in (f"tables/{name}/", f"tables/{name}@e"):
             for path in self.fs.listdir(prefix):
-                self.bufmgr.invalidate(path)
+                self.bufmgr.close_file(path)
                 self.fs.delete(path)
 
     def runtime(self) -> WorkerRuntime:

@@ -73,7 +73,7 @@ SYS_SCHEMAS: dict[str, Schema] = {
         ("table_name", STR), ("worker", I64), ("fragment", I64),
         ("rows", I64), ("sets", I64), ("pages_read", I64),
         ("pages_skipped", I64), ("sets_skipped", I64), ("sets_pushed", I64),
-        ("rows_out", I64),
+        ("rows_out", I64), ("dead_rows", I64), ("merges", I64),
     ),
     "sys.plan_cache": Schema.of(
         ("sql", STR), ("coordinator", I64),
@@ -287,7 +287,7 @@ def build_providers(db) -> dict:
                             (
                                 tname, w, i, frag.row_count, len(frag.sets),
                                 st.pages_read, st.pages_skipped, st.sets_skipped,
-                                st.sets_pushed, st.rows_out,
+                                st.sets_pushed, st.rows_out, frag.dead_rows, frag.merges,
                             )
                         )
         return _batch(SYS_SCHEMAS["sys.fragments"], rows)

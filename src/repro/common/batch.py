@@ -31,6 +31,8 @@ them (value order, comparisons, LIKE, the final decode) does.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import operator
 import struct
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -332,6 +334,29 @@ class StringDictionary:
             utf8=None if utf8 is None else utf8.take(ids),
         )
 
+    def pick(self, ids: np.ndarray) -> list:
+        """The entries ``ids`` as Python strings (None for NULL), built
+        from whichever face each one's dictionary has, never a whole
+        face: for a few rows over a dictionary far bigger than them."""
+        if self._values is not None:
+            return self._values[ids].tolist()
+        if self._utf8 is not None:
+            face = self._utf8.take(ids)
+            body, offs = face.body.tobytes(), face.offsets.tolist()
+            return [body[x:y].decode() for x, y in zip(offs, offs[1:])]
+        ends = list(itertools.accumulate(map(len, self._parts)))
+        rows: dict[int, list[int]] = {}  # part -> positions in ids
+        ids = ids.tolist()
+        for at, i in enumerate(ids):
+            rows.setdefault(bisect.bisect_right(ends, i), []).append(at)
+        out: list = [None] * len(ids)
+        for k, ats in rows.items():
+            first = ends[k] - len(self._parts[k])
+            local = np.array([ids[at] - first for at in ats], dtype=np.int64)
+            for at, v in zip(ats, self._parts[k].pick(local)):
+                out[at] = v
+        return out
+
     @staticmethod
     def concat(dicts: Sequence["StringDictionary"]) -> "StringDictionary":
         """The entries of ``dicts`` appended, with no face built yet: the
@@ -549,6 +574,30 @@ class DictColumn:
             offset += len(d)
         merged = StringDictionary.concat(parts)
         return [DictColumn(c, merged) for c in codes]
+
+    def coded_into(self, onto: StringDictionary) -> "DictColumn | None":
+        """The same strings as codes into ``onto`` when it holds every
+        one of this column's entries, else None."""
+        at = {v: i for i, v in enumerate(onto.values.tolist())}
+        try:
+            remap = np.array([at[v] for v in self.dictionary.values.tolist()], dtype=np.uint32)
+        except KeyError:
+            return None
+        return DictColumn(remap[self.codes], onto)
+
+    def head(self, n: int) -> "DictColumn":
+        """The first ``n`` rows, over only the leading parts of an
+        appended dictionary that they reference: the first part itself,
+        with all that is memoised on it, when that one suffices."""
+        codes = self.codes[:n]
+        d = self.dictionary
+        parts = d._parts
+        if parts is not None and len(codes):
+            ends = np.cumsum([len(p) for p in parts])
+            k = int(np.searchsorted(ends, int(codes.max()), side="right")) + 1
+            if k < len(parts):
+                d = parts[0] if k == 1 else StringDictionary.concat(parts[:k])
+        return DictColumn(codes, d)
 
     @staticmethod
     def concat(cols: Sequence["DictColumn"]) -> "DictColumn":
@@ -899,6 +948,50 @@ def _distinct_entries(face: _Utf8) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
+#: a string column of fewer rows is encoded row by row (``_encode_small``)
+_SMALL_FRAME = 64
+
+
+def _u32s(values) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def _offsets_body(items: list) -> bytes:
+    """The raw wire form of ``items`` (``str``, or UTF-8 ``bytes``):
+    uint32 offsets, then the body."""
+    if items and isinstance(items[0], bytes):
+        body, lens = b"".join(items), map(len, items)
+    else:
+        body = "".join(items).encode()
+        ascii_only = len(body) == sum(map(len, items))
+        lens = map(len, items) if ascii_only else (len(v.encode()) for v in items)
+    return _u32s([0, *itertools.accumulate(lens)]) + body
+
+
+def _encode_small(col: DictColumn) -> tuple[int, bytes]:
+    """A few rows' wire encoding, built from just their strings (their
+    bytes, off a dictionary that has only those): no pass over a
+    dictionary that may be far bigger than the rows."""
+    d = col.dictionary
+    if d._values is None and d._utf8 is not None:
+        face = d._utf8.take(col.codes)
+        body, offs = face.body.tobytes(), face.offsets.tolist()
+        items = [body[x:y] for x, y in zip(offs, offs[1:])]
+    else:
+        items = d.pick(col.codes)
+    if None in items:
+        null = bytes([v is None for v in items])
+        return _ENC_NULLS, null + _offsets_body(["" if v is None else v for v in items])
+    raw = _offsets_body(items)
+    uniq = list(dict.fromkeys(items))
+    if len(uniq) < len(items):
+        at = {v: i for i, v in enumerate(uniq)}
+        frame = _u32s([len(uniq)]) + _offsets_body(uniq) + _u32s(list(map(at.__getitem__, items)))
+        if len(frame) < len(raw):
+            return _ENC_DICT, frame
+    return _ENC_RAW, raw
+
+
 def _encode_string_column(col: DictColumn) -> tuple[int, bytes]:
     """Pick a wire encoding for a string column: a dictionary frame (the
     referenced entries + uint32 codes) whenever it is the smaller payload,
@@ -907,8 +1000,10 @@ def _encode_string_column(col: DictColumn) -> tuple[int, bytes]:
     no face yet and of whose entries the rows reference under a quarter
     encodes only those instead. NULLs (None, produced only by aggregates
     over no qualifying rows) get a byte-mask prefix ahead of the raw
-    encoding."""
+    encoding. A column of a few rows is encoded from their strings."""
     n = len(col)
+    if n < _SMALL_FRAME:
+        return _encode_small(col)
     d = col.dictionary
     codes, used = densify_codes(col.codes, len(d))
     if 4 * len(used) < len(d) and d._utf8 is None:

@@ -100,6 +100,14 @@ class BufferManager:
     def register_file(self, f: PagedFile) -> None:
         self._files[f.path] = f
 
+    def close_file(self, path: str) -> None:
+        """Drop a file's frames, dirty ones unwritten (its data is being
+        dropped), and close and unregister it if it is registered."""
+        self.invalidate(path)
+        f = self._files.pop(path, None)
+        if f is not None:
+            f.close()
+
     def file(self, path: str) -> PagedFile:
         try:
             return self._files[path]

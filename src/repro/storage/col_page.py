@@ -45,14 +45,15 @@ import numpy as np
 from ..common.batch import DictColumn, StringDictionary
 from ..common.dtypes import DataType
 from ..common.errors import PageFormatError
-from .compression import huffman_decode_strings, huffman_encode_strings
+from .compression import HuffmanCoder, huffman_decode_strings, huffman_encode_strings
 
 #: dict pages are self-describing via this prefix; plain Huffman pages
 #: start with a u32 row count whose high byte is always zero for any
 #: realistic page, so the formats cannot collide
 _DICT_MAGIC = b"DPG1"
 
-_DICT_MIN_ROWS = 64
+#: a string page of fewer rows is always a plain (Huffman) page
+DICT_MIN_ROWS = 64
 
 
 class _ByteLRU:
@@ -81,6 +82,8 @@ class _ByteLRU:
         _LIVE.add(self)
 
     def lookup(self, key):
+        """The value cached under ``key``, or None (a counted miss: the
+        caller decodes it)."""
         with self._lock:
             try:
                 val = self._d[key]
@@ -89,6 +92,16 @@ class _ByteLRU:
                 return None
             self._d.move_to_end(key)
             self.hits += 1
+            return val[0]
+
+    def peek(self, key):
+        """The value cached under ``key``, or None, uncounted: a writer
+        asking whether a reader's decode can be kept current."""
+        with self._lock:
+            val = self._d.get(key)
+            if val is None:
+                return None
+            self._d.move_to_end(key)
             return val[0]
 
     def insert(self, key, val, nbytes: int) -> None:
@@ -133,7 +146,7 @@ def clear_decoded_caches() -> None:
 
 def _dict_encode_strings(values: list[str]) -> bytes | None:
     n = len(values)
-    if n < _DICT_MIN_ROWS:
+    if n < DICT_MIN_ROWS:
         return None
     # cheap cardinality probe before hashing every row
     sample = values[:256]
@@ -200,11 +213,34 @@ def _decode_string_page(payload: bytes, n_rows: int, cache: _ByteLRU | None) -> 
     return col
 
 
-def encode_column(arr, dtype: DataType) -> bytes:
+def encode_column(arr, dtype: DataType, like: HuffmanCoder | None = None) -> bytes:
+    """One column page of ``arr``. A plain string page is coded with
+    ``like``'s Huffman table when that covers its bytes (and carries it,
+    as every page carries its table)."""
     if dtype == DataType.STRING:
         values = np.asarray(arr, dtype=object).tolist()
-        return _dict_encode_strings(values) or huffman_encode_strings(values)
+        return _dict_encode_strings(values) or huffman_encode_strings(values, like)
     return np.ascontiguousarray(arr, dtype=dtype.numpy_dtype).tobytes()
+
+
+def as_decoded(payload: bytes, arr, dtype: DataType, cache: _ByteLRU):
+    """What ``decode_page(payload, dtype, len(arr), cache)`` returns, built
+    from ``arr``, the values ``payload`` was encoded from, without
+    decoding it: a dictionary page's dictionary is the one ``cache``
+    holds for its content, if any, a plain page's values are its
+    dictionary. Nothing is cached."""
+    if dtype != DataType.STRING:
+        return np.ascontiguousarray(arr, dtype=dtype.numpy_dtype)
+    values = np.asarray(arr, dtype=object).tolist()
+    if not is_dict_page(payload):
+        return DictColumn.wrap(values)
+    width, _, dict_len = struct.unpack_from("<BII", payload, 4)
+    off = 4 + struct.calcsize("<BII")
+    dictionary = cache.peek(payload[off : off + dict_len])
+    if dictionary is None:
+        dictionary = StringDictionary(sorted(dict.fromkeys(values)))
+    codes = np.frombuffer(payload, dtype=f"<u{width}", offset=off + dict_len)
+    return DictColumn(codes.astype(np.uint32), dictionary)
 
 
 def decode_page(payload: bytes, dtype: DataType, n_rows: int, cache: _ByteLRU | None = None):

@@ -131,6 +131,10 @@ class HuffmanCoder:
     def table_bytes(self) -> bytes:
         return bytes(self.lengths)
 
+    def covers(self, data: bytes) -> bool:
+        """Does the table code every byte of ``data``?"""
+        return bool(self._lens[np.frombuffer(data, dtype=np.uint8)].all())
+
     # -- coding ----------------------------------------------------------------
     def encode(self, data: bytes) -> bytes:
         """``u32 len(data)`` + the bit stream, zero-padded to a whole byte.
@@ -221,8 +225,10 @@ def _code_lengths(freq: list[int]) -> list[int]:
     return lengths
 
 
-def huffman_encode_strings(values: Sequence[str]) -> bytes:
-    """Encode a string column: offsets + one Huffman stream.
+def huffman_encode_strings(values: Sequence[str], like: HuffmanCoder | None = None) -> bytes:
+    """Encode a string column: offsets + one Huffman stream, coded with
+    ``like``'s table when that covers every byte, else with the table
+    of the column's own byte frequencies.
 
     Format: u32 count | offsets[u32 * (n+1)] | table[256] | stream
     """
@@ -230,16 +236,22 @@ def huffman_encode_strings(values: Sequence[str]) -> bytes:
     offsets = np.zeros(len(blobs) + 1, dtype="<u4")
     np.cumsum(np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs)), out=offsets[1:])
     raw = b"".join(blobs)
-    coder = HuffmanCoder.from_data(raw)
-    return struct.pack("<I", len(blobs)) + offsets.tobytes() + coder.table_bytes() + coder.encode(raw)
+    if like is None or not like.covers(raw):
+        like = HuffmanCoder.from_data(raw)
+    return struct.pack("<I", len(blobs)) + offsets.tobytes() + like.table_bytes() + like.encode(raw)
+
+
+def string_page_coder(blob: bytes) -> HuffmanCoder:
+    """The coder of a :func:`huffman_encode_strings` blob's table."""
+    (n,) = struct.unpack_from("<I", blob, 0)
+    off = 4 * (n + 2)
+    return HuffmanCoder.from_table_bytes(blob[off : off + 256])
 
 
 def huffman_decode_strings(blob: bytes) -> list[str]:
     (n,) = struct.unpack_from("<I", blob, 0)
     offsets = np.frombuffer(blob, dtype="<u4", count=n + 1, offset=4).astype(np.int64)
-    off = 4 * (n + 2)
-    coder = HuffmanCoder.from_table_bytes(blob[off : off + 256])
-    raw = coder.decode(blob[off + 256 :])
+    raw = string_page_coder(blob).decode(blob[4 * (n + 2) + 256 :])
     out = decode_utf8_offsets(raw, offsets)
     if out is not None:
         return out.tolist()

@@ -269,6 +269,14 @@ class PredicateCache:
         """Called on table reorganization."""
         self._cache.clear()
 
+    def forget_from(self, first: int) -> bool:
+        """Drop the entries of sets ``first`` onwards (a merge replaced
+        them); did any exist?"""
+        doomed = [pid for pid in list(self._cache) if pid >= first]
+        for pid in doomed:
+            self._cache.pop(pid, None)
+        return bool(doomed)
+
     # -- persistence (paper: caches are periodically persisted) -----------------
     def to_bytes(self) -> bytes:
         payload = {
@@ -323,12 +331,14 @@ class PageMinMax:
     def __init__(self, columns: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None):
         self._cols: dict[str, tuple[np.ndarray, np.ndarray]] = dict(columns or {})
 
-    def extend(self, sets: Sequence[Mapping[str, tuple[object, object]]]) -> None:
-        """Add the next sets' (min, max) per column, one mapping a set.
-        The arrays are replaced, never written, so a concurrent reader
-        sees whole ones (and treats sets past their end as unknown)."""
+    def extended(self, sets: Sequence[Mapping[str, tuple[object, object]]]) -> "PageMinMax":
+        """A copy with the next sets' (min, max) per column added, one
+        mapping a set. Arrays are replaced, never written, so a reader
+        of this one keeps whole ones (and treats sets past their end as
+        unknown)."""
+        out = PageMinMax(self._cols)
         if not sets:
-            return
+            return out
         for col in sets[0]:
             lo = [s[col][0] for s in sets]
             hi = [s[col][1] for s in sets]
@@ -338,7 +348,20 @@ class PageMinMax:
             if old is not None:
                 new_lo = np.concatenate([old[0], new_lo])
                 new_hi = np.concatenate([old[1], new_hi])
-            self._cols[col] = (new_lo, new_hi)
+            out._cols[col] = (new_lo, new_hi)
+        return out
+
+    def merged(self, lo: int, hi: int) -> "PageMinMax":
+        """A copy in which sets ``lo`` to ``hi - 1`` are one set, whose
+        range covers theirs (unknown unless all of theirs are known)."""
+        out = {}
+        for col, (mins, maxs) in self._cols.items():
+            head_lo, head_hi = mins[:lo], maxs[:lo]
+            if len(mins) >= hi:
+                head_lo = np.append(head_lo, np.array([min(mins[lo:hi].tolist())], dtype=mins.dtype))
+                head_hi = np.append(head_hi, np.array([max(maxs[lo:hi].tolist())], dtype=maxs.dtype))
+            out[col] = (head_lo, head_hi)
+        return PageMinMax(out)
 
     def skippable(self, n_sets: int, pred: ScanPredicate) -> np.ndarray:
         """Per set of the first ``n_sets``: does some atom fall outside

@@ -7,18 +7,26 @@ cache, tombstone-based deletes (inserts are append-only, updates are
 delete + re-insert — never in place), and reorganization to restore
 clustering.
 
-Scans, ``all_rows``, ``reorganize`` and index builds read *fragment
-columns*: per (fragment, column), every page set's decoded values
-concatenated into one array (a string column into one
-:class:`DictColumn` over one appended dictionary), beside the sets' row
-offsets. A fragment column is built on first use through the buffer
-pool and the page decoder, and cached in the worker's decoded cache
-(``BufferManager.decoded``) under the fragment's *generation*: a
-process-wide number the fragment draws whenever its layout is rebuilt
-(creation, which covers a meta reload, and ``reorganize``). Appends only add sets, so a cached column that
-covers fewer sets than the fragment holds is extended by decoding only
-the new ones. Tombstones are one fragment-wide row mask, kept current
-with the live-row count by appends and deletes.
+A fragment's sets, their row offsets, min/max and generation form one
+immutable :class:`_Layout`, which a writer replaces and a reader takes
+once. Scans, ``all_rows``, ``reorganize`` and index builds read
+*fragment columns*: per (fragment, column), every page set's decoded
+values concatenated into one array (a string column into one
+:class:`DictColumn` over one appended dictionary). A fragment column is
+built on first use through the buffer pool and the page decoder, and
+cached in the worker's decoded cache (``BufferManager.decoded``) under
+its layout's *generation*: a process-wide number drawn whenever the sets
+are renumbered (creation, which covers a meta reload, ``reorganize`` and
+a merge). Appends add sets at the end in the same generation, so a
+cached column that covers fewer sets is extended over the new ones only
+— from the values a DML append kept, without decoding. Tombstones are
+one fragment-wide row mask, kept current with the live-row count by
+appends and deletes.
+
+Once a transaction that appended has committed, still under its X
+lock, the fragment merges its trailing under-full sets by the
+size-tiered rule of :func:`_merge_start`, from decoded values, into a
+free set slot; every row keeps its position.
 
 A scan first decides per page set, as before, which sets the index, the
 predicate cache and the min/max statistics prove empty (each counted).
@@ -38,17 +46,20 @@ returns the matches' positions with their rows. Deletes tombstone those
 positions, inserts append at a :class:`Span` named beforehand, and a
 transaction's undo tombstones its spans and revives its positions.
 A fragment writes its layout (``.meta``: the sets and the per-column
-min/max arrays) only when it gains sets, and its packed tombstone mask
+min/max arrays) only when its sets change, and its packed tombstone mask
 (``.del``) only when its tombstones change; the predicate cache has its
 own file (``.pcache``), written by ``persist_caches``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 import pickle
 import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -62,6 +73,7 @@ from ..util.fs import FileSystem
 from .buffer import BufferManager
 from . import col_page
 from .col_page import decode_page, encode_column, estimate_rows_per_set, is_dict_page
+from .compression import HuffmanCoder, string_page_coder
 from .page import PagedFile
 from .predicate_cache import Atom, Op, PageMinMax, PredicateCache, ScanPredicate
 from .row_page import RowPage, encode_row
@@ -168,6 +180,26 @@ def _rows(values, idx: np.ndarray | None):
     return col_page.handout(values) if idx is None else values[idx]
 
 
+#: a first part's dictionary of at most this many entries absorbs the
+#: parts after it that it covers (``_join``)
+_SMALL_DICTIONARY = 256
+
+
+def _join(parts: list):
+    """Consecutive row ranges of one column as one column. Later string
+    parts whose strings a small first dictionary holds (the plain pages
+    of a few appended rows of a low-cardinality column) are coded into
+    it, so the column keeps that one dictionary."""
+    if len(parts) == 1:
+        return parts[0]
+    if not isinstance(parts[0], DictColumn):
+        return np.concatenate(parts)
+    base = parts[0].dictionary
+    if len(base) <= _SMALL_DICTIONARY:
+        parts = [p if p.dictionary is base else p.coded_into(base) or p for p in parts]
+    return DictColumn.concat(parts)
+
+
 def _any_per_set(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per set (given its first row; no set is empty): any row set?"""
     return np.logical_or.reduceat(mask, starts)
@@ -178,13 +210,142 @@ class _SetMeta(NamedTuple):
     n_rows: int
 
 
+class _Holders:
+    """What every layout of one generation shares: appends keep the
+    generation, so its layouts name the same set slots. A merge frees
+    the slots it replaced once no reader holds any of them (a
+    ``weakref.finalize`` on this)."""
+
+
+class _Layout:
+    """One published arrangement of a fragment's page sets: the sets,
+    their row offsets, their min/max and the generation their decoded
+    columns are cached under, which always agree. A writer publishes a
+    new layout and never changes one; a reader takes
+    ``_Fragment.layout`` once and keeps it. The pages of sets a merge
+    replaced are reused only once no reader holds a layout naming them.
+
+    ``tail`` holds, per set of the trailing run of under-full sets that
+    DML appends and merges wrote, its values as its pages decode
+    (column name -> values): kept by the write, so neither the reader
+    that extends a column over the set nor the merge that rewrites it
+    decodes a page. At most one full set's worth of rows.
+    """
+
+    __slots__ = ("generation", "holders", "sets", "bounds", "minmax", "tail")
+
+    def __init__(
+        self,
+        generation: int,
+        holders: _Holders,
+        sets: tuple,
+        bounds: np.ndarray,
+        minmax: PageMinMax,
+        tail: dict | None = None,
+    ):
+        self.generation = generation
+        self.holders = holders
+        self.sets: tuple[_SetMeta, ...] = sets
+        #: row offsets of the sets (``len(sets) + 1`` values)
+        self.bounds = bounds
+        self.minmax = minmax
+        self.tail: dict[int, dict] = tail or {}
+
+    @classmethod
+    def empty(cls) -> "_Layout":
+        return cls(next(_generations), _Holders(), (), np.zeros(1, dtype=np.int64), PageMinMax())
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.bounds[-1])
+
+    def appended(self, sets: list[_SetMeta], minmax: list, kept: list[dict | None], half: int) -> "_Layout":
+        """This layout with ``sets`` after its own, in the same
+        generation: the decoded columns of its sets stay valid. ``kept``:
+        per new set, its decoded values or None; sets of ``half`` rows
+        or more are full."""
+        sizes = np.array([s.n_rows for s in sets], dtype=np.int64)
+        bounds = np.concatenate([self.bounds, self.bounds[-1] + np.cumsum(sizes)])
+        tail = dict(self.tail)
+        for set_id, (s, values) in enumerate(zip(sets, kept), len(self.sets)):
+            if s.n_rows >= half:
+                tail.clear()  # a full set ends the trailing run
+            elif values is not None:
+                tail[set_id] = values
+        return _Layout(
+            self.generation, self.holders, self.sets + tuple(sets), bounds, self.minmax.extended(minmax), tail
+        )
+
+    def merged(self, lo: int, first_page: int, values: dict | None) -> "_Layout":
+        """This layout with its sets ``lo`` onwards replaced by one set,
+        written at ``first_page``, of their rows in their order: every
+        row keeps its position. A new generation; ``values``: the merged
+        set's decoded values, if it is still under-full."""
+        tail = {i: v for i, v in self.tail.items() if i < lo}
+        if values is not None:
+            tail[lo] = values
+        else:
+            tail.clear()
+        return _Layout(
+            next(_generations),
+            _Holders(),
+            self.sets[:lo] + (_SetMeta(first_page, self.n_rows - int(self.bounds[lo])),),
+            np.append(self.bounds[: lo + 1], self.bounds[-1]),
+            self.minmax.merged(lo, len(self.sets)),
+            tail,
+        )
+
+
+#: trailing under-full sets a fragment holds before the tiered rule
+#: merges any
+MERGE_AFTER = 8
+
+
+def _merge_start(sizes: Sequence[int], cap: int) -> int | None:
+    """The first of the trailing sets to merge into one, or None.
+
+    The rule looks at the trailing run of *under-full* sets, those of
+    fewer than ``cap // 2`` rows (``cap``: the rows a full set holds).
+    Once the run holds half a set's rows (and fits in one), all of it
+    merges into one full set, which leaves the run. Before that, nothing
+    merges while the run has at most ``MERGE_AFTER`` sets; then the
+    size-tiered rule: going back from the last set, an older set joins
+    while it holds no more rows than the sets after it together. A
+    tiered merge at least doubles the set each of its rows lies in, so a
+    row is re-encoded at most log2(cap) + 1 times; a set it leaves holds
+    more rows than all after it, so the run never exceeds
+    ``MERGE_AFTER`` + log2(cap) + 1 sets; and every full set a merge
+    makes holds at least half a set of rows."""
+    half = cap // 2
+    run = total = 0
+    for n in reversed(sizes):
+        if n >= half:
+            break
+        run += 1
+        total += n
+    if run >= 2 and half <= total <= cap:
+        return len(sizes) - run
+    if run <= MERGE_AFTER:
+        return None
+    lo = len(sizes) - 1
+    acc = sizes[lo]
+    while lo > len(sizes) - run:
+        prev = sizes[lo - 1]
+        if prev > acc or prev + acc > cap:
+            break
+        lo -= 1
+        acc += prev
+    return lo if lo < len(sizes) - 1 else None
+
+
 class Span(NamedTuple):
-    """Where one append lands: ``n_rows`` rows from the first row of set
-    ``first_set`` of fragment ``fragment``. Appends only add sets, so a
-    span names exactly the rows its append created."""
+    """Where one append lands: ``n_rows`` rows from row ``first_row`` of
+    fragment ``fragment``. Appends only add rows after the last and
+    merges keep every row's position, so a span names exactly the rows
+    its append created, before and after any merge."""
 
     fragment: int
-    first_set: int
+    first_row: int
     n_rows: int
 
 
@@ -224,8 +385,25 @@ class _Fragment:
         #: lifetime scan counters for the metrics registry
         self.cum_stats = ScanStats()
         self._cum_lock = threading.Lock()
+        #: guards publishing a layout against the predicate cache, and the
+        #: free page slots
+        self._lock = threading.Lock()
+        #: (epoch, first pages) of set slots no reader holds any more,
+        #: queued lock-free by their layouts' finalizers (:meth:`_reclaim`)
+        self._released: deque[tuple[int, list[int]]] = deque()
         #: set-granular secondary indexes: column -> B+-tree(value -> set id)
         self.indexes: dict[str, "BPlusTree"] = {}
+        #: pages a set spans (every set of a columnar fragment is one slot)
+        self._set_pages = len(schema) if fmt == COLUMN else 1
+        #: the rows an append tries to put in one set
+        self._rows_per_set = estimate_rows_per_set([c.dtype for c in schema], self.file.max_payload)
+        #: the rows a full set holds: that estimate, lowered to what fits
+        #: whenever a set of more rows does not
+        self._cap = self._rows_per_set
+        #: lifetime merges (``sys.fragments``)
+        self.merges = 0
+        #: per string column, the Huffman coder of its last tiny set
+        self._coders: dict[str, HuffmanCoder] = {}
         self._new_layout()
         if fs.exists(self.meta_path):
             self._load_meta()
@@ -236,26 +414,45 @@ class _Fragment:
             self.pred_cache = PredicateCache.from_bytes(self._read(self.cache_path))
 
     def _new_layout(self) -> None:
-        """Start an empty layout: the decoded columns of the old one are
+        """Start an empty file: the decoded values of the old layout are
         dropped, and later ones are cached under a fresh generation."""
-        if hasattr(self, "generation"):
+        if hasattr(self, "layout"):
             self.forget_decoded()
-        self.generation = next(_generations)
-        self.sets: list[_SetMeta] = []
+        self.layout = _Layout.empty()
         self.next_page = 0
-        self.minmax = PageMinMax()
-        #: row offsets of the sets (``len(sets) + 1`` values)
-        self._bounds = np.zeros(1, dtype=np.int64)
+        #: first pages of set slots no set uses (min-heap)
+        self._free: list[int] = []
+        #: the file's epoch: names its set slots in the decoded cache, and
+        #: voids a slot freed for an older file
+        self._epoch = next(_generations)
+        #: cache keys of values decoded per set (``_set_columns``)
+        self._set_keys: set[tuple] = set()
         #: per row: tombstoned? (None while no row is)
         self._deleted: np.ndarray | None = None
         self._live = 0
 
+    # the current layout's parts, for readers that need only one
+    @property
+    def sets(self) -> tuple[_SetMeta, ...]:
+        return self.layout.sets
+
+    @property
+    def dead_rows(self) -> int:
+        """Tombstoned rows, which still hold their positions."""
+        return self.layout.n_rows - self._live
+
     def forget_decoded(self) -> None:
-        """Drop this layout's decoded columns from the worker's cache."""
+        """Drop this fragment's decoded values from the worker's cache."""
+        self._forget(self.layout.generation)
+        with self._lock:
+            keys, self._set_keys = self._set_keys, set()
+        for key in keys:
+            self.bufmgr.decoded.discard(key)
+
+    def _forget(self, generation: int) -> None:
+        """Drop the fragment columns of one layout."""
         for c in self.schema:
-            self.bufmgr.decoded.discard((self.generation, c.name))
-            for set_id in range(len(self.sets)):
-                self.bufmgr.decoded.discard((self.generation, c.name, set_id))
+            self.bufmgr.decoded.discard((generation, c.name))
 
     # -- metadata persistence ---------------------------------------------------
     def _read(self, path: str) -> bytes:
@@ -274,13 +471,14 @@ class _Fragment:
             fh.close()
 
     def _save_meta(self) -> None:
-        """Persist the layout (written when sets are added): a few
-        arrays, whatever the number of sets."""
+        """Persist the layout (written when it changes): a few arrays,
+        whatever the number of sets."""
+        layout = self.layout
         self._write(self.meta_path, pickle.dumps(
             {
-                "sets": np.array(self.sets, dtype=np.int64).reshape(-1, 2),
+                "sets": np.array(layout.sets, dtype=np.int64).reshape(-1, 2),
                 "next_page": self.next_page,
-                "minmax": self.minmax.columns(),
+                "minmax": layout.minmax.columns(),
             },
             protocol=4,
         ))
@@ -288,10 +486,15 @@ class _Fragment:
     def _load_meta(self) -> None:
         meta = pickle.loads(self._read(self.meta_path))
         self.next_page = meta["next_page"]
-        self.sets = [_SetMeta(p, n) for p, n in meta["sets"].tolist()]
-        self._bounds = np.concatenate([[0], np.cumsum(meta["sets"][:, 1])]).astype(np.int64)
-        self.minmax = PageMinMax(meta["minmax"])
-        self._live = int(self._bounds[-1])
+        sets = tuple(_SetMeta(p, n) for p, n in meta["sets"].tolist())
+        bounds = np.concatenate([[0], np.cumsum(meta["sets"][:, 1])]).astype(np.int64)
+        self.layout = _Layout(
+            self.layout.generation, self.layout.holders, sets, bounds, PageMinMax(meta["minmax"])
+        )
+        # the slots a merge freed are those no set names
+        used = {s.first_page for s in sets}
+        self._free = [p for p in range(0, self.next_page, self._set_pages) if p not in used]
+        self._live = self.layout.n_rows
 
     def _save_tombstones(self) -> None:
         """Persist the tombstone mask, packed (written by deletes, which
@@ -301,7 +504,7 @@ class _Fragment:
 
     def _load_tombstones(self) -> None:
         bits = np.unpackbits(np.frombuffer(self._read(self.deleted_path), dtype=np.uint8))
-        total = int(self._bounds[-1])
+        total = self.layout.n_rows
         n = min(total, len(bits))  # rows appended after the last write are live
         if bits[:n].any():
             self._deleted = np.zeros(total, dtype=bool)
@@ -314,39 +517,78 @@ class _Fragment:
         self._write(self.cache_path, self.pred_cache.to_bytes())
 
     # -- writing -----------------------------------------------------------------
-    def append_batch(self, batch: RowBatch) -> None:
-        first_new = len(self.sets)
-        minmax: list[dict[str, tuple]] = []  # one entry per published set
+    def append_batch(self, batch: RowBatch, dml: bool = False) -> list[tuple[RowBatch, list[bytes]]]:
+        """Append ``batch`` as new sets, published as one layout; returns
+        each set's rows and column pages. A DML append (not a load) keeps
+        each set's values decoded, for the readers and merges after it,
+        and codes a tiny set with its column's last Huffman table."""
+        layout = self.layout
+        sets: list[_SetMeta] = []
+        minmax: list[dict[str, tuple]] = []  # one entry per set
+        written: list[tuple[RowBatch, list[bytes]]] = []
         try:
             if self.format == COLUMN:
-                self._append_columnar(batch, minmax)
+                self._append_columnar(batch, sets, minmax, written, dml)
             else:
-                self._append_rows(batch, minmax)
+                self._append_rows(batch, sets, minmax, written)
         finally:
-            # min/max may trail the published sets: a set it does not
-            # cover yet is simply never skipped
-            self.minmax.extend(minmax)
+            if sets:
+                # the tombstone rows go in before the layout that has them
+                n = sum(s.n_rows for s in sets)
+                if self._deleted is not None:
+                    self._deleted = np.concatenate([self._deleted, np.zeros(n, dtype=bool)])
+                self._live += n
+                keep = dml and self.format == COLUMN
+                self.layout = layout.appended(
+                    sets,
+                    minmax,
+                    [self._decoded_set(*w) if keep else None for w in written],
+                    self._cap // 2,
+                )
         self._save_meta()
-        for col in list(self.indexes):
-            self._index_sets(col, first_new)
+        first = len(layout.sets)
+        for col in self.indexes:
+            for i, (chunk, _) in enumerate(written):
+                self._index_values(col, first + i, chunk.col(col))
+        return written
 
-    def _add_set(self, first_page: int, chunk: RowBatch, minmax: list) -> None:
-        """Publish one written set. Its row offsets and tombstone rows go
-        in first, so a concurrent reader that sees the set sees them too."""
-        n = chunk.length
-        minmax.append(_column_minmax(chunk))
-        self._bounds = np.append(self._bounds, self._bounds[-1] + n)
-        if self._deleted is not None:
-            self._deleted = np.concatenate([self._deleted, np.zeros(n, dtype=bool)])
-        self._live += n
-        # page sets are immutable once written (appends always open a new
-        # set), so every set is safe to predicate-cache — the paper's
-        # "full page" validity condition holds by construction
-        self.sets.append(_SetMeta(first_page, n))
+    def _allocate(self) -> int:
+        """The first page of a free set slot: the lowest a merge freed,
+        else the next past the end of the file."""
+        self._reclaim()
+        with self._lock:
+            if self._free:
+                return heapq.heappop(self._free)
+        page = self.next_page
+        self.next_page += self._set_pages
+        return page
 
-    def _append_columnar(self, batch: RowBatch, minmax: list) -> None:
-        types = [c.dtype for c in self.schema]
-        rows_per_set = estimate_rows_per_set(types, self.file.max_payload)
+    def _release(self, epoch: int, slots: list[int]) -> None:
+        """Queue the set slots of a layout no reader holds any more. A
+        finalizer runs in whichever thread drops the layout, perhaps
+        inside a garbage collection that interrupted a holder of
+        ``_lock``, so it takes no lock: the next writer frees them."""
+        self._released.append((epoch, slots))
+
+    def _reclaim(self) -> None:
+        """Free the queued set slots of this file, and the values decoded
+        from them."""
+        keys: list[tuple] = []
+        with self._lock:
+            while self._released:
+                epoch, slots = self._released.popleft()
+                if epoch != self._epoch:
+                    continue  # a slot of a file since rewritten
+                freed = set(slots)
+                doomed = [k for k in self._set_keys if k[1] in freed]
+                self._set_keys.difference_update(doomed)
+                keys += doomed
+                for p in slots:
+                    heapq.heappush(self._free, p)
+        for key in keys:
+            self.bufmgr.decoded.discard(key)
+
+    def _append_columnar(self, batch: RowBatch, sets: list, minmax: list, written: list, dml: bool) -> None:
         # column positions in the order an attempt encodes them: the one
         # that overflowed last goes first, so a set that cannot fit is
         # usually abandoned after a single encode
@@ -354,36 +596,47 @@ class _Fragment:
         off = 0
         while off < batch.length:
             # halve until every encoded column fits the page slot
-            take = min(rows_per_set, batch.length - off)
+            take = min(self._rows_per_set, batch.length - off)
             while True:
                 chunk = batch.slice(off, off + take)
-                payloads = self._encode_set(chunk, order)
+                tiny = dml and take < col_page.DICT_MIN_ROWS
+                payloads = self._encode_set(chunk, order, self._coders if tiny else None)
                 if payloads is not None:
                     break
                 if take == 1:
                     raise StorageError("single row exceeds page capacity")
                 take //= 2
-            first_page = self.next_page
+                self._cap = min(self._cap, take)
+            first_page = self._allocate()
             for i, payload in enumerate(payloads):
                 self.bufmgr.put(self.path, first_page + i, payload)
-            self.next_page += len(payloads)
-            self._add_set(first_page, chunk, minmax)
+            sets.append(_SetMeta(first_page, take))
+            minmax.append(_column_minmax(chunk))
+            written.append((chunk, payloads))
             off += take
 
-    def _encode_set(self, chunk: RowBatch, order: list[int]) -> list[bytes] | None:
+    def _encode_set(
+        self, chunk: RowBatch, order: list[int], coders: dict | None = None
+    ) -> list[bytes] | None:
         """Every column page of ``chunk`` in schema order, or None at the
-        first one over the page slot (moved to the front of ``order``)."""
+        first one over the page slot (moved to the front of ``order``).
+        Given ``coders``, a string page reuses its column's coder there
+        when that covers its bytes, and leaves its own coder there."""
         payloads: list[bytes] = [b""] * len(order)
         for pos, i in enumerate(order):
             c = self.schema.columns[i]
-            payload = encode_column(chunk.col(c.name), c.dtype)
+            if coders is None or c.dtype != DataType.STRING:
+                payload = encode_column(chunk.col(c.name), c.dtype)
+            else:
+                payload = encode_column(chunk.col(c.name), c.dtype, coders.get(c.name))
+                coders[c.name] = None if is_dict_page(payload) else string_page_coder(payload)
             if len(payload) > self.file.max_payload:
                 order.insert(0, order.pop(pos))
                 return None
             payloads[i] = payload
         return payloads
 
-    def _append_rows(self, batch: RowBatch, minmax: list) -> None:
+    def _append_rows(self, batch: RowBatch, sets: list, minmax: list, written: list) -> None:
         page = RowPage(self.file.max_payload)
         start_row = 0
         rows_in_page = 0
@@ -391,7 +644,7 @@ class _Fragment:
         for r in range(batch.length):
             row = encode_row(self.schema, [v[r] for v in values])
             if page.try_append(row) is None:
-                self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page), minmax)
+                self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page), sets, minmax, written)
                 page = RowPage(self.file.max_payload)
                 if page.try_append(row) is None:
                     raise StorageError("single row exceeds page capacity")
@@ -399,20 +652,23 @@ class _Fragment:
                 rows_in_page = 0
             rows_in_page += 1
         if rows_in_page:
-            self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page), minmax)
+            self._flush_row_page(page, batch.slice(start_row, start_row + rows_in_page), sets, minmax, written)
 
-    def _flush_row_page(self, page: RowPage, chunk: RowBatch, minmax: list) -> None:
-        self.bufmgr.put(self.path, self.next_page, page.to_payload())
+    def _flush_row_page(self, page: RowPage, chunk: RowBatch, sets: list, minmax: list, written: list) -> None:
+        payload = page.to_payload()
+        self.bufmgr.put(self.path, self.next_page, payload)
         # row pages are likewise immutable once flushed
+        sets.append(_SetMeta(self.next_page, chunk.length))
+        minmax.append(_column_minmax(chunk))
+        written.append((chunk, [payload]))
         self.next_page += 1
-        self._add_set(self.next_page - 1, chunk, minmax)
 
     def set_tombstones(self, positions: np.ndarray, deleted: bool) -> None:
         """Tombstone (or, undoing a delete, revive) the rows at
         ``positions``. The mask is replaced, never written in place, so a
         concurrent scan reads one whole mask."""
         mask = self._deleted
-        mask = np.zeros(int(self._bounds[-1]), dtype=bool) if mask is None else mask.copy()
+        mask = np.zeros(self.layout.n_rows, dtype=bool) if mask is None else mask.copy()
         changed = int((mask[positions] != deleted).sum())
         if not changed:
             return
@@ -421,11 +677,115 @@ class _Fragment:
         self._deleted = mask if mask.any() else None
         self._save_tombstones()
 
-    def span_rows(self, first_set: int, n_rows: int) -> np.ndarray:
-        """The positions of ``n_rows`` rows from set ``first_set`` on (of
-        those that exist: an append may have failed part-way)."""
-        start = int(self._bounds[min(first_set, len(self.sets))])
-        return np.arange(start, min(start + n_rows, int(self._bounds[-1])), dtype=np.int64)
+    def span_rows(self, first_row: int, n_rows: int) -> np.ndarray:
+        """The positions of ``n_rows`` rows from ``first_row`` on (of those
+        that exist: an append may have failed part-way)."""
+        return np.arange(first_row, min(first_row + n_rows, self.layout.n_rows), dtype=np.int64)
+
+    # -- merging appended sets ---------------------------------------------------------
+    def merge_appended(self) -> bool:
+        """Merge the trailing under-full sets by the size-tiered rule of
+        :func:`_merge_start`; did it merge any?
+
+        Called once a transaction that appended here has committed, under
+        its X lock: every set is committed and no other writer runs. The
+        merged set is encoded from decoded values — the layout's fragment
+        columns, else the sets' own values the appends kept — and written
+        to a free set slot. The new layout keeps every row's position, so
+        tombstones, spans and undo stay valid; it inherits the decoded
+        columns, its merged part resolved to the dictionary the cache
+        holds for a dictionary page's content. The merged set is indexed
+        before the layout is published, the replaced sets'
+        predicate-cache entries go, and their pages are freed once no
+        reader holds the old layout."""
+        if self.format != COLUMN or not self.layout.sets:
+            return False
+        self._reclaim()
+        layout = self.layout
+        sizes = [s.n_rows for s in layout.sets]
+        while True:
+            lo = _merge_start(sizes, self._cap)
+            if lo is None:
+                return False
+            chunk = self._rows_from(layout, lo)
+            # a set that will merge again is coded with its columns' last
+            # tables where they cover it; a full one with its own
+            coders = self._coders if chunk.length < self._cap // 2 else None
+            payloads = self._encode_set(chunk, list(range(len(self.schema))), coders)
+            if payloads is not None:
+                break
+            self._cap = min(self._cap, chunk.length // 2)  # learned: that many do not fit
+        first_page = self._allocate()
+        for i, payload in enumerate(payloads):
+            self.bufmgr.put(self.path, first_page + i, payload)
+        # nothing persisted may name a page that is not
+        self.bufmgr.flush(self.path)
+        values = self._decoded_set(chunk, payloads)
+        merged = layout.merged(lo, first_page, values if chunk.length < self._cap // 2 else None)
+        self._adopt(merged, self._inherited(layout, lo, values, payloads))
+        # indexed before it is published: a scan that takes the merged
+        # layout must find every row of it under set ``lo``
+        for col in self.indexes:
+            self._index_values(col, lo, chunk.col(col))
+        with self._lock:
+            dropped = self.pred_cache.forget_from(lo)
+            self.layout = merged
+        if dropped and self.fs.exists(self.cache_path):
+            self.persist_cache()
+        self._save_meta()
+        self._forget(layout.generation)
+        weakref.finalize(
+            layout.holders, self._release, self._epoch, [s.first_page for s in layout.sets[lo:]]
+        )
+        self.merges += 1
+        return True
+
+    def _rows_from(self, layout: _Layout, lo: int) -> RowBatch:
+        """Every column of sets ``lo`` onwards, from decoded values: the
+        fragment column where it covers them, else each set's values the
+        layout kept (decoded only for a set it has none of)."""
+        start = int(layout.bounds[lo])
+        cols = {}
+        for c in self.schema:
+            fc = self.bufmgr.decoded.peek((layout.generation, c.name))
+            covered = lo if fc is None else max(lo, min(fc.n_sets, len(layout.sets)))
+            parts = [fc.values[start : int(layout.bounds[covered])]] if covered > lo else []
+            for set_id in range(covered, len(layout.sets)):
+                parts.append(self._set_columns(layout, [c.name], set_id)[c.name])
+            cols[c.name] = _join(parts)
+        return RowBatch._trusted(self.schema, cols, layout.n_rows - start)
+
+    def _inherited(
+        self, layout: _Layout, lo: int, merged: dict, payloads: list[bytes]
+    ) -> dict[str, _FragColumn]:
+        """The merged layout's fragment columns: each of the old layout's
+        that covers the sets before ``lo``, its rows from there on those
+        of the merged set (``merged``: its decoded values; ``payloads``:
+        its pages)."""
+        cache = self.bufmgr.decoded
+        start = int(layout.bounds[lo])
+        out = {}
+        for c, payload in zip(self.schema, payloads):
+            fc = cache.peek((layout.generation, c.name))
+            if fc is None or fc.n_sets < lo:
+                continue
+            part = merged[c.name]
+            covers = fc.n_sets == len(layout.sets)
+            if isinstance(part, DictColumn):
+                head = fc.values.head(start)
+                if covers and len(head.dictionary) > _SMALL_DICTIONARY:
+                    values = fc.values  # no small dictionary to fold the merged rows into
+                else:
+                    values = _join([head, part])
+            elif covers:
+                values = fc.values  # the same rows at the same positions
+            else:
+                values = np.concatenate([fc.values[:start], part])
+            encoded = None
+            if fc.encoded is not None:
+                encoded = np.append(fc.encoded[:lo], is_dict_page(payload))
+            out[c.name] = _FragColumn(values, lo + 1, encoded)
+        return out
 
     # -- secondary indexes (set-granular, paper §III) ------------------------------
     def _index_path(self, column: str) -> str:
@@ -452,21 +812,20 @@ class _Fragment:
         self.bufmgr.invalidate(self._index_path(col))
         tree = BPlusTree(self.fs, self.bufmgr, self._index_path(col), page_size=self.page_size)
         self.indexes[col] = tree
-        self._index_sets(col, 0)
+        layout = self.layout
+        if layout.sets:
+            column = self._columns(layout, [col])[col].values
+            for set_id in range(len(layout.sets)):
+                lo, hi = layout.bounds[set_id], layout.bounds[set_id + 1]
+                self._index_values(col, set_id, column[lo:hi])
 
-    def _index_sets(self, col: str, first: int) -> None:
-        """Index the values of sets ``first`` onwards; tombstoned values
-        stay indexed: the index is a superset anyway."""
-        n_sets = len(self.sets)
-        if first >= n_sets:
-            return
-        bounds = self._set_bounds(n_sets)
-        column = self._columns([col], n_sets)[col].values
-        for set_id in range(first, n_sets):
-            values = column[bounds[set_id] : bounds[set_id + 1]]
-            distinct = set(values.tolist()) if isinstance(values, DictColumn) else np.unique(values)
-            for v in distinct:
-                self.indexes[col].insert(v if isinstance(v, str) else v.item() if hasattr(v, "item") else v, set_id)
+    def _index_values(self, col: str, set_id: int, values) -> None:
+        """Index one set's values; tombstoned values stay indexed, and a
+        merged set is indexed again under its id: the index is a superset
+        anyway."""
+        distinct = set(values.tolist()) if isinstance(values, DictColumn) else np.unique(values)
+        for v in distinct:
+            self.indexes[col].insert(v if isinstance(v, str) else v.item() if hasattr(v, "item") else v, set_id)
 
     def _index_candidates(self, scan_pred: ScanPredicate) -> set[int] | None:
         """Set ids that may contain matches, per the indexes; None = no
@@ -494,38 +853,38 @@ class _Fragment:
             candidates = ids if candidates is None else (candidates & ids)
         return candidates
 
-    # -- fragment columns -------------------------------------------------------------
-    def _set_bounds(self, n_sets: int) -> np.ndarray:
-        """Row offsets of the first ``n_sets`` sets (``n_sets + 1`` values)."""
-        return self._bounds[: n_sets + 1]
-
-    def _columns(self, names: Sequence[str], n_sets: int) -> dict[str, _FragColumn]:
+    # -- decoded values ---------------------------------------------------------------
+    def _columns(
+        self, layout: _Layout, names: Sequence[str], n_sets: int | None = None
+    ) -> dict[str, _FragColumn]:
         """The decoded columns ``names``, covering at least the first
-        ``n_sets`` sets: cached, or built (extended, after appends)."""
+        ``n_sets`` sets of ``layout`` (all of them for None): cached, or
+        built (extended, after appends)."""
+        n_sets = len(layout.sets) if n_sets is None else n_sets
         out: dict[str, _FragColumn] = {}
         stale: list[tuple[str, _FragColumn | None]] = []
         for name in names:
-            fc = self.bufmgr.decoded.lookup((self.generation, name))
+            fc = self.bufmgr.decoded.lookup((layout.generation, name))
             if fc is None or fc.n_sets < n_sets:
                 stale.append((name, fc))
             elif fc.n_sets == n_sets:
                 out[name] = fc
             else:  # extended past this reader's sets by a later append
-                rows = int(self._set_bounds(n_sets)[-1])
+                rows = int(layout.bounds[n_sets])
                 out[name] = _FragColumn(
                     fc.values[:rows], n_sets, None if fc.encoded is None else fc.encoded[:n_sets]
                 )
         if stale:
-            out.update(self._build_columns(stale, n_sets))
+            out.update(self._build_columns(layout, stale, n_sets))
         return out
 
     def _build_columns(
-        self, stale: list[tuple[str, _FragColumn | None]], n_sets: int
+        self, layout: _Layout, stale: list[tuple[str, _FragColumn | None]], n_sets: int
     ) -> dict[str, _FragColumn]:
-        """Decode the sets each column is missing (all of them, or those
-        appended since it was cached), through the buffer pool, and cache
-        the extended columns."""
-        sets = self.sets[:n_sets]
+        """Extend each column over the sets it is missing (all of them, or
+        those appended since it was cached) — from their kept values, else
+        decoded through the buffer pool — and cache the extended columns."""
+        sets = layout.sets[:n_sets]
         first = min(0 if fc is None else fc.n_sets for _, fc in stale)
         if self.format == ROW:
             # a row page holds every column: decode each page once for all
@@ -536,63 +895,85 @@ class _Fragment:
                 ).to_batch(self.schema)
                 for s in sets[first:]
             ]
+        cache = self.bufmgr.decoded
         out = {}
         for name, fc in stale:
             start = 0 if fc is None else fc.n_sets
-            new_sets = sets[start:]
             dtype = self.schema.dtype_of(name)
             encoded = None
             if self.format == ROW:
                 parts = [b.col(name) for b in batches[start - first :]]
             else:
                 col_no = self.schema.index_of(name)
-                pages = [s.first_page + col_no for s in new_sets]
+                pages = [s.first_page + col_no for s in sets[start:]]
                 self.bufmgr.declare_scan(self.path, pages[:256])
                 payloads = self.bufmgr.get_many(self.path, pages)
-                parts = [
-                    decode_page(p, dtype, s.n_rows, self.bufmgr.decoded)
-                    for p, s in zip(payloads, new_sets)
-                ]
+                parts = []
+                for set_id, payload in enumerate(payloads, start):
+                    part = layout.tail.get(set_id, {}).get(name)
+                    if part is None:
+                        part = decode_page(payload, dtype, sets[set_id].n_rows, cache)
+                    parts.append(part)
                 if dtype == DataType.STRING:
                     encoded = np.array([is_dict_page(p) for p in payloads], dtype=bool)
             if fc is not None:
                 parts.insert(0, fc.values)
                 if encoded is not None:
                     encoded = np.concatenate([fc.encoded, encoded])
-            if dtype == DataType.STRING:
-                values = DictColumn.concat(parts)
-            else:
-                values = np.concatenate(parts)
-            fc = _FragColumn(col_page.freeze(values), n_sets, encoded)
-            nbytes = col_page.decoded_nbytes(values) + (0 if encoded is None else encoded.nbytes)
-            self.bufmgr.decoded.insert((self.generation, name), fc, nbytes)
+            values = _join(parts)
+            fc = _FragColumn(values, n_sets, encoded)
+            self._adopt(layout, {name: fc})
             out[name] = fc
         return out
 
-    def _tombstones(self, n_sets: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(per row of the first ``n_sets`` sets: tombstoned?, per set: has
-        it tombstones?), or (None, None) when no row is."""
+    def _adopt(self, layout: _Layout, columns: dict[str, _FragColumn]) -> None:
+        """Cache ``columns`` as ``layout``'s fragment columns: what a
+        build, a merge and a reorganize hand the layout they made."""
+        for name, fc in columns.items():
+            col_page.freeze(fc.values)
+            nbytes = col_page.decoded_nbytes(fc.values) + (0 if fc.encoded is None else fc.encoded.nbytes)
+            self.bufmgr.decoded.insert((layout.generation, name), fc, nbytes)
+
+    def _set_key(self, s: _SetMeta, name: str) -> tuple:
+        """A set's decoded values are cached under its page slot, whose
+        content no layout changes while a set holds it."""
+        return (self._epoch, s.first_page, name)
+
+    def _decoded_set(self, chunk: RowBatch, payloads: list[bytes]) -> dict:
+        """A written set's values as its pages decode, without decoding
+        them."""
+        cache = self.bufmgr.decoded
+        return {
+            c.name: col_page.freeze(col_page.as_decoded(payload, chunk.col(c.name), c.dtype, cache))
+            for c, payload in zip(self.schema, payloads)
+        }
+
+    def _tombstones(self, layout: _Layout) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(per row of ``layout``: tombstoned?, per set: has it
+        tombstones?), or (None, None) when no row is."""
         deleted = self._deleted
         if deleted is None:
             return None, None
-        bounds = self._set_bounds(n_sets)
-        rows = deleted[: bounds[-1]]
-        return rows, _any_per_set(rows, bounds[:-1])
+        rows = deleted[: layout.n_rows]
+        return rows, _any_per_set(rows, layout.bounds[:-1])
 
-    def _set_columns(self, names: Sequence[str], set_id: int) -> dict:
+    def _set_columns(self, layout: _Layout, names: Sequence[str], set_id: int) -> dict:
         """The columns ``names`` of one set, decoded on their own (and
         cached under the set) — for the few sets a DML touches."""
         cache = self.bufmgr.decoded
         out, missing = {}, []
+        kept = layout.tail.get(set_id, {})
+        s = layout.sets[set_id]
         for name in names:
-            hit = cache.lookup((self.generation, name, set_id))
+            hit = kept.get(name)
+            if hit is None:
+                hit = cache.lookup(self._set_key(s, name))
             if hit is None:
                 missing.append(name)
             else:
                 out[name] = hit
         if not missing:
             return out
-        s = self.sets[set_id]
         if self.format == ROW:
             page = RowPage.from_payload(self.bufmgr.get(self.path, s.first_page), self.file.max_payload)
             batch = page.to_batch(self.schema)
@@ -604,19 +985,21 @@ class _Fragment:
                 for name, payload in zip(missing, self.bufmgr.get_many(self.path, pages))
             }
         for name, values in decoded.items():
-            values = col_page.freeze(values)
-            cache.insert((self.generation, name, set_id), values, col_page.decoded_nbytes(values))
+            key = self._set_key(s, name)
+            col_page.freeze(values)
+            cache.insert(key, values, col_page.decoded_nbytes(values))
+            with self._lock:
+                self._set_keys.add(key)
             out[name] = values
         return out
 
-    def _read_all(self, n_sets: int) -> RowBatch:
-        """Every column of the first ``n_sets`` sets, tombstoned rows too."""
-        if not n_sets:
+    def _read_all(self, layout: _Layout) -> RowBatch:
+        """Every column of ``layout``'s sets, tombstoned rows too."""
+        if not layout.sets:
             return RowBatch.empty(self.schema)
-        cols = self._columns(self.schema.names(), n_sets)
-        total = int(self._set_bounds(n_sets)[-1])
+        cols = self._columns(layout, self.schema.names())
         return RowBatch._trusted(
-            self.schema, {n: _rows(cols[n].values, None) for n in self.schema.names()}, total
+            self.schema, {n: _rows(cols[n].values, None) for n in self.schema.names()}, layout.n_rows
         )
 
     # -- scanning -----------------------------------------------------------------
@@ -638,9 +1021,10 @@ class _Fragment:
             with self._cum_lock:
                 self.cum_stats.merge(delta)
 
-    def _kept_sets(self, n_sets: int, scan_pred: ScanPredicate, stats: ScanStats) -> np.ndarray:
+    def _kept_sets(self, layout: _Layout, scan_pred: ScanPredicate, stats: ScanStats) -> np.ndarray:
         """Per set: not proven empty by the index, the predicate cache or
         the min/max statistics (asked in that order, each counted)."""
+        n_sets = len(layout.sets)
         keep = np.ones(n_sets, dtype=bool)
         candidates = self._index_candidates(scan_pred)
         if candidates is not None:
@@ -648,14 +1032,24 @@ class _Fragment:
             keep[[c for c in candidates if c < n_sets]] = True
             stats.sets_skipped_index += n_sets - int(np.count_nonzero(keep))
         cached = self.pred_cache.skippable(keep, scan_pred)
+        if self.layout.generation != layout.generation:
+            cached = []  # a merge renumbered the sets: the entries name others
         if cached:
             keep[cached] = False
             stats.sets_skipped_cache += len(cached)
-        minmax = self.minmax.skippable(n_sets, scan_pred)
+        minmax = layout.minmax.skippable(n_sets, scan_pred)
         minmax &= keep
         stats.sets_skipped_minmax += int(np.count_nonzero(minmax))
         keep[minmax] = False
         return keep
+
+    def _record_empty(self, layout: _Layout, set_ids: list[int], scan_pred: ScanPredicate) -> None:
+        """Cache these sets of ``layout`` as empty for ``scan_pred``,
+        unless a merge has renumbered the sets since."""
+        with self._lock:
+            if self.layout.generation == layout.generation:
+                for set_id in set_ids:
+                    self.pred_cache.record_empty(set_id, scan_pred)
 
     def _scan_impl(
         self,
@@ -668,13 +1062,14 @@ class _Fragment:
     ) -> Iterator[RowBatch]:
         out_schema = self.schema.project([self.schema.resolve(c) for c in columns])
         names = out_schema.names()
-        n_sets = len(self.sets)  # a concurrent append only adds sets after these
+        layout = self.layout  # whatever a writer publishes next, these sets
+        n_sets = len(layout.sets)
         stats.sets_total += n_sets
         pages_per_set = len(names) if self.format == COLUMN else 1
         pruning = skipping and scan_pred is not None
         keep = None
         if pruning:
-            keep = self._kept_sets(n_sets, scan_pred, stats)
+            keep = self._kept_sets(layout, scan_pred, stats)
             stats.pages_skipped += pages_per_set * int(n_sets - keep.sum())
         kept = np.arange(n_sets) if keep is None else np.flatnonzero(keep)
         if not len(kept):
@@ -687,21 +1082,21 @@ class _Fragment:
         if neardata and self.format == COLUMN and pruning:
             for a in sorted(scan_pred.atoms, key=str):
                 atoms_by_col.setdefault(a.column, []).append(a)
-        cols = self._columns(list(dict.fromkeys([*names, *atoms_by_col])), n_sets)
-        bounds = self._set_bounds(n_sets)
+        cols = self._columns(layout, list(dict.fromkeys([*names, *atoms_by_col])))
+        bounds = layout.bounds
         sizes = np.diff(bounds)[kept]
         # the rows of the kept sets (None: every row), and each kept set's
         # first row among them
         idx = None if len(kept) == n_sets else np.flatnonzero(np.repeat(keep, np.diff(bounds)))
         starts = np.cumsum(sizes) - sizes
-        tomb, tombstoned = self._tombstones(n_sets)
+        tomb, tombstoned = self._tombstones(layout)
         if tomb is not None:
             tomb = tomb if idx is None else tomb[idx]
             tombstoned = tombstoned[kept]
 
         if atoms_by_col:
             mask = self._atom_pass(
-                cols, atoms_by_col, names, idx, kept, starts, tomb, tombstoned, scan_pred, stats
+                layout, cols, atoms_by_col, names, idx, kept, starts, tomb, tombstoned, scan_pred, stats
             )
             recheck = bool(scan_pred.opaque) and predicate is not None
         else:
@@ -714,7 +1109,7 @@ class _Fragment:
         batch = RowBatch._trusted(
             out_schema,
             {n: _rows(cols[n].values, rows) for n in names},
-            int(bounds[-1]) if rows is None else len(rows),
+            layout.n_rows if rows is None else len(rows),
         )
         if recheck:
             # the compiled predicate over the (already thinned) candidates —
@@ -733,15 +1128,15 @@ class _Fragment:
                     empty &= _any_per_set(mask, starts)
                 if tombstoned is not None:
                     empty &= ~tombstoned
-                for set_id in kept[empty].tolist():
-                    self.pred_cache.record_empty(set_id, scan_pred)
+                if empty.any():
+                    self._record_empty(layout, kept[empty].tolist(), scan_pred)
             batch = batch.filter(m)
         if batch.length:
             stats.rows_out += batch.length
             yield batch
 
     def _atom_pass(
-        self, cols, atoms_by_col, names, idx, kept, starts, tomb, tombstoned, scan_pred, stats
+        self, layout, cols, atoms_by_col, names, idx, kept, starts, tomb, tombstoned, scan_pred, stats
     ) -> np.ndarray:
         """The atoms' row mask over the kept rows, live rows only. Sets it
         leaves empty are skipped (and cached as empty); the counters are
@@ -769,8 +1164,8 @@ class _Fragment:
         stats.sets_skipped_encoded += int(dropped.sum())
         stats.pages_skipped += int((len(names) - fetched[dropped]).sum())
         cacheable = dropped if tombstoned is None else dropped & ~tombstoned
-        for set_id in kept[cacheable].tolist():
-            self.pred_cache.record_empty(set_id, scan_pred)
+        if cacheable.any():
+            self._record_empty(layout, kept[cacheable].tolist(), scan_pred)
         n_alive = int(alive.sum())
         stats.sets_pushed += n_alive
         stats.sets_read += n_alive
@@ -794,14 +1189,15 @@ class _Fragment:
         index, the predicate cache and min/max; the predicate's columns
         are read no further than the last set kept, and the other columns
         only from the sets holding a match."""
-        n_sets = len(self.sets)
+        layout = self.layout
+        n_sets = len(layout.sets)
         if not n_sets:
             return _NOTHING, None
-        bounds = self._set_bounds(n_sets)
+        bounds = layout.bounds
         sizes = np.diff(bounds)
         keep = np.ones(n_sets, dtype=bool)
         if scan_pred is not None:
-            keep = self._kept_sets(n_sets, scan_pred, ScanStats())
+            keep = self._kept_sets(layout, scan_pred, ScanStats())
         tomb = self._deleted
         if tomb is not None:
             tomb = tomb[: bounds[-1]]
@@ -815,7 +1211,7 @@ class _Fragment:
             rows = rows[~tomb[rows]]
         wanted = set(columns)
         names = [n for n in self.schema.names() if n in wanted]
-        cols = self._columns(names, n_read)
+        cols = self._columns(layout, names, n_read)
         candidates = RowBatch._trusted(
             self.schema.project(names), {n: cols[n].values[rows] for n in names}, len(rows)
         )
@@ -827,7 +1223,7 @@ class _Fragment:
         others = [n for n in self.schema.names() if n not in out]
         last = int(np.searchsorted(bounds, positions[-1], side="right"))  # sets to cover
         for n in others:
-            fc = self.bufmgr.decoded.lookup((self.generation, n))
+            fc = self.bufmgr.decoded.lookup((layout.generation, n))
             if fc is not None and fc.n_sets >= last:
                 out[n] = fc.values[positions]
         missing = [n for n in others if n not in out]
@@ -836,24 +1232,24 @@ class _Fragment:
             ids, starts = np.unique(set_of, return_index=True)
             parts: dict[str, list] = {n: [] for n in missing}
             for set_id, lo, hi in zip(ids.tolist(), starts, [*starts[1:], len(positions)]):
-                values = self._set_columns(missing, set_id)
+                values = self._set_columns(layout, missing, set_id)
                 local = positions[lo:hi] - bounds[set_id]
                 for n in missing:
                     parts[n].append(values[n][local])
             for n in missing:
-                join = DictColumn.concat if isinstance(parts[n][0], DictColumn) else np.concatenate
-                out[n] = join(parts[n])
+                out[n] = _join(parts[n])
         return positions, RowBatch._trusted(self.schema, out, len(positions))
 
     # -- maintenance ----------------------------------------------------------------
     def all_rows(self) -> RowBatch:
-        n_sets = len(self.sets)
-        tomb, _ = self._tombstones(n_sets)
-        batch = self._read_all(n_sets)
+        layout = self.layout
+        tomb, _ = self._tombstones(layout)
+        batch = self._read_all(layout)
         return batch if tomb is None else batch.filter(~tomb)
 
     def reorganize(self, clustering: Sequence[str] | None) -> None:
-        """Rewrite the fragment sorted on the clustering key; clears caches."""
+        """Rewrite the fragment sorted on the clustering key; clears caches.
+        The new layout is handed the decoded columns the rewrite holds."""
         data = self.all_rows()
         if clustering:
             keys = [_order_key(data.col(data.schema.resolve(c))) for c in reversed(list(clustering))]
@@ -870,10 +1266,18 @@ class _Fragment:
             self._save_tombstones()
         indexed_cols = list(self.indexes)
         self.indexes = {}
-        if data.length:
-            self.append_batch(data)
-        else:
+        if not data.length:
             self._save_meta()
+        elif self.format == COLUMN:
+            written = self.append_batch(data)
+            flags = np.array([[is_dict_page(p) for p in payloads] for _, payloads in written], dtype=bool)
+            n_sets = len(written)
+            self._adopt(self.layout, {
+                c.name: _FragColumn(data.col(c.name), n_sets, flags[:, i] if c.dtype == DataType.STRING else None)
+                for i, c in enumerate(self.schema)
+            })
+        else:
+            self.append_batch(data)
         for col in indexed_cols:  # rebuild over the new layout
             self.create_index(col)
 
@@ -935,19 +1339,20 @@ class TableStorage:
 
     def next_span(self, n_rows: int, fragment: int | None = None) -> Span:
         """Where an append of ``n_rows`` rows will land: after the last
-        set of ``fragment``, by default the one with the fewest live rows."""
+        row of ``fragment``, by default the one with the fewest live rows."""
         if fragment is None:
             fragment = min(range(len(self.fragments)), key=lambda i: self.fragments[i].row_count)
-        return Span(fragment, len(self.fragments[fragment].sets), n_rows)
+        return Span(fragment, self.fragments[fragment].layout.n_rows, n_rows)
 
     def insert(self, batch: RowBatch, at: Span | None = None) -> Span:
         """DML insert: append-only, does NOT respect clustering (paper).
         ``at`` is the span a caller named (and logged) beforehand."""
         at = at or self.next_span(batch.length)
         frag = self.fragments[at.fragment]
-        if (at.first_set, at.n_rows) != (len(frag.sets), batch.length):
-            raise StorageError(f"insert at {at} after {len(frag.sets)} sets of {self.name!r}")
-        frag.append_batch(batch)
+        rows = frag.layout.n_rows
+        if (at.first_row, at.n_rows) != (rows, batch.length):
+            raise StorageError(f"insert at {at} after {rows} rows of {self.name!r}")
+        frag.append_batch(batch, dml=True)
         return at
 
     def find(
@@ -980,7 +1385,7 @@ class TableStorage:
 
     def span_rows(self, span: Span) -> tuple[int, np.ndarray]:
         """(fragment, positions) of the rows an append at ``span`` created."""
-        return span.fragment, self.fragments[span.fragment].span_rows(span.first_set, span.n_rows)
+        return span.fragment, self.fragments[span.fragment].span_rows(span.first_row, span.n_rows)
 
     def scan(
         self,

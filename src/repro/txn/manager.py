@@ -9,11 +9,14 @@ copies that ``Database._replicate_metadata`` updates in turn.
 
 Undo goes by position. Every DML record names where its change
 happened: a delete the (fragment, row positions) it tombstoned, an
-insert the :class:`~repro.storage.table.Span` (fragment, first new set,
-rows) its append created, an update both. Appends only add sets and the
-transaction's X lock keeps other writers off the table on that worker,
-so undo tombstones exactly the spans and revives exactly the positions
-— never a committed row that merely equals an undone one. The same
+insert the :class:`~repro.storage.table.Span` (fragment, first new row,
+rows) its append created, an update both. Appends only add rows after
+the last, the transaction's X lock keeps other writers off the table on
+that worker, and the merge of appended sets runs only once a
+transaction has committed (under its X lock, so only committed sets
+merge) and keeps every row's position; so undo tombstones exactly the
+spans and revives exactly the positions — never a committed row that
+merely equals an undone one. The same
 record drives the in-memory undo (rollback) and the WAL undo (crash
 recovery); its before/after images keep the rows themselves. Storage
 flushes at commit (force policy at the system level; the page-image
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.batch import RowBatch
-from ..common.errors import LockTimeoutError, TxnAbortedError, TxnError
+from ..common.errors import LockTimeoutError, ReproError, TxnAbortedError, TxnError
 from ..sql.ast import column_refs
 from ..sql.compiler import compile_predicate, to_scan_predicate
 from .locks import LockManager, LockMode
@@ -75,7 +78,11 @@ class WorkerTxnNode:
         # request the buffer manager to write back and release locks (paper's
         # commit-time actions: write back pages, release locks, persist WAL)
         self.worker.bufmgr.flush()
-        self.locks.release_all(txn)
+        try:
+            if self._system is not None:
+                self._system.merge_appended(self.node_id, txn)
+        finally:
+            self.locks.release_all(txn)
 
     def rollback(self, txn: int) -> None:
         if self._system is not None:
@@ -283,6 +290,36 @@ class TransactionSystem:
             sorted(c for c in columns if c is not None),
             to_scan_predicate(predicate, schema),
         )
+
+    def merge_appended(self, worker_id: int, txn_id: int) -> None:
+        """After ``txn_id`` committed on a worker, still under its X locks:
+        merge the trailing sets of each fragment it appended to there.
+
+        This runs in 2PC's phase 2, where only the decision may fail the
+        commit: a merge is optional upkeep and leaves a fragment as it
+        was on disk when it fails, so a failure is recorded (a
+        ``merge_failed`` event) and the fragment merges at a later
+        commit."""
+        txn = self._active.get(txn_id)
+        worker = self.db.workers.get(worker_id)
+        if txn is None or worker is None:
+            return
+        appended = {
+            (table, span.fragment)
+            for w, table, info in txn.undo
+            if w == worker_id
+            for span in info.get("spans", ())
+        }
+        for table, fragment in sorted(appended):
+            storage = worker.storage.get(table)
+            if storage is None:
+                continue
+            try:
+                storage.fragments[fragment].merge_appended()
+            except (ReproError, OSError) as exc:
+                self.db.recorder.record(
+                    "merge_failed", node=worker_id, table=table, fragment=fragment, error=repr(exc)
+                )
 
     # -- logical undo --------------------------------------------------------------------
     def undo_on_worker(self, worker_id: int, txn_id: int) -> None:

@@ -186,3 +186,84 @@ def test_partition_property(values, n_parts):
 def test_serialization_property_strings(strings):
     b = RowBatch.from_pairs(("s", DataType.STRING, strings))
     assert RowBatch.from_bytes(b.to_bytes()).col("s").tolist() == strings
+
+
+def _string_sources(strings: list) -> dict[str, object]:
+    """The same rows in each form a string column reaches the wire in."""
+    from repro.common.batch import DictColumn, StringDictionary
+
+    n = len(strings)
+    # a slice of a pool-sized dictionary (RF1's orders batches carry the
+    # 30 000 strings of the pool they are cut from)
+    pool = np.empty(30_000, dtype=object)
+    pool[:] = [f"pool-{i}" for i in range(30_000)]
+    pool[7 : 7 + n] = strings
+    out = {
+        "wrapped": DictColumn.wrap(np.array(strings, dtype=object)),
+        "pool_slice": DictColumn(np.arange(7, 7 + n, dtype=np.uint32), StringDictionary(pool)),
+    }
+    if None not in strings:  # a received frame holds bytes only, and no NULL
+        big = RowBatch.from_pairs(("s", DataType.STRING, list(strings) + [f"x{i}" for i in range(200)]))
+        received = RowBatch.from_bytes(big.to_bytes()).col("s")[np.arange(n)]
+        out["received_slice"] = received
+        # an appended dictionary that has built neither face yet
+        head = DictColumn.wrap(np.array(["head"], dtype=object))
+        out["appended_parts"] = DictColumn.concat([head, received])[np.arange(1, n + 1)]
+    return out
+
+
+class TestSmallStringFrames:
+    """String columns of a few rows are encoded row by row; whatever the
+    bytes, every row decodes back, off the wire and out of the WAL."""
+
+    CONTENT = ["plain", "héllo wörld", "日本語", "nul\x00inside", "\x00", "", "plain", "repeat", "repeat"]
+
+    @staticmethod
+    def _rows(n: int, with_null: bool) -> list:
+        rows = [TestSmallStringFrames.CONTENT[i % len(TestSmallStringFrames.CONTENT)] for i in range(n)]
+        if with_null:
+            rows[n // 2] = None
+        return rows
+
+    @pytest.mark.parametrize("n", [1, 8, 33, 63, 64])
+    @pytest.mark.parametrize("with_null", [False, True])
+    def test_rows_decode_identically(self, n, with_null):
+        from repro.txn.wal import LogManager, UPDATE
+        from repro.util.fs import MemFS
+
+        strings = self._rows(n, with_null)
+        for name, col in _string_sources(strings).items():
+            batch = RowBatch(Schema.of(("k", DataType.INT64), ("s", DataType.STRING)),
+                             {"k": np.arange(n), "s": col})
+            want = [(k, s) for k, s in zip(range(n), strings)]
+            assert batch.rows() == want, name
+            blob = batch.to_bytes()
+            assert RowBatch.from_bytes(blob).rows() == want, name
+            # through the WAL, read back as recovery reads it
+            fs = MemFS()
+            log = LogManager(fs)
+            log.append(txn=1, kind=UPDATE, page=("logical", "t", 0), after=blob)
+            log.force()
+            (rec,) = LogManager(fs).records()
+            assert RowBatch.from_bytes(rec.after).rows() == want, name
+
+    @pytest.mark.parametrize("n", [1, 8, 33, 63])
+    def test_small_frames_match_the_general_encoder(self, n, monkeypatch):
+        from repro.common import batch as batch_mod
+
+        strings = self._rows(n, with_null=False)
+        for name, col in _string_sources(strings).items():
+            small = batch_mod._encode_string_column(col)
+            monkeypatch.setattr(batch_mod, "_SMALL_FRAME", 0)
+            general = batch_mod._encode_string_column(col)
+            monkeypatch.undo()
+            decoded = [batch_mod._decode_string_column(p, n, enc).tolist() for enc, p in (small, general)]
+            assert decoded[0] == decoded[1] == strings, name
+            assert len(small[1]) <= len(general[1]) + 4 * n, name
+
+    def test_a_pool_slice_leaves_the_pool_alone(self):
+        """A few rows over a big dictionary never convert it: the pool
+        builds no UTF-8 face to ship 30 rows."""
+        col = _string_sources(self._rows(30, with_null=False))["pool_slice"]
+        RowBatch(Schema.of(("s", DataType.STRING)), {"s": col}).to_bytes()
+        assert col.dictionary._utf8 is None

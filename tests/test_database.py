@@ -1,9 +1,11 @@
 """Database façade: DDL, loading, statistics, explain, configuration."""
 
+import os
+
 import pytest
 
 from repro import ClusterConfig, Database, DataType, RowBatch, Schema
-from repro.common.errors import CatalogError, PlanError
+from repro.common.errors import BufferPoolError, CatalogError, PlanError
 from repro.optimizer.dataflow import convert_naive
 
 from tests.conftest import quiescent
@@ -43,6 +45,34 @@ class TestDDL:
         assert all(w.fs.listdir("tables/t") == [] for w in db.workers.values())
         db.sql("create table t (a integer, s varchar) partition by hash (a)")
         assert db.sql("select count(*) from t").rows() == [(0,)]
+
+    def test_drop_table_closes_its_files(self, tmp_path):
+        """On a real filesystem a dropped table leaves no open descriptor
+        and no file registered with a buffer manager."""
+        db = Database(ClusterConfig(n_workers=2, data_dir=str(tmp_path)))
+        db.sql("create table keep (a integer) partition by hash (a)")
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        db.sql("create table t (a integer, s varchar) partition by hash (a)")
+        db.sql("create index ta on t (a)")
+        db.sql("insert into t values (1, 'x'), (2, 'y'), (3, 'z')")
+        paths = {
+            w: [f.path for f in wk.storage["t"].fragments]
+            + [tree.path for f in wk.storage["t"].fragments for tree in f.indexes.values()]
+            for w, wk in db.workers.items()
+        }
+        assert all(len(p) == 2 * db.config.disks_per_node for p in paths.values())
+        assert open_fds() > before
+        db.sql("drop table t")
+        assert open_fds() == before
+        for w, wk in db.workers.items():
+            for path in paths[w]:
+                with pytest.raises(BufferPoolError):
+                    wk.bufmgr.file(path)
+        assert db.sql("select count(*) from keep").rows() == [(0,)]
 
     def test_unknown_table(self):
         db = fresh()

@@ -175,8 +175,8 @@ class TestPredicateCache:
 class TestPageMinMax:
     def test_skip_out_of_range(self):
         mm = PageMinMax()
-        mm.extend([{"x": (10, 20), "s": ("b", "d")}])
-        mm.extend([{"x": (0, 100), "s": ("a", "z")}])
+        mm = mm.extended([{"x": (10, 20), "s": ("b", "d")}])
+        mm = mm.extended([{"x": (0, 100), "s": ("a", "z")}])
 
         def skips(*atoms):
             return mm.skippable(2, P(*atoms)).tolist()
@@ -195,7 +195,7 @@ class TestPageMinMax:
     def test_unknown_page_or_column(self):
         mm = PageMinMax()
         assert not mm.skippable(7, P(Atom("x", Op.LT, 5))).any()
-        mm.extend([{"y": (0, 1)}])
+        mm = mm.extended([{"y": (0, 1)}])
         assert not mm.skippable(1, P(Atom("x", Op.LT, 5))).any()
         # an incomparable constant proves nothing
         assert not mm.skippable(1, P(Atom("y", Op.LT, "a"))).any()
@@ -207,7 +207,7 @@ class TestPageMinMax:
         in-range predicate that previously matched nothing (the paper's
         generalization argument)."""
         mm = PageMinMax()
-        mm.extend([{"x": (0, 100)}])
+        mm = mm.extended([{"x": (0, 100)}])
         p = P(Atom("x", Op.EQ, 50))  # in range: min-max cannot skip
         assert not mm.skippable(1, p)[0]
         pc = PredicateCache()

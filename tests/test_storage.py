@@ -503,10 +503,10 @@ class TestFragmentColumnInvalidation:
     def test_reorganize(self, memfs, bufmgr):
         t, data = self.warm(memfs, bufmgr)
         delete_where(t, lambda b: b.col("k") % 2 == 0)
-        generations = [f.generation for f in t.fragments]
+        generations = [f.layout.generation for f in t.fragments]
         t.clustering = ("k",)
         t.reorganize()
-        assert all(f.generation not in generations for f in t.fragments)
+        assert all(f.layout.generation not in generations for f in t.fragments)
         assert self.rows(t) == self.fresh(data.filter(data.col("k") % 2 == 1))
 
     def test_restart_reloads_meta(self, memfs, bufmgr):
@@ -515,8 +515,8 @@ class TestFragmentColumnInvalidation:
         t.persist_caches()
         bufmgr.flush()
         again = _table(memfs, BufferManager(4, 64), n_disks=2)
-        assert {f.generation for f in again.fragments}.isdisjoint(
-            f.generation for f in t.fragments
+        assert {f.layout.generation for f in again.fragments}.isdisjoint(
+            f.layout.generation for f in t.fragments
         )
         assert self.rows(again) == self.fresh(data.filter(data.col("k") % 5 != 0))
 
@@ -602,7 +602,7 @@ class TestDmlReadsWhatItChanges:
         def admitted(f):
             """The set of fragment ``f`` whose key range holds 3001 (keys
             were loaded ascending, then came the appended sets)."""
-            keys, bounds = rows_before[f].col("k"), frags[f]._bounds
+            keys, bounds = rows_before[f].col("k"), frags[f].layout.bounds
             return next(i for i in range(len(frags[f].sets)) if keys[bounds[i + 1] - 1] >= 3001)
 
         victim = next(f for f in (0, 1) if 3001 in rows_before[f].col("k"))
