@@ -184,9 +184,20 @@ class Worker:
             for frag in ts.fragments:
                 frag.forget_decoded()
         for prefix in (f"tables/{name}/", f"tables/{name}@e"):
-            for path in self.fs.listdir(prefix):
-                self.bufmgr.close_file(path)
-                self.fs.delete(path)
+            self._delete_files(prefix)
+
+    def drop_storage(self, ts: TableStorage) -> None:
+        """Delete the files of one table storage no query reads any more
+        (a rebalance replaced it), with its decoded columns."""
+        for frag in ts.fragments:
+            frag.forget_decoded()
+        self._delete_files(f"tables/{ts.name}/")
+
+    def _delete_files(self, prefix: str) -> None:
+        """Close, unregister and delete every file under ``prefix``."""
+        for path in self.fs.listdir(prefix):
+            self.bufmgr.close_file(path)
+            self.fs.delete(path)
 
     def runtime(self) -> WorkerRuntime:
         return WorkerRuntime(
@@ -266,6 +277,12 @@ class Database:
         self._plan_lock = threading.Lock()
         #: DDL/DML writers serialize against each other
         self._write_lock = threading.RLock()
+        #: per executor epoch, the queries running on it; per published
+        #: epoch, the (worker, storage) pairs its publish replaced, whose
+        #: files go once no query runs on an older epoch
+        self._epoch_lock = threading.Lock()
+        self._running: dict[int, int] = {}
+        self._retired: dict[int, list[tuple[Worker, TableStorage]]] = {}
         self._qid = itertools.count(1)
         self._session_rr = itertools.count()
         self._submit_pool = None
@@ -1091,7 +1108,15 @@ class Database:
             self.workers[w] = wk
             self.txn_system.register_worker(wk)
         # copy-on-rebalance: rebind each worker's storage dict; the old
-        # dict (and its TableStorage objects) stays alive for old epochs
+        # dict (and its TableStorage objects) stays alive for old epochs,
+        # and what the new one does not keep is retired
+        kept = {id(ts) for tables in new_storage.values() for ts in tables.values()}
+        retired = [
+            (self.workers[w], ts)
+            for w in self.worker_ids
+            for ts in self.workers[w].storage.values()
+            if id(ts) not in kept
+        ]
         for w in new_ids:
             self.workers[w].storage = new_storage[w]
         for w in leaving:
@@ -1133,10 +1158,23 @@ class Database:
             change=report.kind,
             workers=sorted(self.worker_ids),
         )
-        self._executor = ex
+        with self._epoch_lock:
+            self._executor = ex
+            self._retired[ex.epoch] = retired
+        self._reap()
         # membership-aware resource management: the admission budget
         # follows the live aggregate memory
         self.admission.resize(self.config.memory_per_node * len(self.worker_ids))
+
+    def _reap(self) -> None:
+        """Delete the storages each publish retired once no query runs on
+        an epoch before that publish's."""
+        with self._epoch_lock:
+            oldest = min(self._running, default=None)
+            due = [e for e in self._retired if oldest is None or oldest >= e]
+            doomed = [pair for e in due for pair in self._retired.pop(e)]
+        for worker, ts in doomed:
+            worker.drop_storage(ts)
 
     # -- loading & statistics ---------------------------------------------------------
     def load(self, name: str, batch: RowBatch) -> None:
@@ -1233,8 +1271,21 @@ class Database:
         untraced), which :meth:`_select` chose.
         """
         qid = qid if qid is not None else next(self._qid)
-        tr = tracer
-        ex = self._executor.for_query(qid, self.coord_ids[coordinator % len(self.coord_ids)])
+        # the query pins its epoch's storages until it ends (``_reap``)
+        with self._epoch_lock:
+            ex = self._executor.for_query(qid, self.coord_ids[coordinator % len(self.coord_ids)])
+            self._running[ex.epoch] = self._running.get(ex.epoch, 0) + 1
+        try:
+            return self._run_pinned(ex, logical, physical, qid, tracer)
+        finally:
+            with self._epoch_lock:
+                self._running[ex.epoch] -= 1
+                if not self._running[ex.epoch]:
+                    del self._running[ex.epoch]
+            self._reap()
+
+    def _run_pinned(self, ex, logical, physical, qid: int, tr: Tracer | None) -> QueryResult:
+        """:meth:`_run_select` on the executor clone ``ex``."""
         ex.tracer = tr
         t_adm = time.perf_counter()
         try:

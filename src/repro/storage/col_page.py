@@ -284,16 +284,3 @@ def handout(col):
         return fresh
     return col
 
-
-def estimate_rows_per_set(schema_types: list[DataType], max_payload: int, avg_string: int = 24) -> int:
-    """How many rows fit a page set given the *widest* column.
-
-    The naive page-set layout is limited by the largest column; Huffman
-    typically halves string storage, which the estimate credits at 60%.
-    """
-    widest = 1.0
-    for dt in schema_types:
-        w = dt.fixed_width
-        width = float(w) if w is not None else avg_string * 0.6 + 4.5
-        widest = max(widest, width)
-    return max(1, int(max_payload / widest))

@@ -45,14 +45,18 @@ set by set unless a cached fragment column already covers them; it
 returns the matches' positions with their rows. Deletes tombstone those
 positions, inserts append at a :class:`Span` named beforehand, and a
 transaction's undo tombstones its spans and revives its positions.
-A fragment writes its layout (``.meta``: the sets and the per-column
-min/max arrays) only when its sets change, and its packed tombstone mask
+An append cuts its rows into sets by their encoded bytes
+(:class:`_SetFitter`), so a set is encoded about once and fills its
+widest page. A fragment writes its layout (``.meta``: the sets, the
+per-column min/max arrays and the rows a full set holds) only when its
+sets change, and its packed tombstone mask
 (``.del``) only when its tombstones change; the predicate cache has its
 own file (``.pcache``), written by ``persist_caches``.
 """
 
 from __future__ import annotations
 
+import array
 import heapq
 import itertools
 import operator
@@ -72,7 +76,7 @@ from ..common.schema import Schema
 from ..util.fs import FileSystem
 from .buffer import BufferManager
 from . import col_page
-from .col_page import decode_page, encode_column, estimate_rows_per_set, is_dict_page
+from .col_page import decode_page, encode_column, is_dict_page
 from .compression import HuffmanCoder, string_page_coder
 from .page import PagedFile
 from .predicate_cache import Atom, Op, PageMinMax, PredicateCache, ScanPredicate
@@ -296,6 +300,101 @@ class _Layout:
         )
 
 
+#: a fitted set aims each string page at this share of the page slot (a
+#: fixed-width page, whose bytes are exact, may fill all of it)
+FILL = 0.95
+#: rows whose string pages size the first set of an append when nothing
+#: was learned before
+SAMPLE_ROWS = 256
+#: a plain string page's bytes besides its rows': row count, last
+#: offset and Huffman table
+_PAGE_FIXED = 4 + 4 + 256
+
+
+def _entry_weights(values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(len, values), dtype=np.int32, count=len(values)) + 4
+
+
+def _string_weights(col: DictColumn) -> np.ndarray:
+    """Per row, its bytes in an uncoded plain page: a 4-byte offset and
+    its characters (per dictionary entry once, memoised on it)."""
+    return col.dictionary.mask(_entry_weights, _entry_weights)[col.codes]
+
+
+class _Overflow(NamedTuple):
+    """The first page of a set encode that did not fit its slot."""
+
+    column: str
+    nbytes: int
+
+
+class _SetFitter:
+    """How many rows a page set takes, sized from the bytes pages took.
+
+    A string row *weighs* its bytes in an uncoded plain page. Per string
+    column the fitter keeps a *rate*: the bytes a page of that column
+    took per unit of weight, beyond a plain page's fixed part, learned
+    from the last page of the column it measured: a sample, a set
+    written, or a page that overflowed. A set takes the most rows that
+    keep every string page's predicted bytes within ``FILL`` of the slot
+    and every fixed-width page within the slot, so it is encoded about
+    once and its widest page is about full. One fitter serves all
+    fragments of a table; it only sizes sets, and whether a page fits is
+    always checked on its bytes."""
+
+    def __init__(self, schema: Schema, max_payload: int):
+        self.strings = [c.name for c in schema if c.dtype == DataType.STRING]
+        widths = [c.dtype.fixed_width for c in schema if c.dtype != DataType.STRING]
+        #: the rows the fixed-width pages hold
+        self.fixed_rows = max_payload // max(widths) if widths else None
+        #: what a string page's rows may take
+        self.budget = FILL * max_payload - _PAGE_FIXED
+        #: string column -> page bytes per unit of row weight
+        self.rates: dict[str, float] = {}
+
+    def weights(self, batch: RowBatch) -> dict[str, np.ndarray]:
+        """Per string column, its rows' cumulative weights (from 0)."""
+        out = {}
+        for name in self.strings:
+            cum = np.zeros(batch.length + 1, dtype=np.int64)
+            np.cumsum(_string_weights(batch.col(name)), out=cum[1:])
+            out[name] = cum
+        return out
+
+    def knows(self) -> bool:
+        return len(self.rates) == len(self.strings)
+
+    def learn(self, name: str, nbytes: int, cum: np.ndarray, lo: int, hi: int) -> None:
+        """Learn from a page of ``name`` of ``nbytes`` bytes over rows
+        ``lo:hi`` of the weights ``cum``."""
+        self.rates[name] = max(nbytes - _PAGE_FIXED, 1) / int(cum[hi] - cum[lo])
+
+    def sample(self, batch: RowBatch, cum: dict[str, np.ndarray]) -> None:
+        """Learn every string column's rate from a page of the batch's
+        first ``SAMPLE_ROWS`` rows (with weights ``cum``)."""
+        sample = batch.slice(0, SAMPLE_ROWS)
+        for name in self.strings:
+            payload = encode_column(sample.col(name), DataType.STRING)
+            self.learn(name, len(payload), cum[name], 0, SAMPLE_ROWS)
+
+    def rows(self, cum: dict[str, np.ndarray], off: int, n: int) -> int:
+        """The rows from ``off`` (of ``n``) the next set takes, by the
+        rates known."""
+        take = n - off if self.fixed_rows is None else min(n - off, self.fixed_rows)
+        for name, rate in self.rates.items():
+            c = cum[name]
+            take = min(take, int(np.searchsorted(c, c[off] + self.budget / rate, side="right")) - 1 - off)
+        return max(1, take)
+
+    def cap(self, cum: dict[str, np.ndarray], n: int) -> int:
+        """The rows a full set holds, of rows of the average weight of
+        these ``n``."""
+        caps = [self.budget * n / (rate * int(cum[name][-1])) for name, rate in self.rates.items()]
+        if self.fixed_rows is not None:
+            caps.append(self.fixed_rows)
+        return max(1, int(min(caps, default=n)))
+
+
 #: trailing under-full sets a fragment holds before the tiered rule
 #: merges any
 MERGE_AFTER = 8
@@ -369,6 +468,7 @@ class _Fragment:
         fmt: str,
         page_size: int,
         codec: str,
+        fitter: _SetFitter | None = None,
     ):
         self.fs = fs
         self.bufmgr = bufmgr
@@ -395,11 +495,11 @@ class _Fragment:
         self.indexes: dict[str, "BPlusTree"] = {}
         #: pages a set spans (every set of a columnar fragment is one slot)
         self._set_pages = len(schema) if fmt == COLUMN else 1
-        #: the rows an append tries to put in one set
-        self._rows_per_set = estimate_rows_per_set([c.dtype for c in schema], self.file.max_payload)
-        #: the rows a full set holds: that estimate, lowered to what fits
-        #: whenever a set of more rows does not
-        self._cap = self._rows_per_set
+        #: sizes the sets (shared with the table's other fragments)
+        self.fitter = fitter or _SetFitter(schema, self.file.max_payload)
+        #: the rows a full set holds (0 until known): fitted by each load,
+        #: lowered to what fits whenever a merge of fewer rows overflows
+        self._cap = 0
         #: lifetime merges (``sys.fragments``)
         self.merges = 0
         #: per string column, the Huffman coder of its last tiny set
@@ -472,13 +572,16 @@ class _Fragment:
 
     def _save_meta(self) -> None:
         """Persist the layout (written when it changes): a few arrays,
-        whatever the number of sets."""
+        whatever the number of sets, and the rows a full set holds."""
         layout = self.layout
         self._write(self.meta_path, pickle.dumps(
             {
-                "sets": np.array(layout.sets, dtype=np.int64).reshape(-1, 2),
+                "sets": np.array(layout.sets, dtype=np.int64).tobytes(),
                 "next_page": self.next_page,
-                "minmax": layout.minmax.columns(),
+                "cap": self._cap,
+                "minmax": {
+                    col: (_pack(lo), _pack(hi)) for col, (lo, hi) in layout.minmax.columns().items()
+                },
             },
             protocol=4,
         ))
@@ -486,11 +589,12 @@ class _Fragment:
     def _load_meta(self) -> None:
         meta = pickle.loads(self._read(self.meta_path))
         self.next_page = meta["next_page"]
-        sets = tuple(_SetMeta(p, n) for p, n in meta["sets"].tolist())
-        bounds = np.concatenate([[0], np.cumsum(meta["sets"][:, 1])]).astype(np.int64)
-        self.layout = _Layout(
-            self.layout.generation, self.layout.holders, sets, bounds, PageMinMax(meta["minmax"])
-        )
+        self._cap = meta["cap"]
+        pairs = np.frombuffer(meta["sets"], dtype=np.int64).reshape(-1, 2)
+        sets = tuple(_SetMeta(p, n) for p, n in pairs.tolist())
+        bounds = np.concatenate([[0], np.cumsum(pairs[:, 1])]).astype(np.int64)
+        minmax = {col: (_unpack(lo), _unpack(hi)) for col, (lo, hi) in meta["minmax"].items()}
+        self.layout = _Layout(self.layout.generation, self.layout.holders, sets, bounds, PageMinMax(minmax))
         # the slots a merge freed are those no set names
         used = {s.first_page for s in sets}
         self._free = [p for p in range(0, self.next_page, self._set_pages) if p not in used]
@@ -589,24 +693,35 @@ class _Fragment:
             self.bufmgr.decoded.discard(key)
 
     def _append_columnar(self, batch: RowBatch, sets: list, minmax: list, written: list, dml: bool) -> None:
-        # column positions in the order an attempt encodes them: the one
-        # that overflowed last goes first, so a set that cannot fit is
-        # usually abandoned after a single encode
-        order = list(range(len(self.schema)))
+        fitter = self.fitter
+        n = batch.length
+        cum = fitter.weights(batch)
+        # nothing learned: a sample of the first rows sizes the first set
+        # (a reopened fragment, which knows its cap, starts from that)
+        if not fitter.knows() and not self._cap and n > SAMPLE_ROWS:
+            fitter.sample(batch, cum)
         off = 0
-        while off < batch.length:
-            # halve until every encoded column fits the page slot
-            take = min(self._rows_per_set, batch.length - off)
+        while off < n:
+            take = fitter.rows(cum, off, n)
+            if not fitter.knows() and self._cap:
+                take = min(take, self._cap)
             while True:
                 chunk = batch.slice(off, off + take)
                 tiny = dml and take < col_page.DICT_MIN_ROWS
-                payloads = self._encode_set(chunk, order, self._coders if tiny else None)
-                if payloads is not None:
+                payloads = self._encode_set(chunk, self._coders if tiny else None)
+                if not isinstance(payloads, _Overflow):
                     break
                 if take == 1:
                     raise StorageError("single row exceeds page capacity")
-                take //= 2
-                self._cap = min(self._cap, take)
+                fitter.learn(payloads.column, payloads.nbytes, cum[payloads.column], off, off + take)
+                take = min(take - 1, fitter.rows(cum, off, n))
+            # every set teaches the fitter but a short tail (the rest of
+            # an append, under a sample's rows), which a table learned from
+            # more rows before
+            tail = off + take == n and take < SAMPLE_ROWS
+            for name, payload in zip(self.schema.names(), payloads):
+                if name in cum and not (tail and name in fitter.rates):
+                    fitter.learn(name, len(payload), cum[name], off, off + take)
             first_page = self._allocate()
             for i, payload in enumerate(payloads):
                 self.bufmgr.put(self.path, first_page + i, payload)
@@ -614,26 +729,24 @@ class _Fragment:
             minmax.append(_column_minmax(chunk))
             written.append((chunk, payloads))
             off += take
+        if n and (not dml or not self._cap):
+            self._cap = fitter.cap(cum, n)
 
-    def _encode_set(
-        self, chunk: RowBatch, order: list[int], coders: dict | None = None
-    ) -> list[bytes] | None:
-        """Every column page of ``chunk`` in schema order, or None at the
-        first one over the page slot (moved to the front of ``order``).
-        Given ``coders``, a string page reuses its column's coder there
-        when that covers its bytes, and leaves its own coder there."""
-        payloads: list[bytes] = [b""] * len(order)
-        for pos, i in enumerate(order):
-            c = self.schema.columns[i]
+    def _encode_set(self, chunk: RowBatch, coders: dict | None = None) -> list[bytes] | _Overflow:
+        """Every column page of ``chunk`` in schema order, or the first
+        one over the page slot. Given ``coders``, a string page reuses its
+        column's coder there when that covers its bytes, and leaves its
+        own coder there."""
+        payloads: list[bytes] = []
+        for c in self.schema:
             if coders is None or c.dtype != DataType.STRING:
                 payload = encode_column(chunk.col(c.name), c.dtype)
             else:
                 payload = encode_column(chunk.col(c.name), c.dtype, coders.get(c.name))
                 coders[c.name] = None if is_dict_page(payload) else string_page_coder(payload)
             if len(payload) > self.file.max_payload:
-                order.insert(0, order.pop(pos))
-                return None
-            payloads[i] = payload
+                return _Overflow(c.name, len(payload))
+            payloads.append(payload)
         return payloads
 
     def _append_rows(self, batch: RowBatch, sets: list, minmax: list, written: list) -> None:
@@ -711,10 +824,14 @@ class _Fragment:
             # a set that will merge again is coded with its columns' last
             # tables where they cover it; a full one with its own
             coders = self._coders if chunk.length < self._cap // 2 else None
-            payloads = self._encode_set(chunk, list(range(len(self.schema))), coders)
-            if payloads is not None:
+            payloads = self._encode_set(chunk, coders)
+            if not isinstance(payloads, _Overflow):
                 break
-            self._cap = min(self._cap, chunk.length // 2)  # learned: that many do not fit
+            # learned: a full set holds the rows the overflowing page's
+            # bytes say fit
+            cum = self.fitter.weights(chunk)
+            self.fitter.learn(payloads.column, payloads.nbytes, cum[payloads.column], 0, chunk.length)
+            self._cap = min(self._cap, self.fitter.rows(cum, 0, chunk.length))
         first_page = self._allocate()
         for i, payload in enumerate(payloads):
             self.bufmgr.put(self.path, first_page + i, payload)
@@ -1307,18 +1424,12 @@ class TableStorage:
         self.schema = schema
         self.format = fmt
         self.clustering = tuple(clustering or ())
-        self.fragments = [
-            _Fragment(
-                fs,
-                bufmgr,
-                f"tables/{name}/disk{d}.dat",
-                schema,
-                fmt,
-                page_size,
-                codec,
-            )
-            for d in range(n_disks)
-        ]
+        self.fragments: list[_Fragment] = []
+        fitter = None  # the first fragment's, shared by the others
+        for d in range(n_disks):
+            frag = _Fragment(fs, bufmgr, f"tables/{name}/disk{d}.dat", schema, fmt, page_size, codec, fitter)
+            fitter = frag.fitter
+            self.fragments.append(frag)
 
     def load(self, batch: RowBatch, disk_assignment: np.ndarray | None = None) -> None:
         """Bulk-load rows, sorting for clustering and spreading over disks."""
@@ -1436,6 +1547,28 @@ class TableStorage:
 def _order_key(col) -> np.ndarray:
     """What ``np.lexsort`` orders a column by: a string column's value ranks."""
     return col.ranks() if isinstance(col, DictColumn) else col
+
+
+def _pack(values: np.ndarray) -> tuple:
+    """A min/max array as ``.meta`` stores it: its dtype and bytes, or,
+    for strings, its values' UTF-8 offsets and body — pickling an array,
+    or a Python string a value, costs more than the bytes."""
+    if values.dtype != object:
+        return values.dtype.str, values.tobytes()
+    blobs = [v.encode() for v in values.tolist()]
+    offsets = array.array("q", itertools.accumulate(map(len, blobs), initial=0))
+    return "utf8", offsets.tobytes(), b"".join(blobs)
+
+
+def _unpack(stored: tuple) -> np.ndarray:
+    """The array :func:`_pack` stored."""
+    if stored[0] != "utf8":
+        return np.frombuffer(stored[1], dtype=stored[0])
+    bounds = array.array("q", stored[1]).tolist()
+    body = stored[2]
+    out = np.empty(len(bounds) - 1, dtype=object)
+    out[:] = [body[a:b].decode() for a, b in zip(bounds, bounds[1:])]
+    return out
 
 
 def _column_minmax(batch: RowBatch) -> dict[str, tuple]:

@@ -481,6 +481,61 @@ class TestScaleEventMidQuery:
         assert db.catalog.placement_epoch == 6  # one per add, two per drain
 
 
+def _table_files(db: Database) -> dict[int, tuple[set[str], set[str]]]:
+    """Per worker: the table files it lists, and those of the storages
+    its current epoch reads."""
+    out = {}
+    for wid, w in db.workers.items():
+        owned = {p for ts in w.storage.values() for p in w.fs.listdir(f"tables/{ts.name}/")}
+        out[wid] = (set(w.fs.listdir("tables/")), owned)
+    return out
+
+
+class TestSupersededEpochFiles:
+    """A rebalance's replaced storages are deleted, closed and forgotten
+    once no query runs on the epoch that read them."""
+
+    def test_a_query_begun_before_the_publish_keeps_them_until_it_ends(self):
+        db = build_db(n_workers=2)
+        db.chaos(FaultSchedule.none())
+        want = db.sql(QUERIES[0]).rows()
+        seen = {}
+
+        def add_worker():
+            db.add_worker()
+            seen.update(_table_files(db))
+
+        state = arm_scale_event(db, add_worker, after=1)
+        res = db.sql(QUERIES[0])
+        assert state["fired"] and res.epoch == 0 and res.rows() == want
+        # while the query ran, the partitioned table's old files stayed
+        assert any(p.startswith("tables/t/") for listed, _ in seen.values() for p in listed)
+        for wid, (listed, owned) in _table_files(db).items():
+            assert listed == owned, wid
+            assert not any(p.startswith("tables/t/") for p in listed)
+            registered = set(db.workers[wid].bufmgr._files)
+            assert registered <= owned
+        assert db.sql(QUERIES[0]).rows() == want
+
+    def test_with_no_query_running_they_go_at_the_publish(self):
+        db = build_db(n_workers=2)
+        db.sql(QUERIES[0])  # decodes the old storages' columns
+        before = {wid: set(w.fs.listdir("tables/t/")) for wid, w in db.workers.items()}
+        generations = {
+            wid: {f.layout.generation for f in w.storage["t"].fragments} for wid, w in db.workers.items()
+        }
+        assert all(before.values())
+        db.add_worker()
+        for wid, (listed, owned) in _table_files(db).items():
+            assert listed == owned
+            assert not listed & before.get(wid, set())
+        for wid, gens in generations.items():
+            keys = list(db.workers[wid].bufmgr.decoded._d)
+            assert not [k for k in keys if isinstance(k, tuple) and k[0] in gens]
+        # the replicated table was kept, not rewritten: its files stay
+        assert all(db.workers[w].fs.listdir("tables/dim/") for w in (0, 1))
+
+
 class TestTPCHScaleEvents:
     """TPC-H byte-identical across scale events under chaos (acceptance)."""
 

@@ -11,7 +11,6 @@ from repro.storage.col_page import (
     decode_page,
     decoded_cache_stats,
     encode_column,
-    estimate_rows_per_set,
 )
 from repro.storage.compression import (
     HuffmanCoder,
@@ -272,8 +271,19 @@ class TestColPage:
             decode_page(payload, DataType.INT64, 5)
 
     def test_rows_per_set_limited_by_widest(self):
-        few = estimate_rows_per_set([DataType.STRING], 4096)
-        many = estimate_rows_per_set([DataType.BOOL], 4096)
+        """A full set holds what its widest page fits: fewer rows beside
+        a string column than of booleans alone."""
+        n = 3000
+        flags = np.arange(n) % 2 == 0
+        caps = []
+        for schema, cols in (
+            (Schema.of(("b", DataType.BOOL), ("s", DataType.STRING)), {"b": flags, "s": [f"row {i}" for i in range(n)]}),
+            (Schema.of(("b", DataType.BOOL)), {"b": flags}),
+        ):
+            t = TableStorage(MemFS(), BufferManager(4, 64), "t", schema, page_size=4096)
+            t.load(RowBatch(schema, cols))
+            caps.append(t.fragments[0]._cap)
+        few, many = caps
         assert many > few > 0
 
 
