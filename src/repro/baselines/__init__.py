@@ -1,15 +1,5 @@
 """Executable baseline engines (Hive-, Spark-, Greenplum-style)."""
 
-from .engines import (
-    BaselineIOStats,
-    MapReduceStyleExecutor,
-    MPPStyleExecutor,
-    SparkStyleExecutor,
-)
+from .engines import MapReduceStyleExecutor, MPPStyleExecutor, SparkStyleExecutor
 
-__all__ = [
-    "MapReduceStyleExecutor",
-    "SparkStyleExecutor",
-    "MPPStyleExecutor",
-    "BaselineIOStats",
-]
+__all__ = ["MapReduceStyleExecutor", "SparkStyleExecutor", "MPPStyleExecutor"]

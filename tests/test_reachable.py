@@ -34,10 +34,6 @@ ALLOWED = {
     "fault/schedule.py::FaultSchedule.chaos": "README: the randomized fault schedule",
     # references the tests compare against
     "optimizer/dataflow.py::convert_naive": "the reference plan the dataflow tests compare against",
-    # ROADMAP item 18 decides their fate
-    "baselines/engines.py::MapReduceStyleExecutor": "Hive stand-in; ROADMAP item 18",
-    "baselines/engines.py::SparkStyleExecutor": "Spark SQL stand-in; ROADMAP item 18",
-    "baselines/engines.py::MPPStyleExecutor": "Greenplum stand-in; ROADMAP item 18",
     # test fakes and workload generators the tests drive
     "storage/external.py::InMemoryCsvTable": "in-memory fake of the UET framework",
     "workloads/skew.py::SkewedWorkload": "skewed range-query generator of the skipping tests",

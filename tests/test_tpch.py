@@ -4,7 +4,11 @@ vs the reference oracle, plus the executable baseline engines."""
 import numpy as np
 import pytest
 
+from repro.baselines import MapReduceStyleExecutor, MPPStyleExecutor, SparkStyleExecutor
 from repro.common.dates import date_to_days
+from repro.core.executor import DistributedExecutor
+from repro.network.simnet import SimNetwork
+from repro.sql import parse
 from repro.workloads import tpch_dbgen, tpch_schema
 from repro.workloads.tpch_queries import ALL_QUERIES, query
 
@@ -144,43 +148,59 @@ class TestBaselineEngines:
     same answers while exhibiting their signature behaviours."""
 
     def _against(self, tpch_db, executor_cls, qno=3):
-
         sql = query(qno, TPCH_SF)
-        from repro.sql import parse
-
         _, phys = tpch_db.plan_select(parse(sql))
         runtimes = {w: wk.runtime() for w, wk in tpch_db.workers.items()}
         ex = executor_cls(runtimes, tpch_db.coord_ids[0], tpch_db.net, tpch_db.config)
-        batch, _ = ex.execute(phys)
+        batch, stats = ex.execute(phys)
         want = tpch_db.execute_reference(sql).rows()
-        return ex, batch.rows(), want
+        return ex, stats, batch.rows(), want
 
     def test_mapreduce_style_results_and_materialization(self, tpch_db):
-        from repro.baselines import MapReduceStyleExecutor
-
-        ex, got, want = self._against(tpch_db, MapReduceStyleExecutor)
+        ex, stats, got, want = self._against(tpch_db, MapReduceStyleExecutor)
         assert rows_match_unordered(got, want)
-        assert ex.io_stats.shuffle_bytes_written > 0  # blocking disk shuffle
-        assert ex.io_stats.sort_rows > 0  # sorted shuffle
-        assert ex.io_stats.stage_bytes_written > 0  # per-stage DFS writes
+        assert stats.spilled_bytes > 0  # shuffle receive buffers on disk
+        assert ex.sort_rows > 0  # sorted shuffle
+        # Q6 has no shuffle: what spills is the gathered stage output
+        _, stats, got, want = self._against(tpch_db, MapReduceStyleExecutor, qno=6)
+        assert rows_match_unordered(got, want)
+        assert stats.spilled_bytes > 0
 
     def test_spark_style_results_and_shuffle_files(self, tpch_db):
-        from repro.baselines import SparkStyleExecutor
-
-        ex, got, want = self._against(tpch_db, SparkStyleExecutor)
+        ex, stats, got, want = self._against(tpch_db, SparkStyleExecutor)
         assert rows_match_unordered(got, want)
-        assert ex.io_stats.shuffle_bytes_written > 0
-        assert ex.io_stats.sort_rows == 0  # unsorted shuffle
-        assert ex.io_stats.stage_bytes_written == 0
+        assert stats.spilled_bytes > 0  # the spill file is the shuffle file
+        assert ex.sort_rows == 0  # unsorted shuffle
+        _, stats, _, _ = self._against(tpch_db, SparkStyleExecutor, qno=6)
+        assert stats.spilled_bytes == 0  # no per-stage materialization
 
     def test_mpp_style_results_and_connections(self, tpch_db):
-        from repro.baselines import MPPStyleExecutor
-
         tpch_db.net.reset_stats()
-        ex, got, want = self._against(tpch_db, MPPStyleExecutor, qno=18)
+        _, _, got, want = self._against(tpch_db, MPPStyleExecutor, qno=18)
         assert rows_match_unordered(got, want)
         # direct all-to-all: connections grow with the cluster
         assert tpch_db.net.max_connections() >= tpch_db.config.n_workers - 1
+
+    @pytest.mark.parametrize(
+        "cls", [MapReduceStyleExecutor, SparkStyleExecutor, MPPStyleExecutor]
+    )
+    def test_no_bloom_filter_on_the_wire(self, tpch_db, monkeypatch, cls):
+        """None of the comparators has the Bloom-filtered shuffle, so none
+        ships a filter; the engine ships one for the same Q8 plan."""
+        tags = []
+        route_send = SimNetwork.route_send
+
+        def spy(self, topology, src, dst, payload, tag=""):
+            tags.append(tag)
+            return route_send(self, topology, src, dst, payload, tag)
+
+        monkeypatch.setattr(SimNetwork, "route_send", spy)
+        self._against(tpch_db, DistributedExecutor, qno=8)
+        assert any("bloom" in t for t in tags)
+        tags.clear()
+        _, _, got, want = self._against(tpch_db, cls, qno=8)
+        assert rows_match_unordered(got, want)
+        assert tags and not any("bloom" in t for t in tags)
 
     def test_hrdbms_bounds_connections_same_query(self, tpch_db):
         tpch_db.net.reset_stats()
